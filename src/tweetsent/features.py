@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class DocTermMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return SparseVector(cols=self.indices[lo:hi], weights=self.data[lo:hi])
 
-    def iter_rows(self) -> Iterable[SparseVector]:
-        for i in range(self.n_docs):
-            yield self.row(i)
-
     def toarray(self) -> np.ndarray:
         """Densify to an (n_docs, n_terms) float64 array."""
         dense = np.zeros((self.n_docs, self.n_terms), dtype=np.float64)
@@ -109,19 +105,16 @@ class DocTermMatrix:
     def take(self, rows: Sequence[int] | np.ndarray) -> "DocTermMatrix":
         """Row subset (same vocabulary and weighting)."""
         rows = np.asarray(rows, dtype=np.int64)
-        lengths = (self.indptr[rows + 1] - self.indptr[rows]).astype(np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        data = np.empty(int(indptr[-1]), dtype=np.float64)
-        for out_i, src in enumerate(rows):
-            lo, hi = self.indptr[src], self.indptr[src + 1]
-            dst_lo, dst_hi = indptr[out_i], indptr[out_i + 1]
-            indices[dst_lo:dst_hi] = self.indices[lo:hi]
-            data[dst_lo:dst_hi] = self.data[lo:hi]
+        # Each output entry's source position: its row's start in this
+        # matrix plus its offset within the row.
+        source = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return DocTermMatrix(
-            vocab=self.vocab, indptr=indptr, indices=indices, data=data,
-            weighting=self.weighting,
+            vocab=self.vocab, indptr=indptr, indices=self.indices[source],
+            data=self.data[source], weighting=self.weighting,
         )
 
 

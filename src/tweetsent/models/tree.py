@@ -2,9 +2,16 @@
 
 Splits minimise Gini impurity.  Candidate thresholds are midpoints between
 consecutive distinct values of a column, ties go to the lowest column and
-then the lowest threshold, and a split is kept even when it does not reduce
-impurity, as long as both children are nonempty — a node only becomes a
-leaf when it is pure, too small, too deep, or has no usable threshold.
+then the lowest threshold, and a midpoint that rounds onto the right-hand
+value (adjacent floats) is skipped.  A split is kept even when it does not
+reduce impurity, as long as both children are nonempty — a node only
+becomes a leaf when it is pure, too small, too deep, or has no usable
+threshold.
+
+The split search is exact, not binned: one numpy pass per node sorts every
+candidate column at once and scores every boundary between distinct values,
+with the same arithmetic as a column-at-a-time search, so it picks the same
+split bit for bit.
 """
 
 from __future__ import annotations
@@ -74,56 +81,53 @@ class TreeNode:
 
 def _best_split(
     x: np.ndarray,
-    prefix_template: np.ndarray,
     y: np.ndarray,
+    n_classes: int,
     rows: np.ndarray,
     columns: np.ndarray,
 ) -> tuple[int, float] | None:
     """Lowest-weighted-impurity (column, threshold) over ``columns``.
 
-    Returns None when every candidate column is constant on ``rows``.
-    ``prefix_template`` is a scratch (n_rows, n_classes) one-hot buffer
-    reused across calls to avoid reallocating per node.
+    Scores every candidate column of the node in one pass: the ``(n, k)``
+    block of the node's rows and candidate columns is sorted column by
+    column, and class counts and impurities are computed only at the
+    boundaries between distinct values, which count columns have few of.
+    Returns None when no candidate column has a usable threshold on ``rows``.
     """
     n_rows = rows.shape[0]
-    best: tuple[float, int, float] | None = None
-    for col in columns:
-        values = x[rows, col]
-        order = np.argsort(values, kind="stable")
-        sorted_vals = values[order]
-        boundaries = np.nonzero(sorted_vals[:-1] < sorted_vals[1:])[0]
-        if boundaries.size == 0:
-            continue
-        one_hot = prefix_template[:n_rows]
-        one_hot[:] = 0.0
-        one_hot[np.arange(n_rows), y[rows[order]]] = 1.0
-        prefix = one_hot.cumsum(axis=0)
-
-        left_counts = prefix[boundaries]
-        right_counts = prefix[-1] - left_counts
-        n_left = boundaries + 1
-        n_right = n_rows - n_left
-        weighted = (
-            n_left * _gini_rows(left_counts) + n_right * _gini_rows(right_counts)
-        ) / n_rows
-
-        # Stable sort keeps ascending-threshold order among equal impurities,
-        # and skips midpoints that round up onto the right-hand value (adjacent
-        # floats), which would send every row left.
-        pick: int | None = None
-        threshold = 0.0
-        for j in np.argsort(weighted, kind="stable"):
-            midpoint = 0.5 * (sorted_vals[boundaries[j]] + sorted_vals[boundaries[j] + 1])
-            if midpoint < sorted_vals[boundaries[j] + 1]:
-                pick, threshold = int(j), float(midpoint)
-                break
-        if pick is None:
-            continue
-        if best is None or weighted[pick] < best[0]:
-            best = (float(weighted[pick]), int(col), threshold)
-    if best is None:
+    block = x[rows][:, columns]
+    order = np.argsort(block, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(block, order, axis=0)
+    # Boundaries in column-major order: by candidate column, then by
+    # ascending threshold within a column.
+    col_idx, pos = np.nonzero((sorted_vals[:-1] < sorted_vals[1:]).T)
+    if pos.size == 0:
         return None
-    return best[1], best[2]
+
+    labels = y[rows]
+    sorted_labels = labels[order]
+    left_counts = np.empty((pos.size, n_classes), dtype=np.float64)
+    for cls in range(n_classes):
+        left_counts[:, cls] = np.cumsum(sorted_labels == cls, axis=0)[pos, col_idx]
+    totals = np.bincount(labels, minlength=n_classes).astype(np.float64)
+    right_counts = totals - left_counts
+    n_left = pos + 1
+    n_right = n_rows - n_left
+    weighted = (
+        n_left * _gini_rows(left_counts) + n_right * _gini_rows(right_counts)
+    ) / n_rows
+
+    # A midpoint that rounds up onto the right-hand value (adjacent floats)
+    # would send every row left, so it is no candidate.
+    upper = sorted_vals[pos + 1, col_idx]
+    midpoints = 0.5 * (sorted_vals[pos, col_idx] + upper)
+    weighted[midpoints >= upper] = np.inf
+    # argmin returns the first minimum: the lowest column, then the lowest
+    # threshold, among equal impurities.
+    best = int(np.argmin(weighted))
+    if weighted[best] == np.inf:
+        return None
+    return int(columns[col_idx[best]]), float(midpoints[best])
 
 
 def grow_tree(
@@ -147,7 +151,6 @@ def grow_tree(
         raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
 
     all_columns = np.arange(x.shape[1])
-    prefix_template = np.empty((x.shape[0], n_classes), dtype=np.float64)
 
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         counts = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
@@ -159,7 +162,7 @@ def grow_tree(
         ):
             return TreeNode(counts=counts)
         columns = all_columns if column_sampler is None else column_sampler()
-        split = _best_split(x, prefix_template, y, rows, columns)
+        split = _best_split(x, y, n_classes, rows, columns)
         if split is None:
             return TreeNode(counts=counts)
         column, threshold = split

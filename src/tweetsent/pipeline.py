@@ -16,6 +16,8 @@ import inspect
 import io
 import json
 import logging
+import types
+import typing
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -146,8 +148,12 @@ def validate_config(config: RunConfig) -> RunConfig:
     for key, value in config.weighting.items():
         _expect(key in MODEL_ORDER, f"weighting given for unknown model {key!r}")
         _expect(value in (COUNTS, TFIDF), f"weighting for {key} must be '{COUNTS}' or '{TFIDF}', got {value!r}")
-    for key in config.hyperparameters:
+    for key, values in config.hyperparameters.items():
         _expect(key in MODEL_ORDER, f"hyperparameters given for unknown model {key!r}")
+        _expect(
+            isinstance(values, Mapping),
+            f"hyperparameters for {key} must be an object, got {values!r}",
+        )
 
     for name, path in config.topics:
         _expect(path.is_file(), f"corpus file for topic {name!r} does not exist: {path}")
@@ -162,7 +168,31 @@ def validate_config(config: RunConfig) -> RunConfig:
             trainer_for(key, config)
         except TypeError as exc:
             raise ConfigError(f"hyperparameters for {key}: {exc}") from exc
+        hints = typing.get_type_hints(_TRAINERS[key])
+        for name, value in config.hyperparameters.get(key, {}).items():
+            allowed = _allowed_types(hints[name])
+            _expect(
+                _has_type(value, allowed),
+                f"hyperparameters for {key}: {name!r} must be "
+                f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}",
+            )
     return config
+
+
+def _allowed_types(hint) -> tuple[type, ...]:
+    """The plain types a trainer annotation admits (``int | None`` -> both)."""
+    if isinstance(hint, types.UnionType) or typing.get_origin(hint) is typing.Union:
+        return typing.get_args(hint)
+    return (hint,)
+
+
+def _has_type(value, allowed: tuple[type, ...]) -> bool:
+    """JSON-value type check: bool is no int, and an int is a valid float."""
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return any(isinstance(value, t) for t in allowed if t is not bool)
 
 
 def load_config(
@@ -210,6 +240,9 @@ def load_config(
             raise ConfigError(f"{path}: 'models' must be a list")
         model_selection = _parse_model_selection([str(m) for m in listed])
 
+    for key in ("weighting", "hyperparameters"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"{path}: '{key}' must be a JSON object, got {raw[key]!r}")
     weighting = dict(DEFAULT_WEIGHTING)
     weighting.update({str(k): str(v) for k, v in raw.get("weighting", {}).items()})
 
@@ -218,14 +251,12 @@ def load_config(
         lexicon=base / str(raw["lexicon"]),
         stopwords=(base / str(raw["stopwords"])) if raw.get("stopwords") else None,
         out_dir=base / str(raw.get("out_dir", "report")),
-        seed=int(raw.get("seed", 42)),
-        folds=int(raw.get("folds", 4)),
-        min_df=int(raw.get("min_df", 1)),
+        seed=_integer(raw, "seed", 42, path),
+        folds=_integer(raw, "folds", 4, path),
+        min_df=_integer(raw, "min_df", 1, path),
         models=model_selection,
         weighting=weighting,
-        hyperparameters={
-            str(k): dict(v) for k, v in raw.get("hyperparameters", {}).items()
-        },
+        hyperparameters={str(k): v for k, v in raw.get("hyperparameters", {}).items()},
     )
 
     overrides: dict = {}
@@ -246,6 +277,13 @@ def load_config(
     if overrides:
         config = replace(config, **overrides)
     return validate_config(config)
+
+
+def _integer(raw: dict, key: str, default: int, path: Path) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: '{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
@@ -375,10 +413,16 @@ def load_topic_data(config: RunConfig) -> list[TopicData]:
     with _stage("ingest"):
         lexicon = load_lexicon(config.lexicon)
         stopwords = load_stopwords(config.stopwords)
-    return [
-        _load_topic(name, path, lexicon, stopwords, config.min_df)
-        for name, path in config.topics
-    ]
+    topics = []
+    for name, path in config.topics:
+        data = _load_topic(name, path, lexicon, stopwords, config.min_df)
+        if len(data.documents) < config.folds:
+            raise DataError(
+                f"{path}: topic {name!r} has {len(data.documents)} documents, "
+                f"too few for 'folds' = {config.folds}"
+            )
+        topics.append(data)
+    return topics
 
 
 def train_topic_models(config: RunConfig, data: TopicData) -> dict[str, Model]:

@@ -87,6 +87,24 @@ class TestCountMatrix:
         sub = m.take(np.array([2, 0]))
         np.testing.assert_array_equal(sub.toarray(), m.toarray()[[2, 0]])
 
+    def test_take_matches_a_row_by_row_copy(self):
+        """Repeated, reordered and empty rows; no rows at all."""
+        rng = np.random.default_rng(5)
+        docs = [
+            [f"w{rng.integers(0, 25)}" for _ in range(rng.integers(0, 7))]
+            for _ in range(40)
+        ]
+        m = build_count_matrix(build_vocabulary(docs), docs)
+        for rows in (rng.integers(0, 40, size=60), np.arange(40)[::-1], []):
+            sub = m.take(rows)
+            picked = [m.row(i) for i in rows]
+            assert sub.indptr.tolist() == np.cumsum([0] + [v.nnz for v in picked]).tolist()
+            expected_cols = [c for v in picked for c in v.cols.tolist()]
+            expected_weights = [w for v in picked for w in v.weights.tolist()]
+            assert sub.indices.tolist() == expected_cols
+            assert sub.data.tolist() == expected_weights
+            assert (sub.indices.dtype, sub.data.dtype) == (np.int64, np.float64)
+
 
 class TestIdf:
     def test_formula_is_natural_log_of_inverse_fraction(self):

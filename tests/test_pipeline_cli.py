@@ -564,3 +564,57 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "tweetsent" in capsys.readouterr().out
+
+
+class TestUserErrorsAreNotInternalErrors:
+    """Config values of the wrong type or size exit 1 or 2, never 3, with a
+    message that names the key at fault."""
+
+    @staticmethod
+    def _run(workspace, tmp_path, capsys, command, **extra):
+        path = write_config(tmp_path, minimal_config_payload(workspace, **extra))
+        code = main([command, "--config", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_non_integer_seed_is_a_config_error(self, workspace, tmp_path, capsys):
+        code, err = self._run(workspace, tmp_path, capsys, "ingest", seed="abc")
+        assert code == 1
+        assert "'seed' must be an integer" in err
+
+    def test_more_folds_than_documents_is_a_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        code, err = self._run(workspace, tmp_path, capsys, "crossval", folds=5000)
+        assert code == 2
+        assert "too few for 'folds' = 5000" in err
+
+    def test_hyperparameter_of_the_wrong_type_is_a_config_error(
+        self, workspace, tmp_path, capsys
+    ):
+        code, err = self._run(
+            workspace, tmp_path, capsys, "ingest",
+            hyperparameters={"svm": {"epochs": "50"}},
+        )
+        assert code == 1
+        assert "hyperparameters for svm: 'epochs' must be int" in err
+
+    def test_hyperparameters_entry_must_be_an_object(
+        self, workspace, tmp_path, capsys
+    ):
+        code, err = self._run(
+            workspace, tmp_path, capsys, "ingest", hyperparameters={"svm": 3}
+        )
+        assert code == 1
+        assert "hyperparameters for svm must be an object" in err
+
+    def test_admissible_hyperparameter_types_load(self, workspace, tmp_path):
+        """None for an optional int, an int for a float, a bool for a bool."""
+        hyper = {
+            "bagging": {"max_depth": None, "n_members": 2},
+            "maxent": {"eta": 1},
+            "random_forest": {"bootstrap": False},
+        }
+        path = write_config(
+            tmp_path, minimal_config_payload(workspace, hyperparameters=hyper)
+        )
+        assert load_config(path).hyperparameters == hyper

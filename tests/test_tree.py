@@ -2,8 +2,10 @@
 
 The core suite draws random small datasets and checks the tree's root split
 against a brute-force enumeration of every (column, threshold) candidate,
-so the vectorized prefix-sum sweep inside the package is validated by an
-independent, obviously-correct implementation.
+so the vectorized split search inside the package is validated by an
+independent, obviously-correct implementation.  A second oracle, the
+earlier one-column-at-a-time search, pins the exact split and whole tree
+the vectorized search must reproduce, tie-breaks included.
 """
 
 import numpy as np
@@ -13,9 +15,12 @@ from tweetsent.datagen import make_toy_training_set
 from tweetsent.features import SparseVector
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import train_decision_tree
+from tweetsent.models import tree as tree_module
 from tweetsent.models.tree import (
     DecisionTreeModel,
     TreeNode,
+    _best_split,
+    _gini_rows,
     gini_impurity,
     grow_tree,
 )
@@ -55,6 +60,164 @@ def weighted_gini_of_split(x, y, n_classes, column, threshold):
         left.size * gini_impurity(np.bincount(left, minlength=n_classes))
         + right.size * gini_impurity(np.bincount(right, minlength=n_classes))
     ) / x.shape[0]
+
+
+def reference_best_split(x, y, n_classes, rows, columns):
+    """The per-column split search the vectorized one replaced, kept verbatim
+    in its arithmetic: one stable argsort and one one-hot prefix sum per
+    column, then the lowest weighted impurity with an admissible midpoint,
+    ties to the first column in ``columns`` and then the lowest threshold."""
+    n_rows = rows.shape[0]
+    best = None
+    for col in columns:
+        values = x[rows, col]
+        order = np.argsort(values, kind="stable")
+        sorted_vals = values[order]
+        boundaries = np.nonzero(sorted_vals[:-1] < sorted_vals[1:])[0]
+        if boundaries.size == 0:
+            continue
+        one_hot = np.zeros((n_rows, n_classes), dtype=np.float64)
+        one_hot[np.arange(n_rows), y[rows[order]]] = 1.0
+        prefix = one_hot.cumsum(axis=0)
+
+        left_counts = prefix[boundaries]
+        right_counts = prefix[-1] - left_counts
+        n_left = boundaries + 1
+        n_right = n_rows - n_left
+        weighted = (
+            n_left * _gini_rows(left_counts) + n_right * _gini_rows(right_counts)
+        ) / n_rows
+
+        pick = None
+        threshold = 0.0
+        for j in np.argsort(weighted, kind="stable"):
+            midpoint = 0.5 * (sorted_vals[boundaries[j]] + sorted_vals[boundaries[j] + 1])
+            if midpoint < sorted_vals[boundaries[j] + 1]:
+                pick, threshold = int(j), float(midpoint)
+                break
+        if pick is None:
+            continue
+        if best is None or weighted[pick] < best[0]:
+            best = (float(weighted[pick]), int(col), threshold)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def flatten_tree(node):
+    """Preorder (column, threshold, counts) tuples: equal iff the trees are."""
+    out = [(node.column, node.threshold, tuple(node.counts.tolist()))]
+    if not node.is_leaf:
+        out += flatten_tree(node.left) + flatten_tree(node.right)
+    return out
+
+
+# An adjacent-float pair whose midpoint rounds up onto the right-hand value.
+ADJ_LO = np.nextafter(1.0, 2.0)
+ADJ_HI = np.nextafter(ADJ_LO, 2.0)
+
+
+def count_matrix(rng, n_rows, n_cols):
+    """Small-integer counts, mostly zero: many ties in values and impurities."""
+    x = rng.integers(0, 4, size=(n_rows, n_cols)).astype(np.float64)
+    return x * (rng.random((n_rows, n_cols)) < 0.5)
+
+
+def tfidf_matrix(rng, n_rows, n_cols):
+    """Counts times per-column ln(n / df)-style weights, as TF-IDF rows."""
+    idf = np.log(n_rows / rng.integers(1, n_rows + 1, size=n_cols))
+    return count_matrix(rng, n_rows, n_cols) * idf
+
+
+def adjacent_float_matrix(rng, n_rows, n_cols):
+    """Columns drawn from {0, ADJ_LO, ADJ_HI}, so some boundaries are unusable."""
+    return np.array([0.0, ADJ_LO, ADJ_HI])[rng.integers(0, 3, size=(n_rows, n_cols))]
+
+
+class TestSplitSearchMatchesPerColumnReference:
+    """The vectorized search returns the reference's exact (column, threshold)."""
+
+    @staticmethod
+    def _cases(make, seed, n_cases=300, subsets=False):
+        rng = np.random.default_rng(seed)
+        for _ in range(n_cases):
+            n_rows = int(rng.integers(2, 40))
+            n_cols = int(rng.integers(1, 10))
+            n_classes = int(rng.integers(2, 4))
+            x = make(rng, n_rows, n_cols)
+            y = rng.integers(0, n_classes, size=n_rows)
+            # Bootstrap-style rows: repeats allowed, corpus order kept.
+            rows = np.sort(rng.integers(0, n_rows, size=int(rng.integers(2, n_rows + 2))))
+            if subsets:
+                size = int(rng.integers(1, n_cols + 1))
+                columns = np.sort(rng.choice(n_cols, size=size, replace=False))
+            else:
+                columns = np.arange(n_cols)
+            yield x, y, n_classes, rows, columns
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(count_matrix, 11), (tfidf_matrix, 12), (adjacent_float_matrix, 13)],
+        ids=["counts", "tfidf", "adjacent-floats"],
+    )
+    @pytest.mark.parametrize("subsets", [False, True], ids=["all-columns", "subsets"])
+    def test_identical_split(self, make, seed, subsets):
+        found = 0
+        for case in self._cases(make, seed, subsets=subsets):
+            expected = reference_best_split(*case)
+            assert _best_split(*case) == expected
+            found += expected is not None
+        assert found >= 200  # most cases have a usable split
+
+    def test_unusable_midpoint_is_skipped(self):
+        """The best-impurity boundary lies between adjacent floats, so the
+        split falls back to the next candidate, as in the reference."""
+        assert 0.5 * (ADJ_LO + ADJ_HI) == ADJ_HI
+        x = np.array(
+            [[ADJ_LO, 0.0], [ADJ_LO, 0.0], [ADJ_HI, 0.0], [ADJ_HI, 1.0]]
+        )
+        y = np.array([0, 0, 1, 1])
+        case = (x, y, 2, np.arange(4), np.arange(2))
+        assert _best_split(*case) == reference_best_split(*case) == (1, 0.5)
+
+    def test_only_unusable_midpoints_give_none(self):
+        x = np.array([[ADJ_LO], [ADJ_HI], [ADJ_HI]])
+        case = (x, np.array([0, 1, 1]), 2, np.arange(3), np.arange(1))
+        assert reference_best_split(*case) is None
+        assert _best_split(*case) is None
+
+    def test_all_constant_columns_give_none(self):
+        x = np.tile(np.array([[0.0, 2.0, 0.5]]), (6, 1))
+        case = (x, np.array([0, 1, 2, 0, 1, 2]), 3, np.arange(6), np.arange(3))
+        assert reference_best_split(*case) is None
+        assert _best_split(*case) is None
+
+    @pytest.mark.parametrize(
+        "make", [count_matrix, tfidf_matrix, adjacent_float_matrix]
+    )
+    @pytest.mark.parametrize("sampled", [False, True], ids=["all-columns", "sampled"])
+    def test_whole_trees_are_identical(self, monkeypatch, make, sampled):
+        """Trees grown with either search agree node for node; the impurity
+        oracle above cannot see a changed tie-break, this can."""
+        rng = np.random.default_rng(2024)
+        for trial in range(20):
+            x = make(rng, 60, 12)
+            y = rng.integers(0, 3, size=60)
+
+            def grow():
+                sampler_rng = np.random.default_rng(trial)
+                sampler = (
+                    (lambda: np.sort(sampler_rng.choice(12, size=4, replace=False)))
+                    if sampled
+                    else None
+                )
+                return flatten_tree(grow_tree(x, y, 3, column_sampler=sampler))
+
+            vectorized = grow()
+            with monkeypatch.context() as patch:
+                patch.setattr(tree_module, "_best_split", reference_best_split)
+                reference = grow()
+            assert vectorized == reference
 
 
 class TestGiniImpurity:
