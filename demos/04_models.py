@@ -2,11 +2,12 @@
 Six classifiers, one prediction contract
 ========================================
 
-Every trainer maps a TrainingSet to a model whose predict() returns a label
-plus per-class scores — posteriors for naive Bayes and maxent, raw margins
-for the SVM, leaf shares for the tree, vote shares for the ensembles.  This
-script fits all six on a fixed ten-document corpus, peeks inside each one,
-and round-trips a model through its JSON file format.
+Every trainer maps a TrainingSet to a model whose predict_batch() scores a
+whole matrix and returns label indices plus per-class scores — posteriors
+for naive Bayes and maxent, raw margins for the SVM, leaf shares for the
+tree, vote shares for the ensembles; predict() does the same for one
+document.  This script fits all six on a fixed ten-document corpus, peeks
+inside each one, and round-trips a model through its JSON file format.
 """
 
 import tempfile
@@ -73,8 +74,9 @@ print()
 #    Scores are raw margins — useful for ranking, not probabilities.
 svm = train_linear_svm(training, lam=0.1, epochs=50, seed=0)
 show("svm", svm)
-margins = svm.decision_values(probe)
-print(f"    raw margins   : {np.round(margins, 3)}")
+label_idx, margins = svm.predict_batch(training.matrix)
+print(f"    raw margins of the first 3 training docs:\n{np.round(margins[:3], 3)}")
+print(f"    training accuracy: {np.mean(label_idx == training.y()):.2f}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -82,8 +84,12 @@ print()
 #    The toy corpus separates with a handful of splits.
 tree = train_decision_tree(training, max_depth=None)
 show("decision tree", tree)
-print(f"    {tree.root.n_nodes} nodes, depth {tree.root.depth}; root splits on "
-      f"{vocab.terms[tree.root.column]!r} <= {tree.root.threshold}")
+flat = tree.tree
+print(f"    {flat.n_nodes} nodes, depth {flat.depth}; root splits on "
+      f"{vocab.terms[flat.column[0]]!r} <= {flat.threshold[0]}")
+print(f"    flat arrays in preorder: column={flat.column.tolist()}")
+print(f"                             left  ={flat.left.tolist()}")
+print(f"                             right ={flat.right.tolist()}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -96,7 +102,8 @@ show("random forest", forest)
 show("bagging", bagging)
 print(f"    forest: {len(forest.members)} trees, "
       f"{forest.hyper['n_features_per_split']} features per split; "
-      f"votes for probe = {forest.vote_counts(probe)}")
+      f"votes for probe = "
+      f"{[round(s * len(forest.members)) for s in forest.predict(probe).scores.values()]}")
 print()
 
 # ---------------------------------------------------------------------------

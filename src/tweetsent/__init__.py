@@ -71,7 +71,6 @@ from .models import (
     Prediction,
     TrainingSet,
     load_model,
-    predict,
     save_model,
     train_bagging,
     train_decision_tree,

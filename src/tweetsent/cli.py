@@ -218,13 +218,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     f"{path}: stored vocabulary does not match the features "
                     "derived from this config (different corpus or min_df?)"
                 )
-            predicted = [
-                model.predict(training.matrix.row(i))
-                for i in range(training.matrix.n_docs)
-            ]
+            label_idx, _ = model.predict_batch(training.matrix)
             cm = confusion_matrix(
                 list(training.labels),
-                [p.label for p in predicted],
+                [model.classes[i] for i in label_idx],
                 classes=training.classes,
             )
             macro = macro_average(per_class_metrics(cm))

@@ -228,7 +228,8 @@ def cross_validate(
             logger.warning(message)
         model = trainer(sub)
         gold = [training.labels[i] for i in test_rows]
-        predicted = [model.predict(training.matrix.row(i)).label for i in test_rows]
+        label_idx, _ = model.predict_batch(training.matrix.take(test_rows))
+        predicted = [model.classes[i] for i in label_idx]
         cm = confusion_matrix(gold, predicted, classes=training.classes)
         fold_metrics.append(
             FoldMetrics(

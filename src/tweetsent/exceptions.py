@@ -31,3 +31,7 @@ class ModelFormatError(DataError):
 
 class TrainingError(DataError):
     """Training preconditions violated (empty class, single-class SVM, divergence)."""
+
+
+class HyperparameterError(ConfigError, ValueError):
+    """A trainer hyperparameter outside its admissible range."""

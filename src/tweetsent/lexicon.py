@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -105,7 +106,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
     Raises:
         LexiconError: missing file, malformed line (named by number),
-            unparseable weight, or a file with no entries at all.
+            unparseable or non-finite weight, or a file with no entries at all.
     """
     path = Path(path)
     if not path.is_file():
@@ -130,6 +131,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 raise LexiconError(
                     f"line {lineno}: unparseable weight {parts[1]!r}"
                 ) from None
+            if not math.isfinite(weight):
+                raise LexiconError(f"line {lineno}: weight {parts[1]!r} is not finite")
             if token in entries:
                 logger.warning(
                     "lexicon %s line %d: duplicate token %r, overriding %g with %g",

@@ -1,7 +1,6 @@
 """Classifier implementations sharing one training-set and prediction API."""
 
-from ..features import SparseVector
-from .base import Prediction, TrainingSet, check_columns, member_rng
+from .base import Prediction, TrainingSet, member_rng
 from .ensemble import (
     BAGGING,
     RANDOM_FOREST,
@@ -29,16 +28,11 @@ from .linear import (
 from .naive_bayes import NaiveBayesModel, train_naive_bayes
 from .tree import (
     DecisionTreeModel,
-    TreeNode,
+    Tree,
     gini_impurity,
     grow_tree,
     train_decision_tree,
 )
-
-
-def predict(model: Model, vec: SparseVector) -> Prediction:
-    """Predict one document vector with any trained model."""
-    return model.predict(vec)
 
 
 __all__ = [
@@ -56,15 +50,13 @@ __all__ = [
     "NaiveBayesModel",
     "Prediction",
     "TrainingSet",
-    "TreeNode",
-    "check_columns",
+    "Tree",
     "gini_impurity",
     "grow_tree",
     "load_model",
     "maxent_loss_and_grad",
     "member_rng",
     "model_kind",
-    "predict",
     "save_model",
     "train_bagging",
     "train_decision_tree",

@@ -1,4 +1,4 @@
-"""Shared training-set container and prediction contract for all models.
+"""Shared training-set container and prediction path for all models.
 
 Every trainer is a pure function of (data, hyperparameters, seed). Where
 randomness is needed it comes from numpy's PCG64 generator seeded through
@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import TrainingError
-from ..features import DocTermMatrix, SparseVector
+from ..features import COUNTS, DocTermMatrix, SparseVector, Vocabulary
 from ..lexicon import SentimentLabel
 
-__all__ = ["TrainingSet", "Prediction", "member_rng", "check_columns"]
+__all__ = ["Classifier", "TrainingSet", "Prediction", "member_rng"]
 
 
 def _canonical(labels: Sequence[SentimentLabel]) -> tuple[SentimentLabel, ...]:
@@ -86,10 +86,41 @@ def member_rng(seed: int, member: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, member]))
 
 
-def check_columns(vec: SparseVector, n_terms: int) -> None:
-    """Reject vectors whose columns exceed the model's vocabulary size."""
-    if vec.nnz and int(vec.cols.max()) >= n_terms:
-        raise ValueError(
-            f"vector column {int(vec.cols.max())} out of range for "
-            f"{n_terms}-term vocabulary"
+class Classifier:
+    """The one prediction path of every model.
+
+    Subclasses provide ``classes``, ``terms`` and one kernel, ``_scores(x)``,
+    which maps dense ``(n_docs, n_terms)`` rows to ``(n_docs, n_classes)``
+    scores: naive Bayes posteriors, linear margins (softmax for maxent), a
+    tree's leaf class shares or an ensemble's vote shares.  The predicted
+    class is a row's first highest score.
+    """
+
+    classes: tuple[SentimentLabel, ...]
+    terms: tuple[str, ...]
+
+    def predict_batch(self, matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted class indices into ``classes`` and the per-class scores
+        of every row of ``matrix``."""
+        if matrix.nnz and int(matrix.indices.max()) >= len(self.terms):
+            raise ValueError(
+                f"vector column {int(matrix.indices.max())} out of range for "
+                f"{len(self.terms)}-term vocabulary"
+            )
+        scores = self._scores(matrix.toarray())
+        return np.argmax(scores, axis=1), scores
+
+    def predict(self, vec: SparseVector) -> Prediction:
+        """Label and per-class scores of one document: a one-row batch."""
+        # toarray reads only the vocabulary's size, so the row needs no
+        # term index, document frequencies or weighting of its own.
+        row = DocTermMatrix(
+            vocab=Vocabulary(self.terms, {}, np.zeros(0, dtype=np.int64)),
+            indptr=np.array([0, vec.nnz]), indices=vec.cols, data=vec.weights,
+            weighting=COUNTS,
+        )
+        labels, scores = self.predict_batch(row)
+        return Prediction(
+            label=self.classes[labels[0]],
+            scores={cls: float(s) for cls, s in zip(self.classes, scores[0])},
         )

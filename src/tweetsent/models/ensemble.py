@@ -13,42 +13,33 @@ from math import floor, sqrt
 
 import numpy as np
 
-from ..features import SparseVector
+from ..exceptions import HyperparameterError
 from ..lexicon import SentimentLabel
-from .base import Prediction, TrainingSet, check_columns, member_rng
-from .tree import DecisionTreeModel, grow_tree
+from .base import Classifier, TrainingSet, member_rng
+from .tree import Tree, grow_tree
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
 
 
 @dataclass(frozen=True)
-class EnsembleModel:
+class EnsembleModel(Classifier):
     """A majority-vote committee of decision trees."""
 
     kind: str
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
-    members: tuple[DecisionTreeModel, ...]
+    members: tuple[Tree, ...]
     hyper: dict = field(default_factory=dict)
 
-    def vote_counts(self, vec: SparseVector) -> np.ndarray:
-        """Number of members voting for each class, in ``classes`` order."""
-        check_columns(vec, len(self.terms))
-        position = {cls: i for i, cls in enumerate(self.classes)}
-        counts = np.zeros(len(self.classes), dtype=np.float64)
+    def _scores(self, x: np.ndarray) -> np.ndarray:
+        """Share of members voting for each class; a member votes for its
+        leaf's most frequent class, the first one on a tie."""
+        votes = np.zeros((x.shape[0], len(self.classes)), dtype=np.float64)
+        rows = np.arange(x.shape[0])
         for member in self.members:
-            counts[position[member.predict(vec).label]] += 1.0
-        return counts
-
-    def predict(self, vec: SparseVector) -> Prediction:
-        counts = self.vote_counts(vec)
-        shares = counts / len(self.members)
-        best = int(np.argmax(shares))
-        return Prediction(
-            label=self.classes[best],
-            scores={cls: float(s) for cls, s in zip(self.classes, shares)},
-        )
+            votes[rows, np.argmax(member.counts[member.apply(x)], axis=1)] += 1.0
+        return votes / len(self.members)
 
 
 def _train_ensemble(
@@ -63,9 +54,9 @@ def _train_ensemble(
     n_features_per_split: int | None,
 ) -> EnsembleModel:
     if n_members < 1:
-        raise ValueError(f"n_members must be at least 1, got {n_members}")
+        raise HyperparameterError(f"n_members must be at least 1, got {n_members}")
     if n_features_per_split is not None and n_features_per_split < 1:
-        raise ValueError(
+        raise HyperparameterError(
             f"n_features_per_split must be at least 1, got {n_features_per_split}"
         )
 
@@ -87,20 +78,14 @@ def _train_ensemble(
             def sampler(rng=rng, k=k):
                 return np.sort(rng.choice(n_terms, size=k, replace=False))
 
-        root = grow_tree(
-            x[rows],
-            y[rows],
-            n_classes,
-            max_depth=max_depth,
-            min_samples_split=min_samples_split,
-            column_sampler=sampler,
-        )
         members.append(
-            DecisionTreeModel(
-                classes=training.classes,
-                terms=training.matrix.vocab.terms,
-                root=root,
-                hyper={"max_depth": max_depth, "min_samples_split": min_samples_split},
+            grow_tree(
+                x[rows],
+                y[rows],
+                n_classes,
+                max_depth=max_depth,
+                min_samples_split=min_samples_split,
+                column_sampler=sampler,
             )
         )
 

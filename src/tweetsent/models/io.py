@@ -4,11 +4,16 @@ Every file carries ``format_version``, ``model_kind``, the class list (as
 lowercase tags), the vocabulary, and a kind-specific ``params`` block.
 Floats are written with full ``repr`` precision, so a load followed by a
 save reproduces the parameters bit for bit.
+
+Format 2 stores each tree as the five flat lists of a
+:class:`~tweetsent.models.tree.Tree`; format 1 (nested nodes) is not read,
+so retrain to replace such files.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +23,9 @@ from ..lexicon import SentimentLabel
 from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
 from .linear import MAXENT, SVM, LinearModel
 from .naive_bayes import NaiveBayesModel
-from .tree import DecisionTreeModel, TreeNode
+from .tree import LEAF, DecisionTreeModel, Tree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 NAIVE_BAYES = "naive_bayes"
 DECISION_TREE = "decision_tree"
@@ -41,26 +46,40 @@ def model_kind(model: Model) -> str:
     raise TypeError(f"cannot serialise object of type {type(model).__name__}")
 
 
-def _encode_node(node: TreeNode) -> dict:
-    encoded: dict = {"counts": [float(c) for c in node.counts]}
-    if not node.is_leaf:
-        encoded["column"] = int(node.column)
-        encoded["threshold"] = float(node.threshold)
-        encoded["left"] = _encode_node(node.left)
-        encoded["right"] = _encode_node(node.right)
-    return encoded
+def _encode_tree(tree: Tree) -> dict:
+    return {f.name: getattr(tree, f.name).ravel().tolist() for f in fields(Tree)}
 
 
-def _decode_node(data: dict) -> TreeNode:
+def _int_array(values, name: str) -> np.ndarray:
+    array = np.asarray(values)
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        raise ValueError(f"tree field {name!r} must be a list of integers")
+    return array.astype(np.int64)
+
+
+def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
+    """Rebuild a tree, rejecting arrays that do not form one: a cycle would
+    never let :meth:`Tree.apply` finish, a column past the vocabulary
+    would index outside the rows."""
+    column, left, right = (_int_array(data[name], name) for name in ("column", "left", "right"))
+    threshold = np.asarray(data["threshold"], dtype=np.float64)
     counts = np.asarray(data["counts"], dtype=np.float64)
-    if "column" not in data:
-        return TreeNode(counts=counts)
-    return TreeNode(
-        counts=counts,
-        column=int(data["column"]),
-        threshold=float(data["threshold"]),
-        left=_decode_node(data["left"]),
-        right=_decode_node(data["right"]),
+    n_nodes = column.size
+    if n_nodes == 0 or any(a.shape != (n_nodes,) for a in (left, right, threshold)):
+        raise ValueError("tree arrays are empty or differ in length")
+    if counts.shape != (n_nodes * n_classes,):
+        raise ValueError(f"tree counts are not {n_nodes} nodes x {n_classes} classes")
+    if ((column < LEAF) | (column >= n_terms)).any():
+        raise ValueError(f"tree column outside the {n_terms}-term vocabulary")
+    leaf = column == LEAF
+    for name, child in (("left", left), ("right", right)):
+        if (child[leaf] != LEAF).any():
+            raise ValueError(f"tree leaf has a {name} child")
+        if ((child <= np.arange(n_nodes)) | (child >= n_nodes))[~leaf].any():
+            raise ValueError(f"tree {name} child is not a later node")
+    return Tree(
+        column=column, threshold=threshold, left=left, right=right,
+        counts=counts.reshape(n_nodes, n_classes),
     )
 
 
@@ -79,10 +98,10 @@ def _encode_params(model: Model) -> dict:
             "loss_trace": list(model.loss_trace) if model.loss_trace is not None else None,
         }
     if isinstance(model, DecisionTreeModel):
-        return {"hyper": model.hyper, "tree": _encode_node(model.root)}
+        return {"hyper": model.hyper, "tree": _encode_tree(model.tree)}
     return {
         "hyper": model.hyper,
-        "trees": [_encode_node(member.root) for member in model.members],
+        "trees": [_encode_tree(member) for member in model.members],
     }
 
 
@@ -127,23 +146,18 @@ def _decode_model(kind: str, classes, terms, params: dict) -> Model:
         return DecisionTreeModel(
             classes=classes,
             terms=terms,
-            root=_decode_node(params["tree"]),
+            tree=_decode_tree(params["tree"], len(classes), len(terms)),
             hyper=dict(params["hyper"]),
         )
     if kind in (BAGGING, RANDOM_FOREST):
-        hyper = dict(params["hyper"])
-        member_hyper = {
-            "max_depth": hyper.get("max_depth"),
-            "min_samples_split": hyper.get("min_samples_split", 2),
-        }
         members = tuple(
-            DecisionTreeModel(
-                classes=classes, terms=terms, root=_decode_node(t), hyper=member_hyper
-            )
-            for t in params["trees"]
+            _decode_tree(t, len(classes), len(terms)) for t in params["trees"]
         )
+        if not members:
+            raise ValueError("ensemble has no trees")
         return EnsembleModel(
-            kind=kind, classes=classes, terms=terms, members=members, hyper=hyper
+            kind=kind, classes=classes, terms=terms, members=members,
+            hyper=dict(params["hyper"]),
         )
     raise ModelFormatError(f"unknown model kind {kind!r}")
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import TrainingError
-from ..features import SparseVector
+from ..exceptions import HyperparameterError, TrainingError
 from ..lexicon import SentimentLabel
-from .base import Prediction, TrainingSet, check_columns
+from .base import Classifier, TrainingSet
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +24,7 @@ SVM = "svm"
 
 
 @dataclass(frozen=True)
-class LinearModel:
+class LinearModel(Classifier):
     """A trained linear classifier.
 
     ``kind`` is either ``"maxent"`` (scores are softmax probabilities) or
@@ -41,27 +40,13 @@ class LinearModel:
     hyper: dict = field(default_factory=dict)
     loss_trace: tuple[float, ...] | None = None
 
-    def decision_values(self, vec: SparseVector) -> np.ndarray:
-        """Raw per-class margins ``W @ x + b`` for one document vector."""
-        check_columns(vec, len(self.terms))
-        margins = self.bias.copy()
-        if vec.nnz:
-            margins += self.weights[:, vec.cols] @ vec.weights
-        return margins
-
-    def predict(self, vec: SparseVector) -> Prediction:
-        margins = self.decision_values(vec)
-        if self.kind == MAXENT:
-            shifted = margins - margins.max()
-            expd = np.exp(shifted)
-            scores = expd / expd.sum()
-        else:
-            scores = margins
-        best = int(np.argmax(scores))
-        return Prediction(
-            label=self.classes[best],
-            scores={cls: float(s) for cls, s in zip(self.classes, scores)},
-        )
+    def _scores(self, x: np.ndarray) -> np.ndarray:
+        """Margins ``x @ W.T + b`` per row; softmax probabilities for maxent."""
+        margins = x @ self.weights.T + self.bias
+        if self.kind != MAXENT:
+            return margins
+        expd = np.exp(margins - margins.max(axis=1, keepdims=True))
+        return expd / expd.sum(axis=1, keepdims=True)
 
 
 def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -117,11 +102,11 @@ def train_maxent(
     """
     del seed
     if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+        raise HyperparameterError(f"eta must be positive, got {eta}")
     if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+        raise HyperparameterError(f"lam must be non-negative, got {lam}")
     if epochs < 0:
-        raise ValueError(f"epochs must be non-negative, got {epochs}")
+        raise HyperparameterError(f"epochs must be non-negative, got {epochs}")
 
     x_dense = training.matrix.toarray()
     y = training.y()
@@ -172,9 +157,9 @@ def train_linear_svm(
     step touches only the active classes and the document's nonzero columns.
     """
     if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+        raise HyperparameterError(f"lam must be positive, got {lam}")
     if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
+        raise HyperparameterError(f"epochs must be at least 1, got {epochs}")
     if len(training.classes) < 2:
         raise TrainingError(
             "SVM training needs at least two classes, got "

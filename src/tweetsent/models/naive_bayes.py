@@ -6,21 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import TrainingError
-from ..features import SparseVector
+from ..exceptions import HyperparameterError, TrainingError
 from ..lexicon import SentimentLabel
-from .base import Prediction, TrainingSet, check_columns
+from .base import Classifier, TrainingSet
 
 __all__ = ["NaiveBayesModel", "train_naive_bayes"]
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
-
-
 @dataclass(frozen=True)
-class NaiveBayesModel:
+class NaiveBayesModel(Classifier):
     """Per-class log priors and Laplace-smoothed per-term log likelihoods.
 
     For every class the smoothed term likelihoods sum to one over the
@@ -33,18 +27,13 @@ class NaiveBayesModel:
     term_log_likelihood: np.ndarray  # (C, V)
     alpha: float
 
-    def predict(self, vec: SparseVector) -> Prediction:
-        """Posterior over classes for one count vector (posteriors sum to 1)."""
-        check_columns(vec, len(self.terms))
-        joint = self.class_log_prior.copy()
-        if vec.nnz:
-            joint = joint + self.term_log_likelihood[:, vec.cols] @ vec.weights
-        log_norm = _logsumexp(joint)
+    def _scores(self, x: np.ndarray) -> np.ndarray:
+        """Posterior over classes for each count row (each row sums to 1)."""
+        joint = self.class_log_prior + x @ self.term_log_likelihood.T
+        top = joint.max(axis=1, keepdims=True)
+        log_norm = top + np.log(np.exp(joint - top).sum(axis=1, keepdims=True))
         posterior = np.exp(joint - log_norm)
-        posterior = posterior / posterior.sum()
-        best = int(np.argmax(posterior))
-        scores = {c: float(p) for c, p in zip(self.classes, posterior)}
-        return Prediction(label=self.classes[best], scores=scores)
+        return posterior / posterior.sum(axis=1, keepdims=True)
 
 
 def train_naive_bayes(ts: TrainingSet, alpha: float = 1.0) -> NaiveBayesModel:
@@ -56,10 +45,10 @@ def train_naive_bayes(ts: TrainingSet, alpha: float = 1.0) -> NaiveBayesModel:
 
     Raises:
         TrainingError: some class in the class set has no documents.
-        ValueError: alpha <= 0.
+        HyperparameterError: alpha <= 0.
     """
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise HyperparameterError(f"alpha must be positive, got {alpha}")
     m = ts.matrix
     y = ts.y()
     n_classes = len(ts.classes)

@@ -12,6 +12,10 @@ The split search is exact, not binned: one numpy pass per node sorts every
 candidate column at once and scores every boundary between distinct values,
 with the same arithmetic as a column-at-a-time search, so it picks the same
 split bit for bit.
+
+A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
+grown with an explicit stack and walked level by level for all rows at
+once, so no tree is too deep for the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import SparseVector
+from ..exceptions import HyperparameterError
 from ..lexicon import SentimentLabel
-from .base import Prediction, TrainingSet, check_columns
+from .base import Classifier, TrainingSet
+
+LEAF = -1
 
 
 def gini_impurity(counts) -> float:
@@ -47,36 +53,46 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """One node of a fitted tree.
+class Tree:
+    """A fitted tree as parallel per-node arrays in depth-first preorder.
 
-    Every node carries the class counts of the training rows that reached
-    it.  Internal nodes route by ``value[column] <= threshold`` (left) vs.
-    greater (right); leaves have ``column is None``.
+    Node 0 is the root.  An internal node routes a row left when
+    ``row[column] <= threshold``, else right; its children come after it.
+    A leaf has ``column``, ``left`` and ``right`` equal to ``LEAF`` and
+    threshold 0.  ``counts[i]`` are the class counts of the training rows
+    that reached node ``i``.
     """
 
-    counts: np.ndarray
-    column: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.column is None
+    column: np.ndarray  # int64, (n_nodes,)
+    threshold: np.ndarray  # float64, (n_nodes,)
+    left: np.ndarray  # int64, (n_nodes,)
+    right: np.ndarray  # int64, (n_nodes,)
+    counts: np.ndarray  # float64, (n_nodes, n_classes)
 
     @property
     def n_nodes(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.n_nodes + self.right.n_nodes
+        return self.column.shape[0]
 
     @property
     def depth(self) -> int:
-        """Edge count of the longest root-to-leaf path below this node."""
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth, self.right.depth)
+        """Edge count of the longest root-to-leaf path."""
+        level = np.zeros(self.n_nodes, dtype=np.int64)
+        for node in np.flatnonzero(self.column != LEAF):  # parents before children
+            level[[self.left[node], self.right[node]]] = level[node] + 1
+        return int(level.max())
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Index of the leaf each row of ``x`` reaches, all rows one level
+        at a time."""
+        node = np.zeros(x.shape[0], dtype=np.int64)
+        active = np.arange(x.shape[0])
+        while active.size:
+            at = node[active]
+            internal = self.column[at] != LEAF
+            active, at = active[internal], at[internal]
+            goes_left = x[active, self.column[at]] <= self.threshold[at]
+            node[active] = np.where(goes_left, self.left[at], self.right[at])
+        return node
 
 
 def _best_split(
@@ -138,73 +154,77 @@ def grow_tree(
     max_depth: int | None = None,
     min_samples_split: int = 2,
     column_sampler=None,
-) -> TreeNode:
+) -> Tree:
     """Grow a tree on dense rows ``x`` with integer labels ``y``.
 
     ``column_sampler``, when given, is called once per internal-node
-    attempt and must return the (sorted) candidate columns for that split;
-    ensemble trainers use it to restrict each split to a random subset.
+    attempt, in node preorder, and must return the (sorted) candidate
+    columns for that split; ensemble trainers use it to restrict each split
+    to a random subset.
     """
     if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+        raise HyperparameterError(f"max_depth must be non-negative, got {max_depth}")
     if min_samples_split < 2:
-        raise ValueError(f"min_samples_split must be at least 2, got {min_samples_split}")
+        raise HyperparameterError(
+            f"min_samples_split must be at least 2, got {min_samples_split}"
+        )
+    if x.shape[0] == 0:
+        raise ValueError("cannot grow a tree on an empty training set")
 
     all_columns = np.arange(x.shape[1])
-
-    def build(rows: np.ndarray, depth: int) -> TreeNode:
-        counts = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
-        at_limit = max_depth is not None and depth >= max_depth
+    column, threshold, right, counts = [], [], [], []
+    # Entries are (rows, depth, parent whose right child this is).  The left
+    # child is pushed last and popped first, so nodes are made, and the
+    # sampler is called, in depth-first preorder: a left child is always
+    # the node right after its parent.
+    stack = [(np.arange(x.shape[0]), 0, LEAF)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        node = len(column)
+        if parent != LEAF:
+            right[parent] = node
+        counts.append(np.bincount(y[rows], minlength=n_classes).astype(np.float64))
+        column.append(LEAF)
+        threshold.append(0.0)
+        right.append(LEAF)
         if (
-            at_limit
+            (max_depth is not None and depth >= max_depth)
             or rows.shape[0] < min_samples_split
-            or gini_impurity(counts) == 0.0
+            or gini_impurity(counts[node]) == 0.0
         ):
-            return TreeNode(counts=counts)
+            continue
         columns = all_columns if column_sampler is None else column_sampler()
         split = _best_split(x, y, n_classes, rows, columns)
         if split is None:
-            return TreeNode(counts=counts)
-        column, threshold = split
-        goes_left = x[rows, column] <= threshold
-        left = build(rows[goes_left], depth + 1)
-        right = build(rows[~goes_left], depth + 1)
-        return TreeNode(
-            counts=counts, column=column, threshold=threshold, left=left, right=right
-        )
+            continue
+        column[node], threshold[node] = split
+        goes_left = x[rows, column[node]] <= threshold[node]
+        stack.append((rows[~goes_left], depth + 1, node))
+        stack.append((rows[goes_left], depth + 1, LEAF))
 
-    if x.shape[0] == 0:
-        raise ValueError("cannot grow a tree on an empty training set")
-    return build(np.arange(x.shape[0]), 0)
+    column = np.array(column, dtype=np.int64)
+    return Tree(
+        column=column,
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.where(column == LEAF, LEAF, np.arange(column.size) + 1),
+        right=np.array(right, dtype=np.int64),
+        counts=np.array(counts).reshape(column.size, n_classes),
+    )
 
 
 @dataclass(frozen=True)
-class DecisionTreeModel:
+class DecisionTreeModel(Classifier):
     """A fitted classification tree over a fixed vocabulary."""
 
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
-    root: TreeNode
+    tree: Tree
     hyper: dict = field(default_factory=dict)
 
-    def predict(self, vec: SparseVector) -> Prediction:
-        check_columns(vec, len(self.terms))
-        node = self.root
-        while not node.is_leaf:
-            pos = np.searchsorted(vec.cols, node.column)
-            value = (
-                float(vec.weights[pos])
-                if pos < vec.cols.size and vec.cols[pos] == node.column
-                else 0.0
-            )
-            node = node.left if value <= node.threshold else node.right
-        total = node.counts.sum()
-        shares = node.counts / total
-        best = int(np.argmax(shares))
-        return Prediction(
-            label=self.classes[best],
-            scores={cls: float(s) for cls, s in zip(self.classes, shares)},
-        )
+    def _scores(self, x: np.ndarray) -> np.ndarray:
+        """Class shares of the leaf each row reaches."""
+        counts = self.tree.counts[self.tree.apply(x)]
+        return counts / counts.sum(axis=1, keepdims=True)
 
 
 def train_decision_tree(
@@ -214,7 +234,7 @@ def train_decision_tree(
     min_samples_split: int = 2,
 ) -> DecisionTreeModel:
     """Fit a single CART tree on the densified training matrix."""
-    root = grow_tree(
+    tree = grow_tree(
         training.matrix.toarray(),
         training.y(),
         len(training.classes),
@@ -224,6 +244,6 @@ def train_decision_tree(
     return DecisionTreeModel(
         classes=training.classes,
         terms=training.matrix.vocab.terms,
-        root=root,
+        tree=tree,
         hyper={"max_depth": max_depth, "min_samples_split": min_samples_split},
     )

@@ -34,7 +34,7 @@ from test_ensemble import random_training_set, same_tree
 from test_linear import _max_relative_gradient_error
 from test_naive_bayes import _grid_cases, _oracle_posteriors, _training_set
 from test_properties import fuzz_strings, kfold_grid, random_lexicon_case
-from test_tree import enumerate_weighted_ginis, weighted_gini_of_split
+from test_tree import enumerate_weighted_ginis, is_leaf, weighted_gini_of_split
 
 # A printed F-score counts as consistent when the recomputed value lands
 # within half a percentage point (the resolution of whole-percent rounding).
@@ -152,17 +152,17 @@ def test_criterion_3_split_enumeration_oracle(announce):
         y = rng.integers(0, 3, size=8)
         while np.unique(y).size < 2:
             y = rng.integers(0, 3, size=8)
-        root = grow_tree(x, y, 3)
+        tree = grow_tree(x, y, 3)
         candidates = enumerate_weighted_ginis(x, y, 3)
         if not candidates:
-            if not root.is_leaf:
+            if not is_leaf(tree):
                 failures.append(f"case {case}: split with no candidates")
             continue
         splits_checked += 1
-        if root.is_leaf:
+        if is_leaf(tree):
             failures.append(f"case {case}: leaf despite candidate splits")
             continue
-        achieved = weighted_gini_of_split(x, y, 3, root.column, root.threshold)
+        achieved = weighted_gini_of_split(x, y, 3, tree.column[0], tree.threshold[0])
         best = min(w for w, _, _ in candidates)
         if abs(achieved - best) > 1e-12:
             failures.append(
@@ -314,9 +314,9 @@ def test_criterion_7_ensemble_degeneracy_identities(announce):
             seed=case,
         )
         bagged = train_bagging(training, n_members=1, bootstrap=False, seed=case)
-        if not same_tree(plain.root, forest.members[0].root):
+        if not same_tree(plain.tree, forest.members[0]):
             failures.append(f"case {case}: forest tree differs structurally")
-        if not same_tree(plain.root, bagged.members[0].root):
+        if not same_tree(plain.tree, bagged.members[0]):
             failures.append(f"case {case}: bagged tree differs structurally")
         for i in range(training.n_docs):
             vec = training.matrix.row(i)

@@ -19,20 +19,14 @@ from tweetsent.models import (
     train_random_forest,
 )
 from tweetsent.models.ensemble import EnsembleModel
-from tweetsent.models.tree import DecisionTreeModel, TreeNode
+from tweetsent.models.tree import LEAF, Tree
+
+TREE_ARRAYS = ("column", "threshold", "left", "right", "counts")
 
 
-def same_tree(a: TreeNode, b: TreeNode) -> bool:
-    """Structural equality: counts, split parameters, and both subtrees."""
-    if a.is_leaf or b.is_leaf:
-        return a.is_leaf and b.is_leaf and np.array_equal(a.counts, b.counts)
-    return (
-        a.column == b.column
-        and a.threshold == b.threshold
-        and np.array_equal(a.counts, b.counts)
-        and same_tree(a.left, b.left)
-        and same_tree(a.right, b.right)
-    )
+def same_tree(a: Tree, b: Tree) -> bool:
+    """Structural equality: all five per-node arrays are equal."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in TREE_ARRAYS)
 
 
 def random_training_set(rng, n_docs=12, n_terms=4):
@@ -74,7 +68,7 @@ class TestDegeneracyIdentities:
                 n_features_per_split=training.matrix.n_terms,
                 seed=int(rng.integers(1000)),
             )
-            assert same_tree(plain.root, forest.members[0].root)
+            assert same_tree(plain.tree, forest.members[0])
 
     def test_single_member_bagging_equals_plain_tree(self):
         """No bootstrap: the single bagged member IS the tree."""
@@ -85,7 +79,7 @@ class TestDegeneracyIdentities:
             bagged = train_bagging(
                 training, n_members=1, bootstrap=False, seed=int(rng.integers(1000))
             )
-            assert same_tree(plain.root, bagged.members[0].root)
+            assert same_tree(plain.tree, bagged.members[0])
 
     def test_oversized_column_budget_behaves_like_no_budget(self):
         """A budget of n_terms or more must not consume any randomness."""
@@ -96,7 +90,7 @@ class TestDegeneracyIdentities:
             training, n_features_per_split=n_terms + 5, seed=1
         )
         for a, b in zip(exact.members, oversized.members):
-            assert same_tree(a.root, b.root)
+            assert same_tree(a, b)
 
 
 class TestSeeding:
@@ -107,7 +101,7 @@ class TestSeeding:
         a = train_random_forest(training, n_members=5, seed=11)
         b = train_random_forest(training, n_members=5, seed=11)
         for x, y in zip(a.members, b.members):
-            assert same_tree(x.root, y.root)
+            assert same_tree(x, y)
 
     def test_extending_an_ensemble_keeps_earlier_members(self):
         """Members 0..2 of a 3-tree and a 6-tree ensemble are identical."""
@@ -115,14 +109,14 @@ class TestSeeding:
         small = train_bagging(training, n_members=3, seed=5)
         big = train_bagging(training, n_members=6, seed=5)
         for x, y in zip(small.members, big.members):
-            assert same_tree(x.root, y.root)
+            assert same_tree(x, y)
 
     def test_different_seed_changes_the_bootstrap(self):
         training = make_toy_training_set()
         a = train_bagging(training, n_members=4, seed=0)
         b = train_bagging(training, n_members=4, seed=1)
         assert not all(
-            same_tree(x.root, y.root) for x, y in zip(a.members, b.members)
+            same_tree(x, y) for x, y in zip(a.members, b.members)
         )
 
     def test_members_differ_from_each_other(self):
@@ -130,7 +124,7 @@ class TestSeeding:
         training = make_toy_training_set()
         model = train_bagging(training, n_members=4, seed=2)
         roots = model.members
-        assert not all(same_tree(roots[0].root, m.root) for m in roots[1:])
+        assert not all(same_tree(roots[0], m) for m in roots[1:])
 
 
 class TestVoting:
@@ -139,16 +133,11 @@ class TestVoting:
     @staticmethod
     def _stump(winning_class_index):
         """A leaf-only tree that always predicts one class."""
-        counts = np.zeros(3)
-        counts[winning_class_index] = 1.0
-        return DecisionTreeModel(
-            classes=(
-                SentimentLabel.POSITIVE,
-                SentimentLabel.NEUTRAL,
-                SentimentLabel.NEGATIVE,
-            ),
-            terms=("a",),
-            root=TreeNode(counts=counts),
+        counts = np.zeros((1, 3))
+        counts[0, winning_class_index] = 1.0
+        leaf = np.array([LEAF])
+        return Tree(
+            column=leaf, threshold=np.zeros(1), left=leaf, right=leaf, counts=counts
         )
 
     def _committee(self, votes):
@@ -166,7 +155,10 @@ class TestVoting:
     def test_vote_counts_tally_member_predictions(self):
         model = self._committee([0, 2, 2, 1, 2])
         vec = SparseVector(cols=np.array([], dtype=np.int64), weights=np.array([]))
-        np.testing.assert_array_equal(model.vote_counts(vec), [1.0, 1.0, 3.0])
+        scores = model.predict(vec).scores
+        np.testing.assert_array_equal(
+            [scores[c] for c in model.classes], np.array([1.0, 1.0, 3.0]) / 5
+        )
         assert model.predict(vec).label is SentimentLabel.NEGATIVE
 
     def test_ties_break_to_the_earlier_class(self):
@@ -225,8 +217,8 @@ class TestTraining:
             bootstrap=False,
             n_features_per_split=training.matrix.n_terms,
         )
-        assert same_tree(model.members[0].root, model.members[1].root)
-        assert same_tree(model.members[0].root, model.members[2].root)
+        assert same_tree(model.members[0], model.members[1])
+        assert same_tree(model.members[0], model.members[2])
 
     @pytest.mark.parametrize(
         "trainer, kwargs",
@@ -237,5 +229,5 @@ class TestTraining:
         ],
     )
     def test_rejects_bad_hyperparameters(self, trainer, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             trainer(make_toy_training_set(), **kwargs)

@@ -57,6 +57,15 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="line 1"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_weight_names_line(self, weight, tmp_path):
+        """float() parses these, but a NaN weight labels every document it
+        touches Neutral, and infinite weights of both signs sum to NaN."""
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"good\t1.0\nbad\t{weight}\n")
+        with pytest.raises(LexiconError, match="line 2: .* is not finite"):
+            load_lexicon(path)
+
     def test_empty_lexicon_rejected(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("# nothing here\n")

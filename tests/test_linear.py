@@ -12,7 +12,12 @@ import pytest
 
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import TrainingError
-from tweetsent.features import SparseVector, build_count_matrix, build_vocabulary
+from tweetsent.features import (
+    DocTermMatrix,
+    SparseVector,
+    build_count_matrix,
+    build_vocabulary,
+)
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import TrainingSet, train_linear_svm, train_maxent
 from tweetsent.models.linear import LinearModel, maxent_loss_and_grad
@@ -144,7 +149,7 @@ class TestMaxentTraining:
     )
     def test_rejects_bad_hyperparameters(self, kwargs):
         """Non-positive step, negative ridge, or negative epochs are errors."""
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             train_maxent(make_toy_training_set(), **kwargs)
 
 
@@ -188,7 +193,7 @@ class TestSvmTraining:
     @pytest.mark.parametrize("kwargs", [{"lam": 0.0}, {"lam": -1.0}, {"epochs": 0}])
     def test_rejects_bad_hyperparameters(self, kwargs):
         """Pegasos requires a positive regularizer and at least one epoch."""
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             train_linear_svm(make_toy_training_set(), **kwargs)
 
 
@@ -211,16 +216,19 @@ class TestLinearModelContract:
         )
 
     def test_decision_values_match_the_dense_formula(self):
-        """Sparse margin computation equals W @ x + b on the dense vector."""
+        """Batch margins equal W @ x + b on the dense rows."""
         model = self._model("svm")
-        vec = SparseVector(
-            cols=np.array([1, 3], dtype=np.int64), weights=np.array([2.0, -1.5])
+        matrix = DocTermMatrix(
+            vocab=build_vocabulary([list(model.terms)]),
+            indptr=np.array([0, 2, 2, 3]),
+            indices=np.array([1, 3, 0]),
+            data=np.array([2.0, -1.5, 0.5]),
+            weighting="tfidf",
         )
-        dense = np.zeros(4)
-        dense[vec.cols] = vec.weights
-        np.testing.assert_allclose(
-            model.decision_values(vec), model.weights @ dense + model.bias
-        )
+        label_idx, scores = model.predict_batch(matrix)
+        dense = matrix.toarray()
+        np.testing.assert_allclose(scores, dense @ model.weights.T + model.bias)
+        np.testing.assert_array_equal(label_idx, np.argmax(scores, axis=1))
 
     def test_maxent_scores_form_a_distribution(self):
         """Softmax scores are positive and sum to one."""
@@ -238,7 +246,9 @@ class TestLinearModelContract:
         vec = SparseVector(
             cols=np.array([2], dtype=np.int64), weights=np.array([4.0])
         )
-        margins = model.decision_values(vec)
+        dense = np.zeros(4)
+        dense[vec.cols] = vec.weights
+        margins = model.weights @ dense + model.bias
         scores = model.predict(vec).scores
         np.testing.assert_allclose(
             [scores[c] for c in model.classes], margins
@@ -251,4 +261,4 @@ class TestLinearModelContract:
             cols=np.array([4], dtype=np.int64), weights=np.array([1.0])
         )
         with pytest.raises(ValueError, match="out of range"):
-            model.decision_values(vec)
+            model.predict(vec)

@@ -12,7 +12,10 @@ import pytest
 
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import ModelFormatError
+from tweetsent.features import build_count_matrix, build_vocabulary
+from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
+    TrainingSet,
     load_model,
     save_model,
     train_bagging,
@@ -91,7 +94,7 @@ class TestRoundTrip:
         path = tmp_path / "tree.json"
         save_model(model, path)
         reloaded = load_model(path)
-        assert same_tree(reloaded.root, model.root)
+        assert same_tree(reloaded.tree, model.tree)
         assert reloaded.hyper == model.hyper
 
     @pytest.mark.parametrize("kind", ["bagging", "random_forest"])
@@ -102,8 +105,29 @@ class TestRoundTrip:
         reloaded = load_model(path)
         assert len(reloaded.members) == len(model.members)
         for a, b in zip(reloaded.members, model.members):
-            assert same_tree(a.root, b.root)
+            assert same_tree(a, b)
         assert reloaded.hyper == model.hyper
+
+    def test_deep_tree_survives(self, tmp_path):
+        """A 1500-row alternating-label column grows a tree 1499 levels
+        deep: growing, saving, loading and predicting need no recursion."""
+        n_docs = 1500
+        docs = [["w"] * i for i in range(n_docs)]
+        labels = [
+            SentimentLabel.POSITIVE if i % 2 else SentimentLabel.NEGATIVE
+            for i in range(n_docs)
+        ]
+        training = TrainingSet(
+            matrix=build_count_matrix(build_vocabulary(docs), docs), labels=tuple(labels)
+        )
+        model = train_decision_tree(training)
+        assert model.tree.depth == n_docs - 1
+        path = tmp_path / "deep.json"
+        save_model(model, path)
+        reloaded = load_model(path)
+        assert same_tree(reloaded.tree, model.tree)
+        label_idx, _ = reloaded.predict_batch(training.matrix)
+        assert [reloaded.classes[i] for i in label_idx] == labels
 
     @pytest.mark.parametrize("kind", sorted(TRAINERS))
     def test_save_load_save_is_byte_stable(self, kind, tmp_path):
@@ -129,6 +153,14 @@ class TestFormatValidation:
         document["format_version"] = 99
         path.write_text(json.dumps(document))
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    def test_format_1_files_are_rejected(self, tmp_path):
+        """Format 1 stored trees as nested nodes; it is no longer read."""
+        path, document = self._valid_document(tmp_path)
+        document["format_version"] = 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match="unsupported model format version 1"):
             load_model(path)
 
     def test_unknown_kind_is_rejected(self, tmp_path):
@@ -185,3 +217,84 @@ class TestFormatValidation:
     def test_unserialisable_object_is_rejected(self):
         with pytest.raises(TypeError, match="cannot serialise"):
             model_kind(object())
+
+
+def tree_document(tmp_path):
+    """A saved decision tree of the toy corpus, with at least one split."""
+    model = TRAINERS["decision_tree"](make_toy_training_set())
+    assert model.tree.n_nodes >= 3
+    return saved_document(model, tmp_path)
+
+
+def corrupt_tree(tree: dict, defect: str) -> None:
+    """Break one structural rule of a saved tree's flat arrays, in place."""
+    if defect == "cycle":
+        tree["left"][0] = 0
+    elif defect == "backward-child":
+        internal = [i for i, c in enumerate(tree["column"]) if c != -1]
+        tree["right"][internal[-1]] = internal[0]
+    elif defect == "child-past-the-end":
+        tree["right"][0] = len(tree["column"])
+    elif defect == "leaf-with-child":
+        tree["left"][tree["column"].index(-1)] = 1
+    elif defect == "column-outside-vocabulary":
+        tree["column"][0] = 10_000
+    elif defect == "negative-column":
+        tree["column"][0] = -2
+    elif defect == "unequal-lengths":
+        tree["threshold"].append(0.0)
+    elif defect == "counts-per-node":
+        tree["counts"].pop()
+    elif defect == "non-integer-column":
+        tree["column"][0] = 0.5
+    elif defect == "no-nodes":
+        for name in ("column", "threshold", "left", "right", "counts"):
+            tree[name] = []
+    else:
+        raise AssertionError(defect)
+
+
+TREE_DEFECTS = [
+    "cycle",
+    "backward-child",
+    "child-past-the-end",
+    "leaf-with-child",
+    "column-outside-vocabulary",
+    "negative-column",
+    "unequal-lengths",
+    "counts-per-node",
+    "non-integer-column",
+    "no-nodes",
+]
+
+
+class TestTreeStructureValidation:
+    """Flat tree arrays that do not form a tree over the file's vocabulary
+    and classes are rejected at load, before any prediction walks them."""
+
+    @pytest.mark.parametrize("defect", TREE_DEFECTS)
+    def test_decision_tree_defect_is_rejected(self, defect, tmp_path):
+        path, document = tree_document(tmp_path)
+        corrupt_tree(document["params"]["tree"], defect)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match="malformed model file: tree"):
+            load_model(path)
+
+    @pytest.mark.parametrize("defect", ["cycle", "column-outside-vocabulary"])
+    def test_ensemble_member_defect_is_rejected(self, defect, tmp_path):
+        model = train_bagging(make_toy_training_set(), n_members=3, seed=0)
+        path, document = saved_document(model, tmp_path)
+        tree = document["params"]["trees"][-1]
+        assert len(tree["column"]) >= 3
+        corrupt_tree(tree, defect)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match="malformed model file: tree"):
+            load_model(path)
+
+    def test_ensemble_without_trees_is_rejected(self, tmp_path):
+        model = train_bagging(make_toy_training_set(), n_members=1, seed=0)
+        path, document = saved_document(model, tmp_path)
+        document["params"]["trees"] = []
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match="no trees"):
+            load_model(path)

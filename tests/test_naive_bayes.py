@@ -157,5 +157,5 @@ class TestModelBehaviour:
     def test_alpha_must_be_positive(self):
         ts = _training_set(((1,), (2,)),
                            (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha"):
             train_naive_bayes(ts, alpha=0.0)

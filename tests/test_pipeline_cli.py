@@ -23,6 +23,8 @@ from tweetsent.pipeline import (
     run_pipeline,
 )
 
+from test_model_io import corrupt_tree
+
 POSITIVE_TEXTS = ["good love meal{}", "love good snack{}"]
 NEGATIVE_TEXTS = ["bad awful queue{}", "awful bad noise{}"]
 NEUTRAL_TEXTS = ["table chair note{}", "chair table memo{}"]
@@ -618,3 +620,48 @@ class TestUserErrorsAreNotInternalErrors:
             tmp_path, minimal_config_payload(workspace, hyperparameters=hyper)
         )
         assert load_config(path).hyperparameters == hyper
+
+    @pytest.mark.parametrize(
+        "model, hyper",
+        [
+            ("bagging", {"n_members": 0}),
+            ("svm", {"epochs": -1}),
+            ("decision_tree", {"max_depth": -2}),
+        ],
+    )
+    def test_out_of_range_hyperparameter_is_a_config_error(
+        self, model, hyper, workspace, tmp_path, capsys
+    ):
+        """The type is right, so the config loads; the trainer's range check
+        rejects the value in the first fold."""
+        path = write_config(
+            tmp_path, minimal_config_payload(workspace, hyperparameters={model: hyper})
+        )
+        code = main(["crossval", "--config", str(path), "--model", model])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{next(iter(hyper))} must be" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "defect", ["cycle", "column-outside-vocabulary", "unequal-lengths"]
+    )
+    def test_malformed_tree_file_is_a_data_error(
+        self, defect, workspace, tmp_path, capsys
+    ):
+        args = [
+            "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path),
+            "--model", "decision_tree",
+        ]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / "model_alpha_decision_tree.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert len(document["params"]["tree"]["column"]) >= 3
+        corrupt_tree(document["params"]["tree"], defect)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: malformed model file: tree" in err

@@ -1,0 +1,176 @@
+"""The batch prediction path against the per-document arithmetic it replaced.
+
+Each model used to score one document at a time from its sparse columns.
+That arithmetic is kept here as the reference: ``predict_batch`` must give
+the same labels and the same scores within 1e-12.  The dense product sums
+in another order than the per-document one, so scores may differ in the
+last bit; a label may not.
+"""
+
+import numpy as np
+import pytest
+
+from tweetsent.evaluation import accuracy, confusion_matrix, cross_validate, k_fold_split
+from tweetsent.features import build_count_matrix, build_vocabulary, tfidf_transform
+from tweetsent.lexicon import SentimentLabel
+from tweetsent.models import (
+    MAXENT,
+    EnsembleModel,
+    LinearModel,
+    NaiveBayesModel,
+    TrainingSet,
+    train_bagging,
+    train_decision_tree,
+    train_linear_svm,
+    train_maxent,
+    train_naive_bayes,
+    train_random_forest,
+)
+from tweetsent.models.tree import LEAF
+
+LABELS = (SentimentLabel.POSITIVE, SentimentLabel.NEUTRAL, SentimentLabel.NEGATIVE)
+
+TRAINERS = {
+    "naive_bayes": train_naive_bayes,
+    "maxent": lambda ts: train_maxent(ts, epochs=30),
+    "svm": lambda ts: train_linear_svm(ts, epochs=5, seed=3),
+    "decision_tree": train_decision_tree,
+    "random_forest": lambda ts: train_random_forest(ts, n_members=7, seed=3),
+    "bagging": lambda ts: train_bagging(ts, n_members=5, seed=3),
+}
+
+
+def reference_naive_bayes(model, vec):
+    joint = model.class_log_prior.copy()
+    if vec.nnz:
+        joint = joint + model.term_log_likelihood[:, vec.cols] @ vec.weights
+    m = float(np.max(joint))
+    log_norm = m + float(np.log(np.sum(np.exp(joint - m))))
+    posterior = np.exp(joint - log_norm)
+    return posterior / posterior.sum()
+
+
+def reference_linear(model, vec):
+    margins = model.bias.copy()
+    if vec.nnz:
+        margins += model.weights[:, vec.cols] @ vec.weights
+    if model.kind != MAXENT:
+        return margins
+    expd = np.exp(margins - margins.max())
+    return expd / expd.sum()
+
+
+def reference_tree_walk(tree, vec):
+    """Leaf class shares, walking one node at a time from the root."""
+    node = 0
+    while tree.column[node] != LEAF:
+        column = tree.column[node]
+        pos = np.searchsorted(vec.cols, column)
+        value = (
+            float(vec.weights[pos])
+            if pos < vec.cols.size and vec.cols[pos] == column
+            else 0.0
+        )
+        node = tree.left[node] if value <= tree.threshold[node] else tree.right[node]
+    return tree.counts[node] / tree.counts[node].sum()
+
+
+def reference_votes(model, vec):
+    counts = np.zeros(len(model.classes))
+    for member in model.members:
+        counts[int(np.argmax(reference_tree_walk(member, vec)))] += 1.0
+    return counts / len(model.members)
+
+
+def reference_scores(model, vec):
+    if isinstance(model, NaiveBayesModel):
+        return reference_naive_bayes(model, vec)
+    if isinstance(model, LinearModel):
+        return reference_linear(model, vec)
+    if isinstance(model, EnsembleModel):
+        return reference_votes(model, vec)
+    return reference_tree_walk(model.tree, vec)
+
+
+def assert_matches_reference(model, matrix):
+    label_idx, scores = model.predict_batch(matrix)
+    assert scores.shape == (matrix.n_docs, len(model.classes))
+    for i in range(matrix.n_docs):
+        expected = reference_scores(model, matrix.row(i))
+        np.testing.assert_allclose(scores[i], expected, rtol=0, atol=1e-12)
+        assert label_idx[i] == int(np.argmax(expected)), f"row {i}"
+
+
+def random_training_set(rng, n_docs, n_terms, labels, weighting):
+    """Random counts over ``n_terms`` terms, about a fifth of rows empty."""
+    terms = [f"t{j}" for j in range(n_terms)]
+    counts = rng.integers(0, 3, size=(n_docs, n_terms)) * (
+        rng.random((n_docs, n_terms)) < 0.3
+    )
+    counts[rng.random(n_docs) < 0.2] = 0
+    docs = [[t for j, t in enumerate(terms) for _ in range(row[j])] for row in counts]
+    matrix = build_count_matrix(build_vocabulary(docs), docs)
+    if weighting == "tfidf":
+        matrix = tfidf_transform(matrix)
+    return TrainingSet(matrix=matrix, labels=labels)
+
+
+@pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_seeded_matrices_with_empty_rows(kind, weighting):
+    rng = np.random.default_rng(314)
+    for _ in range(5):
+        n_docs = int(rng.integers(20, 50))
+        labels = tuple(LABELS[i] for i in rng.integers(0, 3, size=n_docs))
+        training = random_training_set(
+            rng, n_docs, int(rng.integers(3, 15)), labels, weighting
+        )
+        assert (np.diff(training.matrix.indptr) == 0).any()
+        model = TRAINERS[kind](training)
+        assert_matches_reference(model, training.matrix)
+
+
+def test_naive_bayes_exact_tie_goes_to_positive():
+    """Symmetric data gives bit-equal posteriors; Positive comes first."""
+    terms = ["w"]
+    matrix = build_count_matrix(build_vocabulary([terms]), [terms, terms, []])
+    model = train_naive_bayes(
+        TrainingSet(
+            matrix=matrix.take([0, 1]),
+            labels=(SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE),
+        )
+    )
+    label_idx, scores = model.predict_batch(matrix)
+    assert model.classes[0] is SentimentLabel.POSITIVE
+    assert (scores[:, 0] == scores[:, 1]).all()
+    assert label_idx.tolist() == [0, 0, 0]
+    assert_matches_reference(model, matrix)
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_fold_model_that_lost_a_class(kind):
+    """A model trained without Neutral scores rows of every class, its
+    labels index its own two classes, and cross-validation counts the
+    same hits as the per-document reference."""
+    rng = np.random.default_rng(2718)
+    labels = [LABELS[0], LABELS[2]] * 8
+    labels[5] = SentimentLabel.NEUTRAL
+    training = random_training_set(rng, len(labels), 8, tuple(labels), "counts")
+    keep = [i for i, label in enumerate(labels) if label is not SentimentLabel.NEUTRAL]
+    model = TRAINERS[kind](training.take(keep))
+    assert len(model.classes) == 2
+    assert_matches_reference(model, training.matrix)
+
+    result = cross_validate(TRAINERS[kind], training, k=4, seed=1)
+    assert any("lost class" in w for w in result.warnings)
+    for fold, (train_rows, test_rows) in enumerate(k_fold_split(len(labels), 4, seed=1)):
+        fold_model = TRAINERS[kind](training.take(train_rows))
+        predicted = [
+            fold_model.classes[
+                int(np.argmax(reference_scores(fold_model, training.matrix.row(i))))
+            ]
+            for i in test_rows
+        ]
+        gold = [labels[i] for i in test_rows]
+        cm = confusion_matrix(gold, predicted, classes=training.classes)
+        assert result.folds[fold].accuracy == accuracy(cm)

@@ -17,8 +17,9 @@ from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import train_decision_tree
 from tweetsent.models import tree as tree_module
 from tweetsent.models.tree import (
+    LEAF,
     DecisionTreeModel,
-    TreeNode,
+    Tree,
     _best_split,
     _gini_rows,
     gini_impurity,
@@ -104,12 +105,23 @@ def reference_best_split(x, y, n_classes, rows, columns):
     return best[1], best[2]
 
 
-def flatten_tree(node):
-    """Preorder (column, threshold, counts) tuples: equal iff the trees are."""
-    out = [(node.column, node.threshold, tuple(node.counts.tolist()))]
-    if not node.is_leaf:
-        out += flatten_tree(node.left) + flatten_tree(node.right)
-    return out
+def flatten_tree(tree):
+    """Per-node (column, threshold, left, right, counts) tuples in preorder:
+    equal iff the trees are."""
+    return list(
+        zip(
+            tree.column.tolist(),
+            tree.threshold.tolist(),
+            tree.left.tolist(),
+            tree.right.tolist(),
+            map(tuple, tree.counts.tolist()),
+        )
+    )
+
+
+def is_leaf(tree):
+    """Whether the root is a leaf, i.e. the tree is a single node."""
+    return tree.column[0] == LEAF
 
 
 # An adjacent-float pair whose midpoint rounds up onto the right-hand value.
@@ -269,15 +281,15 @@ class TestRootSplitOracle:
             while np.unique(y).size < 2:
                 y = rng.integers(0, 3, size=8)
 
-            root = grow_tree(x, y, 3)
+            tree = grow_tree(x, y, 3)
             candidates = enumerate_weighted_ginis(x, y, 3)
             if not candidates:
-                assert root.is_leaf
+                assert is_leaf(tree)
                 continue
 
             checked_splits += 1
-            assert not root.is_leaf
-            achieved = weighted_gini_of_split(x, y, 3, root.column, root.threshold)
+            assert not is_leaf(tree)
+            achieved = weighted_gini_of_split(x, y, 3, tree.column[0], tree.threshold[0])
             best = min(w for w, _, _ in candidates)
             assert achieved == pytest.approx(best, abs=1e-12)
         assert checked_splits >= 90  # constant columns are rare at this size
@@ -286,15 +298,15 @@ class TestRootSplitOracle:
         """Two identical columns: the split must use column 0."""
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        root = grow_tree(x, y, 2)
-        assert (root.column, root.threshold) == (0, 0.5)
+        tree = grow_tree(x, y, 2)
+        assert (tree.column[0], tree.threshold[0]) == (0, 0.5)
 
     def test_tied_thresholds_break_to_the_lowest_threshold(self):
         """Values 0,1,2 with labels 0,1,0: both midpoints tie at 1/3."""
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 0])
-        root = grow_tree(x, y, 2)
-        assert (root.column, root.threshold) == (0, 0.5)
+        tree = grow_tree(x, y, 2)
+        assert (tree.column[0], tree.threshold[0]) == (0, 0.5)
 
 
 class TestGrowTree:
@@ -303,54 +315,54 @@ class TestGrowTree:
     def test_pure_node_is_a_leaf(self):
         """No split is attempted once one class remains."""
         x = np.array([[0.0], [1.0], [2.0]])
-        root = grow_tree(x, np.array([1, 1, 1]), 2)
-        assert root.is_leaf
-        np.testing.assert_array_equal(root.counts, [0.0, 3.0])
+        tree = grow_tree(x, np.array([1, 1, 1]), 2)
+        assert is_leaf(tree)
+        np.testing.assert_array_equal(tree.counts, [[0.0, 3.0]])
 
     def test_max_depth_zero_forces_a_leaf_root(self):
         x = np.array([[0.0], [1.0]])
-        root = grow_tree(x, np.array([0, 1]), 2, max_depth=0)
-        assert root.is_leaf
+        tree = grow_tree(x, np.array([0, 1]), 2, max_depth=0)
+        assert is_leaf(tree)
 
     def test_max_depth_bounds_the_tree(self):
         """A depth-1 stump cannot perfectly fit three classes on one column."""
         x = np.arange(6, dtype=np.float64).reshape(6, 1)
         y = np.array([0, 0, 1, 1, 2, 2])
-        root = grow_tree(x, y, 3, max_depth=1)
-        assert root.depth == 1
+        tree = grow_tree(x, y, 3, max_depth=1)
+        assert tree.depth == 1
         assert grow_tree(x, y, 3).depth == 2
 
     def test_min_samples_split_forces_a_leaf(self):
         x = np.array([[0.0], [1.0], [2.0]])
-        root = grow_tree(x, np.array([0, 1, 0]), 2, min_samples_split=4)
-        assert root.is_leaf
+        tree = grow_tree(x, np.array([0, 1, 0]), 2, min_samples_split=4)
+        assert is_leaf(tree)
 
     def test_zero_gain_split_is_still_taken(self):
         """An alternating-label square has no impurity-reducing root split,
         yet two levels of splits fit it perfectly."""
         x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([0, 0, 1, 1])
-        root = grow_tree(x, y, 2)
-        assert not root.is_leaf
-        assert root.depth == 2
-        assert root.n_nodes == 7
-        root_gini = gini_impurity(root.counts)
-        assert weighted_gini_of_split(x, y, 2, root.column, root.threshold) == (
+        tree = grow_tree(x, y, 2)
+        assert not is_leaf(tree)
+        assert tree.depth == 2
+        assert tree.n_nodes == 7
+        root_gini = gini_impurity(tree.counts[0])
+        assert weighted_gini_of_split(x, y, 2, tree.column[0], tree.threshold[0]) == (
             pytest.approx(root_gini)
         )
 
     def test_constant_columns_make_a_leaf(self):
         """With no distinct values anywhere there is nothing to split on."""
         x = np.ones((4, 2))
-        root = grow_tree(x, np.array([0, 1, 0, 1]), 2)
-        assert root.is_leaf
+        tree = grow_tree(x, np.array([0, 1, 0, 1]), 2)
+        assert is_leaf(tree)
 
     def test_column_sampler_restricts_candidate_columns(self):
         """A sampler that only offers column 1 overrides a better column 0."""
         x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        root = grow_tree(x, y, 2, column_sampler=lambda: np.array([1]))
-        assert root.column == 1
+        tree = grow_tree(x, y, 2, column_sampler=lambda: np.array([1]))
+        assert tree.column[0] == 1
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
@@ -361,7 +373,7 @@ class TestGrowTree:
     )
     def test_rejects_bad_hyperparameters(self, kwargs):
         x = np.array([[0.0], [1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             grow_tree(x, np.array([0, 1]), 2, **kwargs)
 
 
@@ -378,12 +390,12 @@ class TestDecisionTreeModel:
                 SentimentLabel.NEGATIVE,
             ),
             terms=("a", "b"),
-            root=TreeNode(
-                counts=np.array([3.0, 0.0, 2.0]),
-                column=0,
-                threshold=0.5,
-                left=TreeNode(counts=np.array([3.0, 0.0, 0.0])),
-                right=TreeNode(counts=np.array([0.0, 0.0, 2.0])),
+            tree=Tree(
+                column=np.array([0, LEAF, LEAF]),
+                threshold=np.array([0.5, 0.0, 0.0]),
+                left=np.array([1, LEAF, LEAF]),
+                right=np.array([2, LEAF, LEAF]),
+                counts=np.array([[3.0, 0.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
             ),
         )
 
