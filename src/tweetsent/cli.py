@@ -15,10 +15,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .corpus import clean_corpus, load_corpus, load_stopwords
-from .evaluation import accuracy, confusion_matrix, macro_average, per_class_metrics
+from .evaluation import score
 from .exceptions import ConfigError, DataError, TweetsentError
-from .lexicon import CANONICAL_LABELS, label_corpus, load_lexicon
 from .models import load_model, save_model
 from .pipeline import (
     DISPLAY_NAMES,
@@ -27,6 +25,8 @@ from .pipeline import (
     evaluate_topic,
     load_config,
     load_topic_data,
+    percent,
+    report_json,
     run_pipeline,
     train_topic_models,
 )
@@ -50,9 +50,9 @@ def build_parser() -> _ArgumentParser:
     common.add_argument("--config", required=True, metavar="PATH",
                         help="JSON run configuration")
     common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (config default: 42)")
+                        help=f"override the config seed (config default: {RunConfig.seed})")
     common.add_argument("--folds", type=int, default=None,
-                        help="override the number of CV folds (config default: 4)")
+                        help=f"override the number of CV folds (config default: {RunConfig.folds})")
     common.add_argument("--model", default=None, metavar="NAME|all",
                         help="comma-separated model selection override")
     common.add_argument("--lexicon", default=None, metavar="PATH")
@@ -110,55 +110,42 @@ def _emit(args: argparse.Namespace, payload: dict, header: list[str], rows: list
         print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
 
 
-def _percent(value: float) -> str:
-    return f"{100 * value:.2f}"
+def _rows(results: list[dict], columns: list[str]) -> list[list]:
+    """The CSV rows of ``results``: the ``columns`` of each, fractions as percentages."""
+    return [
+        [percent(value) if isinstance(value, float) else value for value in map(result.get, columns)]
+        for result in results
+    ]
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    summaries = []
-    for name, path in config.topics:
-        tweets = [t for t in load_corpus(path) if t.topic == name]
-        if not tweets:
-            raise DataError(f"{path} contains no documents with topic {name!r}")
-        summaries.append({"topic": name, "documents": len(tweets), "corpus": str(path)})
-    _emit(
-        args,
-        {"topics": summaries},
-        ["topic", "documents"],
-        [[s["topic"], str(s["documents"])] for s in summaries],
-    )
+    summaries = [
+        {"topic": data.topic, "documents": len(data.documents), "corpus": str(path)}
+        for (_, path), data in zip(config.topics, load_topic_data(config))
+    ]
+    columns = ["topic", "documents"]
+    _emit(args, {"topics": summaries}, columns, _rows(summaries, columns))
     return 0
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    lexicon = load_lexicon(config.lexicon)
-    stopwords = load_stopwords(config.stopwords)
     summaries = []
     written: list[str] = []
-    for name, path in config.topics:
-        tweets = [t for t in load_corpus(path) if t.topic == name]
-        if not tweets:
-            raise DataError(f"{path} contains no documents with topic {name!r}")
-        documents = clean_corpus(tweets, stopwords)
-        labeled, counts = label_corpus(lexicon, documents)
+    for data in load_topic_data(config):
         summaries.append(
-            {
-                "topic": name,
-                "documents": len(labeled),
-                "distribution": {lab.tag: counts[lab] for lab in CANONICAL_LABELS},
-            }
+            {"topic": data.topic, "documents": len(data.documents), "distribution": data.distribution}
         )
         if args.out is not None:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            target = out_dir / f"labels_{name}.csv"
+            target = out_dir / f"labels_{data.topic}.csv"
             with open(target, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["id", "label", "score"])
-                for item in labeled:
-                    writer.writerow([item.doc.id, item.label.tag, repr(item.score)])
+                for doc, label, value in zip(data.documents, data.labels, data.scores):
+                    writer.writerow([doc.id, label.tag, repr(value)])
             written.append(str(target))
 
     payload: dict = {"topics": summaries}
@@ -168,16 +155,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
         args,
         payload,
         ["topic", "documents", "positive", "neutral", "negative"],
-        [
-            [
-                s["topic"],
-                str(s["documents"]),
-                str(s["distribution"]["positive"]),
-                str(s["distribution"]["neutral"]),
-                str(s["distribution"]["negative"]),
-            ]
-            for s in summaries
-        ],
+        [[s["topic"], s["documents"], *s["distribution"].values()] for s in summaries],
     )
     return 0
 
@@ -192,12 +170,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
             target = config.out_dir / _model_filename(data.topic, key)
             save_model(fitted[key], target)
             entries.append({"topic": data.topic, "model": key, "path": str(target)})
-    _emit(
-        args,
-        {"models": entries},
-        ["topic", "model", "path"],
-        [[e["topic"], e["model"], e["path"]] for e in entries],
-    )
+    columns = ["topic", "model", "path"]
+    _emit(args, {"models": entries}, columns, _rows(entries, columns))
     return 0
 
 
@@ -218,13 +192,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     f"{path}: stored vocabulary does not match the features "
                     "derived from this config (different corpus or min_df?)"
                 )
-            label_idx, _ = model.predict_batch(training.matrix)
-            cm = confusion_matrix(
-                list(training.labels),
-                [model.classes[i] for i in label_idx],
-                classes=training.classes,
-            )
-            macro = macro_average(per_class_metrics(cm))
+            if not set(model.classes) <= set(training.classes):
+                raise DataError(
+                    f"{path}: stored classes {[c.tag for c in model.classes]} include a "
+                    "label no document has under this config (different lexicon?)"
+                )
+            accuracy, macro = score(model, training.matrix, training.labels, training.classes)
             results.append(
                 {
                     "topic": data.topic,
@@ -233,25 +206,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     "precision": macro.precision,
                     "recall": macro.recall,
                     "fscore": macro.f1,
-                    "accuracy": accuracy(cm),
+                    "accuracy": accuracy,
                 }
             )
-    _emit(
-        args,
-        {"results": results},
-        ["topic", "model", "precision", "recall", "fscore", "accuracy"],
-        [
-            [
-                r["topic"],
-                r["model"],
-                _percent(r["precision"]),
-                _percent(r["recall"]),
-                _percent(r["fscore"]),
-                _percent(r["accuracy"]),
-            ]
-            for r in results
-        ],
-    )
+    columns = ["topic", "model", "precision", "recall", "fscore", "accuracy"]
+    _emit(args, {"results": results}, columns, _rows(results, columns))
     return 0
 
 
@@ -259,36 +218,16 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     results = []
     for data in load_topic_data(config):
-        report = evaluate_topic(config, data)
-        for row in report.models:
-            results.append(
-                {
-                    "topic": report.topic,
-                    "model": row.key,
-                    "display_name": row.display_name,
-                    "precision": row.precision,
-                    "recall": row.recall,
-                    "fscore": row.fscore,
-                    "cross_validate": row.cross_validate,
-                    "cross_validate_std": row.cross_validate_std,
-                }
-            )
+        report = report_json(evaluate_topic(config, data))
+        results.extend({"topic": report["topic"], **row} for row in report["models"])
     _emit(
         args,
         {"results": results},
         ["topic", "model", "precision", "recall", "fscore", "cross_validate", "std"],
-        [
-            [
-                r["topic"],
-                r["model"],
-                _percent(r["precision"]),
-                _percent(r["recall"]),
-                _percent(r["fscore"]),
-                _percent(r["cross_validate"]),
-                _percent(r["cross_validate_std"]),
-            ]
-            for r in results
-        ],
+        _rows(
+            results,
+            ["topic", "model", "precision", "recall", "fscore", "cross_validate", "cross_validate_std"],
+        ),
     )
     return 0
 
@@ -311,15 +250,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     comparison = compare_topics(reports[0], reports[1])
 
     a, b = comparison["topics"]
-    rows = [["documents", str(comparison["documents"][a]), str(comparison["documents"][b])]]
+    rows = [["documents", comparison["documents"][a], comparison["documents"][b]]]
     for tag in ("positive", "neutral", "negative"):
-        rows.append(
-            [
-                tag,
-                str(comparison["distribution"][a][tag]),
-                str(comparison["distribution"][b][tag]),
-            ]
-        )
+        rows.append([tag, comparison["distribution"][a][tag], comparison["distribution"][b][tag]])
     _emit(args, comparison, ["quantity", a, b], rows)
     return 0
 

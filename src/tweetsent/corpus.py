@@ -173,12 +173,12 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[RawTweet]:
         raise CorpusError(f"corpus file not found: {path}")
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format == "jsonl":
-        tweets = _load_jsonl(path)
-    elif format == "csv":
-        tweets = _load_csv(path)
-    else:
+    if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {format!r}")
+    try:
+        tweets = _load_jsonl(path) if format == "jsonl" else _load_csv(path)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
 
     seen: set[str] = set()
     for tweet in tweets:
@@ -227,12 +227,15 @@ def load_stopwords(path: str | Path | None) -> frozenset[str]:
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"stopword file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word.lower())
+    for line in text.split("\n"):
+        word = line.strip()
+        if word and not word.startswith("#"):
+            words.add(word.lower())
     return frozenset(words)
 
 

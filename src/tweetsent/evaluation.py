@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import DocTermMatrix
 from .lexicon import CANONICAL_LABELS, SentimentLabel
 from .models import Model, TrainingSet
 
@@ -153,6 +154,19 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts) / total)
 
 
+def score(
+    model: Model,
+    matrix: DocTermMatrix,
+    gold: Sequence[SentimentLabel],
+    classes: Sequence[SentimentLabel],
+) -> tuple[float, MacroMetrics]:
+    """Accuracy and macro metrics of ``model`` on ``matrix``'s rows against
+    ``gold``, with the confusion matrix built over ``classes``."""
+    label_idx, _ = model.predict_batch(matrix)
+    cm = confusion_matrix(gold, [model.classes[i] for i in label_idx], classes=classes)
+    return accuracy(cm), macro_average(per_class_metrics(cm))
+
+
 def k_fold_split(
     n_docs: int, k: int, seed: int = 0
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -226,18 +240,14 @@ def cross_validate(
             )
             warnings.append(message)
             logger.warning(message)
-        model = trainer(sub)
-        gold = [training.labels[i] for i in test_rows]
-        label_idx, _ = model.predict_batch(training.matrix.take(test_rows))
-        predicted = [model.classes[i] for i in label_idx]
-        cm = confusion_matrix(gold, predicted, classes=training.classes)
+        fold_accuracy, macro = score(
+            trainer(sub),
+            training.matrix.take(test_rows),
+            [training.labels[i] for i in test_rows],
+            training.classes,
+        )
         fold_metrics.append(
-            FoldMetrics(
-                fold=fold,
-                n_test=len(test_rows),
-                accuracy=accuracy(cm),
-                macro=macro_average(per_class_metrics(cm)),
-            )
+            FoldMetrics(fold=fold, n_test=len(test_rows), accuracy=fold_accuracy, macro=macro)
         )
     accuracies = np.array([fm.accuracy for fm in fold_metrics])
     return CVResult(

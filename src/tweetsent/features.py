@@ -47,10 +47,6 @@ class SparseVector:
     def nnz(self) -> int:
         return len(self.cols)
 
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
 
 @dataclass(frozen=True)
 class Vocabulary:

@@ -111,34 +111,37 @@ def load_lexicon(path: str | Path) -> Lexicon:
     path = Path(path)
     if not path.is_file():
         raise LexiconError(f"lexicon file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     entries: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip("\n").strip("\r")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(
-                    f"line {lineno}: expected 'token<TAB>weight', got {stripped!r}"
-                )
-            token = parts[0].strip().lower()
-            if not token or any(ch.isspace() for ch in token):
-                raise LexiconError(f"line {lineno}: invalid token {parts[0]!r}")
-            try:
-                weight = float(parts[1])
-            except ValueError:
-                raise LexiconError(
-                    f"line {lineno}: unparseable weight {parts[1]!r}"
-                ) from None
-            if not math.isfinite(weight):
-                raise LexiconError(f"line {lineno}: weight {parts[1]!r} is not finite")
-            if token in entries:
-                logger.warning(
-                    "lexicon %s line %d: duplicate token %r, overriding %g with %g",
-                    path, lineno, token, entries[token], weight,
-                )
-            entries[token] = weight
+    # read_text has already turned "\r\n" and "\r" into "\n".
+    for lineno, stripped in enumerate(text.split("\n"), start=1):
+        if not stripped.strip() or stripped.lstrip().startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2:
+            raise LexiconError(
+                f"line {lineno}: expected 'token<TAB>weight', got {stripped!r}"
+            )
+        token = parts[0].strip().lower()
+        if not token or any(ch.isspace() for ch in token):
+            raise LexiconError(f"line {lineno}: invalid token {parts[0]!r}")
+        try:
+            weight = float(parts[1])
+        except ValueError:
+            raise LexiconError(
+                f"line {lineno}: unparseable weight {parts[1]!r}"
+            ) from None
+        if not math.isfinite(weight):
+            raise LexiconError(f"line {lineno}: weight {parts[1]!r} is not finite")
+        if token in entries:
+            logger.warning(
+                "lexicon %s line %d: duplicate token %r, overriding %g with %g",
+                path, lineno, token, entries[token], weight,
+            )
+        entries[token] = weight
     if not entries:
         raise LexiconError(f"lexicon file {path} contains no entries")
     if not (any(w > 0 for w in entries.values()) and any(w < 0 for w in entries.values())):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import TrainingError
+from ..exceptions import HyperparameterError, TrainingError
 from ..features import COUNTS, DocTermMatrix, SparseVector, Vocabulary
 from ..lexicon import SentimentLabel
 
@@ -82,7 +82,7 @@ class Prediction:
 def member_rng(seed: int, member: int) -> np.random.Generator:
     """Deterministic per-member generator: PCG64 over SeedSequence([seed, member])."""
     if seed < 0:
-        raise ValueError("seed must be non-negative")
+        raise HyperparameterError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, member]))
 
 

@@ -57,18 +57,30 @@ def _int_array(values, name: str) -> np.ndarray:
     return array.astype(np.int64)
 
 
+def _float_array(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A parameter array of exactly ``shape`` holding finite JSON numbers
+    (no strings such as ``"NaN"``, which numpy would parse, no broadcasting)."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers")
+    array = array.astype(np.float64)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a NaN or infinite value")
+    return array
+
+
 def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
     """Rebuild a tree, rejecting arrays that do not form one: a cycle would
     never let :meth:`Tree.apply` finish, a column past the vocabulary
     would index outside the rows."""
     column, left, right = (_int_array(data[name], name) for name in ("column", "left", "right"))
-    threshold = np.asarray(data["threshold"], dtype=np.float64)
-    counts = np.asarray(data["counts"], dtype=np.float64)
     n_nodes = column.size
-    if n_nodes == 0 or any(a.shape != (n_nodes,) for a in (left, right, threshold)):
+    if n_nodes == 0 or any(a.shape != (n_nodes,) for a in (left, right)):
         raise ValueError("tree arrays are empty or differ in length")
-    if counts.shape != (n_nodes * n_classes,):
-        raise ValueError(f"tree counts are not {n_nodes} nodes x {n_classes} classes")
+    threshold = _float_array(data["threshold"], "tree threshold", (n_nodes,))
+    counts = _float_array(data["counts"], "tree counts", (n_nodes * n_classes,))
     if ((column < LEAF) | (column >= n_terms)).any():
         raise ValueError(f"tree column outside the {n_terms}-term vocabulary")
     leaf = column == LEAF
@@ -123,10 +135,12 @@ def _decode_model(kind: str, classes, terms, params: dict) -> Model:
         return NaiveBayesModel(
             classes=classes,
             terms=terms,
-            class_log_prior=np.asarray(params["class_log_prior"], dtype=np.float64),
-            term_log_likelihood=np.asarray(
-                params["term_log_likelihood"], dtype=np.float64
-            ).reshape(len(classes), len(terms)),
+            class_log_prior=_float_array(
+                params["class_log_prior"], "class_log_prior", (len(classes),)
+            ),
+            term_log_likelihood=_float_array(
+                params["term_log_likelihood"], "term_log_likelihood", (len(classes), len(terms))
+            ),
             alpha=float(params["alpha"]),
         )
     if kind in (MAXENT, SVM):
@@ -135,10 +149,8 @@ def _decode_model(kind: str, classes, terms, params: dict) -> Model:
             kind=kind,
             classes=classes,
             terms=terms,
-            weights=np.asarray(params["weights"], dtype=np.float64).reshape(
-                len(classes), len(terms)
-            ),
-            bias=np.asarray(params["bias"], dtype=np.float64),
+            weights=_float_array(params["weights"], "weights", (len(classes), len(terms))),
+            bias=_float_array(params["bias"], "bias", (len(classes),)),
             hyper=dict(params["hyper"]),
             loss_trace=tuple(trace) if trace is not None else None,
         )
@@ -167,7 +179,7 @@ def load_model(path: str | Path) -> Model:
     path = Path(path)
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(document, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
@@ -180,7 +192,12 @@ def load_model(path: str | Path) -> Model:
                 f"(this build reads version {FORMAT_VERSION})"
             )
         kind = document["model_kind"]
-        classes = tuple(SentimentLabel.from_tag(tag) for tag in document["classes"])
+        tags = document["classes"]
+        if not isinstance(tags, list) or not tags or not all(isinstance(t, str) for t in tags):
+            raise ModelFormatError(f"{path}: 'classes' must be a non-empty list of label tags")
+        classes = tuple(SentimentLabel.from_tag(tag) for tag in tags)
+        if len(set(classes)) != len(classes):
+            raise ModelFormatError(f"{path}: 'classes' lists a label twice: {tags}")
         terms = tuple(str(t) for t in document["vocabulary"])
         return _decode_model(kind, classes, terms, document["params"])
     except KeyError as exc:

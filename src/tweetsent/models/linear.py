@@ -160,6 +160,8 @@ def train_linear_svm(
         raise HyperparameterError(f"lam must be positive, got {lam}")
     if epochs < 1:
         raise HyperparameterError(f"epochs must be at least 1, got {epochs}")
+    if seed < 0:
+        raise HyperparameterError(f"seed must be non-negative, got {seed}")
     if len(training.classes) < 2:
         raise TrainingError(
             "SVM training needs at least two classes, got "

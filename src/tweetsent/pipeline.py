@@ -16,6 +16,7 @@ import inspect
 import io
 import json
 import logging
+import math
 import types
 import typing
 from collections.abc import Callable, Iterator, Mapping
@@ -56,8 +57,6 @@ from .models import (
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("ingest", "clean", "label", "featurize", "train", "evaluate", "report")
-
 MODEL_ORDER = (
     "naive_bayes", "svm", "maxent", "decision_tree", "random_forest", "bagging",
 )
@@ -82,14 +81,8 @@ DEFAULT_WEIGHTING = {
     "bagging": COUNTS,
 }
 
-DEFAULT_HYPER: dict[str, dict] = {
-    "naive_bayes": {"alpha": 1.0},
-    "svm": {"lam": 0.1, "epochs": 50},
-    "maxent": {"eta": 0.1, "lam": 1e-3, "epochs": 300},
-    "decision_tree": {"max_depth": None, "min_samples_split": 2},
-    "random_forest": {"n_members": 25},
-    "bagging": {"n_members": 15},
-}
+# Only the values that differ from the trainers' own defaults.
+DEFAULT_HYPER: dict[str, dict] = {"maxent": {"epochs": 300}}
 
 _TRAINERS: dict[str, Callable[..., Model]] = {
     "naive_bayes": train_naive_bayes,
@@ -99,9 +92,6 @@ _TRAINERS: dict[str, Callable[..., Model]] = {
     "random_forest": train_random_forest,
     "bagging": train_bagging,
 }
-
-# Trainers whose randomness (or interface) takes a seed argument.
-_SEEDED = frozenset({"svm", "maxent", "random_forest", "bagging"})
 
 _CONFIG_KEYS = frozenset(
     {
@@ -174,7 +164,8 @@ def validate_config(config: RunConfig) -> RunConfig:
             _expect(
                 _has_type(value, allowed),
                 f"hyperparameters for {key}: {name!r} must be "
-                f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}",
+                f"{' or '.join('finite float' if t is float else t.__name__ for t in allowed)}, "
+                f"got {value!r}",
             )
     return config
 
@@ -187,9 +178,12 @@ def _allowed_types(hint) -> tuple[type, ...]:
 
 
 def _has_type(value, allowed: tuple[type, ...]) -> bool:
-    """JSON-value type check: bool is no int, and an int is a valid float."""
+    """JSON-value type check: bool is no int, an int is a valid float, and
+    NaN or an infinity (which JSON parsing admits) is no valid float."""
     if isinstance(value, bool):
         return bool in allowed
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     if isinstance(value, int) and float in allowed:
         return True
     return any(isinstance(value, t) for t in allowed if t is not bool)
@@ -214,7 +208,7 @@ def load_config(
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
@@ -246,14 +240,17 @@ def load_config(
     weighting = dict(DEFAULT_WEIGHTING)
     weighting.update({str(k): str(v) for k, v in raw.get("weighting", {}).items()})
 
+    # Absent keys keep RunConfig's defaults.
+    integers = {key: raw[key] for key in ("seed", "folds", "min_df") if key in raw}
+    for key, value in integers.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: '{key}' must be an integer, got {value!r}")
     config = RunConfig(
         topics=topics,
         lexicon=base / str(raw["lexicon"]),
         stopwords=(base / str(raw["stopwords"])) if raw.get("stopwords") else None,
         out_dir=base / str(raw.get("out_dir", "report")),
-        seed=_integer(raw, "seed", 42, path),
-        folds=_integer(raw, "folds", 4, path),
-        min_df=_integer(raw, "min_df", 1, path),
+        **integers,
         models=model_selection,
         weighting=weighting,
         hyperparameters={str(k): v for k, v in raw.get("hyperparameters", {}).items()},
@@ -279,13 +276,6 @@ def load_config(
     return validate_config(config)
 
 
-def _integer(raw: dict, key: str, default: int, path: Path) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: '{key}' must be an integer, got {value!r}")
-    return value
-
-
 def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
     cleaned = [n.strip() for n in names if n.strip()]
     if not cleaned:
@@ -304,11 +294,12 @@ def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
 def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
     """A no-argument-but-data trainer for ``key`` with hyperparameters bound."""
     trainer = _TRAINERS[key]
-    kwargs = dict(DEFAULT_HYPER[key])
+    kwargs = dict(DEFAULT_HYPER.get(key, {}))
     kwargs.update(config.hyperparameters.get(key, {}))
-    if key in _SEEDED:
+    signature = inspect.signature(trainer)
+    if "seed" in signature.parameters:
         kwargs.setdefault("seed", config.seed)
-    inspect.signature(trainer).bind_partial(**kwargs)
+    signature.bind_partial(**kwargs)
     return partial(trainer, **kwargs)
 
 
@@ -524,21 +515,21 @@ def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
 
+def percent(value: float) -> str:
+    """A fraction as a percentage with two decimals, as every table prints it."""
+    return f"{100 * value:.2f}"
+
+
 def metrics_csv_rows(report: TopicReport) -> list[list[str]]:
     """Metric table rows as percentages with two decimals."""
     return [
-        [
-            row.display_name,
-            f"{100 * row.precision:.2f}",
-            f"{100 * row.recall:.2f}",
-            f"{100 * row.fscore:.2f}",
-            f"{100 * row.cross_validate:.2f}",
-        ]
+        [row.display_name, *map(percent, (row.precision, row.recall, row.fscore, row.cross_validate))]
         for row in report.models
     ]
 
 
-def _report_json(report: TopicReport) -> dict:
+def report_json(report: TopicReport) -> dict:
+    """A topic report as plain JSON data; its ``models`` rows are the metric table."""
     return {
         "topic": report.topic,
         "documents": report.n_documents,
@@ -583,7 +574,7 @@ def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[d
             ["hour", "count"],
             [[str(hour), str(count)] for hour, count in enumerate(report.hourly)],
         )
-        files[f"report_{report.topic}.json"] = _json_bytes(_report_json(report))
+        files[f"report_{report.topic}.json"] = _json_bytes(report_json(report))
 
     comparison = None
     if len(reports) == 2:

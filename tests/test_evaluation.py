@@ -19,6 +19,7 @@ from tweetsent.evaluation import (
     macro_average,
     per_class_metrics,
     precision_recall_f1,
+    score,
 )
 from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import SentimentLabel
@@ -241,3 +242,20 @@ class TestCrossValidate:
     def test_full_corpus_without_class_loss_has_no_warnings(self):
         result = cross_validate(train_naive_bayes, make_toy_training_set(), k=2)
         assert result.warnings == ()
+
+
+class TestScore:
+    """The one scoring path of cross-validation folds and saved models."""
+
+    def test_labels_map_through_the_model_classes_onto_the_given_classes(self):
+        """The model knows Positive and Negative only; the confusion matrix
+        still spans all three classes, so absent Neutral scores zero."""
+        docs = [("good",)] * 3 + [("bad",)]
+        matrix = build_count_matrix(build_vocabulary(docs), docs)
+        gold = (POS, POS, POS, NEG)
+        model = train_naive_bayes(TrainingSet(matrix=matrix, labels=gold))
+        assert model.classes == (POS, NEG)
+        acc, macro = score(model, matrix, gold, (POS, NEU, NEG))
+        assert acc == 1.0
+        assert macro.precision == pytest.approx(2 / 3)
+        assert macro.recall == pytest.approx(2 / 3)

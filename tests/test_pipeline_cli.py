@@ -6,6 +6,7 @@ asserted exactly.
 """
 
 import hashlib
+import inspect
 import json
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from tweetsent.pipeline import (
     load_config,
     load_topic_data,
     run_pipeline,
+    trainer_for,
 )
 
 from test_model_io import corrupt_tree
@@ -119,6 +121,30 @@ class TestLoadConfig:
         assert config.min_df == 1
         assert config.models == MODEL_ORDER
         assert dict(config.weighting) == DEFAULT_WEIGHTING
+
+    def test_trainers_get_their_defaults_and_the_config_seed(self, workspace):
+        """The seeded trainers take the config seed unless their hyperparameters
+        set one, and maxent runs 300 epochs instead of its own 500."""
+        config = load_config(workspace / "config.json")
+
+        def bound(key, config):
+            parameters = inspect.signature(trainer_for(key, config)).parameters.values()
+            return {p.name: p.default for p in parameters if p.default is not p.empty}
+
+        tree = {"max_depth": None, "min_samples_split": 2}
+        assert {key: bound(key, config) for key in MODEL_ORDER} == {
+            "naive_bayes": {"alpha": 1.0},
+            "svm": {"lam": 0.1, "epochs": 50, "seed": 7},
+            "maxent": {"eta": 0.1, "lam": 1e-3, "epochs": 300, "seed": 7},
+            "decision_tree": tree,
+            "random_forest": {
+                "n_members": 25, **tree, "seed": 7, "bootstrap": True,
+                "n_features_per_split": None,
+            },
+            "bagging": {"n_members": 15, **tree, "seed": 7, "bootstrap": True},
+        }
+        own_seed = replace(config, hyperparameters={"svm": {"seed": 3}})
+        assert bound("svm", own_seed)["seed"] == 3
 
     def test_relative_paths_resolve_against_the_config_directory(self, workspace):
         config = load_config(workspace / "config.json")
@@ -627,6 +653,8 @@ class TestUserErrorsAreNotInternalErrors:
             ("bagging", {"n_members": 0}),
             ("svm", {"epochs": -1}),
             ("decision_tree", {"max_depth": -2}),
+            ("svm", {"seed": -1}),
+            ("bagging", {"seed": -1}),
         ],
     )
     def test_out_of_range_hyperparameter_is_a_config_error(
@@ -665,3 +693,135 @@ class TestUserErrorsAreNotInternalErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}: malformed model file: tree" in err
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            {"svm": {"lam": float("nan")}},
+            {"naive_bayes": {"alpha": float("nan")}},
+            {"naive_bayes": {"alpha": float("inf")}},
+            {"maxent": {"eta": float("-inf")}},
+        ],
+    )
+    def test_non_finite_hyperparameter_is_a_config_error(
+        self, hyper, workspace, tmp_path, capsys
+    ):
+        """JSON parsing admits NaN and Infinity; a model trained with either
+        labels every document alike, so the config is refused up front."""
+        (model, values), = hyper.items()
+        (name, _), = values.items()
+        code, err = self._run(
+            workspace, tmp_path, capsys, "crossval", hyperparameters=hyper
+        )
+        assert code == 1
+        assert f"hyperparameters for {model}: {name!r} must be finite float" in err
+
+    @pytest.mark.parametrize(
+        "model, field, value, message",
+        [
+            ("naive_bayes", "classes", [5, 5, 5], "'classes' must be a non-empty list"),
+            ("naive_bayes", "classes", ["positive"] * 3, "'classes' lists a label twice"),
+            ("naive_bayes", "class_log_prior", [-1.0], "class_log_prior has shape (1,)"),
+            ("svm", "bias", [0.5], "bias has shape (1,)"),
+            ("svm", "weights", lambda rows: sum(rows, []), "weights has shape ("),
+            ("naive_bayes", "class_log_prior", ["NaN"] * 3, "class_log_prior must hold numbers"),
+            ("naive_bayes", "class_log_prior", [float("nan")] * 3, "class_log_prior holds a NaN"),
+        ],
+    )
+    def test_malformed_model_parameters_are_a_data_error(
+        self, model, field, value, message, workspace, tmp_path, capsys
+    ):
+        """Each of these once loaded and labelled every document, or raised
+        inside numpy; the class list and every parameter array must have
+        their exact shape and finite numbers."""
+        args = [
+            "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path),
+            "--model", model,
+        ]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / f"model_alpha_{model}.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        # A callable rewrites the stored value; anything else replaces it.
+        fields = document if field == "classes" else document["params"]
+        fields[field] = value(fields[field]) if callable(value) else value
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: " in err and message in err
+
+    def test_model_with_a_class_the_labels_lack_is_a_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        """A lexicon without negative words leaves no Negative document,
+        while the saved model still predicts Negative."""
+        args = [
+            "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path),
+            "--model", "naive_bayes",
+        ]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        lexicon = tmp_path / "positive_only.tsv"
+        lexicon.write_text("good\t2.0\nlove\t1.0\n", encoding="utf-8")
+        code = main(["evaluate", *args, "--lexicon", str(lexicon)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "include a label no document has under this config" in err
+
+    @pytest.mark.parametrize("command", ["ingest", "label"])
+    def test_ingest_and_label_check_what_train_checks(
+        self, command, workspace, tmp_path, capsys
+    ):
+        """Both run the pipeline's data stages, so a malformed lexicon and a
+        topic smaller than ``folds`` fail as they do for ``train``."""
+        lexicon = tmp_path / "broken.tsv"
+        lexicon.write_text("good\tvery\n", encoding="utf-8")
+        config = str(workspace / "config.json")
+        assert main([command, "--config", config, "--lexicon", str(lexicon)]) == 2
+        assert "error: ingest: line 1: unparseable weight 'very'" in capsys.readouterr().err
+        assert main([command, "--config", config, "--folds", "25"]) == 2
+        assert "too few for 'folds' = 25" in capsys.readouterr().err
+
+    def test_label_warns_about_documents_of_another_topic(
+        self, workspace, tmp_path, caplog
+    ):
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(
+            (workspace / "corpus_alpha.jsonl").read_text(encoding="utf-8")
+            + json.dumps(_doc("beta", 99, "good meal")) + "\n",
+            encoding="utf-8",
+        )
+        path = write_config(
+            tmp_path, minimal_config_payload(workspace, topics={"alpha": str(mixed)})
+        )
+        assert main(["label", "--config", str(path)]) == 0
+        assert "ignoring 1 documents whose topic is not 'alpha'" in caplog.text
+
+    @pytest.mark.parametrize(
+        "target, expected_code",
+        [
+            ("corpus_alpha.jsonl", 2),
+            ("lexicon.tsv", 2),
+            ("stopwords.txt", 2),
+            ("model_alpha_naive_bayes.json", 2),
+            ("config.json", 1),
+        ],
+    )
+    def test_file_that_is_not_utf8_is_a_user_error(
+        self, target, expected_code, workspace, tmp_path, capsys
+    ):
+        for name in ("corpus_alpha.jsonl", "corpus_beta.jsonl", "lexicon.tsv",
+                     "stopwords.txt", "config.json"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        args = ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path),
+                "--model", "naive_bayes"]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / target
+        path.write_bytes(b"\xff" + path.read_bytes())
+        code = main(["evaluate", *args])
+        assert code == expected_code
+        assert str(path) in capsys.readouterr().err
