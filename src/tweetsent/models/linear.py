@@ -4,11 +4,17 @@ Both models share the same parameter layout — a weight matrix with one row
 per class and one column per vocabulary term, plus a per-class bias — and
 differ only in how those parameters are fit and how raw margins are turned
 into scores.
+
+A fit that diverges (a step size that overflows the parameters) raises
+:class:`TrainingError` from a finiteness check, not a numpy overflow
+warning: the training loops run with overflow and invalid-value warnings
+off, because the check right after reports the same fault.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,13 +125,18 @@ def train_maxent(
     loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
     trace = [loss]
     for epoch in range(epochs):
-        weights = weights - eta * grad_w
-        bias = bias - eta * grad_b
-        loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
+        # A diverging fit overflows to inf and then NaN; the finite-loss
+        # check reports it, so numpy need not warn on the way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = weights - eta * grad_w
+            bias = bias - eta * grad_b
+            loss, grad_w, grad_b = maxent_loss_and_grad(
+                weights, bias, x_dense, y, lam
+            )
         if not np.isfinite(loss):
             raise TrainingError(
                 f"logistic regression diverged at epoch {epoch + 1} "
-                f"(loss is not finite); lower eta={eta}"
+                f"(loss is not finite); lower eta={eta} or lam={lam}"
             )
         trace.append(loss)
 
@@ -155,6 +166,15 @@ def train_linear_svm(
     size ``1/(lam*t)``, and the weight matrix is scaled by ``1 - 1/t``
     before each update.  The scaling is tracked as a scalar factor so each
     step touches only the active classes and the document's nonzero columns.
+
+    Pegasos is sequential, so each step is kept small: one numpy product
+    for the margins, ``accum[:, cols] @ wts``, and one vector update per
+    active class.  The scalar work (margins from the product, the hinge
+    test, the step size and the bias) is done on Python floats, which are
+    the same IEEE doubles numpy would use, so the fit is bit-identical to
+    the array-per-step form kept as the reference in the tests.  A ``lam``
+    so small that the steps overflow leaves non-finite weights, which raise
+    :class:`TrainingError` after the last step.
     """
     if lam <= 0:
         raise HyperparameterError(f"lam must be positive, got {lam}")
@@ -169,56 +189,70 @@ def train_linear_svm(
         )
 
     matrix = training.matrix
-    y = training.y()
     n_docs = matrix.n_docs
     n_classes = len(training.classes)
-    n_terms = matrix.n_terms
 
-    # signs[c, i] = +1 when document i belongs to class c, else -1.
-    signs = np.full((n_classes, n_docs), -1.0)
-    signs[y, np.arange(n_docs)] = 1.0
+    # Per document: its nonzero (columns, weights), or None when it has no
+    # terms, and signs[c] = +1.0 when it belongs to class c, else -1.0.
+    indptr = matrix.indptr.tolist()
+    docs = []
+    for i, label in enumerate(training.y().tolist()):
+        start, stop = indptr[i], indptr[i + 1]
+        terms = (
+            (matrix.indices[start:stop], matrix.data[start:stop])
+            if stop > start
+            else None
+        )
+        signs = [-1.0] * n_classes
+        signs[label] = 1.0
+        docs.append((terms, signs))
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     # W is represented as scale * accum to keep the per-step shrink O(1).
     scale = 1.0
-    accum = np.zeros((n_classes, n_terms), dtype=np.float64)
-    bias = np.zeros(n_classes, dtype=np.float64)
+    accum = np.zeros((n_classes, matrix.n_terms), dtype=np.float64)
+    rows = list(accum)  # views: rows[c][cols] += ... updates accum in place
+    bias = [0.0] * n_classes
 
     t = 0
-    for _ in range(epochs):
-        order = rng.permutation(n_docs)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            start, stop = matrix.indptr[i], matrix.indptr[i + 1]
-            cols = matrix.indices[start:stop]
-            wts = matrix.data[start:stop]
+    # A diverging fit overflows to inf and then NaN; the check after the
+    # loop reports it, so numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            for i in rng.permutation(n_docs).tolist():
+                t += 1
+                eta = 1.0 / (lam * t)
+                terms, signs = docs[i]
+                if terms is None:
+                    margins = bias
+                else:
+                    cols, wts = terms
+                    products = (accum[:, cols] @ wts).tolist()
+                    margins = [scale * p + b for p, b in zip(products, bias)]
+                active = [c for c in range(n_classes) if signs[c] * margins[c] < 1.0]
 
-            if cols.size:
-                margins = scale * (accum[:, cols] @ wts) + bias
-            else:
-                margins = bias.copy()
-            active = signs[:, i] * margins < 1.0
+                # At t == 1 the shrink factor 1 - 1/t is 0, which would wipe
+                # W, but W is still zero then.
+                if t > 1:
+                    scale *= 1.0 - 1.0 / t
 
-            if t == 1:
-                # Shrink by (1 - 1/t) == 0: the regulariser wipes W.
-                accum[:] = 0.0
-                scale = 1.0
-            else:
-                scale *= 1.0 - 1.0 / t
+                for c in active:
+                    step = eta * signs[c]
+                    if terms is not None:
+                        rows[c][cols] += (step / scale) * wts
+                    bias[c] += step
+        weights = scale * accum
 
-            if active.any():
-                step = eta * signs[active, i]
-                if cols.size:
-                    accum[np.ix_(active, cols)] += (step / scale)[:, None] * wts
-                bias[active] += step
-
+    if not (np.isfinite(weights).all() and all(map(math.isfinite, bias))):
+        raise TrainingError(
+            f"linear SVM diverged (weights are not finite); raise lam={lam}"
+        )
     return LinearModel(
         kind=SVM,
         classes=training.classes,
         terms=matrix.vocab.terms,
-        weights=scale * accum,
-        bias=bias,
+        weights=weights,
+        bias=np.array(bias),
         hyper={"lam": lam, "epochs": epochs, "seed": seed},
         loss_trace=None,
     )

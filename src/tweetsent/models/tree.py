@@ -11,7 +11,10 @@ threshold.
 The split search is exact, not binned: one numpy pass per node sorts every
 candidate column at once and scores every boundary between distinct values,
 with the same arithmetic as a column-at-a-time search, so it picks the same
-split bit for bit.
+split bit for bit.  Class counts come from one integer prefix sum of packed
+per-row class codes, 21 bits per class, which is exact for up to three
+classes and :data:`MAX_TREE_ROWS` training rows; a larger training set is a
+:class:`TrainingError`.
 
 A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
 grown with an explicit stack and walked level by level for all rows at
@@ -24,11 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import HyperparameterError
+from ..exceptions import HyperparameterError, TrainingError
 from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet
 
 LEAF = -1
+
+# The split search counts classes in 21-bit fields of one int64: it handles
+# at most three classes, one per sentiment label, and a count must stay below
+# 2**21, so a tree trains on at most MAX_TREE_ROWS rows.
+_FIELD_BITS = 21
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_CLASS_SHIFTS = _FIELD_BITS * np.arange(3, dtype=np.int64)
+_CLASS_CODES = np.left_shift(1, _CLASS_SHIFTS)
+MAX_TREE_ROWS = _FIELD_MASK
 
 
 def gini_impurity(counts) -> float:
@@ -106,7 +118,8 @@ def _best_split(
 
     Scores every candidate column of the node in one pass: the ``(n, k)``
     block of the node's rows and candidate columns is sorted column by
-    column, and class counts and impurities are computed only at the
+    column, one int64 prefix sum of packed class codes runs down the sorted
+    block, and class counts and impurities are computed only at the
     boundaries between distinct values, which count columns have few of.
     Returns None when no candidate column has a usable threshold on ``rows``.
     """
@@ -120,11 +133,15 @@ def _best_split(
     if pos.size == 0:
         return None
 
+    # Class counts left of each boundary from one integer prefix sum: row
+    # codes pack a 1 into class c's 21-bit field, so a prefix sum of codes
+    # holds every class's count exactly, and is unpacked only at the
+    # boundaries.
     labels = y[rows]
-    sorted_labels = labels[order]
-    left_counts = np.empty((pos.size, n_classes), dtype=np.float64)
-    for cls in range(n_classes):
-        left_counts[:, cls] = np.cumsum(sorted_labels == cls, axis=0)[pos, col_idx]
+    packed = np.cumsum(_CLASS_CODES[labels][order], axis=0)[pos, col_idx]
+    left_counts = (
+        (packed[:, None] >> _CLASS_SHIFTS[:n_classes]) & _FIELD_MASK
+    ).astype(np.float64)
     totals = np.bincount(labels, minlength=n_classes).astype(np.float64)
     right_counts = totals - left_counts
     n_left = pos + 1
@@ -170,6 +187,10 @@ def grow_tree(
         )
     if x.shape[0] == 0:
         raise ValueError("cannot grow a tree on an empty training set")
+    if x.shape[0] > MAX_TREE_ROWS:
+        raise TrainingError(
+            f"a tree trains on at most {MAX_TREE_ROWS} documents, got {x.shape[0]}"
+        )
 
     all_columns = np.arange(x.shape[1])
     column, threshold, right, counts = [], [], [], []

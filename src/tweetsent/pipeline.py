@@ -304,12 +304,19 @@ def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
 
 
 @contextmanager
-def _stage(name: str) -> Iterator[None]:
-    logger.info("pipeline stage: %s", name)
+def _errors_of(name: str) -> Iterator[None]:
+    """Prefix the message of a package error raised inside with ``name``."""
     try:
         yield
     except TweetsentError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    logger.info("pipeline stage: %s", name)
+    with _errors_of(name):
+        yield
 
 
 @dataclass(frozen=True)
@@ -401,7 +408,8 @@ def _load_topic(name: str, path: Path, lexicon: Lexicon, stopwords, min_df: int)
 
 def load_topic_data(config: RunConfig) -> list[TopicData]:
     """Run the data stages (ingest through featurize) for every topic."""
-    with _stage("ingest"):
+    # Part of every topic's ingest stage, which logs once per topic.
+    with _errors_of("ingest"):
         lexicon = load_lexicon(config.lexicon)
         stopwords = load_stopwords(config.stopwords)
     topics = []

@@ -4,7 +4,8 @@ The logistic-regression objective is differentiated by hand inside the
 package, so the central suite here re-derives the gradient numerically
 with central differences at randomly drawn parameter points and demands
 near machine-precision agreement.  The SVM suite checks behavioural
-contracts (fit quality, seeding, class requirements) rather than internals.
+contracts (fit quality, seeding, class requirements) and pins the fit bit
+for bit to the earlier array-per-step Pegasos loop, kept here as an oracle.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from tweetsent.features import (
     SparseVector,
     build_count_matrix,
     build_vocabulary,
+    tfidf_transform,
 )
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import TrainingSet, train_linear_svm, train_maxent
@@ -138,10 +140,10 @@ class TestMaxentTraining:
         np.testing.assert_array_equal(a.bias, b.bias)
 
     def test_divergence_is_reported(self):
-        """An absurd step size drives the loss to infinity, which raises."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingError, match="diverged"):
-                train_maxent(make_toy_training_set(), eta=1e6, epochs=300)
+        """An absurd step size drives the loss to infinity, which raises,
+        with no numpy overflow warning on the way."""
+        with pytest.raises(TrainingError, match="diverged"):
+            train_maxent(make_toy_training_set(), eta=1e6, epochs=300)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -151,6 +153,106 @@ class TestMaxentTraining:
         """Non-positive step, negative ridge, or negative epochs are errors."""
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             train_maxent(make_toy_training_set(), **kwargs)
+
+
+def reference_train_linear_svm(training, *, lam, epochs, seed):
+    """The earlier Pegasos loop, kept verbatim in its arithmetic: numpy
+    arrays for the margins, signs and bias of every step, and an ``np.ix_``
+    update of the active classes.  Returns ``(weights, bias)``."""
+    matrix = training.matrix
+    y = training.y()
+    n_docs = matrix.n_docs
+    n_classes = len(training.classes)
+    n_terms = matrix.n_terms
+
+    signs = np.full((n_classes, n_docs), -1.0)
+    signs[y, np.arange(n_docs)] = 1.0
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    scale = 1.0
+    accum = np.zeros((n_classes, n_terms), dtype=np.float64)
+    bias = np.zeros(n_classes, dtype=np.float64)
+
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n_docs)
+        for i in order:
+            t += 1
+            eta = 1.0 / (lam * t)
+            start, stop = matrix.indptr[i], matrix.indptr[i + 1]
+            cols = matrix.indices[start:stop]
+            wts = matrix.data[start:stop]
+
+            if cols.size:
+                margins = scale * (accum[:, cols] @ wts) + bias
+            else:
+                margins = bias.copy()
+            active = signs[:, i] * margins < 1.0
+
+            if t == 1:
+                accum[:] = 0.0
+                scale = 1.0
+            else:
+                scale *= 1.0 - 1.0 / t
+
+            if active.any():
+                step = eta * signs[active, i]
+                if cols.size:
+                    accum[np.ix_(active, cols)] += (step / scale)[:, None] * wts
+                bias[active] += step
+
+    return scale * accum, bias
+
+
+def random_training_set(seed, n_docs, n_classes, weighting):
+    """Seeded documents over a 40-word vocabulary, one in eight of them
+    empty (a row with no terms), labelled with ``n_classes`` classes."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{j}" for j in range(40)]
+    docs = [
+        tuple(rng.choice(words, size=rng.integers(1, 12)))
+        if rng.random() >= 0.125
+        else ()
+        for _ in range(n_docs)
+    ]
+    matrix = build_count_matrix(build_vocabulary(docs), docs)
+    if weighting == "tfidf":
+        matrix = tfidf_transform(matrix)
+    classes = list(SentimentLabel)[:n_classes]
+    labels = [classes[i % n_classes] for i in range(n_docs)]
+    labels = tuple(labels[i] for i in rng.permutation(n_docs))
+    assert any(stop == start for start, stop in zip(matrix.indptr, matrix.indptr[1:]))
+    return TrainingSet(matrix=matrix, labels=labels)
+
+
+class TestSvmMatchesReferenceLoop:
+    """The list-per-document Pegasos loop reproduces the array-per-step one
+    to the last bit."""
+
+    @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("lam", [0.1, 1e-3])
+    def test_identical_weights_and_bias(self, weighting, n_classes, lam):
+        for seed in range(3):
+            training = random_training_set(seed, 60, n_classes, weighting)
+            model = train_linear_svm(training, lam=lam, epochs=8, seed=seed)
+            weights, bias = reference_train_linear_svm(
+                training, lam=lam, epochs=8, seed=seed
+            )
+            assert np.array_equal(model.weights, weights)
+            assert np.array_equal(model.bias, bias)
+
+    @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+    def test_identical_when_every_class_is_active_every_step(self, weighting):
+        """With a large lam no margin reaches 1, so each step updates every
+        class: the branch where all rows of the update are active."""
+        training = random_training_set(5, 40, 3, weighting)
+        model = train_linear_svm(training, lam=1e3, epochs=4, seed=5)
+        weights, bias = reference_train_linear_svm(training, lam=1e3, epochs=4, seed=5)
+        x = training.matrix.toarray()
+        assert (np.abs(x @ weights.T + bias) < 1.0).all()
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.bias, bias)
 
 
 class TestSvmTraining:
@@ -189,6 +291,12 @@ class TestSvmTraining:
         )
         with pytest.raises(TrainingError, match="two classes"):
             train_linear_svm(training)
+
+    def test_divergence_is_reported(self):
+        """A lam so small that the first step is infinite leaves non-finite
+        weights, which raise, with no numpy warning on the way."""
+        with pytest.raises(TrainingError, match="diverged.*lam=5e-324"):
+            train_linear_svm(make_toy_training_set(), lam=5e-324)
 
     @pytest.mark.parametrize("kwargs", [{"lam": 0.0}, {"lam": -1.0}, {"epochs": 0}])
     def test_rejects_bad_hyperparameters(self, kwargs):

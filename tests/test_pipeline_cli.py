@@ -14,6 +14,7 @@ import pytest
 
 from tweetsent.cli import main
 from tweetsent.exceptions import ConfigError, DataError
+from tweetsent.models import tree as tree_module
 from tweetsent.pipeline import (
     DEFAULT_WEIGHTING,
     MODEL_ORDER,
@@ -672,6 +673,45 @@ class TestUserErrorsAreNotInternalErrors:
         assert "internal error" not in err
 
     @pytest.mark.parametrize(
+        "model, hyper, message",
+        [
+            ("svm", {"lam": 5e-324}, "linear SVM diverged"),
+            ("maxent", {"eta": 1e300}, "logistic regression diverged"),
+            ("maxent", {"lam": 1e300}, "logistic regression diverged"),
+        ],
+    )
+    def test_diverging_fit_is_a_data_error(
+        self, model, hyper, message, workspace, tmp_path, capsys
+    ):
+        """A step that overflows ends the fit with an error naming the
+        hyperparameter, and without a numpy overflow warning on the way,
+        which this suite's ``filterwarnings = error`` would turn into an
+        internal error."""
+        (name, value), = hyper.items()
+        path = write_config(
+            tmp_path, minimal_config_payload(workspace, hyperparameters={model: hyper})
+        )
+        code = main(["crossval", "--config", str(path), "--model", model])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert f"{name}={value}" in err
+        assert "internal error" not in err
+
+    def test_training_set_over_the_tree_limit_is_a_data_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """The limit is about two million documents; a lowered one stands in."""
+        monkeypatch.setattr(tree_module, "MAX_TREE_ROWS", 10)
+        code = main([
+            "train", "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path), "--model", "decision_tree",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "a tree trains on at most 10 documents, got 24" in err
+
+    @pytest.mark.parametrize(
         "defect", ["cycle", "column-outside-vocabulary", "unequal-lengths"]
     )
     def test_malformed_tree_file_is_a_data_error(
@@ -784,6 +824,15 @@ class TestUserErrorsAreNotInternalErrors:
         assert "error: ingest: line 1: unparseable weight 'very'" in capsys.readouterr().err
         assert main([command, "--config", config, "--folds", "25"]) == 2
         assert "too few for 'folds' = 25" in capsys.readouterr().err
+
+    def test_ingest_is_logged_once_per_topic(self, workspace, caplog):
+        """The lexicon and stopwords load once for all topics, inside no
+        stage line of their own."""
+        with caplog.at_level("INFO", logger="tweetsent.pipeline"):
+            assert main(["label", "-v", "--config", str(workspace / "config.json")]) == 0
+        stages = [r.getMessage() for r in caplog.records]
+        assert stages.count("pipeline stage: ingest") == 2
+        assert stages.count("pipeline stage: label") == 2
 
     def test_label_warns_about_documents_of_another_topic(
         self, workspace, tmp_path, caplog

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tweetsent.datagen import make_toy_training_set
+from tweetsent.exceptions import TrainingError
 from tweetsent.features import SparseVector
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import train_decision_tree
@@ -181,6 +182,22 @@ class TestSplitSearchMatchesPerColumnReference:
             found += expected is not None
         assert found >= 200  # most cases have a usable split
 
+    @pytest.mark.parametrize(
+        "make, seed", [(count_matrix, 21), (tfidf_matrix, 22)], ids=["counts", "tfidf"]
+    )
+    def test_identical_split_three_classes_larger_nodes(self, make, seed):
+        """Nodes of hundreds of rows over three classes, so every class's
+        packed count runs well past a few bits."""
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n_rows = int(rng.integers(200, 800))
+            n_cols = int(rng.integers(1, 10))
+            x = make(rng, n_rows, n_cols)
+            y = rng.integers(0, 3, size=n_rows)
+            rows = np.sort(rng.integers(0, n_rows, size=n_rows))  # a bootstrap
+            case = (x, y, 3, rows, np.arange(n_cols))
+            assert _best_split(*case) == reference_best_split(*case)
+
     def test_unusable_midpoint_is_skipped(self):
         """The best-impurity boundary lies between adjacent floats, so the
         split falls back to the next candidate, as in the reference."""
@@ -230,6 +247,26 @@ class TestSplitSearchMatchesPerColumnReference:
                 patch.setattr(tree_module, "_best_split", reference_best_split)
                 reference = grow()
             assert vectorized == reference
+
+
+class TestTrainingSetSizeLimit:
+    """The split search packs class counts into 21-bit fields of an int64."""
+
+    def test_largest_counts_fit_their_fields(self):
+        """MAX_TREE_ROWS in every field at once neither carries into the next
+        field nor reaches the sign bit, so every prefix count is exact."""
+        limit = tree_module.MAX_TREE_ROWS
+        assert limit < 1 << tree_module._FIELD_BITS
+        packed = sum(limit << int(shift) for shift in tree_module._CLASS_SHIFTS)
+        assert packed <= np.iinfo(np.int64).max
+
+    def test_more_rows_than_the_limit_is_a_training_error(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "MAX_TREE_ROWS", 5)
+        x = np.arange(12, dtype=np.float64).reshape(6, 2)
+        y = np.array([0, 1, 2, 0, 1, 2])
+        with pytest.raises(TrainingError, match="at most 5 documents, got 6"):
+            grow_tree(x, y, 3)
+        assert grow_tree(x[:5], y[:5], 3).n_nodes > 1
 
 
 class TestGiniImpurity:
