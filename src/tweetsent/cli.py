@@ -12,8 +12,14 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from pathlib import Path
+
+# No matrix here is large enough to use a second BLAS thread, and OpenBLAS
+# starts its pool when numpy is first imported, which the package imports
+# below do; a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .evaluation import score
 from .exceptions import ConfigError, DataError, TweetsentError

@@ -29,6 +29,7 @@ from .naive_bayes import NaiveBayesModel, train_naive_bayes
 from .tree import (
     DecisionTreeModel,
     Tree,
+    bin_training_set,
     gini_impurity,
     grow_tree,
     train_decision_tree,
@@ -51,6 +52,7 @@ __all__ = [
     "Prediction",
     "TrainingSet",
     "Tree",
+    "bin_training_set",
     "gini_impurity",
     "grow_tree",
     "load_model",

@@ -4,6 +4,10 @@ Member ``m`` of an ensemble seeded with ``seed`` draws all of its
 randomness — the bootstrap resample and, for random forest, the per-split
 column subsets — from the dedicated substream ``SeedSequence([seed, m])``,
 so members are independent of each other and reproducible in isolation.
+
+The training rows are binned for the tree split search once per ensemble,
+not once per member: a member's bootstrap resample is a list of row indices
+into that one binning, repeats included, so no member copies the matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from ..exceptions import HyperparameterError
 from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet, member_rng
-from .tree import Tree, grow_tree
+from .tree import Tree, bin_training_set, grow_tree
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
@@ -60,10 +64,8 @@ def _train_ensemble(
             f"n_features_per_split must be at least 1, got {n_features_per_split}"
         )
 
-    x = training.matrix.toarray()
-    y = training.y()
-    n_docs, n_terms = x.shape
-    n_classes = len(training.classes)
+    binned = bin_training_set(training)
+    n_docs, n_terms = training.n_docs, training.matrix.n_terms
 
     members = []
     for m in range(n_members):
@@ -80,9 +82,8 @@ def _train_ensemble(
 
         members.append(
             grow_tree(
-                x[rows],
-                y[rows],
-                n_classes,
+                binned,
+                rows=rows,
                 max_depth=max_depth,
                 min_samples_split=min_samples_split,
                 column_sampler=sampler,

@@ -1,4 +1,4 @@
-"""CART-style decision tree on dense term-weight rows.
+"""CART-style decision tree on sparse term-weight rows.
 
 Splits minimise Gini impurity.  Candidate thresholds are midpoints between
 consecutive distinct values of a column, ties go to the lowest column and
@@ -8,13 +8,15 @@ reduce impurity, as long as both children are nonempty — a node only
 becomes a leaf when it is pure, too small, too deep, or has no usable
 threshold.
 
-The split search is exact, not binned: one numpy pass per node sorts every
-candidate column at once and scores every boundary between distinct values,
-with the same arithmetic as a column-at-a-time search, so it picks the same
-split bit for bit.  Class counts come from one integer prefix sum of packed
-per-row class codes, 21 bits per class, which is exact for up to three
-classes and :data:`MAX_TREE_ROWS` training rows; a larger training set is a
-:class:`TrainingError`.
+The split search is an exact histogram search.  :func:`bin_training_set`
+bins each column once per fit, by its distinct values with zero among them,
+straight from the CSR matrix; a node then counts classes per bin with one
+``bincount`` over its nonzero entries and takes each column's zero bin as
+the node's class totals minus that column's nonzero counts.  Boundaries lie
+between adjacent bins that occur in the node, and are scored with the same
+midpoints and arithmetic as a sort of the node's values, so the search
+picks that sort's split bit for bit.  Counts are integer ``bincount``s, so
+there is no cap on the number of training rows.
 
 A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
 grown with an explicit stack and walked level by level for all rows at
@@ -27,20 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import HyperparameterError, TrainingError
+from ..exceptions import HyperparameterError
 from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet
 
 LEAF = -1
-
-# The split search counts classes in 21-bit fields of one int64: it handles
-# at most three classes, one per sentiment label, and a count must stay below
-# 2**21, so a tree trains on at most MAX_TREE_ROWS rows.
-_FIELD_BITS = 21
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-_CLASS_SHIFTS = _FIELD_BITS * np.arange(3, dtype=np.int64)
-_CLASS_CODES = np.left_shift(1, _CLASS_SHIFTS)
-MAX_TREE_ROWS = _FIELD_MASK
 
 
 def gini_impurity(counts) -> float:
@@ -107,77 +100,191 @@ class Tree:
         return node
 
 
-def _best_split(
-    x: np.ndarray,
+@dataclass(frozen=True)
+class BinnedRows:
+    """Training rows coded for the histogram split search.
+
+    Each column's bins are its distinct values, zero among them; bins run
+    by column and then by ascending value (``bin_column``, ``bin_value``).
+    Entries are the matrix's nonzero values, row by row as in CSR
+    (``indptr``), each coded with its row's label ``y``: ``entry_code`` is
+    ``label * n_bins + bin`` and ``entry_column_code`` is
+    ``label * n_columns + column``.  No entry lies in a zero bin;
+    ``zero_code[label * n_columns + c]`` is the code of column ``c``'s zero
+    bin.  The same entries, grouped by column (``column_ptr``,
+    ``column_rows``, ``column_values``), route rows at a split.
+    """
+
+    y: np.ndarray  # int64, (n_rows,)
+    n_classes: int
+    indptr: np.ndarray  # int64, (n_rows + 1,)
+    entry_code: np.ndarray  # int64, (nnz,)
+    entry_column_code: np.ndarray  # int64, (nnz,)
+    bin_column: np.ndarray  # int64, (n_bins,)
+    bin_value: np.ndarray  # float64, (n_bins,)
+    zero_code: np.ndarray  # int64, (n_classes * n_columns,)
+    column_ptr: np.ndarray  # int64, (n_columns + 1,)
+    column_rows: np.ndarray  # int64, (nnz,)
+    column_values: np.ndarray  # float64, (nnz,)
+
+    @property
+    def n_rows(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    @property
+    def n_columns(self) -> int:
+        return self.column_ptr.shape[0] - 1
+
+    def column(self, c: int) -> np.ndarray:
+        """Column ``c`` of every row, zeros included."""
+        values = np.zeros(self.n_rows)
+        lo, hi = self.column_ptr[c], self.column_ptr[c + 1]
+        values[self.column_rows[lo:hi]] = self.column_values[lo:hi]
+        return values
+
+
+def bin_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    n_columns: int,
     y: np.ndarray,
     n_classes: int,
+) -> BinnedRows:
+    """Bin the CSR matrix ``(indptr, indices, data)`` of ``n_columns``
+    columns, whose row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at
+    columns ``indices[...]``, at most one value per column, and has label
+    ``y[i]`` out of ``n_classes``."""
+    n_rows = indptr.shape[0] - 1
+    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+    # A stored zero is no entry: it belongs to the column's zero bin.
+    nonzero = data != 0
+    rows, columns, values = rows[nonzero], indices[nonzero], data[nonzero]
+    nnz = values.shape[0]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+
+    # Sort every entry, plus one zero per column, by (column, value); each
+    # run of equal pairs is one bin.
+    all_columns = np.concatenate([columns, np.arange(n_columns)])
+    all_values = np.concatenate([values, np.zeros(n_columns)])
+    order = np.lexsort((all_values, all_columns))
+    sorted_columns, sorted_values = all_columns[order], all_values[order]
+    starts_bin = np.ones(order.shape[0], dtype=bool)
+    starts_bin[1:] = (sorted_columns[1:] != sorted_columns[:-1]) | (
+        sorted_values[1:] != sorted_values[:-1]
+    )
+    bin_of = np.empty(order.shape[0], dtype=np.int64)
+    bin_of[order] = np.cumsum(starts_bin) - 1
+    bin_column = sorted_columns[starts_bin].astype(np.int64)
+
+    by_column = order[order < nnz]
+    column_ptr = np.zeros(n_columns + 1, dtype=np.int64)
+    np.cumsum(np.bincount(columns, minlength=n_columns), out=column_ptr[1:])
+    n_bins = bin_column.shape[0]
+    labels = y[rows]
+    return BinnedRows(
+        y=y,
+        n_classes=n_classes,
+        indptr=indptr,
+        entry_code=labels * n_bins + bin_of[:nnz],
+        entry_column_code=labels * n_columns + columns,
+        bin_column=bin_column,
+        bin_value=sorted_values[starts_bin],
+        zero_code=(n_bins * np.arange(n_classes)[:, None] + bin_of[nnz:]).ravel(),
+        column_ptr=column_ptr,
+        column_rows=rows[by_column],
+        column_values=values[by_column],
+    )
+
+
+def _best_split(
+    binned: BinnedRows,
     rows: np.ndarray,
+    node_counts: np.ndarray,
     columns: np.ndarray,
 ) -> tuple[int, float] | None:
     """Lowest-weighted-impurity (column, threshold) over ``columns``.
 
-    Scores every candidate column of the node in one pass: the ``(n, k)``
-    block of the node's rows and candidate columns is sorted column by
-    column, one int64 prefix sum of packed class codes runs down the sorted
-    block, and class counts and impurities are computed only at the
-    boundaries between distinct values, which count columns have few of.
-    Returns None when no candidate column has a usable threshold on ``rows``.
+    ``rows`` are the node's rows, repeats allowed, ``node_counts`` their
+    integer class counts, and ``columns`` the ascending candidate columns.
+    One ``bincount`` of the node's nonzero entries fills every bin's class
+    counts, and each column's zero bin gets the rest of the node.  The
+    boundaries between candidate bins present in the node are scored in
+    bin order, so the first minimum is the lowest column, then the lowest
+    threshold.  Returns None when no candidate column has a usable
+    threshold on ``rows``.
     """
     n_rows = rows.shape[0]
-    block = x[rows][:, columns]
-    order = np.argsort(block, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(block, order, axis=0)
-    # Boundaries in column-major order: by candidate column, then by
-    # ascending threshold within a column.
-    col_idx, pos = np.nonzero((sorted_vals[:-1] < sorted_vals[1:]).T)
-    if pos.size == 0:
+    n_classes, n_columns = node_counts.shape[0], binned.n_columns
+    n_bins = binned.bin_value.shape[0]
+    starts = binned.indptr[rows]
+    lengths = binned.indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    entries = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+    hist = np.bincount(binned.entry_code[entries], minlength=n_classes * n_bins)
+    nonzero = np.bincount(
+        binned.entry_column_code[entries], minlength=n_classes * n_columns
+    )
+    hist[binned.zero_code] = np.repeat(node_counts, n_columns) - nonzero
+    hist = hist.reshape(n_classes, n_bins)
+
+    present = hist.any(axis=0)
+    if columns.shape[0] < n_columns:
+        candidate = np.zeros(n_columns, dtype=bool)
+        candidate[columns] = True
+        present &= candidate[binned.bin_column]
+    present = np.flatnonzero(present)
+    column = binned.bin_column[present]
+    boundary = np.flatnonzero(column[:-1] == column[1:])
+    if boundary.size == 0:
         return None
 
-    # Class counts left of each boundary from one integer prefix sum: row
-    # codes pack a 1 into class c's 21-bit field, so a prefix sum of codes
-    # holds every class's count exactly, and is unpacked only at the
-    # boundaries.
-    labels = y[rows]
-    packed = np.cumsum(_CLASS_CODES[labels][order], axis=0)[pos, col_idx]
-    left_counts = (
-        (packed[:, None] >> _CLASS_SHIFTS[:n_classes]) & _FIELD_MASK
-    ).astype(np.float64)
-    totals = np.bincount(labels, minlength=n_classes).astype(np.float64)
-    right_counts = totals - left_counts
-    n_left = pos + 1
+    # Every column's bins hold the whole node, so the running count over
+    # all bins before column c is c times the node's counts.
+    left = (
+        hist.cumsum(axis=1)[:, present[boundary]].T
+        - column[boundary, None] * node_counts
+    )
+    n_left = left.sum(axis=1)
     n_right = n_rows - n_left
+    # One _gini_rows call for the left then the right children: a C-ordered
+    # (rows, classes) array, as the sort search passed, so each row's sum
+    # of squared shares rounds as it did there.
+    impurity = _gini_rows(
+        np.concatenate([left, node_counts - left]).astype(np.float64)
+    )
     weighted = (
-        n_left * _gini_rows(left_counts) + n_right * _gini_rows(right_counts)
+        n_left * impurity[: boundary.size] + n_right * impurity[boundary.size :]
     ) / n_rows
 
+    value = binned.bin_value[present]
+    upper = value[boundary + 1]
+    midpoints = 0.5 * (value[boundary] + upper)
     # A midpoint that rounds up onto the right-hand value (adjacent floats)
     # would send every row left, so it is no candidate.
-    upper = sorted_vals[pos + 1, col_idx]
-    midpoints = 0.5 * (sorted_vals[pos, col_idx] + upper)
     weighted[midpoints >= upper] = np.inf
-    # argmin returns the first minimum: the lowest column, then the lowest
-    # threshold, among equal impurities.
     best = int(np.argmin(weighted))
     if weighted[best] == np.inf:
         return None
-    return int(columns[col_idx[best]]), float(midpoints[best])
+    return int(column[boundary[best]]), float(midpoints[best])
 
 
 def grow_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
+    binned: BinnedRows,
     *,
+    rows: np.ndarray | None = None,
     max_depth: int | None = None,
     min_samples_split: int = 2,
     column_sampler=None,
 ) -> Tree:
-    """Grow a tree on dense rows ``x`` with integer labels ``y``.
+    """Grow a tree on the binned training rows ``binned``.
 
-    ``column_sampler``, when given, is called once per internal-node
-    attempt, in node preorder, and must return the (sorted) candidate
-    columns for that split; ensemble trainers use it to restrict each split
-    to a random subset.
+    ``rows`` are the training rows, all rows by default; a bootstrap
+    resample lists rows as often as it draws them.  ``column_sampler``,
+    when given, is called once per internal-node attempt, in node preorder,
+    and must return the sorted candidate columns for that split; ensemble
+    trainers use it to restrict each split to a random subset.
     """
     if max_depth is not None and max_depth < 0:
         raise HyperparameterError(f"max_depth must be non-negative, got {max_depth}")
@@ -185,41 +292,40 @@ def grow_tree(
         raise HyperparameterError(
             f"min_samples_split must be at least 2, got {min_samples_split}"
         )
-    if x.shape[0] == 0:
+    if rows is None:
+        rows = np.arange(binned.n_rows)
+    if rows.shape[0] == 0:
         raise ValueError("cannot grow a tree on an empty training set")
-    if x.shape[0] > MAX_TREE_ROWS:
-        raise TrainingError(
-            f"a tree trains on at most {MAX_TREE_ROWS} documents, got {x.shape[0]}"
-        )
 
-    all_columns = np.arange(x.shape[1])
+    all_columns = np.arange(binned.n_columns)
     column, threshold, right, counts = [], [], [], []
     # Entries are (rows, depth, parent whose right child this is).  The left
     # child is pushed last and popped first, so nodes are made, and the
     # sampler is called, in depth-first preorder: a left child is always
     # the node right after its parent.
-    stack = [(np.arange(x.shape[0]), 0, LEAF)]
+    stack = [(rows, 0, LEAF)]
     while stack:
         rows, depth, parent = stack.pop()
         node = len(column)
         if parent != LEAF:
             right[parent] = node
-        counts.append(np.bincount(y[rows], minlength=n_classes).astype(np.float64))
+        node_counts = np.bincount(binned.y[rows], minlength=binned.n_classes)
+        counts.append(node_counts)
         column.append(LEAF)
         threshold.append(0.0)
         right.append(LEAF)
         if (
             (max_depth is not None and depth >= max_depth)
             or rows.shape[0] < min_samples_split
-            or gini_impurity(counts[node]) == 0.0
+            or np.count_nonzero(node_counts) == 1
         ):
             continue
         columns = all_columns if column_sampler is None else column_sampler()
-        split = _best_split(x, y, n_classes, rows, columns)
+        split = _best_split(binned, rows, node_counts, columns)
         if split is None:
             continue
         column[node], threshold[node] = split
-        goes_left = x[rows, column[node]] <= threshold[node]
+        goes_left = binned.column(column[node])[rows] <= threshold[node]
         stack.append((rows[~goes_left], depth + 1, node))
         stack.append((rows[goes_left], depth + 1, LEAF))
 
@@ -229,7 +335,17 @@ def grow_tree(
         threshold=np.array(threshold, dtype=np.float64),
         left=np.where(column == LEAF, LEAF, np.arange(column.size) + 1),
         right=np.array(right, dtype=np.int64),
-        counts=np.array(counts).reshape(column.size, n_classes),
+        counts=np.array(counts, dtype=np.float64).reshape(
+            column.size, binned.n_classes
+        ),
+    )
+
+
+def bin_training_set(training: TrainingSet) -> BinnedRows:
+    """The training set's rows binned for :func:`grow_tree`, once per fit."""
+    m = training.matrix
+    return bin_rows(
+        m.indptr, m.indices, m.data, m.n_terms, training.y(), len(training.classes)
     )
 
 
@@ -254,11 +370,9 @@ def train_decision_tree(
     max_depth: int | None = None,
     min_samples_split: int = 2,
 ) -> DecisionTreeModel:
-    """Fit a single CART tree on the densified training matrix."""
+    """Fit a single CART tree on the sparse training matrix."""
     tree = grow_tree(
-        training.matrix.toarray(),
-        training.y(),
-        len(training.classes),
+        bin_training_set(training),
         max_depth=max_depth,
         min_samples_split=min_samples_split,
     )

@@ -34,7 +34,12 @@ from test_ensemble import random_training_set, same_tree
 from test_linear import _max_relative_gradient_error
 from test_naive_bayes import _grid_cases, _oracle_posteriors, _training_set
 from test_properties import fuzz_strings, kfold_grid, random_lexicon_case
-from test_tree import enumerate_weighted_ginis, is_leaf, weighted_gini_of_split
+from test_tree import (
+    binned_rows,
+    enumerate_weighted_ginis,
+    is_leaf,
+    weighted_gini_of_split,
+)
 
 # A printed F-score counts as consistent when the recomputed value lands
 # within half a percentage point (the resolution of whole-percent rounding).
@@ -152,7 +157,7 @@ def test_criterion_3_split_enumeration_oracle(announce):
         y = rng.integers(0, 3, size=8)
         while np.unique(y).size < 2:
             y = rng.integers(0, 3, size=8)
-        tree = grow_tree(x, y, 3)
+        tree = grow_tree(binned_rows(x, y, 3))
         candidates = enumerate_weighted_ginis(x, y, 3)
         if not candidates:
             if not is_leaf(tree):

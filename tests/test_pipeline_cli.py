@@ -14,7 +14,6 @@ import pytest
 
 from tweetsent.cli import main
 from tweetsent.exceptions import ConfigError, DataError
-from tweetsent.models import tree as tree_module
 from tweetsent.pipeline import (
     DEFAULT_WEIGHTING,
     MODEL_ORDER,
@@ -697,19 +696,6 @@ class TestUserErrorsAreNotInternalErrors:
         assert message in err
         assert f"{name}={value}" in err
         assert "internal error" not in err
-
-    def test_training_set_over_the_tree_limit_is_a_data_error(
-        self, workspace, tmp_path, capsys, monkeypatch
-    ):
-        """The limit is about two million documents; a lowered one stands in."""
-        monkeypatch.setattr(tree_module, "MAX_TREE_ROWS", 10)
-        code = main([
-            "train", "--config", str(workspace / "config.json"),
-            "--out", str(tmp_path), "--model", "decision_tree",
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "a tree trains on at most 10 documents, got 24" in err
 
     @pytest.mark.parametrize(
         "defect", ["cycle", "column-outside-vocabulary", "unequal-lengths"]

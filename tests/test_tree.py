@@ -2,20 +2,26 @@
 
 The core suite draws random small datasets and checks the tree's root split
 against a brute-force enumeration of every (column, threshold) candidate,
-so the vectorized split search inside the package is validated by an
+so the histogram split search inside the package is validated by an
 independent, obviously-correct implementation.  A second oracle, the
-earlier one-column-at-a-time search, pins the exact split and whole tree
-the vectorized search must reproduce, tie-breaks included.
+earlier one-column-at-a-time sort search, pins the exact split and whole
+tree the histogram search must reproduce, tie-breaks included, for single
+trees and for every bagging and random-forest member.
 """
 
 import numpy as np
 import pytest
 
 from tweetsent.datagen import make_toy_training_set
-from tweetsent.exceptions import TrainingError
-from tweetsent.features import SparseVector
+from tweetsent.features import SparseVector, build_count_matrix, build_vocabulary
 from tweetsent.lexicon import SentimentLabel
-from tweetsent.models import train_decision_tree
+from tweetsent.models import (
+    TrainingSet,
+    member_rng,
+    train_bagging,
+    train_decision_tree,
+    train_random_forest,
+)
 from tweetsent.models import tree as tree_module
 from tweetsent.models.tree import (
     LEAF,
@@ -23,6 +29,7 @@ from tweetsent.models.tree import (
     Tree,
     _best_split,
     _gini_rows,
+    bin_rows,
     gini_impurity,
     grow_tree,
 )
@@ -106,6 +113,37 @@ def reference_best_split(x, y, n_classes, rows, columns):
     return best[1], best[2]
 
 
+def binned_rows(x, y, n_classes):
+    """Dense ``x`` as CSR rows with labels ``y``, binned for the search."""
+    rows, cols = np.nonzero(x)
+    indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
+    return bin_rows(indptr, cols, x[rows, cols], x.shape[1], y, n_classes)
+
+
+def histogram_split(x, y, n_classes, rows, columns):
+    """The package's histogram search, called with the reference's arguments."""
+    node_counts = np.bincount(y[rows], minlength=n_classes)
+    return _best_split(binned_rows(x, y, n_classes), rows, node_counts, columns)
+
+
+def grow(x, y, n_classes, **kwargs):
+    """A tree grown on dense rows ``x``."""
+    return grow_tree(binned_rows(x, y, n_classes), **kwargs)
+
+
+def reference_tree(monkeypatch, x, y, n_classes, **kwargs):
+    """A tree grown on dense rows ``x`` with ``reference_best_split`` in
+    place of the histogram search."""
+
+    def search(binned, rows, node_counts, columns):
+        return reference_best_split(x, y, n_classes, rows, columns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "_best_split", search)
+        return grow(x, y, n_classes, **kwargs)
+
+
 def flatten_tree(tree):
     """Per-node (column, threshold, left, right, counts) tuples in preorder:
     equal iff the trees are."""
@@ -147,8 +185,21 @@ def adjacent_float_matrix(rng, n_rows, n_cols):
     return np.array([0.0, ADJ_LO, ADJ_HI])[rng.integers(0, 3, size=(n_rows, n_cols))]
 
 
+def count_training_set(rng, n_docs, n_terms):
+    """A random count-matrix training set over three classes."""
+    labels = (SentimentLabel.POSITIVE, SentimentLabel.NEUTRAL, SentimentLabel.NEGATIVE)
+    terms = [f"t{j}" for j in range(n_terms)]
+    counts = count_matrix(rng, n_docs, n_terms).astype(np.int64)
+    docs = [[t for t, c in zip(terms, row) for _ in range(c)] for row in counts]
+    return TrainingSet(
+        matrix=build_count_matrix(build_vocabulary([terms] + docs), docs),
+        labels=tuple(labels[i] for i in rng.integers(0, 3, size=n_docs)),
+        classes=labels,
+    )
+
+
 class TestSplitSearchMatchesPerColumnReference:
-    """The vectorized search returns the reference's exact (column, threshold)."""
+    """The histogram search returns the reference's exact (column, threshold)."""
 
     @staticmethod
     def _cases(make, seed, n_cases=300, subsets=False):
@@ -178,7 +229,7 @@ class TestSplitSearchMatchesPerColumnReference:
         found = 0
         for case in self._cases(make, seed, subsets=subsets):
             expected = reference_best_split(*case)
-            assert _best_split(*case) == expected
+            assert histogram_split(*case) == expected
             found += expected is not None
         assert found >= 200  # most cases have a usable split
 
@@ -186,8 +237,8 @@ class TestSplitSearchMatchesPerColumnReference:
         "make, seed", [(count_matrix, 21), (tfidf_matrix, 22)], ids=["counts", "tfidf"]
     )
     def test_identical_split_three_classes_larger_nodes(self, make, seed):
-        """Nodes of hundreds of rows over three classes, so every class's
-        packed count runs well past a few bits."""
+        """Bootstrap nodes of hundreds of rows over three classes, so bins
+        hold many rows and repeated rows."""
         rng = np.random.default_rng(seed)
         for _ in range(40):
             n_rows = int(rng.integers(200, 800))
@@ -196,7 +247,27 @@ class TestSplitSearchMatchesPerColumnReference:
             y = rng.integers(0, 3, size=n_rows)
             rows = np.sort(rng.integers(0, n_rows, size=n_rows))  # a bootstrap
             case = (x, y, 3, rows, np.arange(n_cols))
-            assert _best_split(*case) == reference_best_split(*case)
+            assert histogram_split(*case) == reference_best_split(*case)
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(count_matrix, 41), (tfidf_matrix, 42), (adjacent_float_matrix, 43)],
+        ids=["counts", "tfidf", "adjacent-floats"],
+    )
+    def test_identical_split_on_a_member_root(self, make, seed):
+        """Root rows as an ensemble member passes them, an unsorted
+        bootstrap with repeats, over a random column subset."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n_rows = int(rng.integers(2, 40))
+            n_cols = int(rng.integers(1, 10))
+            x = make(rng, n_rows, n_cols)
+            y = rng.integers(0, 3, size=n_rows)
+            rows = rng.integers(0, n_rows, size=n_rows)
+            size = int(rng.integers(1, n_cols + 1))
+            columns = np.sort(rng.choice(n_cols, size=size, replace=False))
+            case = (x, y, 3, rows, columns)
+            assert histogram_split(*case) == reference_best_split(*case)
 
     def test_unusable_midpoint_is_skipped(self):
         """The best-impurity boundary lies between adjacent floats, so the
@@ -207,66 +278,93 @@ class TestSplitSearchMatchesPerColumnReference:
         )
         y = np.array([0, 0, 1, 1])
         case = (x, y, 2, np.arange(4), np.arange(2))
-        assert _best_split(*case) == reference_best_split(*case) == (1, 0.5)
+        assert histogram_split(*case) == reference_best_split(*case) == (1, 0.5)
 
     def test_only_unusable_midpoints_give_none(self):
         x = np.array([[ADJ_LO], [ADJ_HI], [ADJ_HI]])
         case = (x, np.array([0, 1, 1]), 2, np.arange(3), np.arange(1))
         assert reference_best_split(*case) is None
-        assert _best_split(*case) is None
+        assert histogram_split(*case) is None
 
     def test_all_constant_columns_give_none(self):
         x = np.tile(np.array([[0.0, 2.0, 0.5]]), (6, 1))
         case = (x, np.array([0, 1, 2, 0, 1, 2]), 3, np.arange(6), np.arange(3))
         assert reference_best_split(*case) is None
-        assert _best_split(*case) is None
+        assert histogram_split(*case) is None
 
     @pytest.mark.parametrize(
         "make", [count_matrix, tfidf_matrix, adjacent_float_matrix]
     )
     @pytest.mark.parametrize("sampled", [False, True], ids=["all-columns", "sampled"])
-    def test_whole_trees_are_identical(self, monkeypatch, make, sampled):
+    @pytest.mark.parametrize("bootstrap", [False, True], ids=["all-rows", "bootstrap"])
+    def test_whole_trees_are_identical(self, monkeypatch, make, sampled, bootstrap):
         """Trees grown with either search agree node for node; the impurity
-        oracle above cannot see a changed tie-break, this can."""
+        oracle above cannot see a changed tie-break, this can.  A bootstrap
+        tree grows from row indices, repeats included, into the binning of
+        all rows; the reference tree grows on the resampled rows ``x[rows]``."""
         rng = np.random.default_rng(2024)
         for trial in range(20):
             x = make(rng, 60, 12)
             y = rng.integers(0, 3, size=60)
+            rows = rng.integers(0, 60, size=60) if bootstrap else np.arange(60)
 
-            def grow():
+            def sampler():
                 sampler_rng = np.random.default_rng(trial)
+                if sampled:
+                    return lambda: np.sort(sampler_rng.choice(12, size=4, replace=False))
+                return None
+
+            histogram = grow(x, y, 3, rows=rows, column_sampler=sampler())
+            reference = reference_tree(
+                monkeypatch, x[rows], y[rows], 3, column_sampler=sampler()
+            )
+            assert flatten_tree(histogram) == flatten_tree(reference)
+
+    @pytest.mark.parametrize("trainer", [train_bagging, train_random_forest])
+    def test_ensemble_members_are_identical(self, monkeypatch, trainer):
+        """Each member, grown from the ensemble's one binning, equals the
+        reference tree grown on its resampled rows, with the same per-split
+        column draws."""
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            training = count_training_set(rng, 60, 12)
+            model = trainer(training, n_members=3, seed=seed)
+            x, y = training.matrix.toarray(), training.y()
+            for m, member in enumerate(model.members):
+                member_draws = member_rng(seed, m)
+                rows = member_draws.integers(0, 60, size=60)
+                k = model.hyper.get("n_features_per_split")
                 sampler = (
-                    (lambda: np.sort(sampler_rng.choice(12, size=4, replace=False)))
-                    if sampled
+                    (lambda: np.sort(member_draws.choice(12, size=k, replace=False)))
+                    if k is not None
                     else None
                 )
-                return flatten_tree(grow_tree(x, y, 3, column_sampler=sampler))
-
-            vectorized = grow()
-            with monkeypatch.context() as patch:
-                patch.setattr(tree_module, "_best_split", reference_best_split)
-                reference = grow()
-            assert vectorized == reference
+                reference = reference_tree(
+                    monkeypatch, x[rows], y[rows], 3, column_sampler=sampler
+                )
+                assert flatten_tree(member) == flatten_tree(reference)
 
 
-class TestTrainingSetSizeLimit:
-    """The split search packs class counts into 21-bit fields of an int64."""
+class TestNodeCounts:
+    """A node counts every row that reaches it, repeats included."""
 
-    def test_largest_counts_fit_their_fields(self):
-        """MAX_TREE_ROWS in every field at once neither carries into the next
-        field nor reaches the sign bit, so every prefix count is exact."""
-        limit = tree_module.MAX_TREE_ROWS
-        assert limit < 1 << tree_module._FIELD_BITS
-        packed = sum(limit << int(shift) for shift in tree_module._CLASS_SHIFTS)
-        assert packed <= np.iinfo(np.int64).max
-
-    def test_more_rows_than_the_limit_is_a_training_error(self, monkeypatch):
-        monkeypatch.setattr(tree_module, "MAX_TREE_ROWS", 5)
-        x = np.arange(12, dtype=np.float64).reshape(6, 2)
-        y = np.array([0, 1, 2, 0, 1, 2])
-        with pytest.raises(TrainingError, match="at most 5 documents, got 6"):
-            grow_tree(x, y, 3)
-        assert grow_tree(x[:5], y[:5], 3).n_nodes > 1
+    def test_counts_follow_duplicated_bootstrap_rows(self):
+        rng = np.random.default_rng(5)
+        x = count_matrix(rng, 40, 6)
+        y = rng.integers(0, 3, size=40)
+        rows = rng.integers(0, 40, size=40)
+        assert np.unique(rows).size < rows.size
+        tree = grow(x, y, 3, rows=rows)
+        assert tree.n_nodes > 1
+        np.testing.assert_array_equal(tree.counts[0], np.bincount(y[rows], minlength=3))
+        # Every resampled row reaches the leaf it was routed to in training.
+        reached = tree.apply(x[rows])
+        for node in range(tree.n_nodes):
+            if tree.column[node] == LEAF:
+                expected = np.bincount(y[rows][reached == node], minlength=3)
+            else:
+                expected = tree.counts[tree.left[node]] + tree.counts[tree.right[node]]
+            np.testing.assert_array_equal(tree.counts[node], expected)
 
 
 class TestGiniImpurity:
@@ -318,7 +416,7 @@ class TestRootSplitOracle:
             while np.unique(y).size < 2:
                 y = rng.integers(0, 3, size=8)
 
-            tree = grow_tree(x, y, 3)
+            tree = grow(x, y, 3)
             candidates = enumerate_weighted_ginis(x, y, 3)
             if not candidates:
                 assert is_leaf(tree)
@@ -335,14 +433,14 @@ class TestRootSplitOracle:
         """Two identical columns: the split must use column 0."""
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        tree = grow_tree(x, y, 2)
+        tree = grow(x, y, 2)
         assert (tree.column[0], tree.threshold[0]) == (0, 0.5)
 
     def test_tied_thresholds_break_to_the_lowest_threshold(self):
         """Values 0,1,2 with labels 0,1,0: both midpoints tie at 1/3."""
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 0])
-        tree = grow_tree(x, y, 2)
+        tree = grow(x, y, 2)
         assert (tree.column[0], tree.threshold[0]) == (0, 0.5)
 
 
@@ -352,26 +450,26 @@ class TestGrowTree:
     def test_pure_node_is_a_leaf(self):
         """No split is attempted once one class remains."""
         x = np.array([[0.0], [1.0], [2.0]])
-        tree = grow_tree(x, np.array([1, 1, 1]), 2)
+        tree = grow(x, np.array([1, 1, 1]), 2)
         assert is_leaf(tree)
         np.testing.assert_array_equal(tree.counts, [[0.0, 3.0]])
 
     def test_max_depth_zero_forces_a_leaf_root(self):
         x = np.array([[0.0], [1.0]])
-        tree = grow_tree(x, np.array([0, 1]), 2, max_depth=0)
+        tree = grow(x, np.array([0, 1]), 2, max_depth=0)
         assert is_leaf(tree)
 
     def test_max_depth_bounds_the_tree(self):
         """A depth-1 stump cannot perfectly fit three classes on one column."""
         x = np.arange(6, dtype=np.float64).reshape(6, 1)
         y = np.array([0, 0, 1, 1, 2, 2])
-        tree = grow_tree(x, y, 3, max_depth=1)
+        tree = grow(x, y, 3, max_depth=1)
         assert tree.depth == 1
-        assert grow_tree(x, y, 3).depth == 2
+        assert grow(x, y, 3).depth == 2
 
     def test_min_samples_split_forces_a_leaf(self):
         x = np.array([[0.0], [1.0], [2.0]])
-        tree = grow_tree(x, np.array([0, 1, 0]), 2, min_samples_split=4)
+        tree = grow(x, np.array([0, 1, 0]), 2, min_samples_split=4)
         assert is_leaf(tree)
 
     def test_zero_gain_split_is_still_taken(self):
@@ -379,7 +477,7 @@ class TestGrowTree:
         yet two levels of splits fit it perfectly."""
         x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([0, 0, 1, 1])
-        tree = grow_tree(x, y, 2)
+        tree = grow(x, y, 2)
         assert not is_leaf(tree)
         assert tree.depth == 2
         assert tree.n_nodes == 7
@@ -391,19 +489,19 @@ class TestGrowTree:
     def test_constant_columns_make_a_leaf(self):
         """With no distinct values anywhere there is nothing to split on."""
         x = np.ones((4, 2))
-        tree = grow_tree(x, np.array([0, 1, 0, 1]), 2)
+        tree = grow(x, np.array([0, 1, 0, 1]), 2)
         assert is_leaf(tree)
 
     def test_column_sampler_restricts_candidate_columns(self):
         """A sampler that only offers column 1 overrides a better column 0."""
         x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        tree = grow_tree(x, y, 2, column_sampler=lambda: np.array([1]))
+        tree = grow(x, y, 2, column_sampler=lambda: np.array([1]))
         assert tree.column[0] == 1
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
-            grow_tree(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+            grow(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
 
     @pytest.mark.parametrize(
         "kwargs", [{"max_depth": -1}, {"min_samples_split": 1}]
@@ -411,7 +509,7 @@ class TestGrowTree:
     def test_rejects_bad_hyperparameters(self, kwargs):
         x = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            grow_tree(x, np.array([0, 1]), 2, **kwargs)
+            grow(x, np.array([0, 1]), 2, **kwargs)
 
 
 class TestDecisionTreeModel:
