@@ -8,11 +8,17 @@ so members are independent of each other and reproducible in isolation.
 The training rows are binned for the tree split search once per ensemble,
 not once per member: a member's bootstrap resample is a list of row indices
 into that one binning, repeats included, so no member copies the matrix.
+Members are grown in lockstep by :func:`~.tree.grow_trees`, each still
+calling its own column sampler in its own node preorder, so every member
+is the tree it would be if grown alone.  Prediction walks all members at
+once through one stacked node array, built on first use, over
+:data:`WALK_CHUNK` rows at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import floor, sqrt
 
 import numpy as np
@@ -20,10 +26,14 @@ import numpy as np
 from ..exceptions import HyperparameterError
 from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet, member_rng
-from .tree import Tree, bin_training_set, grow_tree
+from .tree import Tree, bin_training_set, grow_trees, stack_trees
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
+
+# Rows walked through all members per pass.  Results do not depend on it;
+# it bounds the walk's arrays to this many rows times the member count.
+WALK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -36,13 +46,26 @@ class EnsembleModel(Classifier):
     members: tuple[Tree, ...]
     hyper: dict = field(default_factory=dict)
 
+    @cached_property
+    def _forest(self) -> tuple[Tree, np.ndarray, np.ndarray]:
+        """The members stacked into one tree, each member's root in it, and
+        each node's vote: its most frequent class, the first one on a tie."""
+        forest, roots = stack_trees(self.members)
+        return forest, roots, np.argmax(forest.counts, axis=1)
+
     def _scores(self, x: np.ndarray) -> np.ndarray:
-        """Share of members voting for each class; a member votes for its
-        leaf's most frequent class, the first one on a tie."""
-        votes = np.zeros((x.shape[0], len(self.classes)), dtype=np.float64)
-        rows = np.arange(x.shape[0])
-        for member in self.members:
-            votes[rows, np.argmax(member.counts[member.apply(x)], axis=1)] += 1.0
+        """Share of members voting for each class: a member votes for the
+        vote of the leaf it reaches."""
+        forest, roots, vote = self._forest
+        n_classes = len(self.classes)
+        votes = np.empty((x.shape[0], n_classes))
+        for start in range(0, x.shape[0], WALK_CHUNK):
+            n_rows = min(WALK_CHUNK, x.shape[0] - start)
+            rows = np.tile(np.arange(n_rows), roots.shape[0])
+            leaf = forest.walk(x[start : start + n_rows], rows, np.repeat(roots, n_rows))
+            votes[start : start + n_rows] = np.bincount(
+                rows * n_classes + vote[leaf], minlength=n_rows * n_classes
+            ).reshape(n_rows, n_classes)
         return votes / len(self.members)
 
 
@@ -67,28 +90,22 @@ def _train_ensemble(
     binned = bin_training_set(training)
     n_docs, n_terms = training.n_docs, training.matrix.n_terms
 
-    members = []
-    for m in range(n_members):
+    def member(m):
         rng = member_rng(seed, m)
         rows = rng.integers(0, n_docs, size=n_docs) if bootstrap else np.arange(n_docs)
-
         if n_features_per_split is None or n_features_per_split >= n_terms:
-            sampler = None
-        else:
-            k = n_features_per_split
+            return rows, None
+        k = n_features_per_split
+        return rows, lambda: np.sort(rng.choice(n_terms, size=k, replace=False))
 
-            def sampler(rng=rng, k=k):
-                return np.sort(rng.choice(n_terms, size=k, replace=False))
-
-        members.append(
-            grow_tree(
-                binned,
-                rows=rows,
-                max_depth=max_depth,
-                min_samples_split=min_samples_split,
-                column_sampler=sampler,
-            )
-        )
+    # Read lazily, a group at a time, so that only one group's bootstrap
+    # rows exist at once.
+    members = grow_trees(
+        binned,
+        map(member, range(n_members)),
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+    )
 
     hyper = {
         "n_members": n_members,

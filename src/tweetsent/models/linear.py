@@ -55,10 +55,13 @@ class LinearModel(Classifier):
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], n_classes), dtype=np.float64)
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
+def _targets(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, tuple]:
+    """Labels ``y`` as one-hot rows, and as the (rows, labels) index of
+    every row's gold entry."""
+    gold = (np.arange(y.shape[0]), y)
+    one_hot = np.zeros((y.shape[0], n_classes), dtype=np.float64)
+    one_hot[gold] = 1.0
+    return one_hot, gold
 
 
 def maxent_loss_and_grad(
@@ -74,17 +77,29 @@ def maxent_loss_and_grad(
     penalty ``lam/2 * ||W||^2`` on the weights (bias excluded).  Exposed at
     module level so the gradient can be checked against finite differences.
     """
+    return _maxent_step(weights, bias, x_dense, *_targets(y, weights.shape[0]), lam)
+
+
+def _maxent_step(
+    weights: np.ndarray,
+    bias: np.ndarray,
+    x_dense: np.ndarray,
+    one_hot: np.ndarray,
+    gold: tuple[np.ndarray, np.ndarray],
+    lam: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`maxent_loss_and_grad` with the labels as :func:`_targets`
+    gives them, which a fit builds once, not once per epoch."""
     n_docs = x_dense.shape[0]
-    n_classes = weights.shape[0]
     margins = x_dense @ weights.T + bias
     shifted = margins - margins.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
-    loss = -float(log_probs[np.arange(n_docs), y].mean())
+    loss = -float(log_probs[gold].mean())
     loss += 0.5 * lam * float((weights * weights).sum())
 
     probs = np.exp(log_probs)
-    delta = probs - _one_hot(y, n_classes)
+    delta = probs - one_hot
     grad_w = delta.T @ x_dense / n_docs + lam * weights
     grad_b = delta.mean(axis=0)
     return loss, grad_w, grad_b
@@ -122,7 +137,8 @@ def train_maxent(
     weights = np.zeros((n_classes, n_terms), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
-    loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
+    one_hot, gold = _targets(y, n_classes)
+    loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, one_hot, gold, lam)
     trace = [loss]
     for epoch in range(epochs):
         # A diverging fit overflows to inf and then NaN; the finite-loss
@@ -130,10 +146,10 @@ def train_maxent(
         with np.errstate(over="ignore", invalid="ignore"):
             weights = weights - eta * grad_w
             bias = bias - eta * grad_b
-            loss, grad_w, grad_b = maxent_loss_and_grad(
-                weights, bias, x_dense, y, lam
+            loss, grad_w, grad_b = _maxent_step(
+                weights, bias, x_dense, one_hot, gold, lam
             )
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingError(
                 f"logistic regression diverged at epoch {epoch + 1} "
                 f"(loss is not finite); lower eta={eta} or lam={lam}"

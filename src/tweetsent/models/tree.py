@@ -10,22 +10,36 @@ threshold.
 
 The split search is an exact histogram search.  :func:`bin_training_set`
 bins each column once per fit, by its distinct values with zero among them,
-straight from the CSR matrix; a node then counts classes per bin with one
-``bincount`` over its nonzero entries and takes each column's zero bin as
-the node's class totals minus that column's nonzero counts.  Boundaries lie
-between adjacent bins that occur in the node, and are scored with the same
-midpoints and arithmetic as a sort of the node's values, so the search
-picks that sort's split bit for bit.  Counts are integer ``bincount``s, so
-there is no cap on the number of training rows.
+straight from the CSR matrix; a node then counts classes per bin from its
+nonzero entries and takes each column's zero bin as the node's class totals
+minus that column's nonzero counts.  Boundaries lie between adjacent bins
+that occur in the node, and are scored with the same midpoints and
+arithmetic as a sort of the node's values, so the search picks that sort's
+split bit for bit.  Counts are integer ``bincount``s, so there is no cap on
+the number of training rows.
+
+:func:`grow_trees` grows the members of an ensemble in lockstep, as
+GPU histogram tree builders do for the nodes of one level.  Each tree
+makes its nodes in depth-first preorder from its own stack, up to the next
+node to try to split, calling its own column sampler for that node; one
+batched search then scores the nodes of all trees with one ``bincount``
+over (node, class, bin), and one pass routes their rows and counts their
+children's classes.  A single tree is the one-member case.  Members are
+grown :data:`GROW_GROUP` at a time and their nodes searched in batches of
+about :data:`SEARCH_ROWS` rows, so no array grows with the ensemble.
 
 A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
-grown with an explicit stack and walked level by level for all rows at
+grown with explicit stacks and walked level by level for all rows at
 once, so no tree is too deep for the interpreter's recursion limit.
+:func:`stack_trees` joins trees into one node array, which an ensemble
+walks for all its members at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -34,6 +48,13 @@ from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet
 
 LEAF = -1
+
+# Trees grown in lockstep, and rows searched in one batch: nodes are
+# batched until their rows would pass SEARCH_ROWS, so a batch's arrays stay
+# small whatever the ensemble and the training set.  Results depend on
+# neither.
+GROW_GROUP = 32
+SEARCH_ROWS = 2048
 
 
 def gini_impurity(counts) -> float:
@@ -87,17 +108,45 @@ class Tree:
         return int(level.max())
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Index of the leaf each row of ``x`` reaches, all rows one level
-        at a time."""
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        active = np.arange(x.shape[0])
+        """Index of the leaf each row of ``x`` reaches."""
+        return self.walk(x, np.arange(x.shape[0]), np.zeros(x.shape[0], dtype=np.int64))
+
+    def walk(self, x: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Index of the leaf that row ``rows[i]`` of ``x`` reaches from node
+        ``node[i]``, for every ``i`` at once, one level at a time."""
+        node = node.copy()
+        active = np.arange(node.shape[0])
         while active.size:
             at = node[active]
             internal = self.column[at] != LEAF
             active, at = active[internal], at[internal]
-            goes_left = x[active, self.column[at]] <= self.threshold[at]
+            goes_left = x[rows[active], self.column[at]] <= self.threshold[at]
             node[active] = np.where(goes_left, self.left[at], self.right[at])
         return node
+
+
+def stack_trees(trees) -> tuple[Tree, np.ndarray]:
+    """The trees as one :class:`Tree` whose node arrays run tree after tree,
+    with child links shifted to match, and the index of each tree's root."""
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=roots[1:])
+    offset = np.repeat(roots, sizes)
+    column = np.concatenate([tree.column for tree in trees])
+    internal = column != LEAF
+
+    def links(name):
+        link = np.concatenate([getattr(tree, name) for tree in trees])
+        return np.where(internal, link + offset, LEAF)
+
+    stacked = Tree(
+        column=column,
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        left=links("left"),
+        right=links("right"),
+        counts=np.concatenate([tree.counts for tree in trees]),
+    )
+    return stacked, roots
 
 
 @dataclass(frozen=True)
@@ -106,18 +155,20 @@ class BinnedRows:
 
     Each column's bins are its distinct values, zero among them; bins run
     by column and then by ascending value (``bin_column``, ``bin_value``).
-    Entries are the matrix's nonzero values, row by row as in CSR
-    (``indptr``), each coded with its row's label ``y``: ``entry_code`` is
-    ``label * n_bins + bin`` and ``entry_column_code`` is
-    ``label * n_columns + column``.  No entry lies in a zero bin;
-    ``zero_code[label * n_columns + c]`` is the code of column ``c``'s zero
-    bin.  The same entries, grouped by column (``column_ptr``,
-    ``column_rows``, ``column_values``), route rows at a split.
+    Entries are the matrix's nonzero values, row by row as in CSR (row
+    ``i`` has ``row_length[i]`` entries from ``row_start[i]``), each coded
+    with its row's label ``y``: ``entry_code`` is ``label * n_bins + bin``
+    and ``entry_column_code`` is ``label * n_columns + column``.  No entry
+    lies in a zero bin; ``zero_code[label * n_columns + c]`` is the code of
+    column ``c``'s zero bin.  The same entries, grouped by column
+    (``column_ptr``, ``column_rows``, ``column_values``), route rows at a
+    split.
     """
 
     y: np.ndarray  # int64, (n_rows,)
     n_classes: int
-    indptr: np.ndarray  # int64, (n_rows + 1,)
+    row_start: np.ndarray  # int64, (n_rows,)
+    row_length: np.ndarray  # int64, (n_rows,)
     entry_code: np.ndarray  # int64, (nnz,)
     entry_column_code: np.ndarray  # int64, (nnz,)
     bin_column: np.ndarray  # int64, (n_bins,)
@@ -129,18 +180,17 @@ class BinnedRows:
 
     @property
     def n_rows(self) -> int:
-        return self.indptr.shape[0] - 1
+        return self.y.shape[0]
 
     @property
     def n_columns(self) -> int:
         return self.column_ptr.shape[0] - 1
 
-    def column(self, c: int) -> np.ndarray:
-        """Column ``c`` of every row, zeros included."""
-        values = np.zeros(self.n_rows)
-        lo, hi = self.column_ptr[c], self.column_ptr[c + 1]
-        values[self.column_rows[lo:hi]] = self.column_values[lo:hi]
-        return values
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] + j`` for ``j < lengths[i]``, range after range."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
 
 
 def bin_rows(
@@ -161,8 +211,7 @@ def bin_rows(
     nonzero = data != 0
     rows, columns, values = rows[nonzero], indices[nonzero], data[nonzero]
     nnz = values.shape[0]
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    row_length = np.bincount(rows, minlength=n_rows)
 
     # Sort every entry, plus one zero per column, by (column, value); each
     # run of equal pairs is one bin.
@@ -186,7 +235,8 @@ def bin_rows(
     return BinnedRows(
         y=y,
         n_classes=n_classes,
-        indptr=indptr,
+        row_start=np.cumsum(row_length) - row_length,
+        row_length=row_length,
         entry_code=labels * n_bins + bin_of[:nnz],
         entry_column_code=labels * n_columns + columns,
         bin_column=bin_column,
@@ -198,76 +248,328 @@ def bin_rows(
     )
 
 
+def _histograms(
+    binned: BinnedRows, node_rows: Sequence[np.ndarray], node_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class counts of every (node, class, bin) for the nodes with rows
+    ``node_rows`` and integer class counts ``node_counts``: one
+    ``bincount`` of the nodes' nonzero entries, and each column's zero bin
+    gets the rest of its node.  Also returns which (node, column) pairs
+    have a nonzero entry: only those columns can split the node."""
+    n_nodes = len(node_rows)
+    n_classes, n_columns = node_counts.shape[1], binned.n_columns
+    n_bins = binned.bin_value.shape[0]
+    rows = np.concatenate(node_rows)
+    lengths = binned.row_length[rows]
+    entries = _ranges(binned.row_start[rows], lengths)
+    bin_code = binned.entry_code[entries]
+    column_code = binned.entry_column_code[entries]
+    if n_nodes > 1:  # one node needs no node offsets
+        node_of_entry = np.repeat(
+            np.repeat(np.arange(n_nodes), [r.shape[0] for r in node_rows]), lengths
+        )
+        bin_code += node_of_entry * (n_classes * n_bins)
+        column_code += node_of_entry * (n_classes * n_columns)
+    hist = np.bincount(bin_code, minlength=n_nodes * n_classes * n_bins).reshape(
+        n_nodes, n_classes * n_bins
+    )
+    nonzero = np.bincount(
+        column_code, minlength=n_nodes * n_classes * n_columns
+    ).reshape(n_nodes, n_classes * n_columns)
+    active = nonzero.reshape(n_nodes, n_classes, n_columns).any(axis=1)
+    hist[:, binned.zero_code] = np.subtract(
+        np.repeat(node_counts, n_columns, axis=1), nonzero, out=nonzero
+    )
+    return hist.reshape(n_nodes, n_classes, n_bins), active
+
+
+def _boundaries(
+    binned: BinnedRows,
+    node_rows: Sequence[np.ndarray],
+    node_counts: np.ndarray,
+    node_columns: Sequence[np.ndarray | None],
+) -> tuple[np.ndarray, ...]:
+    """Every boundary between two bins of a candidate column that are
+    adjacent among the bins present in a node, by node and then in bin
+    order: its node, its column, the values either side of it, and the
+    class counts of the node's rows left of it, class by class."""
+    n_columns, n_bins = binned.n_columns, binned.bin_value.shape[0]
+    n_classes = node_counts.shape[1]
+    hist, candidate = _histograms(binned, node_rows, node_counts)
+    subsets = [
+        i for i, columns in enumerate(node_columns)
+        if columns is not None and columns.shape[0] < n_columns
+    ]
+    if subsets:
+        sampled = np.zeros((len(subsets), n_columns), dtype=bool)
+        sizes = [node_columns[i].shape[0] for i in subsets]
+        sampled[
+            np.repeat(np.arange(len(subsets)), sizes),
+            np.concatenate([node_columns[i] for i in subsets]),
+        ] = True
+        candidate[subsets] &= sampled
+    found = np.flatnonzero(hist.any(axis=1) & candidate[:, binned.bin_column])
+    node, bins = np.divmod(found, n_bins)
+    column = binned.bin_column[bins]
+    same = (node[:-1] == node[1:]) & (column[:-1] == column[1:])
+    boundary = np.flatnonzero(same)
+
+    # The present bins' counts, class by class.  A boundary's left child
+    # holds its column's present bins up to it: the count before the next
+    # bin less the count before the column's first present bin in the node.
+    class_offset = n_bins * np.arange(n_classes)[:, None]
+    found = hist.ravel()[found + node * ((n_classes - 1) * n_bins) + class_offset]
+    before = found.cumsum(axis=1) - found
+    starts_run = np.concatenate([[True], ~same])
+    run_start = np.maximum.accumulate(np.where(starts_run, np.arange(node.shape[0]), 0))
+    left = np.take(before, boundary + 1, axis=1) - np.take(
+        before, run_start[boundary], axis=1
+    )
+    value = binned.bin_value[bins]
+    return node[boundary], column[boundary], value[boundary], value[boundary + 1], left
+
+
+def _best_splits(
+    binned: BinnedRows,
+    node_rows: Sequence[np.ndarray],
+    node_counts: np.ndarray,
+    node_columns: Sequence[np.ndarray | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-weighted-impurity (column, threshold) of every node at once.
+
+    Node ``i`` has the rows ``node_rows[i]``, repeats allowed, the integer
+    class counts ``node_counts[i]``, and the ascending candidate columns
+    ``node_columns[i]``, or None for every column.  A node's boundaries
+    are scored in bin order, so its first minimum is the lowest column,
+    then the lowest threshold.  Returns the columns, ``LEAF`` for a node
+    with no usable threshold, and the thresholds.
+    """
+    split_column = np.full(len(node_rows), LEAF, dtype=np.int64)
+    split_threshold = np.zeros(len(node_rows))
+    node, column, lower, upper, left = _boundaries(
+        binned, node_rows, node_counts, node_columns
+    )
+    if node.size == 0:
+        return split_column, split_threshold
+
+    counts = np.take(node_counts.T, node, axis=1)
+    n_rows = node_counts.sum(axis=1)[node]
+    n_left = left.sum(axis=0)
+    n_right = n_rows - n_left
+    # One _gini_rows call for the left then the right children: a C-ordered
+    # (rows, classes) array, as the sort search passed, so each row's sum
+    # of squared shares rounds as it did there.
+    impurity = _gini_rows(
+        np.concatenate([left, counts - left], axis=1).T.astype(np.float64, order="C")
+    )
+    weighted = (
+        n_left * impurity[: node.size] + n_right * impurity[node.size :]
+    ) / n_rows
+
+    midpoints = 0.5 * (lower + upper)
+    # A midpoint that rounds up onto the right-hand value (adjacent floats)
+    # would send every row left, so it is no candidate.
+    weighted[midpoints >= upper] = np.inf
+
+    # Each node's first minimum: its boundaries are one run, in bin order.
+    starts_node = np.concatenate([[True], node[1:] != node[:-1]])
+    first = np.flatnonzero(starts_node)
+    lowest = np.minimum.reduceat(weighted, first)
+    at_lowest = np.flatnonzero(weighted == lowest[np.cumsum(starts_node) - 1])
+    best = at_lowest[np.searchsorted(at_lowest, first)][lowest != np.inf]
+    split_column[node[best]] = column[best]
+    split_threshold[node[best]] = midpoints[best]
+    return split_column, split_threshold
+
+
 def _best_split(
     binned: BinnedRows,
     rows: np.ndarray,
     node_counts: np.ndarray,
     columns: np.ndarray,
 ) -> tuple[int, float] | None:
-    """Lowest-weighted-impurity (column, threshold) over ``columns``.
+    """:func:`_best_splits` for one node: its (column, threshold), or None
+    when no candidate column has a usable threshold on ``rows``."""
+    column, threshold = _best_splits(binned, [rows], node_counts[None], [columns])
+    if column[0] == LEAF:
+        return None
+    return int(column[0]), float(threshold[0])
 
-    ``rows`` are the node's rows, repeats allowed, ``node_counts`` their
-    integer class counts, and ``columns`` the ascending candidate columns.
-    One ``bincount`` of the node's nonzero entries fills every bin's class
-    counts, and each column's zero bin gets the rest of the node.  The
-    boundaries between candidate bins present in the node are scored in
-    bin order, so the first minimum is the lowest column, then the lowest
-    threshold.  Returns None when no candidate column has a usable
-    threshold on ``rows``.
+
+def _route(
+    binned: BinnedRows,
+    node_rows: Sequence[np.ndarray],
+    column: np.ndarray,
+    threshold: np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Split every node ``i`` on ``row[column[i]] <= threshold[i]``.
+
+    Returns the children's rows, node ``i``'s left child at ``2 * i`` and
+    its right child at ``2 * i + 1``, each in its parent's row order, and
+    their class counts as a ``(2 * n_nodes, n_classes)`` array.
     """
-    n_rows = rows.shape[0]
-    n_classes, n_columns = node_counts.shape[0], binned.n_columns
-    n_bins = binned.bin_value.shape[0]
-    starts = binned.indptr[rows]
-    lengths = binned.indptr[rows + 1] - starts
-    ends = np.cumsum(lengths)
-    entries = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
-    hist = np.bincount(binned.entry_code[entries], minlength=n_classes * n_bins)
-    nonzero = np.bincount(
-        binned.entry_column_code[entries], minlength=n_classes * n_columns
+    n_nodes, n_classes = len(node_rows), binned.n_classes
+    rows = np.concatenate(node_rows)
+    node_of_row = np.repeat(np.arange(n_nodes), [r.shape[0] for r in node_rows])
+    # Each node's split column for every training row, zeros included.
+    starts = binned.column_ptr[column]
+    lengths = binned.column_ptr[column + 1] - starts
+    entries = _ranges(starts, lengths)
+    values = np.zeros((n_nodes, binned.n_rows))
+    values[np.repeat(np.arange(n_nodes), lengths), binned.column_rows[entries]] = (
+        binned.column_values[entries]
     )
-    hist[binned.zero_code] = np.repeat(node_counts, n_columns) - nonzero
-    hist = hist.reshape(n_classes, n_bins)
+    goes_left = values[node_of_row, rows] <= threshold[node_of_row]
+    counts = np.bincount(
+        (2 * node_of_row + ~goes_left) * n_classes + binned.y[rows],
+        minlength=2 * n_nodes * n_classes,
+    ).reshape(2 * n_nodes, n_classes)
+    # Masking keeps the rows grouped by node, each group in its order.
+    left, right = rows[goes_left], rows[~goes_left]
+    sizes = counts.sum(axis=1)
+    left_ends = np.cumsum(sizes[0::2]).tolist()
+    right_ends = np.cumsum(sizes[1::2]).tolist()
+    children = []
+    for a, b, c, d in zip([0] + left_ends, left_ends, [0] + right_ends, right_ends):
+        children += (left[a:b], right[c:d])
+    return children, counts
 
-    present = hist.any(axis=0)
-    if columns.shape[0] < n_columns:
-        candidate = np.zeros(n_columns, dtype=bool)
-        candidate[columns] = True
-        present &= candidate[binned.bin_column]
-    present = np.flatnonzero(present)
-    column = binned.bin_column[present]
-    boundary = np.flatnonzero(column[:-1] == column[1:])
-    if boundary.size == 0:
+
+class _Growth:
+    """One tree being grown: its nodes so far and its stack of nodes to make."""
+
+    __slots__ = ("column", "threshold", "right", "counts", "stack", "sampler")
+
+    def __init__(self, rows: np.ndarray, counts: np.ndarray, sampler) -> None:
+        self.column, self.threshold, self.right, self.counts = [], [], [], []
+        # Entries are (rows, class counts, depth, parent whose right child
+        # this is).  The left child is pushed last and popped first, so
+        # nodes are made, and the sampler is called, in depth-first
+        # preorder: a left child is always the node right after its parent.
+        self.stack = [(rows, counts, 0, LEAF)]
+        self.sampler = sampler
+
+    def next_attempt(self, max_depth: int | None, min_samples_split: int):
+        """Make nodes up to the next one to try to split; returns it as
+        (node, rows, class counts, depth, candidate columns or None), or
+        None once the tree is complete."""
+        while self.stack:
+            rows, counts, depth, parent = self.stack.pop()
+            node = len(self.column)
+            if parent != LEAF:
+                self.right[parent] = node
+            self.counts.append(counts)
+            self.column.append(LEAF)
+            self.threshold.append(0.0)
+            self.right.append(LEAF)
+            if (
+                (max_depth is not None and depth >= max_depth)
+                or rows.shape[0] < min_samples_split
+                or np.count_nonzero(counts) == 1
+            ):
+                continue
+            columns = None if self.sampler is None else self.sampler()
+            return node, rows, counts, depth, columns
         return None
 
-    # Every column's bins hold the whole node, so the running count over
-    # all bins before column c is c times the node's counts.
-    left = (
-        hist.cumsum(axis=1)[:, present[boundary]].T
-        - column[boundary, None] * node_counts
-    )
-    n_left = left.sum(axis=1)
-    n_right = n_rows - n_left
-    # One _gini_rows call for the left then the right children: a C-ordered
-    # (rows, classes) array, as the sort search passed, so each row's sum
-    # of squared shares rounds as it did there.
-    impurity = _gini_rows(
-        np.concatenate([left, node_counts - left]).astype(np.float64)
-    )
-    weighted = (
-        n_left * impurity[: boundary.size] + n_right * impurity[boundary.size :]
-    ) / n_rows
+    def tree(self, n_classes: int) -> Tree:
+        column = np.array(self.column, dtype=np.int64)
+        return Tree(
+            column=column,
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.where(column == LEAF, LEAF, np.arange(column.size) + 1),
+            right=np.array(self.right, dtype=np.int64),
+            counts=np.array(self.counts, dtype=np.float64).reshape(
+                column.size, n_classes
+            ),
+        )
 
-    value = binned.bin_value[present]
-    upper = value[boundary + 1]
-    midpoints = 0.5 * (value[boundary] + upper)
-    # A midpoint that rounds up onto the right-hand value (adjacent floats)
-    # would send every row left, so it is no candidate.
-    weighted[midpoints >= upper] = np.inf
-    best = int(np.argmin(weighted))
-    if weighted[best] == np.inf:
-        return None
-    return int(column[boundary[best]]), float(midpoints[best])
+
+def _batches(attempts: list) -> list[list]:
+    """``attempts`` cut into runs of at most :data:`SEARCH_ROWS` rows, or
+    of one node where a node alone has more."""
+    batches, n_rows = [], 0
+    for attempt in attempts:
+        size = attempt[1][1].shape[0]
+        if not batches or n_rows + size > SEARCH_ROWS:
+            batches.append([])
+            n_rows = 0
+        batches[-1].append(attempt)
+        n_rows += size
+    return batches
+
+
+def _split_batch(binned: BinnedRows, batch: list) -> None:
+    """Search the (growth, attempt) pairs of ``batch`` at once, and push
+    the children of every node that splits onto its growth's stack."""
+    growths, attempts = zip(*batch)
+    nodes, node_rows, node_counts, depths, node_columns = zip(*attempts)
+    column, threshold = _best_splits(
+        binned, node_rows, np.array(node_counts), node_columns
+    )
+    split = np.flatnonzero(column != LEAF).tolist()
+    if not split:
+        return
+    children, counts = _route(
+        binned, [node_rows[i] for i in split], column[split], threshold[split]
+    )
+    for k, i in enumerate(split):
+        growth, node, depth = growths[i], nodes[i], depths[i]
+        growth.column[node] = int(column[i])
+        growth.threshold[node] = float(threshold[i])
+        growth.stack.append((children[2 * k + 1], counts[2 * k + 1], depth + 1, node))
+        growth.stack.append((children[2 * k], counts[2 * k], depth + 1, LEAF))
+
+
+def _grow_group(
+    binned: BinnedRows,
+    members: list[tuple[np.ndarray, object]],
+    max_depth: int | None,
+    min_samples_split: int,
+) -> list[Tree]:
+    """Grow the (rows, column sampler) ``members`` in lockstep: each step
+    searches every unfinished tree's next node to try."""
+    growths = [
+        _Growth(rows, np.bincount(binned.y[rows], minlength=binned.n_classes), sampler)
+        for rows, sampler in members
+    ]
+    active = growths
+    while active:
+        attempts = [(g, g.next_attempt(max_depth, min_samples_split)) for g in active]
+        attempts = [(g, a) for g, a in attempts if a is not None]
+        for batch in _batches(attempts):
+            _split_batch(binned, batch)
+        active = [g for g, _ in attempts]
+    return [g.tree(binned.n_classes) for g in growths]
+
+
+def grow_trees(
+    binned: BinnedRows,
+    members,
+    *,
+    max_depth: int | None = None,
+    min_samples_split: int = 2,
+) -> list[Tree]:
+    """Grow one tree per (rows, column sampler) pair of ``members``.
+
+    Each tree is the one :func:`grow_tree` grows from its pair, node for
+    node.  ``members`` may be a lazy iterable: it is read
+    :data:`GROW_GROUP` pairs at a time, and each group is grown in
+    lockstep before the next is read.
+    """
+    if max_depth is not None and max_depth < 0:
+        raise HyperparameterError(f"max_depth must be non-negative, got {max_depth}")
+    if min_samples_split < 2:
+        raise HyperparameterError(
+            f"min_samples_split must be at least 2, got {min_samples_split}"
+        )
+    trees: list[Tree] = []
+    members = iter(members)
+    while group := list(islice(members, GROW_GROUP)):
+        if any(rows.shape[0] == 0 for rows, _ in group):
+            raise ValueError("cannot grow a tree on an empty training set")
+        trees += _grow_group(binned, group, max_depth, min_samples_split)
+    return trees
 
 
 def grow_tree(
@@ -286,59 +588,15 @@ def grow_tree(
     and must return the sorted candidate columns for that split; ensemble
     trainers use it to restrict each split to a random subset.
     """
-    if max_depth is not None and max_depth < 0:
-        raise HyperparameterError(f"max_depth must be non-negative, got {max_depth}")
-    if min_samples_split < 2:
-        raise HyperparameterError(
-            f"min_samples_split must be at least 2, got {min_samples_split}"
-        )
     if rows is None:
         rows = np.arange(binned.n_rows)
-    if rows.shape[0] == 0:
-        raise ValueError("cannot grow a tree on an empty training set")
-
-    all_columns = np.arange(binned.n_columns)
-    column, threshold, right, counts = [], [], [], []
-    # Entries are (rows, depth, parent whose right child this is).  The left
-    # child is pushed last and popped first, so nodes are made, and the
-    # sampler is called, in depth-first preorder: a left child is always
-    # the node right after its parent.
-    stack = [(rows, 0, LEAF)]
-    while stack:
-        rows, depth, parent = stack.pop()
-        node = len(column)
-        if parent != LEAF:
-            right[parent] = node
-        node_counts = np.bincount(binned.y[rows], minlength=binned.n_classes)
-        counts.append(node_counts)
-        column.append(LEAF)
-        threshold.append(0.0)
-        right.append(LEAF)
-        if (
-            (max_depth is not None and depth >= max_depth)
-            or rows.shape[0] < min_samples_split
-            or np.count_nonzero(node_counts) == 1
-        ):
-            continue
-        columns = all_columns if column_sampler is None else column_sampler()
-        split = _best_split(binned, rows, node_counts, columns)
-        if split is None:
-            continue
-        column[node], threshold[node] = split
-        goes_left = binned.column(column[node])[rows] <= threshold[node]
-        stack.append((rows[~goes_left], depth + 1, node))
-        stack.append((rows[goes_left], depth + 1, LEAF))
-
-    column = np.array(column, dtype=np.int64)
-    return Tree(
-        column=column,
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.where(column == LEAF, LEAF, np.arange(column.size) + 1),
-        right=np.array(right, dtype=np.int64),
-        counts=np.array(counts, dtype=np.float64).reshape(
-            column.size, binned.n_classes
-        ),
+    (tree,) = grow_trees(
+        binned,
+        [(rows, column_sampler)],
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
     )
+    return tree
 
 
 def bin_training_set(training: TrainingSet) -> BinnedRows:

@@ -145,6 +145,27 @@ class TestMaxentTraining:
         with pytest.raises(TrainingError, match="diverged"):
             train_maxent(make_toy_training_set(), eta=1e6, epochs=300)
 
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_matches_the_per_epoch_reference_loop(self, n_classes):
+        """A fit builds its targets once; descending with the public
+        ``maxent_loss_and_grad``, which rebuilds them on every call, gives
+        the same weights, bias and loss trace bit for bit."""
+        training = random_training_set(7 + n_classes, 60, n_classes, "tfidf")
+        eta, lam, epochs = 0.5, 1e-3, 40
+        x_dense, y = training.matrix.toarray(), training.y()
+        weights = np.zeros((n_classes, training.matrix.n_terms))
+        bias = np.zeros(n_classes)
+        loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
+        trace = [loss]
+        for _ in range(epochs):
+            weights, bias = weights - eta * grad_w, bias - eta * grad_b
+            loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
+            trace.append(loss)
+        model = train_maxent(training, eta=eta, lam=lam, epochs=epochs)
+        np.testing.assert_array_equal(model.weights, weights)
+        np.testing.assert_array_equal(model.bias, bias)
+        assert model.loss_trace == tuple(trace)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"eta": 0.0}, {"eta": -0.1}, {"lam": -1e-3}, {"epochs": -1}],

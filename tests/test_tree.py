@@ -5,8 +5,9 @@ against a brute-force enumeration of every (column, threshold) candidate,
 so the histogram split search inside the package is validated by an
 independent, obviously-correct implementation.  A second oracle, the
 earlier one-column-at-a-time sort search, pins the exact split and whole
-tree the histogram search must reproduce, tie-breaks included, for single
-trees and for every bagging and random-forest member.
+tree the histogram search must reproduce, tie-breaks included: node by
+node in random batches, and for single trees and every bagging and
+random-forest member grown in lockstep.
 """
 
 import numpy as np
@@ -22,16 +23,20 @@ from tweetsent.models import (
     train_decision_tree,
     train_random_forest,
 )
+from tweetsent.models import ensemble as ensemble_module
 from tweetsent.models import tree as tree_module
 from tweetsent.models.tree import (
     LEAF,
     DecisionTreeModel,
     Tree,
     _best_split,
+    _best_splits,
     _gini_rows,
     bin_rows,
     gini_impurity,
     grow_tree,
+    grow_trees,
+    stack_trees,
 )
 
 
@@ -132,16 +137,63 @@ def grow(x, y, n_classes, **kwargs):
     return grow_tree(binned_rows(x, y, n_classes), **kwargs)
 
 
+def reference_search(x, y, n_classes):
+    """A stand-in for the batched search that answers each node of a batch
+    with ``reference_best_split`` on dense rows ``x``."""
+    all_columns = np.arange(x.shape[1])
+
+    def search(binned, node_rows, node_counts, node_columns):
+        column = np.full(len(node_rows), LEAF)
+        threshold = np.zeros(len(node_rows))
+        for i, (rows, columns) in enumerate(zip(node_rows, node_columns)):
+            split = reference_best_split(
+                x, y, n_classes, rows, all_columns if columns is None else columns
+            )
+            if split is not None:
+                column[i], threshold[i] = split
+        return column, threshold
+
+    return search
+
+
 def reference_tree(monkeypatch, x, y, n_classes, **kwargs):
     """A tree grown on dense rows ``x`` with ``reference_best_split`` in
     place of the histogram search."""
-
-    def search(binned, rows, node_counts, columns):
-        return reference_best_split(x, y, n_classes, rows, columns)
-
     with monkeypatch.context() as patch:
-        patch.setattr(tree_module, "_best_split", search)
+        patch.setattr(tree_module, "_best_splits", reference_search(x, y, n_classes))
         return grow(x, y, n_classes, **kwargs)
+
+
+def reference_grow(x, y, n_classes, *, rows=None, column_sampler=None):
+    """A tree grown recursively, node by node in preorder, with
+    ``reference_best_split``: an engine-independent oracle for the whole
+    tree and, through ``column_sampler``, for the order of its calls."""
+    nodes = []  # [column, threshold, left, right, counts]
+
+    def grow(rows):
+        node = len(nodes)
+        counts = np.bincount(y[rows], minlength=n_classes)
+        nodes.append([LEAF, 0.0, LEAF, LEAF, counts])
+        if rows.shape[0] < 2 or np.count_nonzero(counts) == 1:
+            return node
+        columns = np.arange(x.shape[1]) if column_sampler is None else column_sampler()
+        split = reference_best_split(x, y, n_classes, rows, columns)
+        if split is not None:
+            goes_left = x[rows, split[0]] <= split[1]
+            nodes[node][:2] = split
+            nodes[node][2] = grow(rows[goes_left])
+            nodes[node][3] = grow(rows[~goes_left])
+        return node
+
+    grow(np.arange(y.shape[0]) if rows is None else rows)
+    column, threshold, left, right, counts = zip(*nodes)
+    return Tree(
+        column=np.array(column),
+        threshold=np.array(threshold),
+        left=np.array(left),
+        right=np.array(right),
+        counts=np.array(counts, dtype=np.float64),
+    )
 
 
 def flatten_tree(tree):
@@ -343,6 +395,124 @@ class TestSplitSearchMatchesPerColumnReference:
                     monkeypatch, x[rows], y[rows], 3, column_sampler=sampler
                 )
                 assert flatten_tree(member) == flatten_tree(reference)
+
+
+class TestLockstepGrowth:
+    """Growing many trees at once changes no tree, no sampler call and no
+    prediction."""
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(count_matrix, 61), (tfidf_matrix, 62), (adjacent_float_matrix, 63)],
+        ids=["counts", "tfidf", "adjacent-floats"],
+    )
+    def test_batched_search_equals_the_reference_node_by_node(self, make, seed):
+        """Random batches mixing node sizes, bootstrap repeats, column
+        subsets and all columns, and nodes with no usable threshold: every
+        node gets the reference's exact (column, threshold)."""
+        rng = np.random.default_rng(seed)
+        found = unsplittable = 0
+        for _ in range(80):
+            n_rows = int(rng.integers(2, 40))
+            n_cols = int(rng.integers(1, 10))
+            n_classes = int(rng.integers(2, 4))
+            x = make(rng, n_rows, n_cols)
+            y = rng.integers(0, n_classes, size=n_rows)
+            node_rows, node_columns = [], []
+            for _ in range(int(rng.integers(1, 9))):
+                size = int(rng.integers(1, 2 * n_rows))
+                # One row, repeated or not, has no threshold at all.
+                rows = rng.integers(0, n_rows, size=size) if rng.random() < 0.8 else (
+                    np.full(size, rng.integers(0, n_rows))
+                )
+                node_rows.append(rows)
+                if rng.random() < 0.5:
+                    node_columns.append(None)
+                else:
+                    k = int(rng.integers(1, n_cols + 1))
+                    node_columns.append(np.sort(rng.choice(n_cols, size=k, replace=False)))
+            node_counts = np.array([np.bincount(y[r], minlength=n_classes) for r in node_rows])
+            column, threshold = _best_splits(
+                binned_rows(x, y, n_classes), node_rows, node_counts, node_columns
+            )
+            for i, (rows, columns) in enumerate(zip(node_rows, node_columns)):
+                if columns is None:
+                    columns = np.arange(n_cols)
+                expected = reference_best_split(x, y, n_classes, rows, columns)
+                got = None if column[i] == LEAF else (int(column[i]), float(threshold[i]))
+                assert got == expected
+                found += expected is not None
+                unsplittable += expected is None
+        assert found >= 150 and unsplittable >= 30
+
+    @pytest.mark.parametrize("make", [count_matrix, adjacent_float_matrix])
+    def test_every_member_calls_its_sampler_as_a_reference_grow(self, make):
+        """Each member's sampler is called as often, with the same draws,
+        as by a recursive preorder grow of that member alone with the
+        reference search, and the trees agree."""
+        rng = np.random.default_rng(71)
+        x = make(rng, 60, 12)
+        y = rng.integers(0, 3, size=60)
+        n_members = 9
+        member_rows = [rng.integers(0, 60, size=60) for _ in range(n_members)]
+
+        def logged(log, member):
+            draws = np.random.default_rng(member)
+
+            def sampler():
+                log.append(np.sort(draws.choice(12, size=4, replace=False)))
+                return log[-1]
+
+            return sampler
+
+        logs = [[] for _ in range(n_members)]
+        trees = grow_trees(
+            binned_rows(x, y, 3),
+            [(rows, logged(log, m)) for m, (rows, log) in enumerate(zip(member_rows, logs))],
+        )
+        for m, rows in enumerate(member_rows):
+            alone = []
+            reference = reference_grow(x, y, 3, rows=rows, column_sampler=logged(alone, m))
+            assert flatten_tree(trees[m]) == flatten_tree(reference)
+            assert len(logs[m]) == len(alone) > 1
+            assert all(np.array_equal(a, b) for a, b in zip(logs[m], alone))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("trainer", [train_bagging, train_random_forest])
+    def test_results_do_not_depend_on_group_and_chunk_sizes(
+        self, monkeypatch, trainer, size
+    ):
+        """Growing one or two trees at a time, searching batches of one or
+        two rows' worth of nodes, and walking one or two rows at a time give
+        the same members and the same scores as the default sizes."""
+        training = count_training_set(np.random.default_rng(81), 70, 12)
+        expected = trainer(training, n_members=5, seed=4)
+        expected_scores = expected.predict_batch(training.matrix)[1]
+        monkeypatch.setattr(tree_module, "GROW_GROUP", size)
+        monkeypatch.setattr(tree_module, "SEARCH_ROWS", size)
+        monkeypatch.setattr(ensemble_module, "WALK_CHUNK", size)
+        model = trainer(training, n_members=5, seed=4)
+        assert [flatten_tree(t) for t in model.members] == [
+            flatten_tree(t) for t in expected.members
+        ]
+        np.testing.assert_array_equal(model.predict_batch(training.matrix)[1], expected_scores)
+
+    def test_stacked_walk_equals_the_per_member_walk(self):
+        """Walking the stacked members from each root reaches each member's
+        own leaves, and the ensemble's vote shares tally the members'
+        walks."""
+        training = count_training_set(np.random.default_rng(91), 80, 12)
+        model = train_random_forest(training, n_members=7, seed=2)
+        x = training.matrix.toarray()
+        forest, roots = stack_trees(model.members)
+        assert forest.n_nodes == sum(t.n_nodes for t in model.members)
+        votes = np.zeros((x.shape[0], len(model.classes)))
+        for root, member in zip(roots, model.members):
+            leaves = member.apply(x)
+            stacked = forest.walk(x, np.arange(x.shape[0]), np.full(x.shape[0], root))
+            np.testing.assert_array_equal(stacked, root + leaves)
+            votes[np.arange(x.shape[0]), np.argmax(member.counts[leaves], axis=1)] += 1
+        np.testing.assert_array_equal(model.predict_batch(training.matrix)[1], votes / 7)
 
 
 class TestNodeCounts:
