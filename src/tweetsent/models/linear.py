@@ -55,12 +55,12 @@ class LinearModel(Classifier):
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _targets(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, tuple]:
-    """Labels ``y`` as one-hot rows, and as the (rows, labels) index of
-    every row's gold entry."""
-    gold = (np.arange(y.shape[0]), y)
+def _targets(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels ``y`` as one-hot rows, and the flat position in an
+    ``(n_docs, n_classes)`` array of every row's gold entry."""
+    gold = np.arange(y.shape[0]) * n_classes + y
     one_hot = np.zeros((y.shape[0], n_classes), dtype=np.float64)
-    one_hot[gold] = 1.0
+    one_hot.reshape(-1)[gold] = 1.0
     return one_hot, gold
 
 
@@ -85,23 +85,33 @@ def _maxent_step(
     bias: np.ndarray,
     x_dense: np.ndarray,
     one_hot: np.ndarray,
-    gold: tuple[np.ndarray, np.ndarray],
+    gold: np.ndarray,
     lam: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`maxent_loss_and_grad` with the labels as :func:`_targets`
-    gives them, which a fit builds once, not once per epoch."""
+    gives them, which a fit builds once, not once per epoch.
+
+    Each array made here is fresh, so the updates are applied in place.
+    ``x.sum() / n`` stands for ``x.mean()``: numpy's mean is that same sum
+    followed by that same divide, so every value is bit-identical.
+    """
     n_docs = x_dense.shape[0]
-    margins = x_dense @ weights.T + bias
-    shifted = margins - margins.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    loss = -float(log_probs[gold].mean())
+    margins = x_dense @ weights.T
+    margins += bias
+    margins -= margins.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(margins).sum(axis=1))
+    log_probs = margins
+    log_probs -= log_z[:, None]
+    loss = -float(log_probs.take(gold).sum() / n_docs)
     loss += 0.5 * lam * float((weights * weights).sum())
 
-    probs = np.exp(log_probs)
-    delta = probs - one_hot
-    grad_w = delta.T @ x_dense / n_docs + lam * weights
-    grad_b = delta.mean(axis=0)
+    delta = np.exp(log_probs)
+    delta -= one_hot
+    grad_w = delta.T @ x_dense
+    grad_w /= n_docs
+    grad_w += lam * weights
+    grad_b = delta.sum(axis=0)
+    grad_b /= n_docs
     return loss, grad_w, grad_b
 
 
@@ -138,23 +148,25 @@ def train_maxent(
     bias = np.zeros(n_classes, dtype=np.float64)
 
     one_hot, gold = _targets(y, n_classes)
-    loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, one_hot, gold, lam)
-    trace = [loss]
-    for epoch in range(epochs):
-        # A diverging fit overflows to inf and then NaN; the finite-loss
-        # check reports it, so numpy need not warn on the way.
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = weights - eta * grad_w
-            bias = bias - eta * grad_b
+    # A diverging fit overflows to inf and then NaN; the finite-loss check
+    # reports it, so numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, one_hot, gold, lam)
+        trace = [loss]
+        for epoch in range(epochs):
+            grad_w *= eta
+            weights -= grad_w
+            grad_b *= eta
+            bias -= grad_b
             loss, grad_w, grad_b = _maxent_step(
                 weights, bias, x_dense, one_hot, gold, lam
             )
-        if not math.isfinite(loss):
-            raise TrainingError(
-                f"logistic regression diverged at epoch {epoch + 1} "
-                f"(loss is not finite); lower eta={eta} or lam={lam}"
-            )
-        trace.append(loss)
+            if not math.isfinite(loss):
+                raise TrainingError(
+                    f"logistic regression diverged at epoch {epoch + 1} "
+                    f"(loss is not finite); lower eta={eta} or lam={lam}"
+                )
+            trace.append(loss)
 
     return LinearModel(
         kind=MAXENT,
@@ -183,13 +195,26 @@ def train_linear_svm(
     before each update.  The scaling is tracked as a scalar factor so each
     step touches only the active classes and the document's nonzero columns.
 
-    Pegasos is sequential, so each step is kept small: one numpy product
-    for the margins, ``accum[:, cols] @ wts``, and one vector update per
-    active class.  The scalar work (margins from the product, the hinge
-    test, the step size and the bias) is done on Python floats, which are
-    the same IEEE doubles numpy would use, so the fit is bit-identical to
-    the array-per-step form kept as the reference in the tests.  A ``lam``
-    so small that the steps overflow leaves non-finite weights, which raise
+    Pegasos is sequential, so each step is kept to few numpy calls.  W is
+    one flat vector ``accum`` of ``n_classes * n_terms`` values, and each
+    document brings, built once per fit, the flat position of each of its
+    terms in each class's row.  A step takes those entries with one
+    ``take`` and multiplies them by the document's weights with one
+    ``dot``, then adds one vector to each active class's entries.  The
+    scalar work (margins from the product, the hinge test, the step size
+    and the bias) is done on Python floats, which are the same IEEE doubles
+    numpy would use, in the same order, so the fit is bit-identical to the
+    array-per-step form kept as the reference in the tests.
+
+    The product must stay one BLAS ``dot`` on the ``(n_classes, k)`` block,
+    the same matrix-vector call as ``accum[:, cols] @ wts``.  OpenBLAS sums
+    with fused multiply-adds, so a sum of products over Python floats
+    rounds differently: 214 of 900 random two-term products (numpy 2.4,
+    OpenBLAS, x86-64) differed in the last bit.  A product only enters the
+    hinge test, so such a difference changes a model only when a margin
+    falls within a rounding of 1; no fit in the tests or on the benchmark
+    inputs hit one, but nothing rules it out.  A ``lam`` so small that the
+    steps overflow leaves non-finite weights, which raise
     :class:`TrainingError` after the last step.
     """
     if lam <= 0:
@@ -207,27 +232,32 @@ def train_linear_svm(
     matrix = training.matrix
     n_docs = matrix.n_docs
     n_classes = len(training.classes)
+    n_terms = matrix.n_terms
 
-    # Per document: its nonzero (columns, weights), or None when it has no
-    # terms, and signs[c] = +1.0 when it belongs to class c, else -1.0.
+    # Per document: flat, its (n_classes, k) positions in accum, and
+    # flat_rows, that array's rows (row c holds class c's positions for its
+    # k terms); wts, its k term weights; all three None when it has no
+    # terms; and its (class, sign) pairs, where the sign is +1.0 for its own
+    # class and -1.0 for every other.
+    offsets = np.arange(n_classes)[:, None] * n_terms
     indptr = matrix.indptr.tolist()
     docs = []
     for i, label in enumerate(training.y().tolist()):
         start, stop = indptr[i], indptr[i + 1]
-        terms = (
-            (matrix.indices[start:stop], matrix.data[start:stop])
-            if stop > start
-            else None
-        )
-        signs = [-1.0] * n_classes
-        signs[label] = 1.0
-        docs.append((terms, signs))
+        if stop > start:
+            flat = offsets + matrix.indices[start:stop]
+            flat_rows = list(flat)
+            wts = matrix.data[start:stop]
+        else:
+            flat = flat_rows = wts = None
+        pairs = [(c, 1.0 if c == label else -1.0) for c in range(n_classes)]
+        docs.append((flat, flat_rows, wts, pairs))
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     # W is represented as scale * accum to keep the per-step shrink O(1).
     scale = 1.0
-    accum = np.zeros((n_classes, matrix.n_terms), dtype=np.float64)
-    rows = list(accum)  # views: rows[c][cols] += ... updates accum in place
+    accum = np.zeros(n_classes * n_terms, dtype=np.float64)
+    take = accum.take
     bias = [0.0] * n_classes
 
     t = 0
@@ -237,27 +267,31 @@ def train_linear_svm(
         for _ in range(epochs):
             for i in rng.permutation(n_docs).tolist():
                 t += 1
-                eta = 1.0 / (lam * t)
-                terms, signs = docs[i]
-                if terms is None:
-                    margins = bias
+                flat, flat_rows, wts, pairs = docs[i]
+                if wts is None:
+                    active = [(c, s) for (c, s), b in zip(pairs, bias) if s * b < 1.0]
                 else:
-                    cols, wts = terms
-                    products = (accum[:, cols] @ wts).tolist()
-                    margins = [scale * p + b for p, b in zip(products, bias)]
-                active = [c for c in range(n_classes) if signs[c] * margins[c] < 1.0]
+                    products = take(flat).dot(wts).tolist()
+                    active = [
+                        (c, s)
+                        for (c, s), p, b in zip(pairs, products, bias)
+                        if s * (scale * p + b) < 1.0
+                    ]
 
                 # At t == 1 the shrink factor 1 - 1/t is 0, which would wipe
                 # W, but W is still zero then.
                 if t > 1:
                     scale *= 1.0 - 1.0 / t
 
-                for c in active:
-                    step = eta * signs[c]
-                    if terms is not None:
-                        rows[c][cols] += (step / scale) * wts
-                    bias[c] += step
-        weights = scale * accum
+                # About half the steps of a fit leave every class inactive.
+                if active:
+                    eta = 1.0 / (lam * t)
+                    for c, s in active:
+                        step = eta * s
+                        if wts is not None:
+                            accum[flat_rows[c]] += (step / scale) * wts
+                        bias[c] += step
+        weights = scale * accum.reshape(n_classes, n_terms)
 
     if not (np.isfinite(weights).all() and all(map(math.isfinite, bias))):
         raise TrainingError(

@@ -6,12 +6,16 @@ with central differences at randomly drawn parameter points and demands
 near machine-precision agreement.  The SVM suite checks behavioural
 contracts (fit quality, seeding, class requirements) and pins the fit bit
 for bit to the earlier array-per-step Pegasos loop, kept here as an oracle.
+Both fits are also pinned to the earlier array forms of their arithmetic:
+"bit for bit" means equal bytes, since ``np.array_equal`` counts
+``-0.0 == 0.0``.
 """
 
 import numpy as np
 import pytest
 
 from tweetsent.datagen import make_toy_training_set
+from tweetsent.evaluation import k_fold_split
 from tweetsent.exceptions import TrainingError
 from tweetsent.features import (
     DocTermMatrix,
@@ -60,6 +64,27 @@ def _max_relative_gradient_error(x_dense, y, weights, bias, lam, h=1e-5):
         worst = max(worst, gap)
 
     return worst
+
+
+def reference_maxent_loss_and_grad(weights, bias, x_dense, y, lam):
+    """The earlier loss and gradient, kept verbatim in its arithmetic: a
+    fresh array for every intermediate and ``.mean()`` for the averages."""
+    n_docs = x_dense.shape[0]
+    gold = (np.arange(n_docs), y)
+    one_hot = np.zeros((n_docs, weights.shape[0]))
+    one_hot[gold] = 1.0
+    margins = x_dense @ weights.T + bias
+    shifted = margins - margins.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    log_probs = shifted - log_z[:, None]
+    loss = -float(log_probs[gold].mean())
+    loss += 0.5 * lam * float((weights * weights).sum())
+
+    probs = np.exp(log_probs)
+    delta = probs - one_hot
+    grad_w = delta.T @ x_dense / n_docs + lam * weights
+    grad_b = delta.mean(axis=0)
+    return loss, grad_w, grad_b
 
 
 class TestMaxentGradient:
@@ -162,9 +187,47 @@ class TestMaxentTraining:
             loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
             trace.append(loss)
         model = train_maxent(training, eta=eta, lam=lam, epochs=epochs)
-        np.testing.assert_array_equal(model.weights, weights)
-        np.testing.assert_array_equal(model.bias, bias)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
         assert model.loss_trace == tuple(trace)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_loss_and_grad_match_the_earlier_array_formula(self, n_classes):
+        """The public loss and gradient equal, to the byte, the formula
+        with fresh arrays and ``.mean()`` that the in-place one replaced,
+        at random points with and without the ridge penalty."""
+        training = random_training_set(20 + n_classes, 60, n_classes, "tfidf")
+        x_dense, y = training.matrix.toarray(), training.y()
+        rng = np.random.default_rng(n_classes)
+        for lam in (0.0, 1e-3, 0.3):
+            weights = rng.normal(scale=2.0, size=(n_classes, training.matrix.n_terms))
+            bias = rng.normal(size=n_classes)
+            got = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
+            want = reference_maxent_loss_and_grad(weights, bias, x_dense, y, lam)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    def test_divergence_is_reported_at_the_reference_epoch(self):
+        """The fit raises at the first epoch whose loss the per-epoch
+        reference loop finds not finite."""
+        training = make_toy_training_set()
+        eta, lam = 1e6, 1e-3
+        x_dense, y = training.matrix.toarray(), training.y()
+        weights = np.zeros((len(training.classes), training.matrix.n_terms))
+        bias = np.zeros(len(training.classes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
+            for epoch in range(1, 301):
+                weights, bias = weights - eta * grad_w, bias - eta * grad_b
+                loss, grad_w, grad_b = maxent_loss_and_grad(
+                    weights, bias, x_dense, y, lam
+                )
+                if not np.isfinite(loss):
+                    break
+        assert epoch < 300
+        with pytest.raises(TrainingError, match=f"diverged at epoch {epoch} "):
+            train_maxent(training, eta=eta, lam=lam, epochs=300)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -225,13 +288,15 @@ def reference_train_linear_svm(training, *, lam, epochs, seed):
     return scale * accum, bias
 
 
-def random_training_set(seed, n_docs, n_classes, weighting):
-    """Seeded documents over a 40-word vocabulary, one in eight of them
-    empty (a row with no terms), labelled with ``n_classes`` classes."""
+def random_training_set(seed, n_docs, n_classes, weighting, n_words=40, max_terms=11):
+    """Seeded documents of 1 to ``max_terms`` word draws over an
+    ``n_words``-word vocabulary, one in eight of them empty (a row with no
+    terms), labelled with ``n_classes`` classes.  Among them are documents
+    with a single term."""
     rng = np.random.default_rng(seed)
-    words = [f"w{j}" for j in range(40)]
+    words = [f"w{j}" for j in range(n_words)]
     docs = [
-        tuple(rng.choice(words, size=rng.integers(1, 12)))
+        tuple(rng.choice(words, size=rng.integers(1, max_terms + 1)))
         if rng.random() >= 0.125
         else ()
         for _ in range(n_docs)
@@ -242,7 +307,8 @@ def random_training_set(seed, n_docs, n_classes, weighting):
     classes = list(SentimentLabel)[:n_classes]
     labels = [classes[i % n_classes] for i in range(n_docs)]
     labels = tuple(labels[i] for i in rng.permutation(n_docs))
-    assert any(stop == start for start, stop in zip(matrix.indptr, matrix.indptr[1:]))
+    lengths = np.diff(matrix.indptr).tolist()
+    assert 0 in lengths and 1 in lengths
     return TrainingSet(matrix=matrix, labels=labels)
 
 
@@ -260,8 +326,8 @@ class TestSvmMatchesReferenceLoop:
             weights, bias = reference_train_linear_svm(
                 training, lam=lam, epochs=8, seed=seed
             )
-            assert np.array_equal(model.weights, weights)
-            assert np.array_equal(model.bias, bias)
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.bias.tobytes() == bias.tobytes()
 
     @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
     def test_identical_when_every_class_is_active_every_step(self, weighting):
@@ -272,8 +338,52 @@ class TestSvmMatchesReferenceLoop:
         weights, bias = reference_train_linear_svm(training, lam=1e3, epochs=4, seed=5)
         x = training.matrix.toarray()
         assert (np.abs(x @ weights.T + bias) < 1.0).all()
-        assert np.array_equal(model.weights, weights)
-        assert np.array_equal(model.bias, bias)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_identical_over_a_wide_vocabulary(self, n_classes):
+        """Over 1500 terms, each class's block of the flat weight vector
+        starts more than 1500 entries after the previous one."""
+        training = random_training_set(
+            30 + n_classes, 150, n_classes, "tfidf", n_words=4000, max_terms=40
+        )
+        assert training.matrix.n_terms >= 1500
+        model = train_linear_svm(training, lam=1e-3, epochs=5, seed=n_classes)
+        weights, bias = reference_train_linear_svm(
+            training, lam=1e-3, epochs=5, seed=n_classes
+        )
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+    def test_identical_on_cross_validation_folds(self, weighting):
+        """A fold's training rows, taken from the full set as
+        cross-validation takes them, fit the same as in the reference."""
+        training = random_training_set(11, 80, 3, weighting)
+        for fold, (train_rows, _) in enumerate(k_fold_split(training.n_docs, 4)):
+            sub = training.take(train_rows)
+            model = train_linear_svm(sub, lam=0.01, epochs=6, seed=fold)
+            weights, bias = reference_train_linear_svm(
+                sub, lam=0.01, epochs=6, seed=fold
+            )
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+    def test_identical_when_documents_have_one_term_or_none(self, weighting):
+        """Every document has one term or none, so every product is a
+        single multiply by a one-entry weight vector."""
+        training = random_training_set(13, 60, 3, weighting, max_terms=1)
+        lengths = np.diff(training.matrix.indptr)
+        assert set(lengths.tolist()) == {0, 1}
+        for lam in (0.1, 1e-3):
+            model = train_linear_svm(training, lam=lam, epochs=8, seed=13)
+            weights, bias = reference_train_linear_svm(
+                training, lam=lam, epochs=8, seed=13
+            )
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.bias.tobytes() == bias.tobytes()
 
 
 class TestSvmTraining:
@@ -324,6 +434,30 @@ class TestSvmTraining:
         """Pegasos requires a positive regularizer and at least one epoch."""
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             train_linear_svm(make_toy_training_set(), **kwargs)
+
+
+class TestErrorStateIsRestored:
+    """A fit turns numpy's overflow and invalid-value warnings off for its
+    own loop only: the caller's error state is back after it returns and
+    after it raises."""
+
+    FITS = {
+        "maxent": (train_maxent, {"eta": 1e6, "epochs": 300}),
+        "svm": (train_linear_svm, {"lam": 5e-324}),
+    }
+
+    @pytest.mark.parametrize("kind", ["maxent", "svm"])
+    @pytest.mark.parametrize("diverges", [False, True])
+    def test_caller_error_state_survives_the_fit(self, kind, diverges):
+        trainer, diverging = self.FITS[kind]
+        with np.errstate(over="raise", invalid="print", divide="ignore"):
+            before = np.geterr()
+            if diverges:
+                with pytest.raises(TrainingError, match="diverged"):
+                    trainer(make_toy_training_set(), **diverging)
+            else:
+                trainer(make_toy_training_set())
+            assert np.geterr() == before
 
 
 class TestLinearModelContract:
