@@ -25,7 +25,7 @@ from .evaluation import score
 from .exceptions import ConfigError, DataError, TweetsentError
 from .models import load_model, save_model
 from .pipeline import (
-    DISPLAY_NAMES,
+    MODELS,
     RunConfig,
     compare_topics,
     evaluate_topic,
@@ -192,6 +192,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     f"no saved model at {path}; run the train subcommand first"
                 )
             model = load_model(path)
+            if model.kind != key:
+                raise DataError(
+                    f"{path}: holds a model of kind {model.kind!r}, "
+                    f"not the {key!r} model its name says"
+                )
             training = data.training_set(config.weighting[key])
             if tuple(model.terms) != training.matrix.vocab.terms:
                 raise DataError(
@@ -208,7 +213,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 {
                     "topic": data.topic,
                     "model": key,
-                    "display_name": DISPLAY_NAMES[key],
+                    "display_name": MODELS[key].display_name,
                     "precision": macro.precision,
                     "recall": macro.recall,
                     "fscore": macro.f1,

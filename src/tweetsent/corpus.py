@@ -117,10 +117,8 @@ def _validate_record(raw: dict, where: str) -> RawTweet:
 
 def _load_jsonl(path: Path) -> list[RawTweet]:
     tweets = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and line.startswith("﻿"):
-                line = line.lstrip("﻿")
             stripped = line.strip()
             if not stripped:
                 raise CorpusError(f"line {lineno}: blank line in JSONL corpus")
@@ -136,7 +134,7 @@ def _load_jsonl(path: Path) -> list[RawTweet]:
 
 def _load_csv(path: Path) -> list[RawTweet]:
     tweets = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return []  # zero-byte file: empty corpus
@@ -228,7 +226,7 @@ def load_stopwords(path: str | Path | None) -> frozenset[str]:
     if not path.is_file():
         raise CorpusError(f"stopword file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     words = set()

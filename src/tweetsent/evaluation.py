@@ -137,7 +137,8 @@ def per_class_metrics(cm: ConfusionMatrix) -> tuple[ClassMetrics, ...]:
     return tuple(precision_recall_f1(cm, label) for label in cm.classes)
 
 
-def macro_average(per_class: Sequence[ClassMetrics]) -> MacroMetrics:
+def macro_average(per_class: Sequence[ClassMetrics | MacroMetrics]) -> MacroMetrics:
+    """Unweighted means of the scores of each class (or of each fold)."""
     if not per_class:
         raise ValueError("cannot macro-average zero classes")
     return MacroMetrics(
@@ -254,10 +255,6 @@ def cross_validate(
         folds=tuple(fold_metrics),
         mean_accuracy=float(accuracies.mean()),
         std_accuracy=float(accuracies.std()),
-        mean_macro=MacroMetrics(
-            precision=float(np.mean([fm.macro.precision for fm in fold_metrics])),
-            recall=float(np.mean([fm.macro.recall for fm in fold_metrics])),
-            f1=float(np.mean([fm.macro.f1 for fm in fold_metrics])),
-        ),
+        mean_macro=macro_average([fm.macro for fm in fold_metrics]),
         warnings=tuple(warnings),
     )

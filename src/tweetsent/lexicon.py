@@ -112,7 +112,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     if not path.is_file():
         raise LexiconError(f"lexicon file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise LexiconError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     entries: dict[str, float] = {}

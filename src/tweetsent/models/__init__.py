@@ -8,15 +8,7 @@ from .ensemble import (
     train_bagging,
     train_random_forest,
 )
-from .io import (
-    DECISION_TREE,
-    FORMAT_VERSION,
-    NAIVE_BAYES,
-    Model,
-    load_model,
-    model_kind,
-    save_model,
-)
+from .io import FORMAT_VERSION, Model, load_model, model_kind, save_model
 from .linear import (
     MAXENT,
     SVM,
@@ -25,8 +17,9 @@ from .linear import (
     train_linear_svm,
     train_maxent,
 )
-from .naive_bayes import NaiveBayesModel, train_naive_bayes
+from .naive_bayes import NAIVE_BAYES, NaiveBayesModel, train_naive_bayes
 from .tree import (
+    DECISION_TREE,
     DecisionTreeModel,
     Tree,
     bin_training_set,

@@ -89,13 +89,15 @@ def member_rng(seed: int, member: int) -> np.random.Generator:
 class Classifier:
     """The one prediction path of every model.
 
-    Subclasses provide ``classes``, ``terms`` and one kernel, ``_scores(x)``,
-    which maps dense ``(n_docs, n_terms)`` rows to ``(n_docs, n_classes)``
-    scores: naive Bayes posteriors, linear margins (softmax for maxent), a
-    tree's leaf class shares or an ensemble's vote shares.  The predicted
-    class is a row's first highest score.
+    Subclasses provide ``kind`` (the ``model_kind`` their files carry),
+    ``classes``, ``terms`` and one kernel, ``_scores(x)``, which maps dense
+    ``(n_docs, n_terms)`` rows to ``(n_docs, n_classes)`` scores: naive
+    Bayes posteriors, linear margins (softmax for maxent), a tree's leaf
+    class shares or an ensemble's vote shares.  The predicted class is a
+    row's first highest score.
     """
 
+    kind: str
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
 

@@ -22,28 +22,19 @@ from ..exceptions import ModelFormatError
 from ..lexicon import SentimentLabel
 from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
 from .linear import MAXENT, SVM, LinearModel
-from .naive_bayes import NaiveBayesModel
-from .tree import LEAF, DecisionTreeModel, Tree
+from .naive_bayes import NAIVE_BAYES, NaiveBayesModel
+from .tree import DECISION_TREE, LEAF, DecisionTreeModel, Tree
 
 FORMAT_VERSION = 2
-
-NAIVE_BAYES = "naive_bayes"
-DECISION_TREE = "decision_tree"
 
 Model = NaiveBayesModel | LinearModel | DecisionTreeModel | EnsembleModel
 
 
 def model_kind(model: Model) -> str:
     """The ``model_kind`` tag a model serialises under."""
-    if isinstance(model, NaiveBayesModel):
-        return NAIVE_BAYES
-    if isinstance(model, LinearModel):
-        return model.kind
-    if isinstance(model, DecisionTreeModel):
-        return DECISION_TREE
-    if isinstance(model, EnsembleModel):
-        return model.kind
-    raise TypeError(f"cannot serialise object of type {type(model).__name__}")
+    if not isinstance(model, Model):
+        raise TypeError(f"cannot serialise object of type {type(model).__name__}")
+    return model.kind
 
 
 def _encode_tree(tree: Tree) -> dict:
@@ -178,7 +169,7 @@ def load_model(path: str | Path) -> Model:
     """Read a model document written by :func:`save_model`."""
     path = Path(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = json.loads(path.read_text(encoding="utf-8-sig"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(document, dict):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -10,7 +11,9 @@ from ..exceptions import HyperparameterError, TrainingError
 from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet
 
-__all__ = ["NaiveBayesModel", "train_naive_bayes"]
+__all__ = ["NAIVE_BAYES", "NaiveBayesModel", "train_naive_bayes"]
+
+NAIVE_BAYES = "naive_bayes"
 
 
 @dataclass(frozen=True)
@@ -21,6 +24,7 @@ class NaiveBayesModel(Classifier):
     vocabulary by construction.
     """
 
+    kind: ClassVar[str] = NAIVE_BAYES
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
     class_log_prior: np.ndarray  # (C,)

@@ -40,12 +40,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import ClassVar
 
 import numpy as np
 
 from ..exceptions import HyperparameterError
 from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet
+
+DECISION_TREE = "decision_tree"
 
 LEAF = -1
 
@@ -611,6 +614,7 @@ def bin_training_set(training: TrainingSet) -> BinnedRows:
 class DecisionTreeModel(Classifier):
     """A fitted classification tree over a fixed vocabulary."""
 
+    kind: ClassVar[str] = DECISION_TREE
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
     tree: Tree

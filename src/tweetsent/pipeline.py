@@ -21,7 +21,7 @@ import types
 import typing
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -45,6 +45,12 @@ from .features import (
 )
 from .lexicon import CANONICAL_LABELS, Lexicon, label_corpus, load_lexicon
 from .models import (
+    BAGGING,
+    DECISION_TREE,
+    MAXENT,
+    NAIVE_BAYES,
+    RANDOM_FOREST,
+    SVM,
     Model,
     TrainingSet,
     train_bagging,
@@ -57,48 +63,33 @@ from .models import (
 
 logger = logging.getLogger(__name__)
 
-MODEL_ORDER = (
-    "naive_bayes", "svm", "maxent", "decision_tree", "random_forest", "bagging",
-)
 
-DISPLAY_NAMES = {
-    "naive_bayes": "Naive Bayes",
-    "svm": "SVM",
-    "maxent": "MaxEnt",
-    "decision_tree": "Decision Tree",
-    "random_forest": "Random Forest",
-    "bagging": "Bagging",
-}
+@dataclass(frozen=True)
+class ModelSpec:
+    """How the pipeline runs one model kind: the name its report rows show,
+    its trainer, the feature weighting it trains on unless the config says
+    otherwise, and the hyperparameter defaults that override the trainer's
+    own."""
 
+    display_name: str
+    trainer: Callable[..., Model]
+    weighting: str
+    defaults: Mapping[str, object] = field(default_factory=dict)
+
+
+# Keyed by the ``model_kind`` of each model's files, in report order.
 # Count features suit the multinomial and tree models; the margin-based
 # models train on TF-IDF.
-DEFAULT_WEIGHTING = {
-    "naive_bayes": COUNTS,
-    "svm": TFIDF,
-    "maxent": TFIDF,
-    "decision_tree": COUNTS,
-    "random_forest": COUNTS,
-    "bagging": COUNTS,
+MODELS: Mapping[str, ModelSpec] = {
+    NAIVE_BAYES: ModelSpec("Naive Bayes", train_naive_bayes, COUNTS),
+    SVM: ModelSpec("SVM", train_linear_svm, TFIDF),
+    MAXENT: ModelSpec("MaxEnt", train_maxent, TFIDF, {"epochs": 300}),
+    DECISION_TREE: ModelSpec("Decision Tree", train_decision_tree, COUNTS),
+    RANDOM_FOREST: ModelSpec("Random Forest", train_random_forest, COUNTS),
+    BAGGING: ModelSpec("Bagging", train_bagging, COUNTS),
 }
-
-# Only the values that differ from the trainers' own defaults.
-DEFAULT_HYPER: dict[str, dict] = {"maxent": {"epochs": 300}}
-
-_TRAINERS: dict[str, Callable[..., Model]] = {
-    "naive_bayes": train_naive_bayes,
-    "svm": train_linear_svm,
-    "maxent": train_maxent,
-    "decision_tree": train_decision_tree,
-    "random_forest": train_random_forest,
-    "bagging": train_bagging,
-}
-
-_CONFIG_KEYS = frozenset(
-    {
-        "topics", "lexicon", "stopwords", "seed", "folds", "min_df",
-        "models", "weighting", "hyperparameters", "out_dir",
-    }
-)
+MODEL_ORDER = tuple(MODELS)
+DEFAULT_WEIGHTING = {key: spec.weighting for key, spec in MODELS.items()}
 
 
 @dataclass(frozen=True)
@@ -120,6 +111,9 @@ class RunConfig:
         return tuple(name for name, _ in self.topics)
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
+
+
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -134,12 +128,12 @@ def validate_config(config: RunConfig) -> RunConfig:
     _expect(config.seed >= 0, f"seed must be non-negative, got {config.seed}")
     _expect(len(config.models) > 0, "no models selected")
     for key in config.models:
-        _expect(key in MODEL_ORDER, f"unknown model {key!r}; choose from {', '.join(MODEL_ORDER)}")
+        _expect(key in MODELS, f"unknown model {key!r}; choose from {', '.join(MODELS)}")
     for key, value in config.weighting.items():
-        _expect(key in MODEL_ORDER, f"weighting given for unknown model {key!r}")
+        _expect(key in MODELS, f"weighting given for unknown model {key!r}")
         _expect(value in (COUNTS, TFIDF), f"weighting for {key} must be '{COUNTS}' or '{TFIDF}', got {value!r}")
     for key, values in config.hyperparameters.items():
-        _expect(key in MODEL_ORDER, f"hyperparameters given for unknown model {key!r}")
+        _expect(key in MODELS, f"hyperparameters given for unknown model {key!r}")
         _expect(
             isinstance(values, Mapping),
             f"hyperparameters for {key} must be an object, got {values!r}",
@@ -158,7 +152,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             trainer_for(key, config)
         except TypeError as exc:
             raise ConfigError(f"hyperparameters for {key}: {exc}") from exc
-        hints = typing.get_type_hints(_TRAINERS[key])
+        hints = typing.get_type_hints(MODELS[key].trainer)
         for name, value in config.hyperparameters.get(key, {}).items():
             allowed = _allowed_types(hints[name])
             _expect(
@@ -207,7 +201,7 @@ def load_config(
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -283,18 +277,19 @@ def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
     if cleaned == ["all"]:
         return MODEL_ORDER
     for name in cleaned:
-        if name not in MODEL_ORDER:
+        if name not in MODELS:
             raise ConfigError(
-                f"unknown model {name!r}; choose from {', '.join(MODEL_ORDER)} or 'all'"
+                f"unknown model {name!r}; choose from {', '.join(MODELS)} or 'all'"
             )
     # Keep registry order regardless of how the selection was spelled.
-    return tuple(key for key in MODEL_ORDER if key in cleaned)
+    return tuple(key for key in MODELS if key in cleaned)
 
 
 def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
     """A no-argument-but-data trainer for ``key`` with hyperparameters bound."""
-    trainer = _TRAINERS[key]
-    kwargs = dict(DEFAULT_HYPER.get(key, {}))
+    spec = MODELS[key]
+    trainer = spec.trainer
+    kwargs = dict(spec.defaults)
     kwargs.update(config.hyperparameters.get(key, {}))
     signature = inspect.signature(trainer)
     if "seed" in signature.parameters:
@@ -448,7 +443,7 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
             rows.append(
                 ModelReport(
                     key=key,
-                    display_name=DISPLAY_NAMES[key],
+                    display_name=MODELS[key].display_name,
                     precision=cv.mean_macro.precision,
                     recall=cv.mean_macro.recall,
                     fscore=cv.mean_macro.f1,
@@ -467,18 +462,17 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
         )
 
 
+def _shares(report: TopicReport) -> dict:
+    """Each label's fraction of the topic's documents."""
+    return {tag: count / report.n_documents for tag, count in report.distribution.items()}
+
+
 def compare_topics(a: TopicReport, b: TopicReport) -> dict:
     """Side-by-side summary of two topic reports.
 
     Presents distributions, shares, ratios, and per-model metric deltas
     (second topic minus first); deliberately computes no overall winner.
     """
-    def shares(report: TopicReport) -> dict:
-        return {
-            tag: count / report.n_documents
-            for tag, count in report.distribution.items()
-        }
-
     def ratio(report: TopicReport) -> float | None:
         negative = report.distribution["negative"]
         if negative == 0:
@@ -502,7 +496,7 @@ def compare_topics(a: TopicReport, b: TopicReport) -> dict:
         "topics": [a.topic, b.topic],
         "documents": {a.topic: a.n_documents, b.topic: b.n_documents},
         "distribution": {a.topic: a.distribution, b.topic: b.distribution},
-        "shares": {a.topic: shares(a), b.topic: shares(b)},
+        "shares": {a.topic: _shares(a), b.topic: _shares(b)},
         "positive_negative_ratio": {a.topic: ratio(a), b.topic: ratio(b)},
         "metric_deltas": deltas,
         "note": (
@@ -572,10 +566,7 @@ def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[d
                 "topic": report.topic,
                 "documents": report.n_documents,
                 "counts": report.distribution,
-                "shares": {
-                    tag: count / report.n_documents
-                    for tag, count in report.distribution.items()
-                },
+                "shares": _shares(report),
             }
         )
         files[f"hourly_{report.topic}.csv"] = _csv_bytes(

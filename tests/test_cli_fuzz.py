@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tweetsent.cli import main
-from tweetsent.pipeline import MODEL_ORDER, _TRAINERS
+from tweetsent.pipeline import MODEL_ORDER, MODELS
 
 N_CASES = 400
 SMALL_HYPER = {
@@ -153,8 +153,8 @@ def _mutate_json(rng, document, values):
 def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
     rng = np.random.default_rng(1001)
     hyper_names = {
-        key: [*inspect.signature(trainer).parameters][1:] + ["bogus"]
-        for key, trainer in _TRAINERS.items()
+        key: [*inspect.signature(spec.trainer).parameters][1:] + ["bogus"]
+        for key, spec in MODELS.items()
     }
 
     def cases():

@@ -13,10 +13,13 @@ from dataclasses import replace
 import pytest
 
 from tweetsent.cli import main
+from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import ConfigError, DataError
+from tweetsent.models import model_kind
 from tweetsent.pipeline import (
     DEFAULT_WEIGHTING,
     MODEL_ORDER,
+    MODELS,
     TopicReport,
     compare_topics,
     load_config,
@@ -108,6 +111,14 @@ def run_result(workspace, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("bundle")
     config = load_config(workspace / "config.json", out_dir=str(out_dir))
     return config, run_pipeline(config)
+
+
+def test_each_model_is_keyed_by_the_kind_its_trainer_fits():
+    """The pipeline's key for a model is the kind its saved files carry."""
+    training = make_toy_training_set()
+    for key, spec in MODELS.items():
+        model = spec.trainer(training)
+        assert (model.kind, model_kind(model)) == (key, key)
 
 
 class TestLoadConfig:
@@ -515,6 +526,21 @@ class TestCli:
         code = main(["evaluate", *args, "--min-df", "3"])
         assert code == 2
         assert "stored vocabulary does not match" in capsys.readouterr().err
+
+    def test_evaluate_rejects_a_model_of_another_kind(
+        self, workspace, tmp_path, capsys
+    ):
+        args = ["--config", str(workspace / "config.json"), "--out", str(tmp_path)]
+        assert main(["train", *args, "--model", "svm"]) == 0
+        capsys.readouterr()
+        for topic in ("alpha", "beta"):
+            svm = tmp_path / f"model_{topic}_svm.json"
+            (tmp_path / f"model_{topic}_maxent.json").write_bytes(svm.read_bytes())
+        code = main(["evaluate", *args, "--model", "maxent"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "model_alpha_maxent.json") in err
+        assert "'svm'" in err and "'maxent'" in err
 
     def test_crossval_csv_lists_every_selected_model(
         self, workspace, capsys
