@@ -61,7 +61,7 @@ print()
 # 3. Maxent: full-batch gradient descent on the softmax cross-entropy with an
 #    L2 penalty. The recorded loss trace starts at ln(n_classes) for zero
 #    weights and never increases at this learning rate.
-maxent = train_maxent(training, eta=0.1, lam=1e-3, epochs=300, seed=0)
+maxent = train_maxent(training, eta=0.1, lam=1e-3, epochs=300)
 show("maxent", maxent)
 trace = maxent.loss_trace
 print(f"    loss trace: {trace[0]:.4f} (= ln 3) -> {trace[-1]:.4f} "

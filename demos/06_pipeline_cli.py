@@ -42,7 +42,7 @@ print()
 #    table (fractions here; the CSV in the bundle shows percentages).
 for report in result.reports:
     dist = {label: count for label, count in report.distribution.items()}
-    print(f"topic {report.topic!r}: {report.n_documents} documents, "
+    print(f"topic {report.topic!r}: {report.documents} documents, "
           f"distribution {dist}")
     for row in report.models:
         print(f"  {row.display_name:14s} P={row.precision:.3f} "

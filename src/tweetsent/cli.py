@@ -9,11 +9,11 @@ inputs), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 # No matrix here is large enough to use a second BLAS thread, and OpenBLAS
@@ -25,15 +25,16 @@ from .evaluation import score
 from .exceptions import ConfigError, DataError, TweetsentError
 from .models import load_model, save_model
 from .pipeline import (
+    METRICS,
     MODELS,
     RunConfig,
     compare_topics,
+    csv_text,
     evaluate_topic,
     load_config,
     load_topic_data,
-    percent,
-    report_json,
     run_pipeline,
+    table_rows,
     train_topic_models,
 )
 
@@ -109,19 +110,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _emit(args: argparse.Namespace, payload: dict, header: list[str], rows: list[list]) -> None:
     """Print ``payload`` as JSON or ``header``+``rows`` as CSV."""
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        sys.stdout.write(csv_text(header, rows))
     else:
         print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
-
-
-def _rows(results: list[dict], columns: list[str]) -> list[list]:
-    """The CSV rows of ``results``: the ``columns`` of each, fractions as percentages."""
-    return [
-        [percent(value) if isinstance(value, float) else value for value in map(result.get, columns)]
-        for result in results
-    ]
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -131,7 +122,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         for (_, path), data in zip(config.topics, load_topic_data(config))
     ]
     columns = ["topic", "documents"]
-    _emit(args, {"topics": summaries}, columns, _rows(summaries, columns))
+    _emit(args, {"topics": summaries}, columns, table_rows(summaries, columns))
     return 0
 
 
@@ -147,11 +138,11 @@ def _cmd_label(args: argparse.Namespace) -> int:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             target = out_dir / f"labels_{data.topic}.csv"
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["id", "label", "score"])
-                for doc, label, value in zip(data.documents, data.labels, data.scores):
-                    writer.writerow([doc.id, label.tag, repr(value)])
+            rows = [
+                [doc.id, label.tag, repr(value)]
+                for doc, label, value in zip(data.documents, data.labels, data.scores)
+            ]
+            target.write_bytes(csv_text(["id", "label", "score"], rows).encode("utf-8"))
             written.append(str(target))
 
     payload: dict = {"topics": summaries}
@@ -177,7 +168,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             save_model(fitted[key], target)
             entries.append({"topic": data.topic, "model": key, "path": str(target)})
     columns = ["topic", "model", "path"]
-    _emit(args, {"models": entries}, columns, _rows(entries, columns))
+    _emit(args, {"models": entries}, columns, table_rows(entries, columns))
     return 0
 
 
@@ -196,6 +187,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 raise DataError(
                     f"{path}: holds a model of kind {model.kind!r}, "
                     f"not the {key!r} model its name says"
+                )
+            if model.weighting != config.weighting[key]:
+                raise DataError(
+                    f"{path}: model was trained on {model.weighting!r} features, "
+                    f"but this config gives {key} {config.weighting[key]!r} features"
                 )
             training = data.training_set(config.weighting[key])
             if tuple(model.terms) != training.matrix.vocab.terms:
@@ -221,7 +217,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 }
             )
     columns = ["topic", "model", "precision", "recall", "fscore", "accuracy"]
-    _emit(args, {"results": results}, columns, _rows(results, columns))
+    _emit(args, {"results": results}, columns, table_rows(results, columns))
     return 0
 
 
@@ -229,16 +225,13 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     results = []
     for data in load_topic_data(config):
-        report = report_json(evaluate_topic(config, data))
-        results.extend({"topic": report["topic"], **row} for row in report["models"])
+        report = evaluate_topic(config, data)
+        results.extend({"topic": report.topic, **asdict(row)} for row in report.models)
     _emit(
         args,
         {"results": results},
-        ["topic", "model", "precision", "recall", "fscore", "cross_validate", "std"],
-        _rows(
-            results,
-            ["topic", "model", "precision", "recall", "fscore", "cross_validate", "cross_validate_std"],
-        ),
+        ["topic", "model", *METRICS, "std"],
+        table_rows(results, ["topic", "model", *METRICS, "cross_validate_std"]),
     )
     return 0
 

@@ -9,9 +9,7 @@ with no smoothing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +27,6 @@ __all__ = [
     "build_count_matrix",
     "idf",
     "tfidf_transform",
-    "dump_matrix_csv",
 ]
 
 COUNTS = "counts"
@@ -230,22 +227,3 @@ def tfidf_transform(m: DocTermMatrix) -> DocTermMatrix:
         weighting=TFIDF,
     )
 
-
-def dump_matrix_csv(
-    m: DocTermMatrix, doc_ids: Sequence[str], path: str | Path
-) -> None:
-    """Write a matrix as doc_id,term,weight rows for inspection.
-
-    Debug aid, not a performance path.
-    """
-    if len(doc_ids) != m.n_docs:
-        raise ValueError(
-            f"{len(doc_ids)} doc ids for a {m.n_docs}-row matrix"
-        )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", "term", "weight"])
-        for i, doc_id in enumerate(doc_ids):
-            vec = m.row(i)
-            for col, weight in zip(vec.cols, vec.weights):
-                writer.writerow([doc_id, m.vocab.terms[col], repr(float(weight))])

@@ -90,7 +90,8 @@ class Classifier:
     """The one prediction path of every model.
 
     Subclasses provide ``kind`` (the ``model_kind`` their files carry),
-    ``classes``, ``terms`` and one kernel, ``_scores(x)``, which maps dense
+    ``classes``, ``terms``, ``weighting`` (that of the matrix they were
+    trained on) and one kernel, ``_scores(x)``, which maps dense
     ``(n_docs, n_terms)`` rows to ``(n_docs, n_classes)`` scores: naive
     Bayes posteriors, linear margins (softmax for maxent), a tree's leaf
     class shares or an ensemble's vote shares.  The predicted class is a
@@ -100,6 +101,7 @@ class Classifier:
     kind: str
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
+    weighting: str
 
     def predict_batch(self, matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray]:
         """Predicted class indices into ``classes`` and the per-class scores

@@ -43,6 +43,7 @@ class EnsembleModel(Classifier):
     kind: str
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
+    weighting: str
     members: tuple[Tree, ...]
     hyper: dict = field(default_factory=dict)
 
@@ -120,6 +121,7 @@ def _train_ensemble(
         kind=kind,
         classes=training.classes,
         terms=training.matrix.vocab.terms,
+        weighting=training.matrix.weighting,
         members=tuple(members),
         hyper=hyper,
     )

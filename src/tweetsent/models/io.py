@@ -1,13 +1,15 @@
 """Save and load trained models as a versioned JSON document.
 
 Every file carries ``format_version``, ``model_kind``, the class list (as
-lowercase tags), the vocabulary, and a kind-specific ``params`` block.
+lowercase tags), the vocabulary, the ``weighting`` of the features the model
+was trained on, and a kind-specific ``params`` block.
 Floats are written with full ``repr`` precision, so a load followed by a
 save reproduces the parameters bit for bit.
 
-Format 2 stores each tree as the five flat lists of a
-:class:`~tweetsent.models.tree.Tree`; format 1 (nested nodes) is not read,
-so retrain to replace such files.
+Each tree is stored as the five flat lists of a
+:class:`~tweetsent.models.tree.Tree`.  Format 3 added ``weighting``; earlier
+formats (2, without it, and 1, with nested tree nodes) are not read, so
+retrain to replace such files.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ModelFormatError
+from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
 from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
 from .linear import MAXENT, SVM, LinearModel
 from .naive_bayes import NAIVE_BAYES, NaiveBayesModel
 from .tree import DECISION_TREE, LEAF, DecisionTreeModel, Tree
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 Model = NaiveBayesModel | LinearModel | DecisionTreeModel | EnsembleModel
 
@@ -115,17 +118,19 @@ def save_model(model: Model, path: str | Path) -> None:
         "model_kind": model_kind(model),
         "classes": [cls.tag for cls in model.classes],
         "vocabulary": list(model.terms),
+        "weighting": model.weighting,
         "params": _encode_params(model),
     }
     text = json.dumps(document, ensure_ascii=False, sort_keys=True, indent=1)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _decode_model(kind: str, classes, terms, params: dict) -> Model:
+def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Model:
     if kind == NAIVE_BAYES:
         return NaiveBayesModel(
             classes=classes,
             terms=terms,
+            weighting=weighting,
             class_log_prior=_float_array(
                 params["class_log_prior"], "class_log_prior", (len(classes),)
             ),
@@ -140,6 +145,7 @@ def _decode_model(kind: str, classes, terms, params: dict) -> Model:
             kind=kind,
             classes=classes,
             terms=terms,
+            weighting=weighting,
             weights=_float_array(params["weights"], "weights", (len(classes), len(terms))),
             bias=_float_array(params["bias"], "bias", (len(classes),)),
             hyper=dict(params["hyper"]),
@@ -149,6 +155,7 @@ def _decode_model(kind: str, classes, terms, params: dict) -> Model:
         return DecisionTreeModel(
             classes=classes,
             terms=terms,
+            weighting=weighting,
             tree=_decode_tree(params["tree"], len(classes), len(terms)),
             hyper=dict(params["hyper"]),
         )
@@ -159,7 +166,7 @@ def _decode_model(kind: str, classes, terms, params: dict) -> Model:
         if not members:
             raise ValueError("ensemble has no trees")
         return EnsembleModel(
-            kind=kind, classes=classes, terms=terms, members=members,
+            kind=kind, classes=classes, terms=terms, weighting=weighting, members=members,
             hyper=dict(params["hyper"]),
         )
     raise ModelFormatError(f"unknown model kind {kind!r}")
@@ -190,7 +197,12 @@ def load_model(path: str | Path) -> Model:
         if len(set(classes)) != len(classes):
             raise ModelFormatError(f"{path}: 'classes' lists a label twice: {tags}")
         terms = tuple(str(t) for t in document["vocabulary"])
-        return _decode_model(kind, classes, terms, document["params"])
+        weighting = document["weighting"]
+        if weighting not in (COUNTS, TFIDF):
+            raise ModelFormatError(
+                f"{path}: 'weighting' must be '{COUNTS}' or '{TFIDF}', got {weighting!r}"
+            )
+        return _decode_model(kind, classes, terms, weighting, document["params"])
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model file is missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

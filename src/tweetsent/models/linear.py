@@ -41,6 +41,7 @@ class LinearModel(Classifier):
     kind: str
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
+    weighting: str
     weights: np.ndarray
     bias: np.ndarray
     hyper: dict = field(default_factory=dict)
@@ -120,18 +121,15 @@ def train_maxent(
     *,
     eta: float = 0.1,
     lam: float = 1e-3,
-    epochs: int = 500,
-    seed: int = 0,
+    epochs: int = 300,
 ) -> LinearModel:
     """Fit multinomial logistic regression by full-batch gradient descent.
 
-    Weights start at zero, so the fit is deterministic; ``seed`` is accepted
-    for interface symmetry with the stochastic trainers but has no effect.
+    Weights start at zero, so the fit is deterministic and takes no seed.
     The returned model's ``loss_trace`` holds the objective before training
     and after every epoch (``epochs + 1`` values) and is non-increasing for
     a reasonable step size.
     """
-    del seed
     if eta <= 0:
         raise HyperparameterError(f"eta must be positive, got {eta}")
     if lam < 0:
@@ -172,6 +170,7 @@ def train_maxent(
         kind=MAXENT,
         classes=training.classes,
         terms=training.matrix.vocab.terms,
+        weighting=training.matrix.weighting,
         weights=weights,
         bias=bias,
         hyper={"eta": eta, "lam": lam, "epochs": epochs},
@@ -301,6 +300,7 @@ def train_linear_svm(
         kind=SVM,
         classes=training.classes,
         terms=matrix.vocab.terms,
+        weighting=matrix.weighting,
         weights=weights,
         bias=np.array(bias),
         hyper={"lam": lam, "epochs": epochs, "seed": seed},

@@ -27,6 +27,7 @@ class NaiveBayesModel(Classifier):
     kind: ClassVar[str] = NAIVE_BAYES
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
+    weighting: str
     class_log_prior: np.ndarray  # (C,)
     term_log_likelihood: np.ndarray  # (C, V)
     alpha: float
@@ -77,6 +78,7 @@ def train_naive_bayes(ts: TrainingSet, alpha: float = 1.0) -> NaiveBayesModel:
     return NaiveBayesModel(
         classes=ts.classes,
         terms=m.vocab.terms,
+        weighting=m.weighting,
         class_log_prior=log_prior,
         term_log_likelihood=log_likelihood,
         alpha=float(alpha),

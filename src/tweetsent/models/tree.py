@@ -617,6 +617,7 @@ class DecisionTreeModel(Classifier):
     kind: ClassVar[str] = DECISION_TREE
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
+    weighting: str
     tree: Tree
     hyper: dict = field(default_factory=dict)
 
@@ -641,6 +642,7 @@ def train_decision_tree(
     return DecisionTreeModel(
         classes=training.classes,
         terms=training.matrix.vocab.terms,
+        weighting=training.matrix.weighting,
         tree=tree,
         hyper={"max_depth": max_depth, "min_samples_split": min_samples_split},
     )

@@ -17,11 +17,12 @@ import io
 import json
 import logging
 import math
+import os
 import types
 import typing
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -67,14 +68,12 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ModelSpec:
     """How the pipeline runs one model kind: the name its report rows show,
-    its trainer, the feature weighting it trains on unless the config says
-    otherwise, and the hyperparameter defaults that override the trainer's
-    own."""
+    its trainer, whose own defaults are the hyperparameter defaults, and the
+    feature weighting it trains on unless the config says otherwise."""
 
     display_name: str
     trainer: Callable[..., Model]
     weighting: str
-    defaults: Mapping[str, object] = field(default_factory=dict)
 
 
 # Keyed by the ``model_kind`` of each model's files, in report order.
@@ -83,7 +82,7 @@ class ModelSpec:
 MODELS: Mapping[str, ModelSpec] = {
     NAIVE_BAYES: ModelSpec("Naive Bayes", train_naive_bayes, COUNTS),
     SVM: ModelSpec("SVM", train_linear_svm, TFIDF),
-    MAXENT: ModelSpec("MaxEnt", train_maxent, TFIDF, {"epochs": 300}),
+    MAXENT: ModelSpec("MaxEnt", train_maxent, TFIDF),
     DECISION_TREE: ModelSpec("Decision Tree", train_decision_tree, COUNTS),
     RANDOM_FOREST: ModelSpec("Random Forest", train_random_forest, COUNTS),
     BAGGING: ModelSpec("Bagging", train_bagging, COUNTS),
@@ -123,6 +122,13 @@ def validate_config(config: RunConfig) -> RunConfig:
     _expect(1 <= len(config.topics) <= 2, f"config must name 1 or 2 topics, got {len(config.topics)}")
     names = config.topic_names()
     _expect(len(set(names)) == len(names), f"duplicate topic name in {names}")
+    # Topic names become parts of file names (metrics_<topic>.csv, ...).
+    for name in names:
+        for char in ("/", os.sep, os.altsep, "\0"):
+            _expect(
+                char is None or char not in name,
+                f"topic name {name!r} contains {char!r}, which no file name may hold",
+            )
     _expect(config.folds >= 2, f"folds must be at least 2, got {config.folds}")
     _expect(config.min_df >= 1, f"min_df must be at least 1, got {config.min_df}")
     _expect(config.seed >= 0, f"seed must be non-negative, got {config.seed}")
@@ -287,10 +293,8 @@ def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
 
 def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
     """A no-argument-but-data trainer for ``key`` with hyperparameters bound."""
-    spec = MODELS[key]
-    trainer = spec.trainer
-    kwargs = dict(spec.defaults)
-    kwargs.update(config.hyperparameters.get(key, {}))
+    trainer = MODELS[key].trainer
+    kwargs = dict(config.hyperparameters.get(key, {}))
     signature = inspect.signature(trainer)
     if "seed" in signature.parameters:
         kwargs.setdefault("seed", config.seed)
@@ -330,11 +334,16 @@ class TopicData:
         return TrainingSet(matrix=self.matrices[weighting], labels=self.labels)
 
 
+# The metric columns of a topic's table, in the order every table prints them.
+METRICS = ("precision", "recall", "fscore", "cross_validate")
+
+
 @dataclass(frozen=True)
 class ModelReport:
-    """One row of a topic's metric table (values are fractions, not %)."""
+    """One row of a topic's metric table (values are fractions, not %); its
+    fields are the keys of a ``models`` row of ``report_<topic>.json``."""
 
-    key: str
+    model: str
     display_name: str
     precision: float
     recall: float
@@ -345,17 +354,18 @@ class ModelReport:
 
 @dataclass(frozen=True)
 class TopicReport:
-    """Per-topic summary: sentiment distribution, hourly activity, metrics."""
+    """Per-topic summary: sentiment distribution, hourly activity, metrics;
+    ``dataclasses.asdict`` of it is ``report_<topic>.json``."""
 
     topic: str
-    n_documents: int
+    documents: int
     distribution: dict
     hourly: tuple[int, ...]
     models: tuple[ModelReport, ...]
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if sum(self.distribution.values()) != self.n_documents:
+        if sum(self.distribution.values()) != self.documents:
             raise ValueError("sentiment distribution does not sum to document count")
 
 
@@ -442,7 +452,7 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
             )
             rows.append(
                 ModelReport(
-                    key=key,
+                    model=key,
                     display_name=MODELS[key].display_name,
                     precision=cv.mean_macro.precision,
                     recall=cv.mean_macro.recall,
@@ -454,7 +464,7 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
             warnings.extend(f"{key}: {w}" for w in cv.warnings)
         return TopicReport(
             topic=data.topic,
-            n_documents=len(data.documents),
+            documents=len(data.documents),
             distribution=data.distribution,
             hourly=data.hourly.bins,
             models=tuple(rows),
@@ -464,7 +474,7 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
 
 def _shares(report: TopicReport) -> dict:
     """Each label's fraction of the topic's documents."""
-    return {tag: count / report.n_documents for tag, count in report.distribution.items()}
+    return {tag: count / report.documents for tag, count in report.distribution.items()}
 
 
 def compare_topics(a: TopicReport, b: TopicReport) -> dict:
@@ -479,22 +489,20 @@ def compare_topics(a: TopicReport, b: TopicReport) -> dict:
             return None
         return report.distribution["positive"] / negative
 
-    metrics_a = {row.key: row for row in a.models}
-    metrics_b = {row.key: row for row in b.models}
+    metrics_a = {row.model: row for row in a.models}
+    metrics_b = {row.model: row for row in b.models}
     if set(metrics_a) != set(metrics_b):
         raise ValueError("topic reports cover different model sets")
     deltas = {
         key: {
-            "precision": metrics_b[key].precision - metrics_a[key].precision,
-            "recall": metrics_b[key].recall - metrics_a[key].recall,
-            "fscore": metrics_b[key].fscore - metrics_a[key].fscore,
-            "cross_validate": metrics_b[key].cross_validate - metrics_a[key].cross_validate,
+            metric: getattr(metrics_b[key], metric) - getattr(metrics_a[key], metric)
+            for metric in METRICS
         }
         for key in metrics_a
     }
     return {
         "topics": [a.topic, b.topic],
-        "documents": {a.topic: a.n_documents, b.topic: b.n_documents},
+        "documents": {a.topic: a.documents, b.topic: b.documents},
         "distribution": {a.topic: a.distribution, b.topic: b.distribution},
         "shares": {a.topic: _shares(a), b.topic: _shares(b)},
         "positive_negative_ratio": {a.topic: ratio(a), b.topic: ratio(b)},
@@ -505,75 +513,49 @@ def compare_topics(a: TopicReport, b: TopicReport) -> dict:
     }
 
 
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode("utf-8")
-
-
 def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
 
-def percent(value: float) -> str:
-    """A fraction as a percentage with two decimals, as every table prints it."""
-    return f"{100 * value:.2f}"
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """``header`` and ``rows`` as CSV with ``\\n`` line ends: every table the
+    program writes, to a file or to stdout."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def metrics_csv_rows(report: TopicReport) -> list[list[str]]:
-    """Metric table rows as percentages with two decimals."""
+def table_rows(records: Iterable[Mapping], columns: Sequence[str]) -> list[list]:
+    """The ``columns`` of each record as a table row; floats are fractions and
+    print as percentages with two decimals."""
     return [
-        [row.display_name, *map(percent, (row.precision, row.recall, row.fscore, row.cross_validate))]
-        for row in report.models
+        [f"{100 * value:.2f}" if isinstance(value, float) else value for value in map(record.get, columns)]
+        for record in records
     ]
-
-
-def report_json(report: TopicReport) -> dict:
-    """A topic report as plain JSON data; its ``models`` rows are the metric table."""
-    return {
-        "topic": report.topic,
-        "documents": report.n_documents,
-        "distribution": report.distribution,
-        "hourly": list(report.hourly),
-        "models": [
-            {
-                "model": row.key,
-                "display_name": row.display_name,
-                "precision": row.precision,
-                "recall": row.recall,
-                "fscore": row.fscore,
-                "cross_validate": row.cross_validate,
-                "cross_validate_std": row.cross_validate_std,
-            }
-            for row in report.models
-        ],
-        "warnings": list(report.warnings),
-    }
 
 
 def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[dict[str, bytes], dict]:
     """Assemble every report file in memory; returns (files, manifest)."""
     files: dict[str, bytes] = {}
     for report in reports:
-        files[f"metrics_{report.topic}.csv"] = _csv_bytes(
+        files[f"metrics_{report.topic}.csv"] = csv_text(
             ["Algorithm", "Precision", "Recall", "Fscore", "CrossValidate"],
-            metrics_csv_rows(report),
-        )
+            table_rows(map(asdict, report.models), ["display_name", *METRICS]),
+        ).encode("utf-8")
         files[f"distribution_{report.topic}.json"] = _json_bytes(
             {
                 "topic": report.topic,
-                "documents": report.n_documents,
+                "documents": report.documents,
                 "counts": report.distribution,
                 "shares": _shares(report),
             }
         )
-        files[f"hourly_{report.topic}.csv"] = _csv_bytes(
-            ["hour", "count"],
-            [[str(hour), str(count)] for hour, count in enumerate(report.hourly)],
-        )
-        files[f"report_{report.topic}.json"] = _json_bytes(report_json(report))
+        files[f"hourly_{report.topic}.csv"] = csv_text(
+            ["hour", "count"], enumerate(report.hourly)
+        ).encode("utf-8")
+        files[f"report_{report.topic}.json"] = _json_bytes(asdict(report))
 
     comparison = None
     if len(reports) == 2:

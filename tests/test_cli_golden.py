@@ -4,8 +4,9 @@ Pins, byte for byte, the ``--format csv`` stdout of ``ingest``, ``label``,
 ``train``, ``evaluate``, ``crossval`` and ``compare`` on the demo config,
 and the ``labels_<topic>.csv`` files ``label --out`` writes.  Paths in the
 ``train`` table are written relative to the output directory.  JSON stdout
-is not pinned: it carries raw floats, whose last bits may differ between
-machines (see ``test_golden.py``); the CSV tables print two decimals.
+carries raw floats, whose last bits may differ between machines (see
+``test_golden.py``), so ``test_cli_json_golden.py`` pins it to a tolerance;
+the CSV tables print two decimals and are pinned here byte for byte.
 
 The expected data lives in ``golden/cli_demo.json``.  Regenerate it only for
 a deliberate behaviour change, and say so in the change log:

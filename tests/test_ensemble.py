@@ -149,6 +149,7 @@ class TestVoting:
                 SentimentLabel.NEGATIVE,
             ),
             terms=("a",),
+            weighting="counts",
             members=tuple(self._stump(v) for v in votes),
         )
 

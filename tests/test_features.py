@@ -11,7 +11,6 @@ from tweetsent.features import (
     TFIDF,
     build_count_matrix,
     build_vocabulary,
-    dump_matrix_csv,
     idf,
     tfidf_transform,
     vectorize_counts,
@@ -142,15 +141,3 @@ class TestTfidf:
         weighted = tfidf_transform(build_count_matrix(vocab, DOCS))
         with pytest.raises(ValueError):
             tfidf_transform(weighted)
-
-
-class TestDumpMatrixCsv:
-    def test_writes_doc_term_weight_rows(self, tmp_path):
-        vocab = build_vocabulary(DOCS)
-        m = build_count_matrix(vocab, DOCS)
-        path = tmp_path / "matrix.csv"
-        dump_matrix_csv(m, ["d0", "d1", "d2"], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "doc_id,term,weight"
-        assert lines[1] == "d0,apple,2.0"
-        assert len(lines) == 1 + m.nnz

@@ -12,7 +12,7 @@ import pytest
 
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import ModelFormatError
-from tweetsent.features import build_count_matrix, build_vocabulary
+from tweetsent.features import COUNTS, TFIDF, build_count_matrix, build_vocabulary, tfidf_transform
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
     TrainingSet,
@@ -130,6 +130,22 @@ class TestRoundTrip:
         assert [reloaded.classes[i] for i in label_idx] == labels
 
     @pytest.mark.parametrize("kind", sorted(TRAINERS))
+    @pytest.mark.parametrize("weighting", [COUNTS, TFIDF])
+    def test_weighting_survives(self, kind, weighting, tmp_path):
+        """A model records the weighting of its training matrix, and its
+        file keeps it."""
+        training = make_toy_training_set()
+        if weighting == TFIDF:
+            training = TrainingSet(
+                matrix=tfidf_transform(training.matrix), labels=training.labels
+            )
+        model = TRAINERS[kind](training)
+        assert model.weighting == weighting
+        path, document = saved_document(model, tmp_path)
+        assert document["weighting"] == weighting
+        assert load_model(path).weighting == weighting
+
+    @pytest.mark.parametrize("kind", sorted(TRAINERS))
     def test_save_load_save_is_byte_stable(self, kind, tmp_path):
         """Serialization is canonical: a second save changes nothing."""
         model = TRAINERS[kind](make_toy_training_set())
@@ -155,12 +171,25 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
-    def test_format_1_files_are_rejected(self, tmp_path):
-        """Format 1 stored trees as nested nodes; it is no longer read."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_formats_are_rejected(self, version, tmp_path):
+        """Format 1 stored trees as nested nodes and format 2 did not record
+        the features' weighting; neither is read any more."""
         path, document = self._valid_document(tmp_path)
-        document["format_version"] = 1
+        document["format_version"] = version
+        del document["weighting"]
         path.write_text(json.dumps(document))
-        with pytest.raises(ModelFormatError, match="unsupported model format version 1"):
+        with pytest.raises(
+            ModelFormatError, match=f"unsupported model format version {version}"
+        ):
+            load_model(path)
+
+    @pytest.mark.parametrize("weighting", ["binary", "COUNTS", None, 1, ["counts"]])
+    def test_unknown_weighting_is_rejected(self, weighting, tmp_path):
+        path, document = self._valid_document(tmp_path)
+        document["weighting"] = weighting
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match="'weighting' must be"):
             load_model(path)
 
     def test_unknown_kind_is_rejected(self, tmp_path):
@@ -184,7 +213,7 @@ class TestFormatValidation:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "field", ["format_version", "model_kind", "classes", "vocabulary", "params"]
+        "field", ["format_version", "model_kind", "classes", "vocabulary", "weighting", "params"]
     )
     def test_missing_top_level_field_is_rejected(self, field, tmp_path):
         path, document = self._valid_document(tmp_path)

@@ -8,6 +8,7 @@ asserted exactly.
 import hashlib
 import inspect
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -135,7 +136,7 @@ class TestLoadConfig:
 
     def test_trainers_get_their_defaults_and_the_config_seed(self, workspace):
         """The seeded trainers take the config seed unless their hyperparameters
-        set one, and maxent runs 300 epochs instead of its own 500."""
+        set one; every other default is the trainer's own."""
         config = load_config(workspace / "config.json")
 
         def bound(key, config):
@@ -146,7 +147,7 @@ class TestLoadConfig:
         assert {key: bound(key, config) for key in MODEL_ORDER} == {
             "naive_bayes": {"alpha": 1.0},
             "svm": {"lam": 0.1, "epochs": 50, "seed": 7},
-            "maxent": {"eta": 0.1, "lam": 1e-3, "epochs": 300, "seed": 7},
+            "maxent": {"eta": 0.1, "lam": 1e-3, "epochs": 300},
             "decision_tree": tree,
             "random_forest": {
                 "n_members": 25, **tree, "seed": 7, "bootstrap": True,
@@ -278,8 +279,8 @@ class TestRunPipeline:
         _, result = run_result
         assert tuple(r.topic for r in result.reports) == ("alpha", "beta")
         for report in result.reports:
-            assert tuple(row.key for row in report.models) == MODEL_ORDER
-            assert report.n_documents == 24
+            assert tuple(row.model for row in report.models) == MODEL_ORDER
+            assert report.documents == 24
 
     def test_weak_label_distribution_matches_the_corpus_design(self, run_result):
         _, result = run_result
@@ -383,14 +384,14 @@ class TestCompareTopics:
 
         return TopicReport(
             topic=topic,
-            n_documents=positive + neutral + negative,
+            documents=positive + neutral + negative,
             distribution={
                 "positive": positive, "neutral": neutral, "negative": negative,
             },
             hourly=tuple([0] * 24),
             models=(
                 ModelReport(
-                    key="naive_bayes",
+                    model="naive_bayes",
                     display_name="Naive Bayes",
                     precision=fscore,
                     recall=fscore,
@@ -420,7 +421,7 @@ class TestCompareTopics:
         a = self._report("a", 2, 2, 2, 0.5)
         b = TopicReport(
             topic="b",
-            n_documents=0,
+            documents=0,
             distribution={"positive": 0, "neutral": 0, "negative": 0},
             hourly=tuple([0] * 24),
             models=(),
@@ -432,7 +433,7 @@ class TestCompareTopics:
         with pytest.raises(ValueError, match="does not sum"):
             TopicReport(
                 topic="x",
-                n_documents=5,
+                documents=5,
                 distribution={"positive": 1, "neutral": 1, "negative": 1},
                 hourly=tuple([0] * 24),
                 models=(),
@@ -542,6 +543,42 @@ class TestCli:
         assert str(tmp_path / "model_alpha_maxent.json") in err
         assert "'svm'" in err and "'maxent'" in err
 
+    def test_evaluate_rejects_a_model_trained_on_another_weighting(
+        self, workspace, tmp_path, capsys
+    ):
+        """An SVM trained on TF-IDF features is not scored on counts."""
+        trained = write_config(tmp_path, minimal_config_payload(workspace, out_dir="models"))
+        assert main(["train", "--config", str(trained), "--model", "svm"]) == 0
+        capsys.readouterr()
+        other = tmp_path / "counts"
+        other.mkdir()
+        path = write_config(
+            other,
+            minimal_config_payload(
+                workspace, out_dir=str(tmp_path / "models"), weighting={"svm": "counts"}
+            ),
+        )
+        code = main(["evaluate", "--config", str(path), "--model", "svm"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "models" / "model_alpha_svm.json") in err
+        assert "'tfidf'" in err and "'counts'" in err
+
+    def test_model_file_with_an_unknown_weighting_is_a_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        args = ["--config", str(workspace / "config.json"), "--out", str(tmp_path)]
+        assert main(["train", *args, "--model", "naive_bayes"]) == 0
+        capsys.readouterr()
+        path = tmp_path / "model_alpha_naive_bayes.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["weighting"] = "binary"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", *args, "--model", "naive_bayes"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'weighting'" in err and "'binary'" in err
+
     def test_crossval_csv_lists_every_selected_model(
         self, workspace, capsys
     ):
@@ -634,6 +671,32 @@ class TestUserErrorsAreNotInternalErrors:
         code, err = self._run(workspace, tmp_path, capsys, "ingest", seed="abc")
         assert code == 1
         assert "'seed' must be an integer" in err
+
+    @pytest.mark.parametrize("command", ["train", "report", "label"])
+    @pytest.mark.parametrize(
+        "char", sorted({"/", os.sep, os.altsep} - {None}) + ["\0"], ids=repr
+    )
+    def test_topic_name_that_cannot_be_in_a_file_name_is_a_config_error(
+        self, workspace, tmp_path, capsys, command, char
+    ):
+        """Topic names become parts of file names, so a separator or a NUL
+        is refused before any stage runs, naming the topic."""
+        name = f"al{char}pha"
+        payload = minimal_config_payload(workspace, out_dir=str(tmp_path / "out"))
+        payload["topics"] = {name: payload["topics"]["alpha"]}
+        path = write_config(tmp_path, payload)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert repr(name) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_maxent_takes_no_seed(self, workspace, tmp_path, capsys):
+        """Maxent's fit is deterministic, so a seed for it is a mistake."""
+        code, err = self._run(
+            workspace, tmp_path, capsys, "train", hyperparameters={"maxent": {"seed": 1}}
+        )
+        assert code == 1
+        assert "hyperparameters for maxent" in err and "'seed'" in err
 
     def test_more_folds_than_documents_is_a_data_error(
         self, workspace, tmp_path, capsys

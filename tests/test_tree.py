@@ -695,6 +695,7 @@ class TestDecisionTreeModel:
                 SentimentLabel.NEGATIVE,
             ),
             terms=("a", "b"),
+            weighting="counts",
             tree=Tree(
                 column=np.array([0, LEAF, LEAF]),
                 threshold=np.array([0.5, 0.0, 0.0]),
