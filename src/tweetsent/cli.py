@@ -33,6 +33,7 @@ from .pipeline import (
     evaluate_topic,
     load_config,
     load_topic_data,
+    model_filename,
     run_pipeline,
     table_rows,
     train_topic_models,
@@ -46,10 +47,6 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _model_filename(topic: str, key: str) -> str:
-    return f"model_{topic}_{key}.json"
 
 
 def build_parser() -> _ArgumentParser:
@@ -164,7 +161,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for data in load_topic_data(config):
         fitted = train_topic_models(config, data)
         for key in config.models:
-            target = config.out_dir / _model_filename(data.topic, key)
+            target = config.out_dir / model_filename(data.topic, key)
             save_model(fitted[key], target)
             entries.append({"topic": data.topic, "model": key, "path": str(target)})
     columns = ["topic", "model", "path"]
@@ -177,7 +174,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     results = []
     for data in load_topic_data(config):
         for key in config.models:
-            path = config.out_dir / _model_filename(data.topic, key)
+            path = config.out_dir / model_filename(data.topic, key)
             if not path.is_file():
                 raise DataError(
                     f"no saved model at {path}; run the train subcommand first"

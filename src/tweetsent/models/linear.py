@@ -94,13 +94,25 @@ def _maxent_step(
 
     Each array made here is fresh, so the updates are applied in place.
     ``x.sum() / n`` stands for ``x.mean()``: numpy's mean is that same sum
-    followed by that same divide, so every value is bit-identical.
+    followed by that same divide, so every value is bit-identical.  The
+    row reductions over the few class columns are one ``np.maximum`` or
+    one add per column, which is cheaper than an ``axis=1`` reduction: a
+    maximum is exact, and numpy sums a row of fewer than 8 values left to
+    right, as the column adds do, so both are bit-identical too.
     """
     n_docs = x_dense.shape[0]
     margins = x_dense @ weights.T
     margins += bias
-    margins -= margins.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(margins).sum(axis=1))
+    columns = margins.T
+    row_max = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(row_max, column, out=row_max)
+    margins -= row_max[:, None]
+    expd = np.exp(columns)
+    z = expd[0].copy()
+    for column in expd[1:]:
+        z += column
+    log_z = np.log(z)
     log_probs = margins
     log_probs -= log_z[:, None]
     loss = -float(log_probs.take(gold).sum() / n_docs)
@@ -194,27 +206,20 @@ def train_linear_svm(
     before each update.  The scaling is tracked as a scalar factor so each
     step touches only the active classes and the document's nonzero columns.
 
-    Pegasos is sequential, so each step is kept to few numpy calls.  W is
-    one flat vector ``accum`` of ``n_classes * n_terms`` values, and each
-    document brings, built once per fit, the flat position of each of its
-    terms in each class's row.  A step takes those entries with one
-    ``take`` and multiplies them by the document's weights with one
-    ``dot``, then adds one vector to each active class's entries.  The
-    scalar work (margins from the product, the hinge test, the step size
-    and the bias) is done on Python floats, which are the same IEEE doubles
-    numpy would use, in the same order, so the fit is bit-identical to the
-    array-per-step form kept as the reference in the tests.
-
-    The product must stay one BLAS ``dot`` on the ``(n_classes, k)`` block,
-    the same matrix-vector call as ``accum[:, cols] @ wts``.  OpenBLAS sums
-    with fused multiply-adds, so a sum of products over Python floats
-    rounds differently: 214 of 900 random two-term products (numpy 2.4,
-    OpenBLAS, x86-64) differed in the last bit.  A product only enters the
-    hinge test, so such a difference changes a model only when a margin
-    falls within a rounding of 1; no fit in the tests or on the benchmark
-    inputs hit one, but nothing rules it out.  A ``lam`` so small that the
-    steps overflow leaves non-finite weights, which raise
-    :class:`TrainingError` after the last step.
+    Pegasos is sequential and a tweet has few terms, so the steps run on
+    Python floats with no numpy call: W is one list of floats per class,
+    and each document brings, built once per fit, its (column, weight)
+    pairs and its (class, sign) pairs.  A class's margin product is the sum
+    of ``row[j] * w`` over the document's terms, added left to right from
+    0.0 in one explicit loop: the IEEE sum of the rounded products, the
+    same on every machine and every Python (built-in ``sum`` is compensated
+    from Python 3.12, and a BLAS dot may fuse the multiply-adds).  Only the
+    hinge test reads the product.  The updates are the array-per-step
+    form's arithmetic, value by value, so the fit is bit-identical to the
+    reference kept in the tests whenever its BLAS product makes the same
+    hinge decisions.  A ``lam`` so small that the steps overflow leaves
+    non-finite weights, which raise :class:`TrainingError` after the last
+    step.
     """
     if lam <= 0:
         raise HyperparameterError(f"lam must be positive, got {lam}")
@@ -231,66 +236,54 @@ def train_linear_svm(
     matrix = training.matrix
     n_docs = matrix.n_docs
     n_classes = len(training.classes)
-    n_terms = matrix.n_terms
 
-    # Per document: flat, its (n_classes, k) positions in accum, and
-    # flat_rows, that array's rows (row c holds class c's positions for its
-    # k terms); wts, its k term weights; all three None when it has no
-    # terms; and its (class, sign) pairs, where the sign is +1.0 for its own
-    # class and -1.0 for every other.
-    offsets = np.arange(n_classes)[:, None] * n_terms
+    # Per document: its terms as (column, weight) pairs, and its (class,
+    # sign) pairs, where the sign is +1.0 for its own class and -1.0 for
+    # every other.
     indptr = matrix.indptr.tolist()
+    columns = matrix.indices.tolist()
+    values = matrix.data.tolist()
     docs = []
     for i, label in enumerate(training.y().tolist()):
         start, stop = indptr[i], indptr[i + 1]
-        if stop > start:
-            flat = offsets + matrix.indices[start:stop]
-            flat_rows = list(flat)
-            wts = matrix.data[start:stop]
-        else:
-            flat = flat_rows = wts = None
-        pairs = [(c, 1.0 if c == label else -1.0) for c in range(n_classes)]
-        docs.append((flat, flat_rows, wts, pairs))
+        terms = tuple(zip(columns[start:stop], values[start:stop]))
+        pairs = tuple((c, 1.0 if c == label else -1.0) for c in range(n_classes))
+        docs.append((terms, pairs))
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    # W is represented as scale * accum to keep the per-step shrink O(1).
+    # W is represented as scale * rows to keep the per-step shrink O(1).
     scale = 1.0
-    accum = np.zeros(n_classes * n_terms, dtype=np.float64)
-    take = accum.take
+    rows = [[0.0] * matrix.n_terms for _ in range(n_classes)]
     bias = [0.0] * n_classes
 
     t = 0
-    # A diverging fit overflows to inf and then NaN; the check after the
-    # loop reports it, so numpy need not warn on the way.
+    for _ in range(epochs):
+        for i in rng.permutation(n_docs).tolist():
+            t += 1
+            terms, pairs = docs[i]
+            # The hinge tests read W at the old scale and the updates write
+            # it at the shrunk one.  Each class's test reads only its own
+            # row and bias, so it may follow the updates of the classes
+            # before it.  At t == 1 the shrink factor 1 - 1/t is 0, which
+            # would wipe W, but W is still zero then.
+            shrunk = scale * (1.0 - 1.0 / t) if t > 1 else scale
+            eta = 1.0 / (lam * t)
+            for (c, s), row in zip(pairs, rows):
+                p = 0.0
+                for j, w in terms:
+                    p += row[j] * w
+                if s * (scale * p + bias[c]) < 1.0:
+                    step = eta * s
+                    g = step / shrunk
+                    for j, w in terms:
+                        row[j] += g * w
+                    bias[c] += step
+            scale = shrunk
+
+    # A diverging fit overflows to inf and then NaN; the check below
+    # reports it, so numpy need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            for i in rng.permutation(n_docs).tolist():
-                t += 1
-                flat, flat_rows, wts, pairs = docs[i]
-                if wts is None:
-                    active = [(c, s) for (c, s), b in zip(pairs, bias) if s * b < 1.0]
-                else:
-                    products = take(flat).dot(wts).tolist()
-                    active = [
-                        (c, s)
-                        for (c, s), p, b in zip(pairs, products, bias)
-                        if s * (scale * p + b) < 1.0
-                    ]
-
-                # At t == 1 the shrink factor 1 - 1/t is 0, which would wipe
-                # W, but W is still zero then.
-                if t > 1:
-                    scale *= 1.0 - 1.0 / t
-
-                # About half the steps of a fit leave every class inactive.
-                if active:
-                    eta = 1.0 / (lam * t)
-                    for c, s in active:
-                        step = eta * s
-                        if wts is not None:
-                            accum[flat_rows[c]] += (step / scale) * wts
-                        bias[c] += step
-        weights = scale * accum.reshape(n_classes, n_terms)
+        weights = scale * np.array(rows)
 
     if not (np.isfinite(weights).all() and all(map(math.isfinite, bias))):
         raise TrainingError(

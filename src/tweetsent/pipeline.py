@@ -112,6 +112,14 @@ class RunConfig:
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
+# The most bytes a file name may hold on the common file systems.
+_MAX_FILE_NAME_BYTES = 255
+
+
+def model_filename(topic: str, key: str) -> str:
+    """The file ``train`` saves topic ``topic``'s model of kind ``key`` to."""
+    return f"model_{topic}_{key}.json"
+
 
 def _expect(condition: bool, message: str) -> None:
     if not condition:
@@ -122,13 +130,20 @@ def validate_config(config: RunConfig) -> RunConfig:
     _expect(1 <= len(config.topics) <= 2, f"config must name 1 or 2 topics, got {len(config.topics)}")
     names = config.topic_names()
     _expect(len(set(names)) == len(names), f"duplicate topic name in {names}")
-    # Topic names become parts of file names (metrics_<topic>.csv, ...).
+    # Topic names become parts of file names (metrics_<topic>.csv, ...), of
+    # which a model file's is the longest.
     for name in names:
         for char in ("/", os.sep, os.altsep, "\0"):
             _expect(
                 char is None or char not in name,
                 f"topic name {name!r} contains {char!r}, which no file name may hold",
             )
+        longest = max(len(model_filename(name, key).encode()) for key in MODELS)
+        _expect(
+            longest <= _MAX_FILE_NAME_BYTES,
+            f"topic name {name!r} is too long: its model file names take up to "
+            f"{longest} bytes, over the {_MAX_FILE_NAME_BYTES} a file name may hold",
+        )
     _expect(config.folds >= 2, f"folds must be at least 2, got {config.folds}")
     _expect(config.min_df >= 1, f"min_df must be at least 1, got {config.min_df}")
     _expect(config.seed >= 0, f"seed must be non-negative, got {config.seed}")

@@ -8,8 +8,12 @@ contracts (fit quality, seeding, class requirements) and pins the fit bit
 for bit to the earlier array-per-step Pegasos loop, kept here as an oracle.
 Both fits are also pinned to the earlier array forms of their arithmetic:
 "bit for bit" means equal bytes, since ``np.array_equal`` counts
-``-0.0 == 0.0``.
+``-0.0 == 0.0``.  The SVM's margin product is pinned to its definition, a
+left-to-right sum on Python floats, by an input on which a fused
+(exactly rounded) product would make another hinge decision.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,7 +239,9 @@ class TestMaxentTraining:
 def reference_train_linear_svm(training, *, lam, epochs, seed):
     """The earlier Pegasos loop, kept verbatim in its arithmetic: numpy
     arrays for the margins, signs and bias of every step, and an ``np.ix_``
-    update of the active classes.  Returns ``(weights, bias)``."""
+    update of the active classes.  Returns ``(weights, bias)``.  Its margin
+    product is a BLAS one, so the fit equals it wherever the two make the
+    same hinge decisions, as on every input below."""
     matrix = training.matrix
     y = training.y()
     n_docs = matrix.n_docs
@@ -377,6 +383,159 @@ class TestSvmMatchesReferenceLoop:
             )
             assert model.weights.tobytes() == weights.tobytes()
             assert model.bias.tobytes() == bias.tobytes()
+
+
+def left_to_right_product(row, terms):
+    """The SVM's margin product: each ``row[j] * w`` rounded, then added
+    left to right from 0.0."""
+    p = 0.0
+    for j, w in terms:
+        p += row[j] * w
+    return p
+
+
+def exactly_rounded_product(row, terms):
+    """The product as an ideal fused dot gives it: every product and
+    partial sum exact, one rounding at the end."""
+    return float(sum((Fraction(row[j]) * Fraction(w) for j, w in terms), Fraction(0)))
+
+
+def fused_product(row, terms):
+    """The product as a loop of fused multiply-adds gives it: each
+    ``row[j] * w + acc`` exact, then rounded once."""
+    acc = 0.0
+    for j, w in terms:
+        acc = float(Fraction(row[j]) * Fraction(w) + Fraction(acc))
+    return acc
+
+
+def fused_backward_product(row, terms):
+    return fused_product(row, terms[::-1])
+
+
+def python_float_svm(training, *, lam, epochs, seed, product):
+    """The Pegasos loop on Python floats, one class at a time, with the
+    margin product ``product(row, terms)`` given.  Returns ``(weights,
+    bias, decisions)``, where ``decisions`` lists each step's active
+    classes."""
+    matrix = training.matrix
+    indptr = matrix.indptr.tolist()
+    docs = [
+        list(zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist()))
+        for a, b in zip(indptr, indptr[1:])
+    ]
+    y = training.y().tolist()
+    n_classes = len(training.classes)
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    scale = 1.0
+    rows = [[0.0] * matrix.n_terms for _ in range(n_classes)]
+    bias = [0.0] * n_classes
+    decisions = []
+
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(matrix.n_docs).tolist():
+            t += 1
+            signs = [1.0 if c == y[i] else -1.0 for c in range(n_classes)]
+            active = [
+                c
+                for c in range(n_classes)
+                if signs[c] * (scale * product(rows[c], docs[i]) + bias[c]) < 1.0
+            ]
+            decisions.append(active)
+            if t > 1:
+                scale *= 1.0 - 1.0 / t
+            eta = 1.0 / (lam * t)
+            for c in active:
+                step = eta * signs[c]
+                for j, w in docs[i]:
+                    rows[c][j] += (step / scale) * w
+                bias[c] += step
+
+    return scale * np.array(rows), np.array(bias), decisions
+
+
+class TestSvmMarginProduct:
+    """The margin product is the left-to-right sum of rounded products on
+    Python floats: no BLAS call, so no fused multiply-add, and the same
+    bytes on every machine."""
+
+    # The first pass of seed 1 visits three documents in their own order.
+    SEED = 1
+
+    @staticmethod
+    def straddling_training_set():
+        """Three documents over two terms, visited in order with lam = 1:
+        (a, 0) positive, (0, c) negative, then (x0, x) positive.  The first
+        two steps update both classes and leave class 0 at row (a, -c),
+        bias 0.5 and scale 0.5.  At the third step class 0's product is
+        a * x0 - c * x.  Left to right it is round(a * x0) - round(c * x),
+        exactly 1, so the margin is exactly 1 and nothing updates.  But
+        a * x0 rounds up and c * x rounds down, each by more than 3/4 of a
+        half ulp, so every fused sum (either order, or rounded once) stays
+        more than 3/2 * 2**-53 below 1, and its margin falls below 1.
+        Class 1 is the mirror image."""
+        a, x0 = 1.717, 1.941302853814793
+        c, x = 1.597, 1.461
+        return TrainingSet(
+            matrix=DocTermMatrix(
+                vocab=build_vocabulary([["a", "b"]]),
+                indptr=np.array([0, 1, 2, 4]),
+                indices=np.array([0, 1, 0, 1]),
+                data=np.array([a, c, x0, x]),
+                weighting="tfidf",
+            ),
+            labels=(
+                SentimentLabel.POSITIVE,
+                SentimentLabel.NEGATIVE,
+                SentimentLabel.POSITIVE,
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "fused", [exactly_rounded_product, fused_product, fused_backward_product]
+    )
+    def test_fused_products_straddle_the_hinge(self, fused):
+        """Left to right, the third step's margins are exactly 1; fused,
+        they fall below 1 and both classes update."""
+        rng = np.random.default_rng(np.random.SeedSequence([self.SEED]))
+        assert rng.permutation(3).tolist() == [0, 1, 2]
+        training = self.straddling_training_set()
+        w_ltr, b_ltr, ltr = python_float_svm(
+            training, lam=1.0, epochs=1, seed=self.SEED, product=left_to_right_product
+        )
+        w_fused, b_fused, decisions = python_float_svm(
+            training, lam=1.0, epochs=1, seed=self.SEED, product=fused
+        )
+        assert ltr == [[0, 1], [0, 1], []]
+        assert decisions == [[0, 1], [0, 1], [0, 1]]
+        assert w_ltr.tobytes() != w_fused.tobytes()
+        assert b_ltr.tobytes() != b_fused.tobytes()
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_fit_is_the_left_to_right_loop(self, epochs):
+        """The fit equals the Python-float loop with the left-to-right
+        product, before and after further passes."""
+        training = self.straddling_training_set()
+        model = train_linear_svm(training, lam=1.0, epochs=epochs, seed=self.SEED)
+        weights, bias, _ = python_float_svm(
+            training, lam=1.0, epochs=epochs, seed=self.SEED, product=left_to_right_product
+        )
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("weighting", ["counts", "tfidf"])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_fit_is_the_left_to_right_loop_on_random_documents(self, weighting, n_classes):
+        """Empty, one-term and many-term documents fit as in that loop."""
+        training = random_training_set(21 + n_classes, 60, n_classes, weighting)
+        model = train_linear_svm(training, lam=1e-3, epochs=6, seed=n_classes)
+        weights, bias, _ = python_float_svm(
+            training, lam=1e-3, epochs=6, seed=n_classes, product=left_to_right_product
+        )
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
 
 
 class TestSvmTraining:

@@ -25,6 +25,7 @@ from tweetsent.pipeline import (
     compare_topics,
     load_config,
     load_topic_data,
+    model_filename,
     run_pipeline,
     trainer_for,
 )
@@ -689,6 +690,46 @@ class TestUserErrorsAreNotInternalErrors:
         assert code == 1
         assert repr(name) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_topic_name_too_long_for_a_file_name_is_a_config_error(
+        self, workspace, tmp_path, capsys
+    ):
+        """A topic whose model file name would pass 255 bytes is refused
+        before any stage runs, naming the topic, and writes nothing."""
+        name = "t" * 250
+        payload = minimal_config_payload(workspace, out_dir=str(tmp_path / "out"))
+        payload["topics"] = {name: payload["topics"]["alpha"]}
+        path = write_config(tmp_path, payload)
+        code = main(["report", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert repr(name) in err and "too long" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, accepted",
+        [
+            ("t" * 230, True),
+            ("t" * 231, False),
+            ("é" * 115, True),
+            ("é" * 116, False),
+        ],
+        ids=["230-ascii", "231-ascii", "115-two-byte", "116-two-byte"],
+    )
+    def test_topic_name_limit_counts_utf8_bytes(self, workspace, tmp_path, name, accepted):
+        """model_<topic>_random_forest.json adds 25 bytes to the topic's
+        UTF-8 bytes, and a file name may hold 255."""
+        assert max(len(model_filename(name, key).encode()) for key in MODELS) == (
+            len(name.encode()) + 25
+        )
+        payload = minimal_config_payload(workspace)
+        payload["topics"] = {name: payload["topics"]["alpha"]}
+        path = write_config(tmp_path, payload)
+        if accepted:
+            assert load_config(path).topic_names() == (name,)
+        else:
+            with pytest.raises(ConfigError, match="too long"):
+                load_config(path)
 
     def test_maxent_takes_no_seed(self, workspace, tmp_path, capsys):
         """Maxent's fit is deterministic, so a seed for it is a mistake."""
