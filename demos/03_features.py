@@ -15,7 +15,6 @@ from tweetsent.features import (
     build_vocabulary,
     idf,
     tfidf_transform,
-    vectorize_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -46,7 +45,7 @@ print(f"count matrix: {counts.n_docs} docs x {counts.n_terms} terms, "
       f"{counts.nnz} stored entries")
 print("dense view:\n", counts.toarray())
 row0 = counts.row(0)
-print("row 0 as a sparse vector: cols =", row0.cols, " weights =", row0.weights)
+print("row 0, a one-row matrix: indices =", row0.indices, " data =", row0.data)
 print()
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,9 @@ with np.printoptions(precision=3, suppress=True):
 print()
 
 # ---------------------------------------------------------------------------
-# 6. New documents are vectorized against the fitted vocabulary; unseen
-#    words ("pizza") simply vanish rather than crashing the model.
+# 6. New documents are vectorized against the fitted vocabulary, as a
+#    one-row matrix; unseen words ("pizza") simply vanish rather than
+#    crashing the model.
 new_doc = ["tasty", "pizza", "tasty"]
-print("new doc", new_doc, "->", vectorize_counts(vocab, new_doc))
+new_row = build_count_matrix(vocab, [new_doc])
+print("new doc", new_doc, "-> indices =", new_row.indices, " data =", new_row.data)

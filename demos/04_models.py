@@ -6,8 +6,9 @@ Every trainer maps a TrainingSet to a model whose predict_batch() scores a
 whole matrix and returns label indices plus per-class scores — posteriors
 for naive Bayes and maxent, raw margins for the SVM, leaf shares for the
 tree, vote shares for the ensembles; predict() does the same for one
-document.  This script fits all six on a fixed ten-document corpus, peeks
-inside each one, and round-trips a model through its JSON file format.
+document, given as a one-row matrix.  This script fits all six on a fixed
+ten-document corpus, peeks inside each one, and round-trips a model
+through its JSON file format.
 """
 
 import tempfile
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from tweetsent.datagen import make_toy_training_set
-from tweetsent.features import vectorize_counts
+from tweetsent.features import build_count_matrix
 from tweetsent.models import (
     load_model,
     save_model,
@@ -36,7 +37,7 @@ print(f"{training.n_docs} documents, {training.matrix.n_terms} terms, "
       f"classes = {[c.tag for c in training.classes]}")
 
 vocab = training.matrix.vocab
-probe = vectorize_counts(vocab, ["good", "fun", "fun"])
+probe = build_count_matrix(vocab, [["good", "fun", "fun"]])
 print("probe document: ['good', 'fun', 'fun']")
 print()
 

@@ -4,7 +4,8 @@ The vocabulary is frozen on the training corpus (first-appearance term
 order, optional min_df pruning) and documents are vectorized against it;
 unseen terms are dropped. Matrices carry either raw counts or TF-IDF
 weights, where TF is the in-document count and IDF is ln(n_docs / df)
-with no smoothing.
+with no smoothing. A single document is a one-row matrix: vectorize it
+with ``build_count_matrix(vocab, [tokens])`` or take ``matrix.row(i)``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from .exceptions import DataError
 __all__ = [
     "COUNTS",
     "TFIDF",
-    "SparseVector",
     "Vocabulary",
     "DocTermMatrix",
     "build_vocabulary",
-    "vectorize_counts",
     "build_count_matrix",
     "idf",
     "tfidf_transform",
@@ -31,18 +30,6 @@ __all__ = [
 
 COUNTS = "counts"
 TFIDF = "tfidf"
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """One document as (column, weight) pairs with strictly increasing columns."""
-
-    cols: np.ndarray  # int64
-    weights: np.ndarray  # float64
-
-    @property
-    def nnz(self) -> int:
-        return len(self.cols)
 
 
 @dataclass(frozen=True)
@@ -84,9 +71,13 @@ class DocTermMatrix:
     def nnz(self) -> int:
         return len(self.indices)
 
-    def row(self, i: int) -> SparseVector:
+    def row(self, i: int) -> "DocTermMatrix":
+        """Row ``i`` as a one-row matrix (same vocabulary and weighting)."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseVector(cols=self.indices[lo:hi], weights=self.data[lo:hi])
+        return DocTermMatrix(
+            vocab=self.vocab, indptr=self.indptr[i:i + 2] - lo,
+            indices=self.indices[lo:hi], data=self.data[lo:hi], weighting=self.weighting,
+        )
 
     def toarray(self) -> np.ndarray:
         """Densify to an (n_docs, n_terms) float64 array."""
@@ -146,41 +137,33 @@ def build_vocabulary(
     return Vocabulary(terms=terms, index=index, doc_freq=doc_freq)
 
 
-def vectorize_counts(vocab: Vocabulary, tokens: Sequence[str]) -> SparseVector:
-    """Count in-vocabulary tokens; out-of-vocabulary tokens are dropped."""
-    counts: dict[int, int] = {}
-    for tok in tokens:
-        col = vocab.index.get(tok)
-        if col is not None:
-            counts[col] = counts.get(col, 0) + 1
-    cols = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[c] for c in cols], dtype=np.float64)
-    return SparseVector(cols=cols, weights=weights)
-
-
 def build_count_matrix(
     vocab: Vocabulary, docs: Sequence[Sequence[str]]
 ) -> DocTermMatrix:
-    """Vectorize a whole corpus against a frozen vocabulary."""
-    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
-    all_cols: list[np.ndarray] = []
-    all_weights: list[np.ndarray] = []
-    for i, tokens in enumerate(docs):
-        vec = vectorize_counts(vocab, tokens)
-        all_cols.append(vec.cols)
-        all_weights.append(vec.weights)
-        indptr[i + 1] = indptr[i] + vec.nnz
-    indices = (
-        np.concatenate(all_cols) if all_cols else np.empty(0, dtype=np.int64)
-    )
-    data = (
-        np.concatenate(all_weights) if all_weights else np.empty(0, dtype=np.float64)
-    )
+    """Vectorize a whole corpus against a frozen vocabulary.
+
+    Each row holds the in-vocabulary token counts of one document, in
+    increasing column order; out-of-vocabulary tokens are dropped.
+    """
+    index = vocab.index
+    indptr = [0]
+    indices: list[int] = []
+    data: list[int] = []
+    for tokens in docs:
+        counts: dict[int, int] = {}
+        for tok in tokens:
+            col = index.get(tok)
+            if col is not None:
+                counts[col] = counts.get(col, 0) + 1
+        cols = sorted(counts)
+        indices.extend(cols)
+        data.extend(counts[c] for c in cols)
+        indptr.append(len(indices))
     return DocTermMatrix(
         vocab=vocab,
-        indptr=indptr,
-        indices=indices.astype(np.int64),
-        data=data.astype(np.float64),
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+        data=np.array(data, dtype=np.float64),
         weighting=COUNTS,
     )
 

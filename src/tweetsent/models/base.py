@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import HyperparameterError, TrainingError
-from ..features import COUNTS, DocTermMatrix, SparseVector, Vocabulary
+from ..features import DocTermMatrix
 from ..lexicon import SentimentLabel
 
 __all__ = ["Classifier", "TrainingSet", "Prediction", "member_rng"]
@@ -95,7 +95,8 @@ class Classifier:
     ``(n_docs, n_terms)`` rows to ``(n_docs, n_classes)`` scores: naive
     Bayes posteriors, linear margins (softmax for maxent), a tree's leaf
     class shares or an ensemble's vote shares.  The predicted class is a
-    row's first highest score.
+    row's first highest score.  ``predict`` scores one document, a one-row
+    matrix, through the same path.
     """
 
     kind: str
@@ -106,6 +107,10 @@ class Classifier:
     def predict_batch(self, matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray]:
         """Predicted class indices into ``classes`` and the per-class scores
         of every row of ``matrix``."""
+        if matrix.n_terms != len(self.terms):
+            raise ValueError(
+                f"matrix over {matrix.n_terms} terms for a {len(self.terms)}-term model"
+            )
         if matrix.nnz and int(matrix.indices.max()) >= len(self.terms):
             raise ValueError(
                 f"vector column {int(matrix.indices.max())} out of range for "
@@ -114,15 +119,11 @@ class Classifier:
         scores = self._scores(matrix.toarray())
         return np.argmax(scores, axis=1), scores
 
-    def predict(self, vec: SparseVector) -> Prediction:
-        """Label and per-class scores of one document: a one-row batch."""
-        # toarray reads only the vocabulary's size, so the row needs no
-        # term index, document frequencies or weighting of its own.
-        row = DocTermMatrix(
-            vocab=Vocabulary(self.terms, {}, np.zeros(0, dtype=np.int64)),
-            indptr=np.array([0, vec.nnz]), indices=vec.cols, data=vec.weights,
-            weighting=COUNTS,
-        )
+    def predict(self, row: DocTermMatrix) -> Prediction:
+        """Label and per-class scores of one document, given as a one-row
+        matrix such as ``matrix.row(i)``."""
+        if row.n_docs != 1:
+            raise ValueError(f"predict takes a one-row matrix, got {row.n_docs} rows")
         labels, scores = self.predict_batch(row)
         return Prediction(
             label=self.classes[labels[0]],

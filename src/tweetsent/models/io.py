@@ -68,13 +68,19 @@ def _float_array(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
 def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
     """Rebuild a tree, rejecting arrays that do not form one: a cycle would
     never let :meth:`Tree.apply` finish, a column past the vocabulary
-    would index outside the rows."""
+    would index outside the rows, and a node whose class counts are
+    negative or sum to 0 (every node of a fitted tree holds a row) would
+    give no class shares."""
     column, left, right = (_int_array(data[name], name) for name in ("column", "left", "right"))
     n_nodes = column.size
     if n_nodes == 0 or any(a.shape != (n_nodes,) for a in (left, right)):
         raise ValueError("tree arrays are empty or differ in length")
     threshold = _float_array(data["threshold"], "tree threshold", (n_nodes,))
-    counts = _float_array(data["counts"], "tree counts", (n_nodes * n_classes,))
+    counts = _float_array(
+        data["counts"], "tree counts", (n_nodes * n_classes,)
+    ).reshape(n_nodes, n_classes)
+    if (counts < 0).any() or (counts.sum(axis=1) == 0).any():
+        raise ValueError("tree counts hold a negative value or a node summing to 0")
     if ((column < LEAF) | (column >= n_terms)).any():
         raise ValueError(f"tree column outside the {n_terms}-term vocabulary")
     leaf = column == LEAF
@@ -83,10 +89,7 @@ def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
             raise ValueError(f"tree leaf has a {name} child")
         if ((child <= np.arange(n_nodes)) | (child >= n_nodes))[~leaf].any():
             raise ValueError(f"tree {name} child is not a later node")
-    return Tree(
-        column=column, threshold=threshold, left=left, right=right,
-        counts=counts.reshape(n_nodes, n_classes),
-    )
+    return Tree(column=column, threshold=threshold, left=left, right=right, counts=counts)
 
 
 def _encode_params(model: Model) -> dict:
@@ -127,6 +130,9 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Model:
     if kind == NAIVE_BAYES:
+        alpha = float(_float_array(params["alpha"], "alpha", ()))
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha!r}")
         return NaiveBayesModel(
             classes=classes,
             terms=terms,
@@ -137,10 +143,12 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
             term_log_likelihood=_float_array(
                 params["term_log_likelihood"], "term_log_likelihood", (len(classes), len(terms))
             ),
-            alpha=float(params["alpha"]),
+            alpha=alpha,
         )
     if kind in (MAXENT, SVM):
         trace = params["loss_trace"]
+        if trace is not None:
+            trace = tuple(_float_array(trace, "loss_trace", (np.size(trace),)).tolist())
         return LinearModel(
             kind=kind,
             classes=classes,
@@ -149,7 +157,7 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
             weights=_float_array(params["weights"], "weights", (len(classes), len(terms))),
             bias=_float_array(params["bias"], "bias", (len(classes),)),
             hyper=dict(params["hyper"]),
-            loss_trace=tuple(trace) if trace is not None else None,
+            loss_trace=trace,
         )
     if kind == DECISION_TREE:
         return DecisionTreeModel(

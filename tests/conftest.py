@@ -1,15 +1,30 @@
-"""Shared fixtures: paths to the bundled demo data and small corpora."""
+"""Shared fixtures: paths to the bundled demo data and small corpora, and
+the ``one_row`` builder for hand-made documents."""
 
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tweetsent.corpus import RawTweet, save_corpus
 from tweetsent.datagen import make_toy_training_set
+from tweetsent.features import COUNTS, DocTermMatrix, build_vocabulary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = REPO_ROOT / "data" / "demo"
+
+
+def one_row(terms, cols, weights) -> DocTermMatrix:
+    """A hand-built document over a model's ``terms``: the one-row matrix
+    holding ``weights`` at the increasing columns ``cols``."""
+    return DocTermMatrix(
+        vocab=build_vocabulary([list(terms)]),
+        indptr=np.array([0, len(cols)], dtype=np.int64),
+        indices=np.array(cols, dtype=np.int64),
+        data=np.array(weights, dtype=np.float64),
+        weighting=COUNTS,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import pytest
 from tweetsent.corpus import clean_text
 from tweetsent.datagen import make_toy_training_set, write_demo_data
 from tweetsent.evaluation import f1_from_precision_recall, k_fold_split
-from tweetsent.features import SparseVector, idf
+from tweetsent.features import idf
 from tweetsent.lexicon import Lexicon, label_document
 from tweetsent.models import (
     train_bagging,
@@ -29,7 +29,7 @@ from tweetsent.models import (
 from tweetsent.models.tree import grow_tree
 from tweetsent.pipeline import load_config, run_pipeline
 
-from conftest import DEMO_DIR
+from conftest import DEMO_DIR, one_row
 from test_ensemble import random_training_set, same_tree
 from test_linear import _max_relative_gradient_error
 from test_naive_bayes import _grid_cases, _oracle_posteriors, _training_set
@@ -122,7 +122,7 @@ def test_criterion_2_exact_posterior_oracle(announce):
             classes, expected = _oracle_posteriors(count_rows, labels, query)
             cols = np.array([j for j, c in enumerate(query) if c], dtype=np.int64)
             weights = np.array([c for c in query if c], dtype=np.float64)
-            scores = model.predict(SparseVector(cols=cols, weights=weights)).scores
+            scores = model.predict(one_row(model.terms, cols, weights)).scores
             for cls, exact in zip(classes, expected):
                 gap = abs(scores[cls] - float(exact))
                 worst = max(worst, gap)

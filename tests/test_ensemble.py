@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tweetsent.datagen import make_toy_training_set
-from tweetsent.features import SparseVector, build_count_matrix, build_vocabulary
+from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
     TrainingSet,
@@ -20,6 +20,8 @@ from tweetsent.models import (
 )
 from tweetsent.models.ensemble import EnsembleModel
 from tweetsent.models.tree import LEAF, Tree
+
+from conftest import one_row
 
 TREE_ARRAYS = ("column", "threshold", "left", "right", "counts")
 
@@ -155,7 +157,7 @@ class TestVoting:
 
     def test_vote_counts_tally_member_predictions(self):
         model = self._committee([0, 2, 2, 1, 2])
-        vec = SparseVector(cols=np.array([], dtype=np.int64), weights=np.array([]))
+        vec = one_row(model.terms, [], [])
         scores = model.predict(vec).scores
         np.testing.assert_array_equal(
             [scores[c] for c in model.classes], np.array([1.0, 1.0, 3.0]) / 5
@@ -165,12 +167,12 @@ class TestVoting:
     def test_ties_break_to_the_earlier_class(self):
         """Positive precedes Negative, so a 1-1 split predicts Positive."""
         model = self._committee([2, 0])
-        vec = SparseVector(cols=np.array([], dtype=np.int64), weights=np.array([]))
+        vec = one_row(model.terms, [], [])
         assert model.predict(vec).label is SentimentLabel.POSITIVE
 
     def test_scores_are_vote_shares(self):
         model = self._committee([0, 0, 1, 2])
-        vec = SparseVector(cols=np.array([], dtype=np.int64), weights=np.array([]))
+        vec = one_row(model.terms, [], [])
         scores = model.predict(vec).scores
         assert scores[SentimentLabel.POSITIVE] == 0.5
         assert sum(scores.values()) == pytest.approx(1.0)

@@ -13,7 +13,6 @@ from tweetsent.features import (
     build_vocabulary,
     idf,
     tfidf_transform,
-    vectorize_counts,
 )
 
 DOCS = [
@@ -21,6 +20,35 @@ DOCS = [
     ["banana", "cherry"],
     ["cherry", "cherry", "date"],
 ]
+
+
+def reference_vectorize(vocab, tokens):
+    """The per-document vectorizer ``build_count_matrix`` replaced, kept
+    as its reference; it returns a document's (columns, weights)."""
+    counts: dict[int, int] = {}
+    for tok in tokens:
+        col = vocab.index.get(tok)
+        if col is not None:
+            counts[col] = counts.get(col, 0) + 1
+    cols = np.array(sorted(counts), dtype=np.int64)
+    weights = np.array([counts[c] for c in cols], dtype=np.float64)
+    return cols, weights
+
+
+def reference_count_arrays(vocab, docs):
+    """``indptr``, ``indices`` and ``data`` as the concatenation of
+    :func:`reference_vectorize`'s per-document arrays."""
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    all_cols = []
+    all_weights = []
+    for i, tokens in enumerate(docs):
+        cols, weights = reference_vectorize(vocab, tokens)
+        all_cols.append(cols)
+        all_weights.append(weights)
+        indptr[i + 1] = indptr[i] + len(cols)
+    indices = np.concatenate(all_cols) if all_cols else np.empty(0, dtype=np.int64)
+    data = np.concatenate(all_weights) if all_weights else np.empty(0, dtype=np.float64)
+    return indptr, indices.astype(np.int64), data.astype(np.float64)
 
 
 class TestVocabulary:
@@ -62,17 +90,45 @@ class TestCountMatrix:
              [0, 0, 2, 1]], dtype=np.float64)
         np.testing.assert_array_equal(dense, expected)
 
-    def test_row_returns_sorted_sparse_vector(self):
-        vocab = build_vocabulary(DOCS)
-        m = build_count_matrix(vocab, DOCS)
-        row = m.row(0)
-        assert row.cols.tolist() == [0, 1]
-        assert row.weights.tolist() == [2.0, 1.0]
+    def test_row_returns_a_sorted_one_row_matrix(self):
+        counts = build_count_matrix(build_vocabulary(DOCS), DOCS)
+        for m in (counts, tfidf_transform(counts)):
+            row = m.row(2)
+            assert row.n_docs == 1 and row.indptr.tolist() == [0, row.nnz]
+            assert row.vocab is m.vocab and row.weighting == m.weighting
+            np.testing.assert_array_equal(row.toarray(), m.toarray()[[2]])
+        row = counts.row(0)
+        assert row.indices.tolist() == [0, 1]
+        assert row.data.tolist() == [2.0, 1.0]
+        assert (row.indptr.dtype, row.indices.dtype, row.data.dtype) == (
+            np.int64, np.int64, np.float64
+        )
 
     def test_out_of_vocabulary_tokens_dropped(self):
         vocab = build_vocabulary(DOCS)
-        vec = vectorize_counts(vocab, ["apple", "zebra"])
-        assert vec.cols.tolist() == [0]
+        vec = build_count_matrix(vocab, [["apple", "zebra"]])
+        assert vec.indices.tolist() == [0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_document_reference(self, seed):
+        """Out-of-vocabulary, repeated and empty documents give the bytes
+        and dtypes of the per-document vectorizer's concatenation, and so
+        does a corpus of no documents."""
+        rng = np.random.default_rng(seed)
+        pool = [f"w{j}" for j in range(30)] + [f"oov{j}" for j in range(10)]
+        docs = [
+            [pool[j] for j in rng.integers(0, len(pool), size=rng.integers(0, 9))]
+            for _ in range(60)
+        ]
+        docs += [[], ["w1"] * 5, ["oov1", "oov2"]]
+        vocab = build_vocabulary([d for d in docs if not any(t.startswith("oov") for t in d)])
+        assert any(not d for d in docs) and any(len(set(d)) < len(d) for d in docs)
+        for corpus in (docs, []):
+            m = build_count_matrix(vocab, corpus)
+            expected = reference_count_arrays(vocab, corpus)
+            for got, want in zip((m.indptr, m.indices, m.data), expected):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_empty_document_is_a_zero_row(self):
         vocab = build_vocabulary(DOCS)
@@ -98,8 +154,8 @@ class TestCountMatrix:
             sub = m.take(rows)
             picked = [m.row(i) for i in rows]
             assert sub.indptr.tolist() == np.cumsum([0] + [v.nnz for v in picked]).tolist()
-            expected_cols = [c for v in picked for c in v.cols.tolist()]
-            expected_weights = [w for v in picked for w in v.weights.tolist()]
+            expected_cols = [c for v in picked for c in v.indices.tolist()]
+            expected_weights = [w for v in picked for w in v.data.tolist()]
             assert sub.indices.tolist() == expected_cols
             assert sub.data.tolist() == expected_weights
             assert (sub.indices.dtype, sub.data.dtype) == (np.int64, np.float64)

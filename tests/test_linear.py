@@ -23,7 +23,6 @@ from tweetsent.evaluation import k_fold_split
 from tweetsent.exceptions import TrainingError
 from tweetsent.features import (
     DocTermMatrix,
-    SparseVector,
     build_count_matrix,
     build_vocabulary,
     tfidf_transform,
@@ -31,6 +30,8 @@ from tweetsent.features import (
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import TrainingSet, train_linear_svm, train_maxent
 from tweetsent.models.linear import LinearModel, maxent_loss_and_grad
+
+from conftest import one_row
 
 
 def _max_relative_gradient_error(x_dense, y, weights, bias, lam, h=1e-5):
@@ -649,9 +650,7 @@ class TestLinearModelContract:
     def test_maxent_scores_form_a_distribution(self):
         """Softmax scores are positive and sum to one."""
         model = self._model("maxent")
-        vec = SparseVector(
-            cols=np.array([0], dtype=np.int64), weights=np.array([1.0])
-        )
+        vec = one_row(model.terms, [0], [1.0])
         scores = model.predict(vec).scores
         assert all(s > 0.0 for s in scores.values())
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
@@ -659,11 +658,9 @@ class TestLinearModelContract:
     def test_svm_scores_are_raw_margins(self):
         """SVM predictions expose decision values, not normalized scores."""
         model = self._model("svm")
-        vec = SparseVector(
-            cols=np.array([2], dtype=np.int64), weights=np.array([4.0])
-        )
+        vec = one_row(model.terms, [2], [4.0])
         dense = np.zeros(4)
-        dense[vec.cols] = vec.weights
+        dense[vec.indices] = vec.data
         margins = model.weights @ dense + model.bias
         scores = model.predict(vec).scores
         np.testing.assert_allclose(
@@ -673,8 +670,6 @@ class TestLinearModelContract:
     def test_out_of_range_column_is_rejected(self):
         """A vector indexing past the vocabulary raises immediately."""
         model = self._model("svm")
-        vec = SparseVector(
-            cols=np.array([4], dtype=np.int64), weights=np.array([1.0])
-        )
+        vec = one_row(model.terms, [4], [1.0])
         with pytest.raises(ValueError, match="out of range"):
             model.predict(vec)

@@ -6,6 +6,7 @@ byte-identical to the first save.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,45 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("NaN", "alpha must hold numbers"),
+            (float("nan"), "alpha holds a NaN"),
+            (float("inf"), "alpha holds a NaN or infinite value"),
+            (0.0, "alpha must be positive"),
+            (-1.0, "alpha must be positive"),
+            ([1.0], "alpha has shape (1,)"),
+            (True, "alpha must hold numbers"),
+        ],
+    )
+    def test_alpha_must_be_a_finite_positive_number(self, alpha, message, tmp_path):
+        """``float()`` once read the string "NaN" here, and a re-save wrote a
+        bare NaN into the JSON."""
+        path, document = self._valid_document(tmp_path)
+        document["params"]["alpha"] = alpha
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "trace, message",
+        [
+            (["NaN", 1.0], "loss_trace must hold numbers"),
+            ([1.0, float("inf")], "loss_trace holds a NaN"),
+            ([[1.0], [0.5]], "loss_trace has shape (2, 1)"),
+            (1.0, "loss_trace has shape (), expected (1,)"),
+            ("1.0", "loss_trace must hold numbers"),
+        ],
+    )
+    def test_loss_trace_must_be_null_or_finite_numbers(self, trace, message, tmp_path):
+        model = TRAINERS["maxent"](make_toy_training_set())
+        path, document = saved_document(model, tmp_path)
+        document["params"]["loss_trace"] = trace
+        path.write_text(json.dumps(document))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+
     def test_unknown_class_tag_is_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
         document["classes"] = ["positive", "sideways"]
@@ -274,6 +314,14 @@ def corrupt_tree(tree: dict, defect: str) -> None:
         tree["threshold"].append(0.0)
     elif defect == "counts-per-node":
         tree["counts"].pop()
+    elif defect == "zero-counts":
+        tree["counts"] = [0.0] * len(tree["counts"])
+    elif defect == "zero-count-node":
+        n_classes = len(tree["counts"]) // len(tree["column"])
+        leaf = tree["column"].index(-1)
+        tree["counts"][leaf * n_classes:(leaf + 1) * n_classes] = [0.0] * n_classes
+    elif defect == "negative-count":
+        tree["counts"][0] = -tree["counts"][0] - 1.0
     elif defect == "non-integer-column":
         tree["column"][0] = 0.5
     elif defect == "no-nodes":
@@ -292,6 +340,9 @@ TREE_DEFECTS = [
     "negative-column",
     "unequal-lengths",
     "counts-per-node",
+    "zero-counts",
+    "zero-count-node",
+    "negative-count",
     "non-integer-column",
     "no-nodes",
 ]
@@ -309,7 +360,9 @@ class TestTreeStructureValidation:
         with pytest.raises(ModelFormatError, match="malformed model file: tree"):
             load_model(path)
 
-    @pytest.mark.parametrize("defect", ["cycle", "column-outside-vocabulary"])
+    @pytest.mark.parametrize(
+        "defect", ["cycle", "column-outside-vocabulary", "zero-counts", "negative-count"]
+    )
     def test_ensemble_member_defect_is_rejected(self, defect, tmp_path):
         model = train_bagging(make_toy_training_set(), n_members=3, seed=0)
         path, document = saved_document(model, tmp_path)

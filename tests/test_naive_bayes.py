@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from tweetsent.exceptions import TrainingError
-from tweetsent.features import SparseVector, build_count_matrix, build_vocabulary
+from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import CANONICAL_LABELS, SentimentLabel
 from tweetsent.models import TrainingSet, train_naive_bayes
+
+from conftest import one_row
 
 
 def _training_set(count_rows: tuple[tuple[int, ...], ...], labels) -> TrainingSet:
@@ -95,7 +97,7 @@ class TestBruteForceOracle:
                 classes, expected = _oracle_posteriors(count_rows, labels, query)
                 cols = np.array([j for j, c in enumerate(query) if c], dtype=np.int64)
                 weights = np.array([c for c in query if c], dtype=np.float64)
-                got = model.predict(SparseVector(cols=cols, weights=weights)).scores
+                got = model.predict(one_row(model.terms, cols, weights)).scores
                 for cls, exact in zip(classes, expected):
                     assert got[cls] == pytest.approx(float(exact), abs=1e-9)
                     n_checks += 1
@@ -107,8 +109,7 @@ class TestBruteForceOracle:
                            (SentimentLabel.POSITIVE, SentimentLabel.POSITIVE,
                             SentimentLabel.NEGATIVE))
         model = train_naive_bayes(ts)
-        empty = SparseVector(cols=np.empty(0, dtype=np.int64),
-                             weights=np.empty(0, dtype=np.float64))
+        empty = one_row(model.terms, [], [])
         scores = model.predict(empty).scores
         assert scores[SentimentLabel.POSITIVE] == pytest.approx(2 / 3, abs=1e-12)
         assert scores[SentimentLabel.NEGATIVE] == pytest.approx(1 / 3, abs=1e-12)
@@ -119,8 +120,7 @@ class TestModelBehaviour:
         ts = _training_set(((2, 0), (0, 2)),
                            (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE))
         model = train_naive_bayes(ts)
-        vec = SparseVector(cols=np.array([0], dtype=np.int64),
-                           weights=np.array([3.0]))
+        vec = one_row(model.terms, [0], [3.0])
         assert sum(model.predict(vec).scores.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_tie_predicts_canonical_first_class(self):
@@ -128,8 +128,7 @@ class TestModelBehaviour:
         ts = _training_set(((1,), (1,)),
                            (SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE))
         model = train_naive_bayes(ts)
-        vec = SparseVector(cols=np.array([0], dtype=np.int64),
-                           weights=np.array([1.0]))
+        vec = one_row(model.terms, [0], [1.0])
         prediction = model.predict(vec)
         assert prediction.scores[SentimentLabel.POSITIVE] == pytest.approx(
             prediction.scores[SentimentLabel.NEGATIVE]

@@ -828,7 +828,8 @@ class TestUserErrorsAreNotInternalErrors:
         assert "internal error" not in err
 
     @pytest.mark.parametrize(
-        "defect", ["cycle", "column-outside-vocabulary", "unequal-lengths"]
+        "defect",
+        ["cycle", "column-outside-vocabulary", "unequal-lengths", "zero-counts", "negative-count"],
     )
     def test_malformed_tree_file_is_a_data_error(
         self, defect, workspace, tmp_path, capsys
@@ -882,6 +883,9 @@ class TestUserErrorsAreNotInternalErrors:
             ("svm", "weights", lambda rows: sum(rows, []), "weights has shape ("),
             ("naive_bayes", "class_log_prior", ["NaN"] * 3, "class_log_prior must hold numbers"),
             ("naive_bayes", "class_log_prior", [float("nan")] * 3, "class_log_prior holds a NaN"),
+            ("naive_bayes", "alpha", "NaN", "alpha must hold numbers"),
+            ("naive_bayes", "alpha", -1.0, "alpha must be positive"),
+            ("maxent", "loss_trace", [1.0, "NaN"], "loss_trace must hold numbers"),
         ],
     )
     def test_malformed_model_parameters_are_a_data_error(

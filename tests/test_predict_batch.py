@@ -28,6 +28,8 @@ from tweetsent.models import (
 )
 from tweetsent.models.tree import LEAF
 
+from conftest import one_row
+
 LABELS = (SentimentLabel.POSITIVE, SentimentLabel.NEUTRAL, SentimentLabel.NEGATIVE)
 
 TRAINERS = {
@@ -43,7 +45,7 @@ TRAINERS = {
 def reference_naive_bayes(model, vec):
     joint = model.class_log_prior.copy()
     if vec.nnz:
-        joint = joint + model.term_log_likelihood[:, vec.cols] @ vec.weights
+        joint = joint + model.term_log_likelihood[:, vec.indices] @ vec.data
     m = float(np.max(joint))
     log_norm = m + float(np.log(np.sum(np.exp(joint - m))))
     posterior = np.exp(joint - log_norm)
@@ -53,7 +55,7 @@ def reference_naive_bayes(model, vec):
 def reference_linear(model, vec):
     margins = model.bias.copy()
     if vec.nnz:
-        margins += model.weights[:, vec.cols] @ vec.weights
+        margins += model.weights[:, vec.indices] @ vec.data
     if model.kind != MAXENT:
         return margins
     expd = np.exp(margins - margins.max())
@@ -65,10 +67,10 @@ def reference_tree_walk(tree, vec):
     node = 0
     while tree.column[node] != LEAF:
         column = tree.column[node]
-        pos = np.searchsorted(vec.cols, column)
+        pos = np.searchsorted(vec.indices, column)
         value = (
-            float(vec.weights[pos])
-            if pos < vec.cols.size and vec.cols[pos] == column
+            float(vec.data[pos])
+            if pos < vec.indices.size and vec.indices[pos] == column
             else 0.0
         )
         node = tree.left[node] if value <= tree.threshold[node] else tree.right[node]
@@ -174,3 +176,28 @@ def test_fold_model_that_lost_a_class(kind):
         gold = [labels[i] for i in test_rows]
         cm = confusion_matrix(gold, predicted, classes=training.classes)
         assert result.folds[fold].accuracy == accuracy(cm)
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_predict_is_a_one_row_batch(kind):
+    """``predict(matrix.row(i))`` gives row i's batch label and scores (to
+    1e-12: a one-row product may round apart from the batch's); a matrix
+    of any other number of rows, or over a narrower vocabulary than the
+    model's, is refused."""
+    rng = np.random.default_rng(99)
+    labels = tuple(LABELS[i] for i in rng.integers(0, 3, size=30))
+    training = random_training_set(rng, len(labels), 6, labels, "counts")
+    model = TRAINERS[kind](training)
+    label_idx, scores = model.predict_batch(training.matrix)
+    for i in range(training.n_docs):
+        prediction = model.predict(training.matrix.row(i))
+        assert prediction.label is model.classes[label_idx[i]]
+        assert list(prediction.scores) == list(model.classes)
+        np.testing.assert_allclose(
+            list(prediction.scores.values()), scores[i], rtol=0, atol=1e-12
+        )
+    for rows in ([], [0, 1]):
+        with pytest.raises(ValueError, match=f"one-row matrix, got {len(rows)} rows"):
+            model.predict(training.matrix.take(rows))
+    with pytest.raises(ValueError, match=f"matrix over 2 terms for a {len(model.terms)}-term"):
+        model.predict(one_row(model.terms[:2], [1], [1.0]))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tweetsent.datagen import make_toy_training_set
-from tweetsent.features import SparseVector, build_count_matrix, build_vocabulary
+from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
     TrainingSet,
@@ -38,6 +38,8 @@ from tweetsent.models.tree import (
     grow_trees,
     stack_trees,
 )
+
+from conftest import one_row
 
 
 def enumerate_weighted_ginis(x, y, n_classes):
@@ -718,29 +720,21 @@ class TestDecisionTreeModel:
     def test_absent_terms_route_as_zero(self):
         """A document without the split term takes the <= branch."""
         model = self._stump()
-        empty = SparseVector(
-            cols=np.array([], dtype=np.int64), weights=np.array([])
-        )
+        empty = one_row(model.terms, [], [])
         assert model.predict(empty).label is SentimentLabel.POSITIVE
-        present = SparseVector(
-            cols=np.array([0], dtype=np.int64), weights=np.array([1.0])
-        )
+        present = one_row(model.terms, [0], [1.0])
         assert model.predict(present).label is SentimentLabel.NEGATIVE
 
     def test_scores_are_leaf_class_shares(self):
         """Scores report the training-class mix of the reached leaf."""
         model = self._stump()
-        vec = SparseVector(
-            cols=np.array([0], dtype=np.int64), weights=np.array([2.0])
-        )
+        vec = one_row(model.terms, [0], [2.0])
         scores = model.predict(vec).scores
         assert scores[SentimentLabel.NEGATIVE] == 1.0
         assert sum(scores.values()) == pytest.approx(1.0)
 
     def test_out_of_range_column_is_rejected(self):
         model = self._stump()
-        vec = SparseVector(
-            cols=np.array([2], dtype=np.int64), weights=np.array([1.0])
-        )
+        vec = one_row(model.terms, [2], [1.0])
         with pytest.raises(ValueError, match="out of range"):
             model.predict(vec)
