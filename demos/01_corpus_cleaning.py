@@ -61,9 +61,9 @@ print()
 # 5. Timestamps feed a 24-bin activity histogram — when does this topic
 #    get talked about?  The demo corpus is weighted toward lunch hours.
 histogram = hourly_histogram(documents)
-peak = max(range(24), key=lambda h: histogram.bins[h])
+peak = max(range(24), key=lambda h: histogram[h])
 print("tweets per hour (UTC):")
-for hour in range(24):
-    bar = "#" * (histogram.bins[hour] // 2)
-    print(f"  {hour:02d}h {histogram.bins[hour]:3d} {bar}")
+for hour, count in enumerate(histogram):
+    bar = "#" * (count // 2)
+    print(f"  {hour:02d}h {count:3d} {bar}")
 print(f"peak activity at {peak:02d}h")

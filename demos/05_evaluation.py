@@ -23,7 +23,7 @@ from tweetsent.evaluation import (
     per_class_metrics,
 )
 from tweetsent.features import build_count_matrix, build_vocabulary
-from tweetsent.lexicon import Lexicon, SentimentLabel, label_corpus
+from tweetsent.lexicon import CANONICAL_LABELS, Lexicon, SentimentLabel, label_corpus
 from tweetsent.models import (
     TrainingSet,
     train_decision_tree,
@@ -86,15 +86,15 @@ lexicon = Lexicon(entries={
         line.split("\t") for line in lexicon_lines() if not line.startswith("#")
     )
 })
-labeled, counts = label_corpus(lexicon, docs)
+token_lists = [doc.tokens for doc in docs]
+labels, _ = label_corpus(lexicon, token_lists)
 print("weak-label distribution:",
-      {label.tag: n for label, n in counts.items()})
+      {label.tag: labels.count(label) for label in CANONICAL_LABELS})
 
-token_lists = [item.doc.tokens for item in labeled]
 vocab = build_vocabulary(token_lists, min_df=1)
 training = TrainingSet(
     matrix=build_count_matrix(vocab, token_lists),
-    labels=tuple(item.label for item in labeled),
+    labels=labels,
 )
 print(f"training set: {training.n_docs} docs x {training.matrix.n_terms} terms")
 print()

@@ -201,7 +201,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     f"{path}: stored classes {[c.tag for c in model.classes]} include a "
                     "label no document has under this config (different lexicon?)"
                 )
-            accuracy, macro = score(model, training.matrix, training.labels, training.classes)
+            accuracy, macro = score(model, training.matrix, training.y(), training.classes)
             results.append(
                 {
                     "topic": data.topic,

@@ -21,14 +21,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .exceptions import CorpusError
 
 __all__ = [
     "RawTweet",
     "CleanDocument",
-    "HourHistogram",
     "load_corpus",
     "save_corpus",
     "load_stopwords",
@@ -59,17 +56,6 @@ class CleanDocument:
     tokens: tuple[str, ...]
     topic: str
     created_at: datetime
-
-
-@dataclass(frozen=True)
-class HourHistogram:
-    """Tweet counts per UTC hour of day (24 bins)."""
-
-    bins: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.bins)
 
 
 def _parse_timestamp(value: str) -> datetime:
@@ -285,12 +271,12 @@ def clean_corpus(
     ]
 
 
-def hourly_histogram(docs: Iterable[CleanDocument | RawTweet]) -> HourHistogram:
-    """Count documents per UTC hour of day.
+def hourly_histogram(docs: Iterable[CleanDocument | RawTweet]) -> tuple[int, ...]:
+    """Document counts per UTC hour of day: 24 bins, hour 0 first.
 
     The bin sum always equals the number of documents histogrammed.
     """
-    bins = np.zeros(24, dtype=np.int64)
+    bins = [0] * 24
     for doc in docs:
         bins[doc.created_at.astimezone(timezone.utc).hour] += 1
-    return HourHistogram(bins=tuple(int(b) for b in bins))
+    return tuple(bins)

@@ -1,10 +1,13 @@
 """Classifier evaluation: confusion matrices, per-class and macro metrics,
 and seeded k-fold cross-validation.
 
-Per-class scores follow the usual one-vs-rest reading of the confusion
-matrix: recall is ``tp / (tp + fn)``, precision is ``tp / (tp + fp)``, and
-F1 is their harmonic mean.  Whenever a denominator is zero the score is
-defined as zero rather than raising.
+A confusion matrix is one ``bincount`` of (gold, predicted) class-index
+pairs.  Per-class scores follow the usual one-vs-rest reading of it:
+a class's true positives are its diagonal cell, ``tp + fn`` its row sum
+and ``tp + fp`` its column sum; recall is ``tp / (tp + fn)``, precision
+is ``tp / (tp + fp)``, and F1 is their harmonic mean.  Whenever a
+denominator is zero the score is defined as zero rather than raising.
+:func:`score` scores a model on a whole matrix with one batch prediction.
 """
 
 from __future__ import annotations
@@ -56,28 +59,6 @@ class ConfusionMatrix:
                 f"{len(self.classes)} classes"
             )
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def index(self, label: SentimentLabel) -> int:
-        return self.classes.index(label)
-
-    def count(self, gold: SentimentLabel, predicted: SentimentLabel) -> int:
-        return int(self.counts[self.index(gold), self.index(predicted)])
-
-    def true_positives(self, label: SentimentLabel) -> int:
-        i = self.index(label)
-        return int(self.counts[i, i])
-
-    def false_positives(self, label: SentimentLabel) -> int:
-        i = self.index(label)
-        return int(self.counts[:, i].sum() - self.counts[i, i])
-
-    def false_negatives(self, label: SentimentLabel) -> int:
-        i = self.index(label)
-        return int(self.counts[i, :].sum() - self.counts[i, i])
-
 
 def confusion_matrix(
     gold: Sequence[SentimentLabel],
@@ -89,10 +70,6 @@ def confusion_matrix(
     ``classes`` fixes the axis order; by default it is the canonical label
     order restricted to labels that actually occur in either sequence.
     """
-    if len(gold) != len(predicted):
-        raise ValueError(
-            f"got {len(gold)} gold labels but {len(predicted)} predictions"
-        )
     if classes is None:
         seen = set(gold) | set(predicted)
         classes = tuple(cls for cls in CANONICAL_LABELS if cls in seen)
@@ -100,15 +77,32 @@ def confusion_matrix(
         classes = tuple(classes)
     if not classes:
         raise ValueError("cannot build a confusion matrix with no classes")
+    return _tally(
+        _positions(gold, classes, "gold"),
+        _positions(predicted, classes, "predicted"),
+        classes,
+    )
+
+
+def _positions(labels: Sequence[SentimentLabel], classes, role: str) -> np.ndarray:
+    """Each label's index in ``classes``."""
     position = {cls: i for i, cls in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for g, p in zip(gold, predicted):
-        if g not in position:
-            raise ValueError(f"gold label {g!s} is not in the class list")
-        if p not in position:
-            raise ValueError(f"predicted label {p!s} is not in the class list")
-        counts[position[g], position[p]] += 1
-    return ConfusionMatrix(classes=classes, counts=counts)
+    try:
+        return np.array([position[label] for label in labels], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"{role} label {exc.args[0]!s} is not in the class list") from None
+
+
+def _tally(gold: np.ndarray, predicted: np.ndarray, classes) -> ConfusionMatrix:
+    """The confusion matrix of aligned gold and predicted indices into
+    ``classes``: one ``bincount`` of ``gold * n_classes + predicted``."""
+    if gold.shape != predicted.shape:
+        raise ValueError(
+            f"got {gold.shape[0]} gold labels but {predicted.shape[0]} predictions"
+        )
+    n = len(classes)
+    counts = np.bincount(gold * n + predicted, minlength=n * n).reshape(n, n)
+    return ConfusionMatrix(classes=tuple(classes), counts=counts)
 
 
 def f1_from_precision_recall(precision: float, recall: float) -> float:
@@ -118,23 +112,20 @@ def f1_from_precision_recall(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def precision_recall_f1(cm: ConfusionMatrix, label: SentimentLabel) -> ClassMetrics:
-    tp = cm.true_positives(label)
-    fp = cm.false_positives(label)
-    fn = cm.false_negatives(label)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return ClassMetrics(
-        label=label,
-        precision=precision,
-        recall=recall,
-        f1=f1_from_precision_recall(precision, recall),
-        support=tp + fn,
-    )
-
-
 def per_class_metrics(cm: ConfusionMatrix) -> tuple[ClassMetrics, ...]:
-    return tuple(precision_recall_f1(cm, label) for label in cm.classes)
+    """One-vs-rest scores of every class, in ``cm.classes`` order."""
+    true_positives = np.diagonal(cm.counts).tolist()
+    gold_totals = cm.counts.sum(axis=1).tolist()  # tp + fn
+    predicted_totals = cm.counts.sum(axis=0).tolist()  # tp + fp
+    metrics = []
+    for label, tp, n_gold, n_predicted in zip(
+        cm.classes, true_positives, gold_totals, predicted_totals
+    ):
+        precision = tp / n_predicted if n_predicted else 0.0
+        recall = tp / n_gold if n_gold else 0.0
+        f1 = f1_from_precision_recall(precision, recall)
+        metrics.append(ClassMetrics(label, precision, recall, f1, support=n_gold))
+    return tuple(metrics)
 
 
 def macro_average(per_class: Sequence[ClassMetrics | MacroMetrics]) -> MacroMetrics:
@@ -149,7 +140,7 @@ def macro_average(per_class: Sequence[ClassMetrics | MacroMetrics]) -> MacroMetr
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
-    total = cm.total
+    total = int(cm.counts.sum())
     if total == 0:
         return 0.0
     return float(np.trace(cm.counts) / total)
@@ -158,13 +149,16 @@ def accuracy(cm: ConfusionMatrix) -> float:
 def score(
     model: Model,
     matrix: DocTermMatrix,
-    gold: Sequence[SentimentLabel],
+    gold: np.ndarray,
     classes: Sequence[SentimentLabel],
 ) -> tuple[float, MacroMetrics]:
     """Accuracy and macro metrics of ``model`` on ``matrix``'s rows against
-    ``gold``, with the confusion matrix built over ``classes``."""
-    label_idx, _ = model.predict_batch(matrix)
-    cm = confusion_matrix(gold, [model.classes[i] for i in label_idx], classes=classes)
+    ``gold``, each row's class as an index into ``classes``, with the
+    confusion matrix built over ``classes``.  Every model class must be in
+    ``classes``."""
+    predicted, _ = model.predict_batch(matrix)
+    lookup = _positions(model.classes, classes, "predicted")
+    cm = _tally(np.asarray(gold, dtype=np.int64), lookup[predicted], classes)
     return accuracy(cm), macro_average(per_class_metrics(cm))
 
 
@@ -230,6 +224,7 @@ def cross_validate(
     The accuracy spread is the population standard deviation over folds.
     """
     splits = k_fold_split(training.matrix.n_docs, k, seed=seed)
+    y = training.y()
     fold_metrics = []
     warnings: list[str] = []
     for fold, (train_rows, test_rows) in enumerate(splits):
@@ -244,7 +239,7 @@ def cross_validate(
         fold_accuracy, macro = score(
             trainer(sub),
             training.matrix.take(test_rows),
-            [training.labels[i] for i in test_rows],
+            y[test_rows],
             training.classes,
         )
         fold_metrics.append(

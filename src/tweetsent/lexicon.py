@@ -2,9 +2,11 @@
 
 A lexicon maps lowercase tokens to signed weights. A document's score is
 the sum of the weights of its tokens (zero for unknown tokens, counted
-with multiplicity), and the label follows the sign of the score:
-positive score -> Positive, negative -> Negative, exactly zero ->
-Neutral. These weak labels are what the supervised models train on.
+with multiplicity), added left to right from 0.0, and the label follows
+the sign of the score: positive score -> Positive, negative -> Negative,
+exactly zero -> Neutral. These weak labels are what the supervised models
+train on. :func:`label_corpus` labels a whole corpus, given as token
+sequences, in one call.
 
 Known limitation: there is no negation handling, so "not good" scores
 the same as "good".
@@ -15,11 +17,10 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
-from .corpus import CleanDocument
 from .exceptions import LexiconError
 
 logger = logging.getLogger(__name__)
@@ -28,11 +29,7 @@ __all__ = [
     "SentimentLabel",
     "CANONICAL_LABELS",
     "Lexicon",
-    "LabeledDocument",
     "load_lexicon",
-    "score_document",
-    "label_for_score",
-    "label_document",
     "label_corpus",
 ]
 
@@ -77,24 +74,8 @@ class Lexicon:
 
     entries: dict[str, float]
 
-    def weight(self, token: str) -> float:
-        return self.entries.get(token, 0.0)
-
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class LabeledDocument:
-    """A cleaned document plus its sentiment label.
-
-    ``score`` is the lexicon score that produced the label; it is None
-    for labels supplied externally (gold annotations).
-    """
-
-    doc: CleanDocument
-    label: SentimentLabel
-    score: float | None
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -153,40 +134,26 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries=entries)
 
 
-def score_document(lex: Lexicon, tokens: Iterable[str]) -> float:
-    """Sum the lexicon weights of the tokens (multiplicity counts).
-
-    Tokens absent from the lexicon contribute zero.
-    """
-    return float(sum(lex.entries.get(tok, 0.0) for tok in tokens))
-
-
-def label_for_score(score: float) -> SentimentLabel:
-    """Sign rule: >0 Positive, <0 Negative, exactly 0 Neutral."""
-    if score > 0:
-        return SentimentLabel.POSITIVE
-    if score < 0:
-        return SentimentLabel.NEGATIVE
-    return SentimentLabel.NEUTRAL
-
-
-def label_document(lex: Lexicon, tokens: Iterable[str]) -> tuple[SentimentLabel, float]:
-    """Score one token sequence and apply the sign rule."""
-    score = score_document(lex, tokens)
-    return label_for_score(score), score
-
-
 def label_corpus(
-    lex: Lexicon, docs: Sequence[CleanDocument]
-) -> tuple[list[LabeledDocument], dict[SentimentLabel, int]]:
-    """Weak-label every document; also return class-distribution counts.
+    lex: Lexicon, token_sequences: Iterable[Sequence[str]]
+) -> tuple[tuple[SentimentLabel, ...], tuple[float, ...]]:
+    """The label and the score of every token sequence, in order.
 
-    Order is preserved and the counts always sum to len(docs).
+    A score adds its tokens' weights left to right from 0.0 in one loop.
+    Built-in ``sum`` compensates float sums from Python 3.12 on, so it
+    would round some scores, and flip some labels, differently by version.
     """
-    labeled = []
-    counts = {label: 0 for label in CANONICAL_LABELS}
-    for doc in docs:
-        label, score = label_document(lex, doc.tokens)
-        labeled.append(LabeledDocument(doc=doc, label=label, score=score))
-        counts[label] += 1
-    return labeled, counts
+    weight = lex.entries.get
+    labels, scores = [], []
+    for tokens in token_sequences:
+        score = 0.0
+        for token in tokens:
+            score += weight(token, 0.0)
+        scores.append(score)
+        if score > 0:
+            labels.append(SentimentLabel.POSITIVE)
+        elif score < 0:
+            labels.append(SentimentLabel.NEGATIVE)
+        else:
+            labels.append(SentimentLabel.NEUTRAL)
+    return tuple(labels), tuple(scores)

@@ -24,7 +24,6 @@ from .tree import (
     Tree,
     bin_training_set,
     gini_impurity,
-    grow_tree,
     train_decision_tree,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "Tree",
     "bin_training_set",
     "gini_impurity",
-    "grow_tree",
     "load_model",
     "maxent_loss_and_grad",
     "member_rng",

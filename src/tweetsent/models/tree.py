@@ -385,20 +385,6 @@ def _best_splits(
     return split_column, split_threshold
 
 
-def _best_split(
-    binned: BinnedRows,
-    rows: np.ndarray,
-    node_counts: np.ndarray,
-    columns: np.ndarray,
-) -> tuple[int, float] | None:
-    """:func:`_best_splits` for one node: its (column, threshold), or None
-    when no candidate column has a usable threshold on ``rows``."""
-    column, threshold = _best_splits(binned, [rows], node_counts[None], [columns])
-    if column[0] == LEAF:
-        return None
-    return int(column[0]), float(threshold[0])
-
-
 def _route(
     binned: BinnedRows,
     node_rows: Sequence[np.ndarray],
@@ -555,8 +541,12 @@ def grow_trees(
 ) -> list[Tree]:
     """Grow one tree per (rows, column sampler) pair of ``members``.
 
-    Each tree is the one :func:`grow_tree` grows from its pair, node for
-    node.  ``members`` may be a lazy iterable: it is read
+    ``rows`` are a tree's training rows; a bootstrap resample lists rows as
+    often as it draws them.  The column sampler, when not None, is called
+    once per attempt to split a node, in the tree's node preorder, and
+    returns the sorted candidate columns of that split; None makes every
+    column a candidate.  A tree does not depend on the others it is grown
+    with.  ``members`` may be a lazy iterable: it is read
     :data:`GROW_GROUP` pairs at a time, and each group is grown in
     lockstep before the next is read.
     """
@@ -575,35 +565,8 @@ def grow_trees(
     return trees
 
 
-def grow_tree(
-    binned: BinnedRows,
-    *,
-    rows: np.ndarray | None = None,
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-    column_sampler=None,
-) -> Tree:
-    """Grow a tree on the binned training rows ``binned``.
-
-    ``rows`` are the training rows, all rows by default; a bootstrap
-    resample lists rows as often as it draws them.  ``column_sampler``,
-    when given, is called once per internal-node attempt, in node preorder,
-    and must return the sorted candidate columns for that split; ensemble
-    trainers use it to restrict each split to a random subset.
-    """
-    if rows is None:
-        rows = np.arange(binned.n_rows)
-    (tree,) = grow_trees(
-        binned,
-        [(rows, column_sampler)],
-        max_depth=max_depth,
-        min_samples_split=min_samples_split,
-    )
-    return tree
-
-
 def bin_training_set(training: TrainingSet) -> BinnedRows:
-    """The training set's rows binned for :func:`grow_tree`, once per fit."""
+    """The training set's rows binned for :func:`grow_trees`, once per fit."""
     m = training.matrix
     return bin_rows(
         m.indptr, m.indices, m.data, m.n_terms, training.y(), len(training.classes)
@@ -634,8 +597,9 @@ def train_decision_tree(
     min_samples_split: int = 2,
 ) -> DecisionTreeModel:
     """Fit a single CART tree on the sparse training matrix."""
-    tree = grow_tree(
+    (tree,) = grow_trees(
         bin_training_set(training),
+        [(np.arange(training.n_docs), None)],
         max_depth=max_depth,
         min_samples_split=min_samples_split,
     )

@@ -28,7 +28,6 @@ from pathlib import Path
 
 from .corpus import (
     CleanDocument,
-    HourHistogram,
     clean_corpus,
     hourly_histogram,
     load_corpus,
@@ -342,7 +341,7 @@ class TopicData:
     labels: tuple
     scores: tuple[float, ...]
     distribution: dict
-    hourly: HourHistogram
+    hourly: tuple[int, ...]
     matrices: dict[str, DocTermMatrix]
 
     def training_set(self, weighting: str) -> TrainingSet:
@@ -405,13 +404,11 @@ def _load_topic(name: str, path: Path, lexicon: Lexicon, stopwords, min_df: int)
             raise DataError(f"{path} contains no documents with topic {name!r}")
     with _stage("clean"):
         documents = tuple(clean_corpus(kept, stopwords))
+    tokens = [doc.tokens for doc in documents]
     with _stage("label"):
-        labeled, counts = label_corpus(lexicon, documents)
-        labels = tuple(item.label for item in labeled)
-        scores = tuple(item.score for item in labeled)
-        distribution = {label.tag: counts[label] for label in CANONICAL_LABELS}
+        labels, scores = label_corpus(lexicon, tokens)
+        distribution = {label.tag: labels.count(label) for label in CANONICAL_LABELS}
     with _stage("featurize"):
-        tokens = [doc.tokens for doc in documents]
         vocab = build_vocabulary(tokens, min_df=min_df)
         count_matrix = build_count_matrix(vocab, tokens)
         matrices = {COUNTS: count_matrix, TFIDF: tfidf_transform(count_matrix)}
@@ -481,7 +478,7 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
             topic=data.topic,
             documents=len(data.documents),
             distribution=data.distribution,
-            hourly=data.hourly.bins,
+            hourly=data.hourly,
             models=tuple(rows),
             warnings=tuple(warnings),
         )

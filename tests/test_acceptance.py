@@ -18,7 +18,7 @@ from tweetsent.corpus import clean_text
 from tweetsent.datagen import make_toy_training_set, write_demo_data
 from tweetsent.evaluation import f1_from_precision_recall, k_fold_split
 from tweetsent.features import idf
-from tweetsent.lexicon import Lexicon, label_document
+from tweetsent.lexicon import Lexicon, label_corpus
 from tweetsent.models import (
     train_bagging,
     train_decision_tree,
@@ -26,7 +26,6 @@ from tweetsent.models import (
     train_naive_bayes,
     train_random_forest,
 )
-from tweetsent.models.tree import grow_tree
 from tweetsent.pipeline import load_config, run_pipeline
 
 from conftest import DEMO_DIR, one_row
@@ -35,8 +34,8 @@ from test_linear import _max_relative_gradient_error
 from test_naive_bayes import _grid_cases, _oracle_posteriors, _training_set
 from test_properties import fuzz_strings, kfold_grid, random_lexicon_case
 from test_tree import (
-    binned_rows,
     enumerate_weighted_ginis,
+    grow,
     is_leaf,
     weighted_gini_of_split,
 )
@@ -157,7 +156,7 @@ def test_criterion_3_split_enumeration_oracle(announce):
         y = rng.integers(0, 3, size=8)
         while np.unique(y).size < 2:
             y = rng.integers(0, 3, size=8)
-        tree = grow_tree(binned_rows(x, y, 3))
+        tree = grow(x, y, 3)
         candidates = enumerate_weighted_ginis(x, y, 3)
         if not candidates:
             if not is_leaf(tree):
@@ -350,9 +349,9 @@ def test_criterion_8_property_suites(announce):
         scaled = Lexicon(
             entries={tok: factor * w for tok, w in lexicon.entries.items()}
         )
-        for tokens in documents:
-            label, _ = label_document(lexicon, tokens)
-            scaled_label, _ = label_document(scaled, tokens)
+        labels, _ = label_corpus(lexicon, documents)
+        scaled_labels, _ = label_corpus(scaled, documents)
+        for tokens, label, scaled_label in zip(documents, labels, scaled_labels, strict=True):
             if scaled_label is not label:
                 failures.append(
                     f"scale {factor}: label changed on {tokens!r}"

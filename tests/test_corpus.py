@@ -178,13 +178,13 @@ class TestHourlyHistogram:
             for i, h in enumerate([0, 0, 13, 23])
         ]
         hist = hourly_histogram(docs)
-        assert len(hist.bins) == 24
-        assert hist.bins[0] == 2 and hist.bins[13] == 1 and hist.bins[23] == 1
-        assert hist.total == 4
+        assert len(hist) == 24
+        assert hist[0] == 2 and hist[13] == 1 and hist[23] == 1
+        assert sum(hist) == 4
 
     def test_offset_timestamps_bucket_by_utc(self):
         tweet = RawTweet(
             id="a", text="x", topic="t",
             created_at=datetime(2024, 5, 1, 23, 30, tzinfo=timezone.utc),
         )
-        assert hourly_histogram([tweet]).bins[23] == 1
+        assert hourly_histogram([tweet])[23] == 1

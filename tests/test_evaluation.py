@@ -1,8 +1,10 @@
 """Evaluation harness: confusion tallies, P/R/F1 arithmetic, k-fold CV.
 
 Metric values are checked against hand-worked fractions on small fixed
-confusion matrices, and the cross-validation loop is probed with
-instrumented trainers to pin down exactly which rows each fold sees.
+confusion matrices, and against the per-pair tally loop and per-class
+arithmetic that the one-``bincount`` path replaced, on random label
+sequences.  The cross-validation loop is probed with instrumented trainers
+to pin down exactly which rows each fold sees.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.evaluation import (
+    ClassMetrics,
     ConfusionMatrix,
     accuracy,
     confusion_matrix,
@@ -18,16 +21,48 @@ from tweetsent.evaluation import (
     k_fold_split,
     macro_average,
     per_class_metrics,
-    precision_recall_f1,
     score,
 )
 from tweetsent.features import build_count_matrix, build_vocabulary
-from tweetsent.lexicon import SentimentLabel
+from tweetsent.lexicon import CANONICAL_LABELS, SentimentLabel
 from tweetsent.models import TrainingSet, train_naive_bayes
 
 POS = SentimentLabel.POSITIVE
 NEU = SentimentLabel.NEUTRAL
 NEG = SentimentLabel.NEGATIVE
+
+
+def reference_counts(gold, predicted, classes):
+    """The per-pair tally loop ``confusion_matrix`` ran before it became one
+    ``bincount``."""
+    position = {cls: i for i, cls in enumerate(classes)}
+    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for g, p in zip(gold, predicted):
+        counts[position[g], position[p]] += 1
+    return counts
+
+
+def reference_class_metrics(cm, label):
+    """One class's scores, with the arithmetic of the deleted
+    per-class function that ``per_class_metrics`` replaced: tp, fp and fn
+    cell by cell, in Python ints."""
+    i = cm.classes.index(label)
+    tp = int(cm.counts[i, i])
+    fp = int(cm.counts[:, i].sum() - cm.counts[i, i])
+    fn = int(cm.counts[i, :].sum() - cm.counts[i, i])
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return ClassMetrics(
+        label=label,
+        precision=precision,
+        recall=recall,
+        f1=f1_from_precision_recall(precision, recall),
+        support=tp + fn,
+    )
+
+
+def random_labels(rng, n, classes):
+    return [classes[i] for i in rng.integers(0, len(classes), size=n)]
 
 
 def three_class_matrix():
@@ -52,11 +87,12 @@ class TestConfusionMatrix:
         gold = [POS, POS, NEU, NEG]
         predicted = [POS, NEU, NEU, POS]
         cm = confusion_matrix(gold, predicted)
-        assert cm.count(POS, POS) == 1
-        assert cm.count(POS, NEU) == 1
-        assert cm.count(NEU, NEU) == 1
-        assert cm.count(NEG, POS) == 1
-        assert cm.total == 4
+        assert cm.classes == (POS, NEU, NEG)
+        assert cm.counts[0, 0] == 1  # (Positive, Positive)
+        assert cm.counts[0, 1] == 1  # (Positive, Neutral)
+        assert cm.counts[1, 1] == 1  # (Neutral, Neutral)
+        assert cm.counts[2, 0] == 1  # (Negative, Positive)
+        assert cm.counts.sum() == 4
 
     def test_default_classes_follow_canonical_order(self):
         """Only labels that occur appear, ordered Positive, Neutral, Negative."""
@@ -66,21 +102,26 @@ class TestConfusionMatrix:
     def test_explicit_classes_keep_unseen_rows(self):
         cm = confusion_matrix([POS], [POS], classes=(POS, NEU, NEG))
         assert cm.counts.shape == (3, 3)
-        assert cm.count(NEU, NEU) == 0
+        assert cm.counts[1, 1] == 0  # (Neutral, Neutral)
 
-    def test_accessor_arithmetic(self):
+    def test_one_vs_rest_cells(self):
         cm = three_class_matrix()
-        assert cm.true_positives(NEU) == 3
-        assert cm.false_positives(NEU) == 2  # one gold P and one gold Neg
-        assert cm.false_negatives(NEU) == 3  # two predicted P, one Neg
+        neu = cm.classes.index(NEU)
+        assert cm.counts[neu, neu] == 3  # true positives
+        # false positives: one gold P and one gold Neg
+        assert cm.counts[:, neu].sum() - cm.counts[neu, neu] == 2
+        # false negatives: two predicted P, one Neg
+        assert cm.counts[neu, :].sum() - cm.counts[neu, neu] == 3
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="gold labels"):
             confusion_matrix([POS], [POS, NEG])
 
     def test_rejects_labels_outside_the_class_list(self):
-        with pytest.raises(ValueError, match="not in the class list"):
+        with pytest.raises(ValueError, match="predicted label Negative is not in the class list"):
             confusion_matrix([POS], [NEG], classes=(POS, NEU))
+        with pytest.raises(ValueError, match="gold label Negative is not in the class list"):
+            confusion_matrix([NEG], [POS], classes=(POS, NEU))
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="no classes"):
@@ -96,7 +137,8 @@ class TestPerClassMetrics:
 
     def test_hand_worked_positive_class(self):
         """tp=5, fp=2, fn=1 gives P=5/7, R=5/6, F1=10/13."""
-        metrics = precision_recall_f1(three_class_matrix(), POS)
+        metrics = per_class_metrics(three_class_matrix())[0]
+        assert metrics.label is POS
         assert metrics.precision == pytest.approx(5 / 7)
         assert metrics.recall == pytest.approx(5 / 6)
         assert metrics.f1 == pytest.approx(10 / 13)
@@ -104,7 +146,8 @@ class TestPerClassMetrics:
 
     def test_hand_worked_neutral_class(self):
         """tp=3, fp=2, fn=3 gives P=3/5, R=1/2, F1=6/11."""
-        metrics = precision_recall_f1(three_class_matrix(), NEU)
+        metrics = per_class_metrics(three_class_matrix())[1]
+        assert metrics.label is NEU
         assert metrics.precision == pytest.approx(3 / 5)
         assert metrics.recall == pytest.approx(1 / 2)
         assert metrics.f1 == pytest.approx(6 / 11)
@@ -112,7 +155,8 @@ class TestPerClassMetrics:
     def test_never_predicted_class_scores_zero(self):
         """All denominators guard against 0/0 by defining the score as 0."""
         cm = confusion_matrix([POS, POS], [POS, POS], classes=(POS, NEG))
-        metrics = precision_recall_f1(cm, NEG)
+        metrics = per_class_metrics(cm)[1]
+        assert metrics.label is NEG
         assert metrics.precision == 0.0
         assert metrics.recall == 0.0
         assert metrics.f1 == 0.0
@@ -124,6 +168,53 @@ class TestPerClassMetrics:
     )
     def test_f1_harmonic_mean(self, precision, recall, expected):
         assert f1_from_precision_recall(precision, recall) == pytest.approx(expected)
+
+
+class TestMatchesThePerPairReference:
+    """The one-bincount tally and the once-read row and column sums give
+    exactly what the per-pair loop and the per-class arithmetic gave."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_label_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(0, 60))
+            # A random order and subset of the canonical classes.
+            classes = tuple(
+                CANONICAL_LABELS[i]
+                for i in rng.permutation(3)[: int(rng.integers(1, 4))]
+            )
+            gold = random_labels(rng, n, classes)
+            predicted = random_labels(rng, n, classes)
+            cm = confusion_matrix(gold, predicted, classes=classes)
+            assert cm.counts.dtype == np.int64
+            np.testing.assert_array_equal(
+                cm.counts, reference_counts(gold, predicted, classes)
+            )
+            assert per_class_metrics(cm) == tuple(
+                reference_class_metrics(cm, label) for label in classes
+            )
+
+    def test_empty_sequences(self):
+        cm = confusion_matrix([], [], classes=(POS, NEU, NEG))
+        np.testing.assert_array_equal(cm.counts, np.zeros((3, 3), dtype=np.int64))
+        assert per_class_metrics(cm) == tuple(
+            reference_class_metrics(cm, label) for label in cm.classes
+        )
+        assert all(m.f1 == 0.0 and m.support == 0 for m in per_class_metrics(cm))
+        assert accuracy(cm) == 0.0
+
+    def test_class_absent_from_both_sequences(self):
+        gold = [POS, NEG, NEG, POS, NEG]
+        predicted = [POS, POS, NEG, NEG, NEG]
+        cm = confusion_matrix(gold, predicted, classes=(POS, NEU, NEG))
+        np.testing.assert_array_equal(
+            cm.counts, reference_counts(gold, predicted, cm.classes)
+        )
+        assert not cm.counts[1].any() and not cm.counts[:, 1].any()
+        metrics = per_class_metrics(cm)
+        assert metrics == tuple(reference_class_metrics(cm, label) for label in cm.classes)
+        assert metrics[1] == ClassMetrics(NEU, 0.0, 0.0, 0.0, 0)
 
 
 class TestMacroAndAccuracy:
@@ -255,7 +346,39 @@ class TestScore:
         gold = (POS, POS, POS, NEG)
         model = train_naive_bayes(TrainingSet(matrix=matrix, labels=gold))
         assert model.classes == (POS, NEG)
-        acc, macro = score(model, matrix, gold, (POS, NEU, NEG))
+        acc, macro = score(model, matrix, np.array([0, 0, 0, 2]), (POS, NEU, NEG))
         assert acc == 1.0
         assert macro.precision == pytest.approx(2 / 3)
         assert macro.recall == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_reference_on_predicted_labels(self, seed):
+        """A two-class model scored over three classes against noisy gold
+        indices: the same accuracy and macro floats as the reference tally
+        of the predicted labels."""
+        rng = np.random.default_rng(seed)
+        training = make_toy_training_set()
+        kept = [i for i, label in enumerate(training.labels) if label is not NEU]
+        sub = training.take(kept)
+        model = train_naive_bayes(sub)
+        assert model.classes == (POS, NEG)
+        classes = (POS, NEU, NEG)
+        gold = rng.integers(0, 3, size=training.n_docs)
+        label_idx, _ = model.predict_batch(training.matrix)
+        predicted = [model.classes[i] for i in label_idx]
+        expected = ConfusionMatrix(
+            classes=classes,
+            counts=reference_counts([classes[i] for i in gold], predicted, classes),
+        )
+        acc, macro = score(model, training.matrix, gold, classes)
+        assert acc == accuracy(expected)
+        assert macro == macro_average(
+            [reference_class_metrics(expected, label) for label in classes]
+        )
+
+    def test_model_class_outside_the_class_list_is_rejected(self):
+        docs = [("good",), ("bad",)]
+        matrix = build_count_matrix(build_vocabulary(docs), docs)
+        model = train_naive_bayes(TrainingSet(matrix=matrix, labels=(POS, NEG)))
+        with pytest.raises(ValueError, match="Negative is not in the class list"):
+            score(model, matrix, np.array([0, 0]), (POS, NEU))

@@ -49,10 +49,10 @@ def collect_demo_behaviour(out_dir: Path) -> dict:
         fitted = train_topic_models(config, data)
         predictions[data.topic] = {}
         for key in config.models:
-            matrix = data.training_set(config.weighting[key]).matrix
+            model = fitted[key]
+            label_idx, _ = model.predict_batch(data.matrices[config.weighting[key]])
             predictions[data.topic][key] = "".join(
-                LABEL_CODES[fitted[key].predict(matrix.row(i)).label]
-                for i in range(matrix.n_docs)
+                LABEL_CODES[model.classes[i]] for i in label_idx
             )
         reports.append(evaluate_topic(config, data))
     bundle, _ = build_bundle(config, tuple(reports))

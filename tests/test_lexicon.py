@@ -1,48 +1,36 @@
 """Lexicon parsing, document scoring, and the sign-rule labeler."""
 
-from datetime import datetime, timezone
-
 import pytest
 
-from tweetsent.corpus import CleanDocument
 from tweetsent.exceptions import LexiconError
 from tweetsent.lexicon import (
     CANONICAL_LABELS,
+    Lexicon,
     SentimentLabel,
     label_corpus,
-    label_document,
-    label_for_score,
     load_lexicon,
-    score_document,
 )
-
-
-def _doc(i: int, tokens: tuple[str, ...]) -> CleanDocument:
-    return CleanDocument(
-        id=f"d-{i}", tokens=tokens, topic="t",
-        created_at=datetime(2024, 1, 1, tzinfo=timezone.utc),
-    )
 
 
 class TestLoadLexicon:
     def test_parses_entries_ignoring_comments_and_blanks(self, tiny_lexicon):
         lex = load_lexicon(tiny_lexicon)
         assert len(lex) == 4
-        assert lex.weight("great") == 2.0
-        assert lex.weight("awful") == -2.0
-        assert lex.weight("unknown") == 0.0
+        assert lex.entries["great"] == 2.0
+        assert lex.entries["awful"] == -2.0
+        assert "unknown" not in lex.entries
 
     def test_tokens_are_lowercased(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("GOOD\t1.5\n")
-        assert load_lexicon(path).weight("good") == 1.5
+        assert load_lexicon(path).entries == {"good": 1.5}
 
     def test_later_duplicate_wins(self, tmp_path, caplog):
         path = tmp_path / "lex.tsv"
         path.write_text("good\t1.0\ngood\t3.0\n")
         with caplog.at_level("WARNING"):
             lex = load_lexicon(path)
-        assert lex.weight("good") == 3.0
+        assert lex.entries["good"] == 3.0
         assert any("good" in rec.message for rec in caplog.records)
 
     def test_wrong_column_count_names_line(self, tmp_path):
@@ -83,11 +71,11 @@ class TestLoadLexicon:
 class TestScoring:
     def test_score_sums_weights_with_multiplicity(self, tiny_lexicon):
         lex = load_lexicon(tiny_lexicon)
-        assert score_document(lex, ["good", "good", "bad"]) == 1.0
+        assert label_corpus(lex, [["good", "good", "bad"]])[1] == (1.0,)
 
     def test_unknown_tokens_score_zero(self, tiny_lexicon):
         lex = load_lexicon(tiny_lexicon)
-        assert score_document(lex, ["mystery", "words"]) == 0.0
+        assert label_corpus(lex, [["mystery", "words"]])[1] == (0.0,)
 
     @pytest.mark.parametrize(
         "score,expected",
@@ -100,37 +88,56 @@ class TestScoring:
         ],
     )
     def test_sign_rule(self, score, expected):
-        assert label_for_score(score) is expected
+        labels, scores = label_corpus(Lexicon(entries={"w": score}), [["w"]])
+        assert scores == (score,)
+        assert labels[0] is expected
 
-    def test_label_document_returns_label_and_score(self, tiny_lexicon):
+    def test_returns_labels_and_scores(self, tiny_lexicon):
         lex = load_lexicon(tiny_lexicon)
-        label, score = label_document(lex, ["awful", "good"])
-        assert label is SentimentLabel.NEGATIVE
-        assert score == -1.0
+        labels, scores = label_corpus(lex, [["awful", "good"]])
+        assert labels[0] is SentimentLabel.NEGATIVE
+        assert scores == (-1.0,)
+
+    @pytest.mark.parametrize(
+        "weights, score, label",
+        [
+            ([0.7, -0.1, -0.6], 0.0, SentimentLabel.NEUTRAL),
+            ([0.1, 0.2, -0.1, -0.1, -0.1], 2.7755575615628914e-17, SentimentLabel.POSITIVE),
+        ],
+    )
+    def test_scores_add_left_to_right_on_every_python(self, weights, score, label):
+        """A score is the plain left-to-right sum from 0.0, the result of
+        built-in ``sum`` before Python 3.12.  Python 3.12's compensated
+        ``sum`` gives -2.78e-17 (Negative) and 0.0 (Neutral) here."""
+        tokens = [f"w{i}" for i in range(len(weights))]
+        lex = Lexicon(entries=dict(zip(tokens, weights)))
+        labels, scores = label_corpus(lex, [tokens])
+        assert repr(scores[0]) == repr(score)
+        assert labels == (label,)
 
 
 class TestLabelCorpus:
     def test_counts_cover_all_labels(self, tiny_lexicon):
         lex = load_lexicon(tiny_lexicon)
-        docs = [
-            _doc(0, ("good",)),
-            _doc(1, ("bad",)),
-            _doc(2, ("nothing", "here")),
-            _doc(3, ("great", "bad")),
-        ]
-        labeled, counts = label_corpus(lex, docs)
-        assert [item.label for item in labeled] == [
+        docs = [("good",), ("bad",), ("nothing", "here"), ("great", "bad")]
+        labels, scores = label_corpus(lex, docs)
+        assert labels == (
             SentimentLabel.POSITIVE,
             SentimentLabel.NEGATIVE,
             SentimentLabel.NEUTRAL,
             SentimentLabel.POSITIVE,
-        ]
+        )
+        assert scores == (1.0, -1.0, 0.0, 1.0)
+        counts = {label: labels.count(label) for label in CANONICAL_LABELS}
         assert counts == {
             SentimentLabel.POSITIVE: 2,
             SentimentLabel.NEUTRAL: 1,
             SentimentLabel.NEGATIVE: 1,
         }
         assert sum(counts.values()) == len(docs)
+
+    def test_empty_corpus_gives_empty_tuples(self, tiny_lexicon):
+        assert label_corpus(load_lexicon(tiny_lexicon), []) == ((), ())
 
     def test_canonical_order_is_positive_neutral_negative(self):
         assert CANONICAL_LABELS == (

@@ -12,7 +12,7 @@ import pytest
 from tweetsent.corpus import clean_text, tokenize
 from tweetsent.evaluation import k_fold_split
 from tweetsent.features import idf
-from tweetsent.lexicon import Lexicon, label_document
+from tweetsent.lexicon import Lexicon, label_corpus
 
 
 def random_lexicon_case(rng, n_documents=300):
@@ -76,9 +76,11 @@ class TestLexiconScaleInvariance:
         scaled = Lexicon(
             entries={tok: factor * w for tok, w in lexicon.entries.items()}
         )
-        for tokens in documents:
-            label, score = label_document(lexicon, tokens)
-            scaled_label, scaled_score = label_document(scaled, tokens)
+        labels, scores = label_corpus(lexicon, documents)
+        scaled_labels, scaled_scores = label_corpus(scaled, documents)
+        for label, score, scaled_label, scaled_score in zip(
+            labels, scores, scaled_labels, scaled_scores, strict=True
+        ):
             assert scaled_label is label
             assert scaled_score == factor * score
 
@@ -89,7 +91,7 @@ class TestLexiconScaleInvariance:
             scaled = Lexicon(
                 entries={tok: factor * w for tok, w in lexicon.entries.items()}
             )
-            label, score = label_document(scaled, ["up", "down", "up", "down"])
+            (label,), (score,) = label_corpus(scaled, [["up", "down", "up", "down"]])
             assert score == 0.0
             assert label.tag == "neutral"
 

@@ -31,6 +31,12 @@ def test_package_import_leaves_numpy_unloaded():
     assert run_python("import sys, tweetsent; print('numpy' in sys.modules)") == "False"
 
 
+def test_lexicon_import_leaves_numpy_unloaded():
+    """Weak labelling runs on an interpreter without numpy."""
+    code = "import sys, tweetsent.lexicon; print('numpy' in sys.modules)"
+    assert run_python(code) == "False"
+
+
 def test_cli_defaults_openblas_to_one_thread():
     code = "import os, tweetsent.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert run_python(code) == "1"

@@ -29,12 +29,10 @@ from tweetsent.models.tree import (
     LEAF,
     DecisionTreeModel,
     Tree,
-    _best_split,
     _best_splits,
     _gini_rows,
     bin_rows,
     gini_impurity,
-    grow_tree,
     grow_trees,
     stack_trees,
 )
@@ -129,14 +127,26 @@ def binned_rows(x, y, n_classes):
 
 
 def histogram_split(x, y, n_classes, rows, columns):
-    """The package's histogram search, called with the reference's arguments."""
+    """The package's histogram search, called with the reference's arguments
+    as a batch of one node: its (column, threshold), or None."""
     node_counts = np.bincount(y[rows], minlength=n_classes)
-    return _best_split(binned_rows(x, y, n_classes), rows, node_counts, columns)
+    column, threshold = _best_splits(
+        binned_rows(x, y, n_classes), [rows], node_counts[None], [columns]
+    )
+    if column[0] == LEAF:
+        return None
+    return int(column[0]), float(threshold[0])
 
 
-def grow(x, y, n_classes, **kwargs):
-    """A tree grown on dense rows ``x``."""
-    return grow_tree(binned_rows(x, y, n_classes), **kwargs)
+def grow(x, y, n_classes, *, rows=None, column_sampler=None, **kwargs):
+    """A tree grown on dense rows ``x``, all of them by default, as a
+    one-member :func:`grow_trees` call."""
+    if rows is None:
+        rows = np.arange(x.shape[0])
+    (tree,) = grow_trees(
+        binned_rows(x, y, n_classes), [(rows, column_sampler)], **kwargs
+    )
+    return tree
 
 
 def reference_search(x, y, n_classes):
