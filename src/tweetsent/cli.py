@@ -27,6 +27,7 @@ from .models import load_model, save_model
 from .pipeline import (
     METRICS,
     MODELS,
+    OVERRIDES,
     RunConfig,
     compare_topics,
     csv_text,
@@ -57,12 +58,12 @@ def build_parser() -> _ArgumentParser:
                         help=f"override the config seed (config default: {RunConfig.seed})")
     common.add_argument("--folds", type=int, default=None,
                         help=f"override the number of CV folds (config default: {RunConfig.folds})")
-    common.add_argument("--model", default=None, metavar="NAME|all",
+    common.add_argument("--model", dest="models", default=None, metavar="NAME|all",
                         help="comma-separated model selection override")
     common.add_argument("--lexicon", default=None, metavar="PATH")
     common.add_argument("--stopwords", default=None, metavar="PATH")
     common.add_argument("--min-df", dest="min_df", type=int, default=None)
-    common.add_argument("--out", default=None, metavar="DIR",
+    common.add_argument("--out", dest="out_dir", default=None, metavar="DIR",
                         help="override the output directory")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="stdout format for tabular results")
@@ -92,16 +93,7 @@ def build_parser() -> _ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return load_config(
-        args.config,
-        seed=args.seed,
-        folds=args.folds,
-        min_df=args.min_df,
-        lexicon=args.lexicon,
-        stopwords=args.stopwords,
-        out_dir=args.out,
-        models=args.model,
-    )
+    return load_config(args.config, **{key: getattr(args, key) for key in OVERRIDES})
 
 
 def _emit(args: argparse.Namespace, payload: dict, header: list[str], rows: list[list]) -> None:
@@ -131,8 +123,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
         summaries.append(
             {"topic": data.topic, "documents": len(data.documents), "distribution": data.distribution}
         )
-        if args.out is not None:
-            out_dir = Path(args.out)
+        if args.out_dir is not None:
+            out_dir = Path(args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             target = out_dir / f"labels_{data.topic}.csv"
             rows = [

@@ -142,13 +142,21 @@ def label_corpus(
     A score adds its tokens' weights left to right from 0.0 in one loop.
     Built-in ``sum`` compensates float sums from Python 3.12 on, so it
     would round some scores, and flip some labels, differently by version.
+
+    Raises:
+        LexiconError: a partial sum overflows, so a score is not finite.
     """
     weight = lex.entries.get
     labels, scores = [], []
-    for tokens in token_sequences:
+    for position, tokens in enumerate(token_sequences):
         score = 0.0
         for token in tokens:
             score += weight(token, 0.0)
+        if not math.isfinite(score):
+            raise LexiconError(
+                f"the score of document {position} (0-based) is {score}: "
+                "the lexicon weights overflow when added"
+            )
         scores.append(score)
         if score > 0:
             labels.append(SentimentLabel.POSITIVE)

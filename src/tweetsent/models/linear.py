@@ -13,7 +13,6 @@ off, because the check right after reports the same fault.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,8 +21,6 @@ import numpy as np
 from ..exceptions import HyperparameterError, TrainingError
 from ..lexicon import SentimentLabel
 from .base import Classifier, TrainingSet
-
-logger = logging.getLogger(__name__)
 
 MAXENT = "maxent"
 SVM = "svm"
@@ -56,13 +53,10 @@ class LinearModel(Classifier):
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _targets(y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels ``y`` as one-hot rows, and the flat position in an
-    ``(n_docs, n_classes)`` array of every row's gold entry."""
-    gold = np.arange(y.shape[0]) * n_classes + y
-    one_hot = np.zeros((y.shape[0], n_classes), dtype=np.float64)
-    one_hot.reshape(-1)[gold] = 1.0
-    return one_hot, gold
+def _targets(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """The flat position in an ``(n_docs, n_classes)`` array of each row's
+    gold entry, for labels ``y``."""
+    return np.arange(y.shape[0]) * n_classes + y
 
 
 def maxent_loss_and_grad(
@@ -78,14 +72,13 @@ def maxent_loss_and_grad(
     penalty ``lam/2 * ||W||^2`` on the weights (bias excluded).  Exposed at
     module level so the gradient can be checked against finite differences.
     """
-    return _maxent_step(weights, bias, x_dense, *_targets(y, weights.shape[0]), lam)
+    return _maxent_step(weights, bias, x_dense, _targets(y, weights.shape[0]), lam)
 
 
 def _maxent_step(
     weights: np.ndarray,
     bias: np.ndarray,
     x_dense: np.ndarray,
-    one_hot: np.ndarray,
     gold: np.ndarray,
     lam: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -118,8 +111,11 @@ def _maxent_step(
     loss = -float(log_probs.take(gold).sum() / n_docs)
     loss += 0.5 * lam * float((weights * weights).sum())
 
+    # The probabilities minus the one-hot labels, whose zeros would leave
+    # every other entry, an exp() >= +0.0, as it is.  delta is fresh and in
+    # C order, so its reshape is a view and the subtraction lands in it.
     delta = np.exp(log_probs)
-    delta -= one_hot
+    delta.reshape(-1)[gold] -= 1.0
     grad_w = delta.T @ x_dense
     grad_w /= n_docs
     grad_w += lam * weights
@@ -157,20 +153,18 @@ def train_maxent(
     weights = np.zeros((n_classes, n_terms), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
-    one_hot, gold = _targets(y, n_classes)
+    gold = _targets(y, n_classes)
     # A diverging fit overflows to inf and then NaN; the finite-loss check
     # reports it, so numpy need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, one_hot, gold, lam)
+        loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, gold, lam)
         trace = [loss]
         for epoch in range(epochs):
             grad_w *= eta
             weights -= grad_w
             grad_b *= eta
             bias -= grad_b
-            loss, grad_w, grad_b = _maxent_step(
-                weights, bias, x_dense, one_hot, gold, lam
-            )
+            loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, gold, lam)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"logistic regression diverged at epoch {epoch + 1} "

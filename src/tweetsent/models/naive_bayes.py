@@ -41,7 +41,7 @@ class NaiveBayesModel(Classifier):
         return posterior / posterior.sum(axis=1, keepdims=True)
 
 
-def train_naive_bayes(ts: TrainingSet, alpha: float = 1.0) -> NaiveBayesModel:
+def train_naive_bayes(ts: TrainingSet, *, alpha: float = 1.0) -> NaiveBayesModel:
     """Fit multinomial naive Bayes from a counts-weighted training set.
 
     prior(c) is the fraction of documents in class c; likelihood(t | c)

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import inspect
 import io
 import json
 import logging
 import math
 import os
-import types
 import typing
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -67,12 +65,20 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ModelSpec:
     """How the pipeline runs one model kind: the name its report rows show,
-    its trainer, whose own defaults are the hyperparameter defaults, and the
-    feature weighting it trains on unless the config says otherwise."""
+    its trainer, whose keyword-only parameters are the hyperparameters and
+    their defaults, and the feature weighting it trains on unless the config
+    says otherwise."""
 
     display_name: str
     trainer: Callable[..., Model]
     weighting: str
+
+    @property
+    def hyperparameters(self) -> dict[str, tuple[type, ...]]:
+        """Each hyperparameter's name and the plain types its annotation
+        admits (``int | None`` -> ``(int, NoneType)``)."""
+        hints = typing.get_type_hints(self.trainer)
+        return {name: typing.get_args(hints[name]) or (hints[name],) for name in self.trainer.__kwdefaults__}
 
 
 # Keyed by the ``model_kind`` of each model's files, in report order.
@@ -102,8 +108,12 @@ class RunConfig:
     folds: int = 4
     min_df: int = 1
     models: tuple[str, ...] = MODEL_ORDER
-    weighting: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_WEIGHTING))
+    weighting: Mapping[str, str] = field(default_factory=dict)
     hyperparameters: Mapping[str, Mapping] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # A model the given weighting leaves out trains on its default one.
+        object.__setattr__(self, "weighting", {**DEFAULT_WEIGHTING, **self.weighting})
 
     def topic_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.topics)
@@ -143,6 +153,9 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"topic name {name!r} is too long: its model file names take up to "
             f"{longest} bytes, over the {_MAX_FILE_NAME_BYTES} a file name may hold",
         )
+    for key in ("seed", "folds", "min_df"):
+        value = getattr(config, key)
+        _expect(_has_type(value, (int,)), f"'{key}' must be an integer, got {value!r}")
     _expect(config.folds >= 2, f"folds must be at least 2, got {config.folds}")
     _expect(config.min_df >= 1, f"min_df must be at least 1, got {config.min_df}")
     _expect(config.seed >= 0, f"seed must be non-negative, got {config.seed}")
@@ -158,37 +171,25 @@ def validate_config(config: RunConfig) -> RunConfig:
             isinstance(values, Mapping),
             f"hyperparameters for {key} must be an object, got {values!r}",
         )
+        allowed = MODELS[key].hyperparameters
+        for name, value in values.items():
+            _expect(
+                name in allowed,
+                f"hyperparameters for {key}: unknown name {name!r}; choose from {', '.join(allowed)}",
+            )
+            _expect(
+                _has_type(value, allowed[name]),
+                f"hyperparameters for {key}: {name!r} must be "
+                f"{' or '.join('finite float' if t is float else t.__name__ for t in allowed[name])}, "
+                f"got {value!r}",
+            )
 
     for name, path in config.topics:
         _expect(path.is_file(), f"corpus file for topic {name!r} does not exist: {path}")
     _expect(config.lexicon.is_file(), f"lexicon file does not exist: {config.lexicon}")
     if config.stopwords is not None:
         _expect(config.stopwords.is_file(), f"stopwords file does not exist: {config.stopwords}")
-
-    # Surface bad hyperparameter names now rather than as a TypeError
-    # deep inside a cross-validation fold.
-    for key in config.models:
-        try:
-            trainer_for(key, config)
-        except TypeError as exc:
-            raise ConfigError(f"hyperparameters for {key}: {exc}") from exc
-        hints = typing.get_type_hints(MODELS[key].trainer)
-        for name, value in config.hyperparameters.get(key, {}).items():
-            allowed = _allowed_types(hints[name])
-            _expect(
-                _has_type(value, allowed),
-                f"hyperparameters for {key}: {name!r} must be "
-                f"{' or '.join('finite float' if t is float else t.__name__ for t in allowed)}, "
-                f"got {value!r}",
-            )
     return config
-
-
-def _allowed_types(hint) -> tuple[type, ...]:
-    """The plain types a trainer annotation admits (``int | None`` -> both)."""
-    if isinstance(hint, types.UnionType) or typing.get_origin(hint) is typing.Union:
-        return typing.get_args(hint)
-    return (hint,)
 
 
 def _has_type(value, allowed: tuple[type, ...]) -> bool:
@@ -201,6 +202,16 @@ def _has_type(value, allowed: tuple[type, ...]) -> bool:
     if isinstance(value, int) and float in allowed:
         return True
     return any(isinstance(value, t) for t in allowed if t is not bool)
+
+
+# Each override load_config takes (a command-line flag), and how the value
+# given becomes the config's.  Integers stay as given, so validate_config
+# checks them as it checks the file's.
+OVERRIDES: Mapping[str, Callable] = {
+    **dict.fromkeys(("seed", "folds", "min_df"), lambda value: value),
+    **dict.fromkeys(("lexicon", "stopwords", "out_dir"), Path),
+    "models": lambda names: _parse_model_selection(names.split(",")),
+}
 
 
 def load_config(
@@ -219,6 +230,8 @@ def load_config(
     Relative paths inside the file resolve against the file's directory;
     override paths resolve against the working directory.
     """
+    # Read first, while the parameters are the only names bound.
+    flags = {key: value for key, value in locals().items() if key in OVERRIDES and value is not None}
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
@@ -251,43 +264,17 @@ def load_config(
     for key in ("weighting", "hyperparameters"):
         if not isinstance(raw.get(key, {}), dict):
             raise ConfigError(f"{path}: '{key}' must be a JSON object, got {raw[key]!r}")
-    weighting = dict(DEFAULT_WEIGHTING)
-    weighting.update({str(k): str(v) for k, v in raw.get("weighting", {}).items()})
 
-    # Absent keys keep RunConfig's defaults.
-    integers = {key: raw[key] for key in ("seed", "folds", "min_df") if key in raw}
-    for key, value in integers.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: '{key}' must be an integer, got {value!r}")
     config = RunConfig(
         topics=topics,
         lexicon=base / str(raw["lexicon"]),
         stopwords=(base / str(raw["stopwords"])) if raw.get("stopwords") else None,
         out_dir=base / str(raw.get("out_dir", "report")),
-        **integers,
         models=model_selection,
-        weighting=weighting,
-        hyperparameters={str(k): v for k, v in raw.get("hyperparameters", {}).items()},
+        # Absent keys keep RunConfig's defaults.
+        **{key: raw[key] for key in ("seed", "folds", "min_df", "weighting", "hyperparameters") if key in raw},
     )
-
-    overrides: dict = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if folds is not None:
-        overrides["folds"] = folds
-    if min_df is not None:
-        overrides["min_df"] = min_df
-    if lexicon is not None:
-        overrides["lexicon"] = Path(lexicon)
-    if stopwords is not None:
-        overrides["stopwords"] = Path(stopwords)
-    if out_dir is not None:
-        overrides["out_dir"] = Path(out_dir)
-    if models is not None:
-        overrides["models"] = _parse_model_selection(models.split(","))
-    if overrides:
-        config = replace(config, **overrides)
-    return validate_config(config)
+    return validate_config(replace(config, **{key: OVERRIDES[key](value) for key, value in flags.items()}))
 
 
 def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
@@ -306,14 +293,13 @@ def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
 
 
 def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
-    """A no-argument-but-data trainer for ``key`` with hyperparameters bound."""
-    trainer = MODELS[key].trainer
+    """A no-argument-but-data trainer for ``key`` with hyperparameters bound;
+    a seeded trainer gets the config seed unless its hyperparameters set one."""
+    spec = MODELS[key]
     kwargs = dict(config.hyperparameters.get(key, {}))
-    signature = inspect.signature(trainer)
-    if "seed" in signature.parameters:
+    if "seed" in spec.hyperparameters:
         kwargs.setdefault("seed", config.seed)
-    signature.bind_partial(**kwargs)
-    return partial(trainer, **kwargs)
+    return partial(spec.trainer, **kwargs)
 
 
 @contextmanager

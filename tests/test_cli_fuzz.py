@@ -7,7 +7,6 @@ so a failure names a case that replays exactly.  Hyperparameter values stay
 small: a huge ``epochs`` or ``n_members`` is a slow run, not an error.
 """
 
-import inspect
 import json
 import shutil
 
@@ -152,10 +151,7 @@ def _mutate_json(rng, document, values):
 
 def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
     rng = np.random.default_rng(1001)
-    hyper_names = {
-        key: [*inspect.signature(spec.trainer).parameters][1:] + ["bogus"]
-        for key, spec in MODELS.items()
-    }
+    hyper_names = {key: [*spec.hyperparameters, "bogus"] for key, spec in MODELS.items()}
 
     def cases():
         for case in range(N_CASES):
@@ -166,6 +162,7 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
             config["stopwords"] = str(base / config["stopwords"])
             kind = _pick(rng, ["top", "delete", "weighting", "hyper", "topic"])
             value = _pick(rng, CONFIG_VALUES if kind == "top" else VALUES)
+            flags = ["--out", str(tmp_path / "out")]
             if kind == "top":
                 key = _pick(rng, ["seed", "folds", "min_df", "models", "out_dir", "stopwords",
                                   "lexicon", "topics", "weighting", "hyperparameters", "bogus"])
@@ -182,14 +179,17 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
                 config["hyperparameters"] = {
                     **SMALL_HYPER, model: {**SMALL_HYPER.get(model, {}), name: value}
                 }
-                key = f"{model}.{name}"
+                # Mostly a selection that leaves the mutated model out.
+                selection = _pick(rng, MODEL_ORDER)
+                flags += ["--model", selection]
+                key = f"{model}.{name} (selecting {selection})"
             else:
                 key = _pick(rng, ["alpha", "beta", "gamma"])
                 config["topics"][key] = value
             path = tmp_path / f"config{case}.json"
             path.write_text(json.dumps(config), encoding="utf-8")
             command = _pick(rng, ["ingest", "label", "train", "crossval", "compare"])
-            code, err = _run([command, "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+            code, err = _run([command, "--config", str(path), *flags], capsys)
             yield f"case {case}: {command} with {kind} {key} = {value!r}", code, err
 
     _check(cases())

@@ -136,6 +136,14 @@ class TestLabelCorpus:
         }
         assert sum(counts.values()) == len(docs)
 
+    def test_score_that_overflows_names_the_document(self):
+        """good good bad bad bad sums exactly to -1e308, but the left-to-right
+        float sum reaches inf at the second token and stays there."""
+        lex = Lexicon(entries={"good": 1e308, "bad": -1e308})
+        docs = [("good", "bad"), ("good", "good", "bad", "bad", "bad")]
+        with pytest.raises(LexiconError, match=r"document 1 \(0-based\) is inf: the lexicon weights overflow"):
+            label_corpus(lex, docs)
+
     def test_empty_corpus_gives_empty_tuples(self, tiny_lexicon):
         assert label_corpus(load_lexicon(tiny_lexicon), []) == ((), ())
 

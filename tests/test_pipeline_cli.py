@@ -9,11 +9,12 @@ import hashlib
 import inspect
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
 
-from tweetsent.cli import main
+from tweetsent.cli import build_parser, main
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import ConfigError, DataError
 from tweetsent.models import model_kind
@@ -21,6 +22,8 @@ from tweetsent.pipeline import (
     DEFAULT_WEIGHTING,
     MODEL_ORDER,
     MODELS,
+    OVERRIDES,
+    RunConfig,
     TopicReport,
     compare_topics,
     load_config,
@@ -159,6 +162,30 @@ class TestLoadConfig:
         own_seed = replace(config, hyperparameters={"svm": {"seed": 3}})
         assert bound("svm", own_seed)["seed"] == 3
 
+    def test_hyperparameters_are_the_trainers_keyword_only_parameters(self):
+        """Each admits the plain types of its annotation."""
+        assert MODELS["naive_bayes"].hyperparameters == {"alpha": (float,)}
+        assert MODELS["decision_tree"].hyperparameters == {
+            "max_depth": (int, type(None)), "min_samples_split": (int,),
+        }
+        assert list(MODELS["random_forest"].hyperparameters) == [
+            "n_members", "max_depth", "min_samples_split", "seed", "bootstrap",
+            "n_features_per_split",
+        ]
+
+    def test_every_override_is_a_load_config_keyword_and_a_flag(self):
+        """The CLI hands each flag to the load_config keyword of its name."""
+        parameters = inspect.signature(load_config).parameters.values()
+        assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == list(OVERRIDES)
+        args = build_parser().parse_args([
+            "ingest", "--config", "c.json", "--seed", "1", "--folds", "2", "--min-df", "3",
+            "--lexicon", "l.tsv", "--stopwords", "s.txt", "--out", "o", "--model", "svm",
+        ])
+        assert {key: getattr(args, key) for key in OVERRIDES} == {
+            "seed": 1, "folds": 2, "min_df": 3, "lexicon": "l.tsv",
+            "stopwords": "s.txt", "out_dir": "o", "models": "svm",
+        }
+
     def test_relative_paths_resolve_against_the_config_directory(self, workspace):
         config = load_config(workspace / "config.json")
         assert config.lexicon == workspace / "lexicon.tsv"
@@ -275,6 +302,38 @@ class TestLoadConfig:
 
 class TestRunPipeline:
     """Bundle contents, manifest hashes, and rerun determinism."""
+
+    def test_library_config_with_a_partial_weighting_runs(self, workspace, tmp_path):
+        """A model the weighting leaves out trains on its default one."""
+        config = RunConfig(
+            topics=(("alpha", workspace / "corpus_alpha.jsonl"),),
+            lexicon=workspace / "lexicon.tsv",
+            out_dir=tmp_path / "out",
+            models=("naive_bayes",),
+            weighting={"svm": "tfidf"},
+        )
+        assert config.weighting == DEFAULT_WEIGHTING
+        result = run_pipeline(config)
+        assert result.manifest["run"]["weighting"] == {"naive_bayes": "counts"}
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("key, value", [("folds", 2.5), ("seed", "7"), ("min_df", 1.5)])
+    def test_library_config_with_a_non_integer_is_a_config_error(
+        self, workspace, tmp_path, key, value
+    ):
+        config = RunConfig(
+            topics=(("alpha", workspace / "corpus_alpha.jsonl"),),
+            lexicon=workspace / "lexicon.tsv",
+            out_dir=tmp_path / "out",
+            models=("naive_bayes",),
+            **{key: value},
+        )
+        message = re.escape(f"'{key}' must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(config)
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match=message):
+            load_config(workspace / "config.json", **{key: value})
 
     def test_reports_cover_every_topic_and_model(self, run_result):
         _, result = run_result
@@ -756,6 +815,30 @@ class TestUserErrorsAreNotInternalErrors:
         assert code == 1
         assert "hyperparameters for svm: 'epochs' must be int" in err
 
+    @pytest.mark.parametrize("command", ["ingest", "label", "train"])
+    @pytest.mark.parametrize("selection", [[], ["--model", "maxent"]], ids=["unselected", "selected"])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"bogus": 1}, "hyperparameters for maxent: unknown name 'bogus'; choose from eta, lam, epochs"),
+            ({"epochs": 2.5}, "hyperparameters for maxent: 'epochs' must be int, got 2.5"),
+        ],
+        ids=["bogus-name", "wrong-type"],
+    )
+    def test_every_hyperparameters_block_is_checked(
+        self, command, selection, values, message, workspace, tmp_path, capsys
+    ):
+        """A mistake in the block of a model the run leaves out is still a
+        mistake: every subcommand refuses it, whatever ``--model`` selects."""
+        payload = minimal_config_payload(
+            workspace, models=["naive_bayes"], hyperparameters={"maxent": values},
+            out_dir=str(tmp_path / "out"),
+        )
+        code = main([command, "--config", str(write_config(tmp_path, payload)), *selection])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_hyperparameters_entry_must_be_an_object(
         self, workspace, tmp_path, capsys
     ):
@@ -944,6 +1027,23 @@ class TestUserErrorsAreNotInternalErrors:
         assert "error: ingest: line 1: unparseable weight 'very'" in capsys.readouterr().err
         assert main([command, "--config", config, "--folds", "25"]) == 2
         assert "too few for 'folds' = 25" in capsys.readouterr().err
+
+    def test_lexicon_score_overflow_is_a_data_error(self, workspace, tmp_path, capsys):
+        """Each weight is finite, but their float sum for a document is not,
+        so ``label`` refuses the lexicon and writes no labels file."""
+        lexicon = tmp_path / "huge.tsv"
+        lexicon.write_text("good\t1e308\nbad\t-1e308\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        docs = [_doc("alpha", 0, "good good bad bad bad"), _doc("alpha", 1, "good")]
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        path = write_config(
+            tmp_path, minimal_config_payload(workspace, topics={"alpha": str(corpus)}, folds=2)
+        )
+        out = tmp_path / "labels"
+        code = main(["label", "--config", str(path), "--lexicon", str(lexicon), "--out", str(out)])
+        assert code == 2
+        assert "error: label: the score of document 0 (0-based) is inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ingest_is_logged_once_per_topic(self, workspace, caplog):
         """The lexicon and stopwords load once for all topics, inside no
