@@ -112,10 +112,10 @@ def _maxent_step(
     loss += 0.5 * lam * float((weights * weights).sum())
 
     # The probabilities minus the one-hot labels, whose zeros would leave
-    # every other entry, an exp() >= +0.0, as it is.  delta is fresh and in
-    # C order, so its reshape is a view and the subtraction lands in it.
+    # every other entry, an exp() >= +0.0, as it is.  put() indexes in C
+    # order whatever the layout, as take() does.
     delta = np.exp(log_probs)
-    delta.reshape(-1)[gold] -= 1.0
+    np.put(delta, gold, delta.take(gold) - 1.0)
     grad_w = delta.T @ x_dense
     grad_w /= n_docs
     grad_w += lam * weights

@@ -230,8 +230,10 @@ def load_config(
     Relative paths inside the file resolve against the file's directory;
     override paths resolve against the working directory.
     """
-    # Read first, while the parameters are the only names bound.
-    flags = {key: value for key, value in locals().items() if key in OVERRIDES and value is not None}
+    flags = {
+        "seed": seed, "folds": folds, "min_df": min_df, "lexicon": lexicon,
+        "stopwords": stopwords, "out_dir": out_dir, "models": models,
+    }
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
@@ -274,7 +276,8 @@ def load_config(
         # Absent keys keep RunConfig's defaults.
         **{key: raw[key] for key in ("seed", "folds", "min_df", "weighting", "hyperparameters") if key in raw},
     )
-    return validate_config(replace(config, **{key: OVERRIDES[key](value) for key, value in flags.items()}))
+    overrides = {key: OVERRIDES[key](value) for key, value in flags.items() if value is not None}
+    return validate_config(replace(config, **overrides))
 
 
 def _parse_model_selection(names: list[str]) -> tuple[str, ...]:

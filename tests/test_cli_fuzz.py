@@ -179,10 +179,14 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
                 config["hyperparameters"] = {
                     **SMALL_HYPER, model: {**SMALL_HYPER.get(model, {}), name: value}
                 }
-                # Mostly a selection that leaves the mutated model out.
-                selection = _pick(rng, MODEL_ORDER)
-                flags += ["--model", selection]
-                key = f"{model}.{name} (selecting {selection})"
+                # Half run every model, so the mutated value reaches its
+                # trainer; half select one other model, so the mutated block
+                # lies outside the selection.
+                key = f"{model}.{name}"
+                if rng.random() < 0.5:
+                    selection = _pick(rng, [m for m in MODEL_ORDER if m != model])
+                    flags += ["--model", selection]
+                    key += f" (selecting {selection})"
             else:
                 key = _pick(rng, ["alpha", "beta", "gamma"])
                 config["topics"][key] = value
