@@ -12,7 +12,7 @@ label_corpus, labels a whole list of token sequences.
 from pathlib import Path
 
 from tweetsent.corpus import clean_corpus, load_corpus, load_stopwords
-from tweetsent.lexicon import CANONICAL_LABELS, Lexicon, label_corpus, load_lexicon
+from tweetsent.lexicon import CANONICAL_LABELS, label_corpus, load_lexicon
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
@@ -21,7 +21,7 @@ DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 #    Strong words carry bigger weights than mild ones.
 lexicon = load_lexicon(DEMO / "lexicon.tsv")
 print(f"lexicon with {len(lexicon)} entries")
-strongest = sorted(lexicon.entries.items(), key=lambda kv: kv[1])
+strongest = sorted(lexicon.items(), key=lambda kv: kv[1])
 print("most negative:", strongest[:3])
 print("most positive:", strongest[-3:])
 print()
@@ -42,7 +42,7 @@ print()
 # ---------------------------------------------------------------------------
 # 3. Labels are invariant under rescaling the whole lexicon by a positive
 #    constant: only the sign of the score matters.
-doubled = Lexicon(entries={t: 2.0 * w for t, w in lexicon.entries.items()})
+doubled = {t: 2.0 * w for t, w in lexicon.items()}
 tokens = ["tasty", "slow", "service"]
 (label,), (score,) = label_corpus(lexicon, [tokens])
 print("original score:", score, "->", label)

@@ -23,7 +23,7 @@ from tweetsent.evaluation import (
     per_class_metrics,
 )
 from tweetsent.features import build_count_matrix, build_vocabulary
-from tweetsent.lexicon import CANONICAL_LABELS, Lexicon, SentimentLabel, label_corpus
+from tweetsent.lexicon import CANONICAL_LABELS, SentimentLabel, label_corpus
 from tweetsent.models import (
     TrainingSet,
     train_decision_tree,
@@ -80,12 +80,12 @@ print()
 tweets = generate_corpus("burgerhouse", seed=7, n_docs=150)
 stop = load_stopwords(None)  # the generator avoids stopwords anyway
 docs = clean_corpus(tweets, stop)
-lexicon = Lexicon(entries={
+lexicon = {
     token: float(weight)
     for token, weight in (
         line.split("\t") for line in lexicon_lines() if not line.startswith("#")
     )
-})
+}
 token_lists = [doc.tokens for doc in docs]
 labels, _ = label_corpus(lexicon, token_lists)
 print("weak-label distribution:",

@@ -148,14 +148,18 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    # Every fit runs before anything is written, so a failing one leaves
+    # no output behind.
+    fitted_by_topic = [
+        (data.topic, train_topic_models(config, data)) for data in load_topic_data(config)
+    ]
     config.out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for data in load_topic_data(config):
-        fitted = train_topic_models(config, data)
+    for topic, fitted in fitted_by_topic:
         for key in config.models:
-            target = config.out_dir / model_filename(data.topic, key)
+            target = config.out_dir / model_filename(topic, key)
             save_model(fitted[key], target)
-            entries.append({"topic": data.topic, "model": key, "path": str(target)})
+            entries.append({"topic": topic, "model": key, "path": str(target)})
     columns = ["topic", "model", "path"]
     _emit(args, {"models": entries}, columns, table_rows(entries, columns))
     return 0

@@ -1,4 +1,4 @@
-"""Classifier evaluation: confusion matrices, per-class and macro metrics,
+"""Model evaluation: confusion matrices, per-class and macro metrics,
 and seeded k-fold cross-validation.
 
 A confusion matrix is one ``bincount`` of (gold, predicted) class-index

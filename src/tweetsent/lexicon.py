@@ -1,12 +1,12 @@
 """Polarity-lexicon scoring: the unsupervised weak-labeling stage.
 
-A lexicon maps lowercase tokens to signed weights. A document's score is
-the sum of the weights of its tokens (zero for unknown tokens, counted
-with multiplicity), added left to right from 0.0, and the label follows
-the sign of the score: positive score -> Positive, negative -> Negative,
-exactly zero -> Neutral. These weak labels are what the supervised models
-train on. :func:`label_corpus` labels a whole corpus, given as token
-sequences, in one call.
+A lexicon is a plain mapping of lowercase tokens to signed weights. A
+document's score is the sum of the weights of its tokens (zero for unknown
+tokens, counted with multiplicity), added left to right from 0.0, and the
+label follows the sign of the score: positive score -> Positive, negative
+-> Negative, exactly zero -> Neutral. These weak labels are what the
+supervised models train on. :func:`label_corpus` labels a whole corpus,
+given as token sequences, in one call.
 
 Known limitation: there is no negation handling, so "not good" scores
 the same as "good".
@@ -17,8 +17,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
 from .exceptions import LexiconError
@@ -28,7 +27,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "SentimentLabel",
     "CANONICAL_LABELS",
-    "Lexicon",
     "load_lexicon",
     "label_corpus",
 ]
@@ -68,18 +66,9 @@ CANONICAL_LABELS: tuple[SentimentLabel, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Token -> signed polarity weight mapping."""
-
-    entries: dict[str, float]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def load_lexicon(path: str | Path) -> Lexicon:
-    """Parse a lexicon TSV file (token<TAB>weight per line).
+def load_lexicon(path: str | Path) -> dict[str, float]:
+    """Parse a lexicon TSV file (token<TAB>weight per line) into its
+    token -> signed weight mapping.
 
     Lines starting with "#" are comments. A token repeated later in the
     file overrides the earlier weight, with a logged warning. Tokens are
@@ -131,11 +120,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
             path,
             "negative" if any(w > 0 for w in entries.values()) else "positive",
         )
-    return Lexicon(entries=entries)
+    return entries
 
 
 def label_corpus(
-    lex: Lexicon, token_sequences: Iterable[Sequence[str]]
+    lexicon: Mapping[str, float], token_sequences: Iterable[Sequence[str]]
 ) -> tuple[tuple[SentimentLabel, ...], tuple[float, ...]]:
     """The label and the score of every token sequence, in order.
 
@@ -146,7 +135,7 @@ def label_corpus(
     Raises:
         LexiconError: a partial sum overflows, so a score is not finite.
     """
-    weight = lex.entries.get
+    weight = lexicon.get
     labels, scores = [], []
     for position, tokens in enumerate(token_sequences):
         score = 0.0

@@ -1,6 +1,6 @@
-"""Classifier implementations sharing one training-set and prediction API."""
+"""The models: one base class, :class:`Model`, and one training-set and prediction API."""
 
-from .base import Prediction, TrainingSet, member_rng
+from .base import Model, Prediction, TrainingSet, member_rng
 from .ensemble import (
     BAGGING,
     RANDOM_FOREST,
@@ -8,7 +8,7 @@ from .ensemble import (
     train_bagging,
     train_random_forest,
 )
-from .io import FORMAT_VERSION, Model, load_model, model_kind, save_model
+from .io import FORMAT_VERSION, load_model, save_model
 from .linear import (
     MAXENT,
     SVM,
@@ -49,7 +49,6 @@ __all__ = [
     "load_model",
     "maxent_loss_and_grad",
     "member_rng",
-    "model_kind",
     "save_model",
     "train_bagging",
     "train_decision_tree",

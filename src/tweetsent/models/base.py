@@ -1,4 +1,4 @@
-"""Shared training-set container and prediction path for all models.
+"""The training-set container and the base class of every model.
 
 Every trainer is a pure function of (data, hyperparameters, seed). Where
 randomness is needed it comes from numpy's PCG64 generator seeded through
@@ -12,7 +12,7 @@ Positive < Neutral < Negative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..exceptions import HyperparameterError, TrainingError
 from ..features import DocTermMatrix
 from ..lexicon import SentimentLabel
 
-__all__ = ["Classifier", "TrainingSet", "Prediction", "member_rng"]
+__all__ = ["Model", "TrainingSet", "Prediction", "member_rng"]
 
 
 def _canonical(labels: Sequence[SentimentLabel]) -> tuple[SentimentLabel, ...]:
@@ -62,6 +62,15 @@ class TrainingSet:
         lookup = {c: i for i, c in enumerate(self.classes)}
         return np.array([lookup[l] for l in self.labels], dtype=np.int64)
 
+    def header(self) -> dict:
+        """What a model fitted on this set records about it: its
+        ``classes``, its vocabulary ``terms`` and its ``weighting``."""
+        return {
+            "classes": self.classes,
+            "terms": self.matrix.vocab.terms,
+            "weighting": self.matrix.weighting,
+        }
+
     def take(self, rows: Sequence[int] | np.ndarray) -> "TrainingSet":
         """Row subset; the class set is recomputed from surviving labels."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -86,20 +95,22 @@ def member_rng(seed: int, member: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, member]))
 
 
-class Classifier:
-    """The one prediction path of every model.
+@dataclass(frozen=True)
+class Model:
+    """The base of every model, and its one prediction path.
 
-    Subclasses provide ``kind`` (the ``model_kind`` their files carry),
-    ``classes``, ``terms``, ``weighting`` (that of the matrix they were
-    trained on) and one kernel, ``_scores(x)``, which maps dense
-    ``(n_docs, n_terms)`` rows to ``(n_docs, n_classes)`` scores: naive
-    Bayes posteriors, linear margins (softmax for maxent), a tree's leaf
-    class shares or an ensemble's vote shares.  The predicted class is a
-    row's first highest score.  ``predict`` scores one document, a one-row
-    matrix, through the same path.
+    A model records the ``classes``, vocabulary ``terms`` and ``weighting``
+    of the matrix it was trained on (:meth:`TrainingSet.header`).  Each
+    subclass states its ``kind`` (the ``model_kind`` its files carry) and
+    one kernel, ``_scores(x)``, which maps dense ``(n_docs, n_terms)`` rows
+    to ``(n_docs, n_classes)`` scores: naive Bayes posteriors, linear
+    margins (softmax for maxent), a tree's leaf class shares or an
+    ensemble's vote shares.  The predicted class is a row's first highest
+    score.  ``predict`` scores one document, a one-row matrix, through the
+    same path.
     """
 
-    kind: str
+    kind: ClassVar[str]
     classes: tuple[SentimentLabel, ...]
     terms: tuple[str, ...]
     weighting: str

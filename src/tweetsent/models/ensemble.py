@@ -24,8 +24,7 @@ from math import floor, sqrt
 import numpy as np
 
 from ..exceptions import HyperparameterError
-from ..lexicon import SentimentLabel
-from .base import Classifier, TrainingSet, member_rng
+from .base import Model, TrainingSet, member_rng
 from .tree import Tree, bin_training_set, grow_trees, stack_trees
 
 BAGGING = "bagging"
@@ -37,13 +36,10 @@ WALK_CHUNK = 256
 
 
 @dataclass(frozen=True)
-class EnsembleModel(Classifier):
+class EnsembleModel(Model):
     """A majority-vote committee of decision trees."""
 
     kind: str
-    classes: tuple[SentimentLabel, ...]
-    terms: tuple[str, ...]
-    weighting: str
     members: tuple[Tree, ...]
     hyper: dict = field(default_factory=dict)
 
@@ -119,9 +115,7 @@ def _train_ensemble(
         hyper["n_features_per_split"] = n_features_per_split
     return EnsembleModel(
         kind=kind,
-        classes=training.classes,
-        terms=training.matrix.vocab.terms,
-        weighting=training.matrix.weighting,
+        **training.header(),
         members=tuple(members),
         hyper=hyper,
     )

@@ -23,21 +23,13 @@ import numpy as np
 from ..exceptions import ModelFormatError
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
+from .base import Model
 from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
 from .linear import MAXENT, SVM, LinearModel
 from .naive_bayes import NAIVE_BAYES, NaiveBayesModel
 from .tree import DECISION_TREE, LEAF, DecisionTreeModel, Tree
 
 FORMAT_VERSION = 3
-
-Model = NaiveBayesModel | LinearModel | DecisionTreeModel | EnsembleModel
-
-
-def model_kind(model: Model) -> str:
-    """The ``model_kind`` tag a model serialises under."""
-    if not isinstance(model, Model):
-        raise TypeError(f"cannot serialise object of type {type(model).__name__}")
-    return model.kind
 
 
 def _encode_tree(tree: Tree) -> dict:
@@ -116,9 +108,11 @@ def _encode_params(model: Model) -> dict:
 
 def save_model(model: Model, path: str | Path) -> None:
     """Write ``model`` to ``path`` as deterministic JSON."""
+    if not isinstance(model, Model):
+        raise TypeError(f"cannot serialise object of type {type(model).__name__}")
     document = {
         "format_version": FORMAT_VERSION,
-        "model_kind": model_kind(model),
+        "model_kind": model.kind,
         "classes": [cls.tag for cls in model.classes],
         "vocabulary": list(model.terms),
         "weighting": model.weighting,
@@ -129,14 +123,13 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Model:
+    header = {"classes": classes, "terms": terms, "weighting": weighting}
     if kind == NAIVE_BAYES:
         alpha = float(_float_array(params["alpha"], "alpha", ()))
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha!r}")
         return NaiveBayesModel(
-            classes=classes,
-            terms=terms,
-            weighting=weighting,
+            **header,
             class_log_prior=_float_array(
                 params["class_log_prior"], "class_log_prior", (len(classes),)
             ),
@@ -151,9 +144,7 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
             trace = tuple(_float_array(trace, "loss_trace", (np.size(trace),)).tolist())
         return LinearModel(
             kind=kind,
-            classes=classes,
-            terms=terms,
-            weighting=weighting,
+            **header,
             weights=_float_array(params["weights"], "weights", (len(classes), len(terms))),
             bias=_float_array(params["bias"], "bias", (len(classes),)),
             hyper=dict(params["hyper"]),
@@ -161,9 +152,7 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
         )
     if kind == DECISION_TREE:
         return DecisionTreeModel(
-            classes=classes,
-            terms=terms,
-            weighting=weighting,
+            **header,
             tree=_decode_tree(params["tree"], len(classes), len(terms)),
             hyper=dict(params["hyper"]),
         )
@@ -174,8 +163,7 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
         if not members:
             raise ValueError("ensemble has no trees")
         return EnsembleModel(
-            kind=kind, classes=classes, terms=terms, weighting=weighting, members=members,
-            hyper=dict(params["hyper"]),
+            kind=kind, **header, members=members, hyper=dict(params["hyper"])
         )
     raise ModelFormatError(f"unknown model kind {kind!r}")
 

@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import HyperparameterError, TrainingError
-from ..lexicon import SentimentLabel
-from .base import Classifier, TrainingSet
+from .base import Model, TrainingSet
 
 MAXENT = "maxent"
 SVM = "svm"
 
 
 @dataclass(frozen=True)
-class LinearModel(Classifier):
+class LinearModel(Model):
     """A trained linear classifier.
 
     ``kind`` is either ``"maxent"`` (scores are softmax probabilities) or
@@ -36,9 +35,6 @@ class LinearModel(Classifier):
     """
 
     kind: str
-    classes: tuple[SentimentLabel, ...]
-    terms: tuple[str, ...]
-    weighting: str
     weights: np.ndarray
     bias: np.ndarray
     hyper: dict = field(default_factory=dict)
@@ -174,9 +170,7 @@ def train_maxent(
 
     return LinearModel(
         kind=MAXENT,
-        classes=training.classes,
-        terms=training.matrix.vocab.terms,
-        weighting=training.matrix.weighting,
+        **training.header(),
         weights=weights,
         bias=bias,
         hyper={"eta": eta, "lam": lam, "epochs": epochs},
@@ -285,9 +279,7 @@ def train_linear_svm(
         )
     return LinearModel(
         kind=SVM,
-        classes=training.classes,
-        terms=matrix.vocab.terms,
-        weighting=matrix.weighting,
+        **training.header(),
         weights=weights,
         bias=np.array(bias),
         hyper={"lam": lam, "epochs": epochs, "seed": seed},

@@ -8,8 +8,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..exceptions import HyperparameterError, TrainingError
-from ..lexicon import SentimentLabel
-from .base import Classifier, TrainingSet
+from .base import Model, TrainingSet
 
 __all__ = ["NAIVE_BAYES", "NaiveBayesModel", "train_naive_bayes"]
 
@@ -17,7 +16,7 @@ NAIVE_BAYES = "naive_bayes"
 
 
 @dataclass(frozen=True)
-class NaiveBayesModel(Classifier):
+class NaiveBayesModel(Model):
     """Per-class log priors and Laplace-smoothed per-term log likelihoods.
 
     For every class the smoothed term likelihoods sum to one over the
@@ -25,9 +24,6 @@ class NaiveBayesModel(Classifier):
     """
 
     kind: ClassVar[str] = NAIVE_BAYES
-    classes: tuple[SentimentLabel, ...]
-    terms: tuple[str, ...]
-    weighting: str
     class_log_prior: np.ndarray  # (C,)
     term_log_likelihood: np.ndarray  # (C, V)
     alpha: float
@@ -76,9 +72,7 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: float = 1.0) -> NaiveBayesModel
         log_likelihood = np.zeros((n_classes, 0), dtype=np.float64)
     log_prior = np.log(doc_counts / m.n_docs)
     return NaiveBayesModel(
-        classes=ts.classes,
-        terms=m.vocab.terms,
-        weighting=m.weighting,
+        **ts.header(),
         class_log_prior=log_prior,
         term_log_likelihood=log_likelihood,
         alpha=float(alpha),

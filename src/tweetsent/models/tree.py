@@ -45,8 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..exceptions import HyperparameterError
-from ..lexicon import SentimentLabel
-from .base import Classifier, TrainingSet
+from .base import Model, TrainingSet
 
 DECISION_TREE = "decision_tree"
 
@@ -574,13 +573,10 @@ def bin_training_set(training: TrainingSet) -> BinnedRows:
 
 
 @dataclass(frozen=True)
-class DecisionTreeModel(Classifier):
+class DecisionTreeModel(Model):
     """A fitted classification tree over a fixed vocabulary."""
 
     kind: ClassVar[str] = DECISION_TREE
-    classes: tuple[SentimentLabel, ...]
-    terms: tuple[str, ...]
-    weighting: str
     tree: Tree
     hyper: dict = field(default_factory=dict)
 
@@ -604,9 +600,7 @@ def train_decision_tree(
         min_samples_split=min_samples_split,
     )
     return DecisionTreeModel(
-        classes=training.classes,
-        terms=training.matrix.vocab.terms,
-        weighting=training.matrix.weighting,
+        **training.header(),
         tree=tree,
         hyper={"max_depth": max_depth, "min_samples_split": min_samples_split},
     )

@@ -41,7 +41,7 @@ from .features import (
     build_vocabulary,
     tfidf_transform,
 )
-from .lexicon import CANONICAL_LABELS, Lexicon, label_corpus, load_lexicon
+from .lexicon import CANONICAL_LABELS, label_corpus, load_lexicon
 from .models import (
     BAGGING,
     DECISION_TREE,
@@ -380,7 +380,9 @@ class RunResult:
     manifest: dict
 
 
-def _load_topic(name: str, path: Path, lexicon: Lexicon, stopwords, min_df: int) -> TopicData:
+def _load_topic(
+    name: str, path: Path, lexicon: Mapping[str, float], stopwords, min_df: int
+) -> TopicData:
     with _stage("ingest"):
         tweets = load_corpus(path)
         kept = [t for t in tweets if t.topic == name]

@@ -18,7 +18,7 @@ from tweetsent.corpus import clean_text
 from tweetsent.datagen import make_toy_training_set, write_demo_data
 from tweetsent.evaluation import f1_from_precision_recall, k_fold_split
 from tweetsent.features import idf
-from tweetsent.lexicon import Lexicon, label_corpus
+from tweetsent.lexicon import label_corpus
 from tweetsent.models import (
     train_bagging,
     train_decision_tree,
@@ -346,9 +346,7 @@ def test_criterion_8_property_suites(announce):
     rng = np.random.default_rng(2718)
     lexicon, documents = random_lexicon_case(rng, n_documents=200)
     for factor in (0.5, 2.0, 10.0):
-        scaled = Lexicon(
-            entries={tok: factor * w for tok, w in lexicon.entries.items()}
-        )
+        scaled = {tok: factor * w for tok, w in lexicon.items()}
         labels, _ = label_corpus(lexicon, documents)
         scaled_labels, _ = label_corpus(scaled, documents)
         for tokens, label, scaled_label in zip(documents, labels, scaled_labels, strict=True):

@@ -5,7 +5,6 @@ import pytest
 from tweetsent.exceptions import LexiconError
 from tweetsent.lexicon import (
     CANONICAL_LABELS,
-    Lexicon,
     SentimentLabel,
     label_corpus,
     load_lexicon,
@@ -16,21 +15,21 @@ class TestLoadLexicon:
     def test_parses_entries_ignoring_comments_and_blanks(self, tiny_lexicon):
         lex = load_lexicon(tiny_lexicon)
         assert len(lex) == 4
-        assert lex.entries["great"] == 2.0
-        assert lex.entries["awful"] == -2.0
-        assert "unknown" not in lex.entries
+        assert lex["great"] == 2.0
+        assert lex["awful"] == -2.0
+        assert "unknown" not in lex
 
     def test_tokens_are_lowercased(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("GOOD\t1.5\n")
-        assert load_lexicon(path).entries == {"good": 1.5}
+        assert load_lexicon(path) == {"good": 1.5}
 
     def test_later_duplicate_wins(self, tmp_path, caplog):
         path = tmp_path / "lex.tsv"
         path.write_text("good\t1.0\ngood\t3.0\n")
         with caplog.at_level("WARNING"):
             lex = load_lexicon(path)
-        assert lex.entries["good"] == 3.0
+        assert lex["good"] == 3.0
         assert any("good" in rec.message for rec in caplog.records)
 
     def test_wrong_column_count_names_line(self, tmp_path):
@@ -88,7 +87,7 @@ class TestScoring:
         ],
     )
     def test_sign_rule(self, score, expected):
-        labels, scores = label_corpus(Lexicon(entries={"w": score}), [["w"]])
+        labels, scores = label_corpus({"w": score}, [["w"]])
         assert scores == (score,)
         assert labels[0] is expected
 
@@ -110,7 +109,7 @@ class TestScoring:
         built-in ``sum`` before Python 3.12.  Python 3.12's compensated
         ``sum`` gives -2.78e-17 (Negative) and 0.0 (Neutral) here."""
         tokens = [f"w{i}" for i in range(len(weights))]
-        lex = Lexicon(entries=dict(zip(tokens, weights)))
+        lex = dict(zip(tokens, weights))
         labels, scores = label_corpus(lex, [tokens])
         assert repr(scores[0]) == repr(score)
         assert labels == (label,)
@@ -139,7 +138,7 @@ class TestLabelCorpus:
     def test_score_that_overflows_names_the_document(self):
         """good good bad bad bad sums exactly to -1e308, but the left-to-right
         float sum reaches inf at the second token and stays there."""
-        lex = Lexicon(entries={"good": 1e308, "bad": -1e308})
+        lex = {"good": 1e308, "bad": -1e308}
         docs = [("good", "bad"), ("good", "good", "bad", "bad", "bad")]
         with pytest.raises(LexiconError, match=r"document 1 \(0-based\) is inf: the lexicon weights overflow"):
             label_corpus(lex, docs)

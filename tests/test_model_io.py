@@ -26,7 +26,6 @@ from tweetsent.models import (
     train_naive_bayes,
     train_random_forest,
 )
-from tweetsent.models.io import model_kind
 
 from test_ensemble import same_tree
 
@@ -58,7 +57,7 @@ class TestRoundTrip:
         save_model(model, path)
         reloaded = load_model(path)
 
-        assert model_kind(reloaded) == kind
+        assert reloaded.kind == kind
         assert reloaded.classes == model.classes
         assert reloaded.terms == model.terms
         for i in range(training.n_docs):
@@ -133,14 +132,16 @@ class TestRoundTrip:
     @pytest.mark.parametrize("kind", sorted(TRAINERS))
     @pytest.mark.parametrize("weighting", [COUNTS, TFIDF])
     def test_weighting_survives(self, kind, weighting, tmp_path):
-        """A model records the weighting of its training matrix, and its
-        file keeps it."""
+        """A model records the classes, vocabulary and weighting of its
+        training matrix, and its file keeps the weighting."""
         training = make_toy_training_set()
         if weighting == TFIDF:
             training = TrainingSet(
                 matrix=tfidf_transform(training.matrix), labels=training.labels
             )
         model = TRAINERS[kind](training)
+        assert model.classes == training.classes
+        assert model.terms == training.matrix.vocab.terms
         assert model.weighting == weighting
         path, document = saved_document(model, tmp_path)
         assert document["weighting"] == weighting
@@ -283,9 +284,11 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
 
-    def test_unserialisable_object_is_rejected(self):
-        with pytest.raises(TypeError, match="cannot serialise"):
-            model_kind(object())
+    def test_unserialisable_object_is_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        with pytest.raises(TypeError, match="cannot serialise object of type object"):
+            save_model(object(), path)
+        assert not path.exists()
 
 
 def tree_document(tmp_path):

@@ -17,7 +17,6 @@ import pytest
 from tweetsent.cli import build_parser, main
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import ConfigError, DataError
-from tweetsent.models import model_kind
 from tweetsent.pipeline import (
     DEFAULT_WEIGHTING,
     MODEL_ORDER,
@@ -123,7 +122,7 @@ def test_each_model_is_keyed_by_the_kind_its_trainer_fits():
     training = make_toy_training_set()
     for key, spec in MODELS.items():
         model = spec.trainer(training)
-        assert (model.kind, model_kind(model)) == (key, key)
+        assert model.kind == key
 
 
 class TestLoadConfig:
@@ -883,6 +882,24 @@ class TestUserErrorsAreNotInternalErrors:
         assert code == 1
         assert f"{next(iter(hyper))} must be" in err
         assert "internal error" not in err
+
+    def test_train_writes_nothing_when_a_fit_fails(self, workspace, tmp_path, capsys):
+        """Naive Bayes fits, then bagging refuses its seed: train saves
+        models only once every fit has succeeded, so it leaves no output
+        directory behind."""
+        payload = minimal_config_payload(
+            workspace, hyperparameters={"bagging": {"seed": -5}}
+        )
+        payload["topics"]["beta"] = str(workspace / "corpus_beta.jsonl")
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        code = main(
+            ["train", "--config", str(path), "--model", "naive_bayes,bagging", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "seed must be non-negative" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "model, hyper, message",

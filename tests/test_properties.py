@@ -12,7 +12,7 @@ import pytest
 from tweetsent.corpus import clean_text, tokenize
 from tweetsent.evaluation import k_fold_split
 from tweetsent.features import idf
-from tweetsent.lexicon import Lexicon, label_corpus
+from tweetsent.lexicon import label_corpus
 
 
 def random_lexicon_case(rng, n_documents=300):
@@ -30,7 +30,7 @@ def random_lexicon_case(rng, n_documents=300):
         [vocabulary[j] for j in rng.integers(0, len(vocabulary), size=length)]
         for length in rng.integers(0, 9, size=n_documents)
     ]
-    return Lexicon(entries=entries), documents
+    return entries, documents
 
 
 FUZZ_PIECES = [
@@ -73,9 +73,7 @@ class TestLexiconScaleInvariance:
     def test_labels_survive_rescaling(self, factor):
         rng = np.random.default_rng(2718)
         lexicon, documents = random_lexicon_case(rng)
-        scaled = Lexicon(
-            entries={tok: factor * w for tok, w in lexicon.entries.items()}
-        )
+        scaled = {tok: factor * w for tok, w in lexicon.items()}
         labels, scores = label_corpus(lexicon, documents)
         scaled_labels, scaled_scores = label_corpus(scaled, documents)
         for label, score, scaled_label, scaled_score in zip(
@@ -86,11 +84,9 @@ class TestLexiconScaleInvariance:
 
     def test_zero_scores_stay_exactly_zero(self):
         """Cancelling tokens stay Neutral at every scale."""
-        lexicon = Lexicon(entries={"up": 1.5, "down": -1.5})
+        lexicon = {"up": 1.5, "down": -1.5}
         for factor in (0.5, 2.0, 10.0):
-            scaled = Lexicon(
-                entries={tok: factor * w for tok, w in lexicon.entries.items()}
-            )
+            scaled = {tok: factor * w for tok, w in lexicon.items()}
             (label,), (score,) = label_corpus(scaled, [["up", "down", "up", "down"]])
             assert score == 0.0
             assert label.tag == "neutral"
