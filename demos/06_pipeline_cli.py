@@ -21,7 +21,9 @@ DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 # ---------------------------------------------------------------------------
 # 1. A run is described by one JSON config: topic -> corpus file, lexicon,
 #    stopwords, seed, fold count. Keyword overrides beat the file.
-workdir = Path(tempfile.mkdtemp(prefix="tweetsent-demo-"))
+# Every file this script writes goes under workdir, removed at the end.
+scratch = tempfile.TemporaryDirectory(prefix="tweetsent-demo-")
+workdir = Path(scratch.name)
 config = load_config(DEMO / "config.json", out_dir=str(workdir / "report"))
 print("topics:", config.topic_names())
 print(f"seed={config.seed} folds={config.folds} models={len(config.models)}")
@@ -78,6 +80,7 @@ identical = all(
 )
 print(f"reran on fresh data: {len(names)} files, byte-identical = {identical}")
 print()
+scratch.cleanup()
 
 # ---------------------------------------------------------------------------
 # 6. The same machinery is scriptable from the shell; each subcommand runs

@@ -272,10 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output write failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TweetsentError as exc:

@@ -14,6 +14,7 @@ collapse) so that cleaning is deterministic and idempotent.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .exceptions import CorpusError
+from .exceptions import CorpusError, read_input
 
 __all__ = [
     "RawTweet",
@@ -103,37 +104,39 @@ def _validate_record(raw: dict, where: str) -> RawTweet:
 
 def _load_jsonl(path: Path) -> list[RawTweet]:
     tweets = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise CorpusError(f"line {lineno}: blank line in JSONL corpus")
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise CorpusError(f"line {lineno}: record is not an object")
-            tweets.append(_validate_record(record, f"line {lineno}"))
+    text = read_input(path, CorpusError, "corpus file")
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        stripped = line.strip()
+        if not stripped:
+            raise CorpusError(f"line {lineno}: blank line in JSONL corpus")
+        try:
+            record = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise CorpusError(f"line {lineno}: record is not an object")
+        tweets.append(_validate_record(record, f"line {lineno}"))
     return tweets
 
 
 def _load_csv(path: Path) -> list[RawTweet]:
     tweets = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return []  # zero-byte file: empty corpus
-        if sorted(reader.fieldnames) != sorted(CORPUS_FIELDS):
-            raise CorpusError(
-                f"header: expected columns {list(CORPUS_FIELDS)}, "
-                f"got {list(reader.fieldnames)}"
-            )
-        for recno, row in enumerate(reader, start=1):
-            where = f"row {recno}"
-            if None in row or any(v is None for v in row.values()):
-                raise CorpusError(f"{where}: wrong number of columns")
-            tweets.append(_validate_record(dict(row), where))
+    # newline="" on the read and on the StringIO: the csv module splits the
+    # lines itself, so a quoted newline stays part of its field.
+    text = read_input(path, CorpusError, "corpus file", newline="")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        return []  # zero-byte file: empty corpus
+    if sorted(reader.fieldnames) != sorted(CORPUS_FIELDS):
+        raise CorpusError(
+            f"header: expected columns {list(CORPUS_FIELDS)}, "
+            f"got {list(reader.fieldnames)}"
+        )
+    for recno, row in enumerate(reader, start=1):
+        where = f"row {recno}"
+        if None in row or any(v is None for v in row.values()):
+            raise CorpusError(f"{where}: wrong number of columns")
+        tweets.append(_validate_record(dict(row), where))
     return tweets
 
 
@@ -149,20 +152,15 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[RawTweet]:
         Tweets in file order. An empty file yields an empty list.
 
     Raises:
-        CorpusError: missing file, malformed record (named by line/row),
-            missing or unexpected field, or duplicate tweet id.
+        CorpusError: unreadable or non-UTF-8 file, malformed record (named
+            by line/row), missing or unexpected field, or duplicate tweet id.
     """
     path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"corpus file not found: {path}")
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {format!r}")
-    try:
-        tweets = _load_jsonl(path) if format == "jsonl" else _load_csv(path)
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    tweets = _load_jsonl(path) if format == "jsonl" else _load_csv(path)
 
     seen: set[str] = set()
     for tweet in tweets:
@@ -208,13 +206,7 @@ def load_stopwords(path: str | Path | None) -> frozenset[str]:
     """
     if path is None:
         return frozenset()
-    path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"stopword file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    text = read_input(path, CorpusError, "stopword file")
     words = set()
     for line in text.split("\n"):
         word = line.strip()

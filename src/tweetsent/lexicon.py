@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-from .exceptions import LexiconError
+from .exceptions import LexiconError, read_input
 
 logger = logging.getLogger(__name__)
 
@@ -75,18 +75,13 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
     lowercased on load.
 
     Raises:
-        LexiconError: missing file, malformed line (named by number),
-            unparseable or non-finite weight, or a file with no entries at all.
+        LexiconError: unreadable or non-UTF-8 file, malformed line (named by
+            number), unparseable or non-finite weight, or a file with no
+            entries at all.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise LexiconError(f"lexicon file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    text = read_input(path, LexiconError, "lexicon file")
     entries: dict[str, float] = {}
-    # read_text has already turned "\r\n" and "\r" into "\n".
+    # read_input has already turned "\r\n" and "\r" into "\n".
     for lineno, stripped in enumerate(text.split("\n"), start=1):
         if not stripped.strip() or stripped.lstrip().startswith("#"):
             continue

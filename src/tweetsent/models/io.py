@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..exceptions import ModelFormatError
+from ..exceptions import ModelFormatError, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
 from .base import Model
@@ -170,10 +170,9 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
 
 def load_model(path: str | Path) -> Model:
     """Read a model document written by :func:`save_model`."""
-    path = Path(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        document = json.loads(read_input(path, ModelFormatError, "model file"))
+    except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(document, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")

@@ -49,12 +49,6 @@ class LinearModel(Model):
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _targets(y: np.ndarray, n_classes: int) -> np.ndarray:
-    """The flat position in an ``(n_docs, n_classes)`` array of each row's
-    gold entry, for labels ``y``."""
-    return np.arange(y.shape[0]) * n_classes + y
-
-
 def maxent_loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -67,21 +61,8 @@ def maxent_loss_and_grad(
     Loss is the mean negative log-probability of the gold class plus an L2
     penalty ``lam/2 * ||W||^2`` on the weights (bias excluded).  Exposed at
     module level so the gradient can be checked against finite differences.
-    """
-    return _maxent_step(weights, bias, x_dense, _targets(y, weights.shape[0]), lam)
 
-
-def _maxent_step(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    x_dense: np.ndarray,
-    gold: np.ndarray,
-    lam: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`maxent_loss_and_grad` with the labels as :func:`_targets`
-    gives them, which a fit builds once, not once per epoch.
-
-    Each array made here is fresh, so the updates are applied in place.
+    Each array returned is fresh, so a fit applies the updates in place.
     ``x.sum() / n`` stands for ``x.mean()``: numpy's mean is that same sum
     followed by that same divide, so every value is bit-identical.  The
     row reductions over the few class columns are one ``np.maximum`` or
@@ -90,6 +71,9 @@ def _maxent_step(
     right, as the column adds do, so both are bit-identical too.
     """
     n_docs = x_dense.shape[0]
+    # The flat position of each row's gold entry in the (n_docs, n_classes)
+    # margins.
+    gold = np.arange(n_docs) * weights.shape[0] + y
     margins = x_dense @ weights.T
     margins += bias
     columns = margins.T
@@ -149,18 +133,17 @@ def train_maxent(
     weights = np.zeros((n_classes, n_terms), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
 
-    gold = _targets(y, n_classes)
     # A diverging fit overflows to inf and then NaN; the finite-loss check
     # reports it, so numpy need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, gold, lam)
+        loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
         trace = [loss]
         for epoch in range(epochs):
             grad_w *= eta
             weights -= grad_w
             grad_b *= eta
             bias -= grad_b
-            loss, grad_w, grad_b = _maxent_step(weights, bias, x_dense, gold, lam)
+            loss, grad_w, grad_b = maxent_loss_and_grad(weights, bias, x_dense, y, lam)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"logistic regression diverged at epoch {epoch + 1} "

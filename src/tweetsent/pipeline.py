@@ -32,7 +32,7 @@ from .corpus import (
     load_stopwords,
 )
 from .evaluation import CVResult, cross_validate
-from .exceptions import ConfigError, DataError, TweetsentError
+from .exceptions import ConfigError, DataError, TweetsentError, read_input
 from .features import (
     COUNTS,
     TFIDF,
@@ -236,9 +236,7 @@ def load_config(
     }
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raw = json.loads(read_input(path, ConfigError, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
