@@ -39,7 +39,9 @@ class TrainingError(DataError):
 
 
 class HyperparameterError(ConfigError, ValueError):
-    """A trainer hyperparameter outside its admissible range."""
+    """A trainer hyperparameter outside the range its trainer's signature
+    declares; ``check_hyperparameters`` raises it, when a config is loaded
+    and again when a trainer is called."""
 
 
 def read_input(

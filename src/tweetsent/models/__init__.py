@@ -1,6 +1,6 @@
 """The models: one base class, :class:`Model`, and one training-set and prediction API."""
 
-from .base import Model, Prediction, TrainingSet, member_rng
+from .base import Model, Prediction, TrainingSet, check_hyperparameters, member_rng
 from .ensemble import (
     BAGGING,
     RANDOM_FOREST,
@@ -45,6 +45,7 @@ __all__ = [
     "TrainingSet",
     "Tree",
     "bin_training_set",
+    "check_hyperparameters",
     "gini_impurity",
     "load_model",
     "maxent_loss_and_grad",

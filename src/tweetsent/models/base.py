@@ -11,8 +11,10 @@ Positive < Neutral < Negative.
 
 from __future__ import annotations
 
+import inspect
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import Annotated, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -20,7 +22,48 @@ from ..exceptions import HyperparameterError, TrainingError
 from ..features import DocTermMatrix
 from ..lexicon import SentimentLabel
 
-__all__ = ["Model", "TrainingSet", "Prediction", "member_rng"]
+__all__ = ["Model", "TrainingSet", "Prediction", "check_hyperparameters", "member_rng"]
+
+
+class Range(NamedTuple):
+    """A hyperparameter's admissible values, given as ``typing.Annotated``
+    metadata on its trainer parameter: ``wording`` completes "must be ...",
+    and ``test`` holds for every admissible value."""
+
+    wording: str
+    test: Callable[[object], bool]
+
+
+POSITIVE = Range("positive", lambda value: value > 0)
+NON_NEGATIVE = Range("non-negative", lambda value: value >= 0)
+
+
+def at_least(k: int) -> Range:
+    return Range(f"at least {k}", lambda value: value >= k)
+
+
+Seed = Annotated[int, NON_NEGATIVE]
+
+
+def check_hyperparameters(trainer: Callable, arguments: Mapping) -> dict:
+    """Those ``arguments`` that are hyperparameters of ``trainer`` (its
+    keyword-only parameters), once each is found within the range its
+    annotation declares; None is within every range.
+
+    A trainer calls it on its ``locals()`` first, and the result is the
+    ``hyper`` record its model keeps.
+
+    Raises:
+        HyperparameterError: a value outside its declared range.
+    """
+    # Not typing.get_type_hints: before Python 3.11 it wraps the annotation
+    # of a None default in Optional, which hides the Annotated metadata.
+    annotations = inspect.get_annotations(trainer, eval_str=True)
+    for name, value in arguments.items():
+        for wording, test in getattr(annotations.get(name), "__metadata__", ()):
+            if value is not None and not test(value):
+                raise HyperparameterError(f"{name} must be {wording}, got {value}")
+    return {name: value for name, value in arguments.items() if name in trainer.__kwdefaults__}
 
 
 def _canonical(labels: Sequence[SentimentLabel]) -> tuple[SentimentLabel, ...]:
@@ -90,8 +133,6 @@ class Prediction:
 
 def member_rng(seed: int, member: int) -> np.random.Generator:
     """Deterministic per-member generator: PCG64 over SeedSequence([seed, member])."""
-    if seed < 0:
-        raise HyperparameterError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, member]))
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import floor, sqrt
+from typing import Annotated
 
 import numpy as np
 
-from ..exceptions import HyperparameterError
-from .base import Model, TrainingSet, member_rng
-from .tree import Tree, bin_training_set, grow_trees, stack_trees
+from .base import Model, Seed, TrainingSet, at_least, check_hyperparameters, member_rng
+from .tree import MaxDepth, MinSamplesSplit, Tree, bin_training_set, grow_trees, stack_trees
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
@@ -66,92 +66,54 @@ class EnsembleModel(Model):
         return votes / len(self.members)
 
 
-def _train_ensemble(
-    kind: str,
-    training: TrainingSet,
-    *,
-    n_members: int,
-    max_depth: int | None,
-    min_samples_split: int,
-    seed: int,
-    bootstrap: bool,
-    n_features_per_split: int | None,
-) -> EnsembleModel:
-    if n_members < 1:
-        raise HyperparameterError(f"n_members must be at least 1, got {n_members}")
-    if n_features_per_split is not None and n_features_per_split < 1:
-        raise HyperparameterError(
-            f"n_features_per_split must be at least 1, got {n_features_per_split}"
-        )
-
+def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> EnsembleModel:
+    """The ensemble of ``kind`` that the checked hyperparameters ``hyper``
+    describe; bagging's give no ``n_features_per_split``."""
     binned = bin_training_set(training)
     n_docs, n_terms = training.n_docs, training.matrix.n_terms
+    seed, bootstrap = hyper["seed"], hyper["bootstrap"]
+    k = hyper.get("n_features_per_split")
 
     def member(m):
         rng = member_rng(seed, m)
         rows = rng.integers(0, n_docs, size=n_docs) if bootstrap else np.arange(n_docs)
-        if n_features_per_split is None or n_features_per_split >= n_terms:
+        if k is None or k >= n_terms:
             return rows, None
-        k = n_features_per_split
         return rows, lambda: np.sort(rng.choice(n_terms, size=k, replace=False))
 
     # Read lazily, a group at a time, so that only one group's bootstrap
     # rows exist at once.
     members = grow_trees(
         binned,
-        map(member, range(n_members)),
-        max_depth=max_depth,
-        min_samples_split=min_samples_split,
+        map(member, range(hyper["n_members"])),
+        max_depth=hyper["max_depth"],
+        min_samples_split=hyper["min_samples_split"],
     )
-
-    hyper = {
-        "n_members": n_members,
-        "max_depth": max_depth,
-        "min_samples_split": min_samples_split,
-        "seed": seed,
-        "bootstrap": bootstrap,
-    }
-    if kind == RANDOM_FOREST:
-        hyper["n_features_per_split"] = n_features_per_split
-    return EnsembleModel(
-        kind=kind,
-        **training.header(),
-        members=tuple(members),
-        hyper=hyper,
-    )
+    return EnsembleModel(kind=kind, **training.header(), members=tuple(members), hyper=hyper)
 
 
 def train_bagging(
     training: TrainingSet,
     *,
-    n_members: int = 15,
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-    seed: int = 0,
+    n_members: Annotated[int, at_least(1)] = 15,
+    max_depth: MaxDepth = None,
+    min_samples_split: MinSamplesSplit = 2,
+    seed: Seed = 0,
     bootstrap: bool = True,
 ) -> EnsembleModel:
     """Bagged trees: each member sees a bootstrap resample, all columns."""
-    return _train_ensemble(
-        BAGGING,
-        training,
-        n_members=n_members,
-        max_depth=max_depth,
-        min_samples_split=min_samples_split,
-        seed=seed,
-        bootstrap=bootstrap,
-        n_features_per_split=None,
-    )
+    return _train_ensemble(BAGGING, training, check_hyperparameters(train_bagging, locals()))
 
 
 def train_random_forest(
     training: TrainingSet,
     *,
-    n_members: int = 25,
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-    seed: int = 0,
+    n_members: Annotated[int, at_least(1)] = 25,
+    max_depth: MaxDepth = None,
+    min_samples_split: MinSamplesSplit = 2,
+    seed: Seed = 0,
     bootstrap: bool = True,
-    n_features_per_split: int | None = None,
+    n_features_per_split: Annotated[int | None, at_least(1)] = None,
 ) -> EnsembleModel:
     """Random forest: bagging plus a fresh column subset at every split.
 
@@ -162,12 +124,5 @@ def train_random_forest(
     if n_features_per_split is None:
         n_features_per_split = max(1, floor(sqrt(training.matrix.n_terms)))
     return _train_ensemble(
-        RANDOM_FOREST,
-        training,
-        n_members=n_members,
-        max_depth=max_depth,
-        min_samples_split=min_samples_split,
-        seed=seed,
-        bootstrap=bootstrap,
-        n_features_per_split=n_features_per_split,
+        RANDOM_FOREST, training, check_hyperparameters(train_random_forest, locals())
     )

@@ -23,10 +23,10 @@ import numpy as np
 from ..exceptions import ModelFormatError, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
-from .base import Model
+from .base import Model, check_hyperparameters
 from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
 from .linear import MAXENT, SVM, LinearModel
-from .naive_bayes import NAIVE_BAYES, NaiveBayesModel
+from .naive_bayes import NAIVE_BAYES, NaiveBayesModel, train_naive_bayes
 from .tree import DECISION_TREE, LEAF, DecisionTreeModel, Tree
 
 FORMAT_VERSION = 3
@@ -126,8 +126,7 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
     header = {"classes": classes, "terms": terms, "weighting": weighting}
     if kind == NAIVE_BAYES:
         alpha = float(_float_array(params["alpha"], "alpha", ()))
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha!r}")
+        check_hyperparameters(train_naive_bayes, {"alpha": alpha})
         return NaiveBayesModel(
             **header,
             class_log_prior=_float_array(

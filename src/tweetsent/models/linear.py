@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from ..exceptions import HyperparameterError, TrainingError
-from .base import Model, TrainingSet
+from ..exceptions import TrainingError
+from .base import NON_NEGATIVE, POSITIVE, Model, Seed, TrainingSet, at_least, check_hyperparameters
 
 MAXENT = "maxent"
 SVM = "svm"
@@ -107,9 +108,9 @@ def maxent_loss_and_grad(
 def train_maxent(
     training: TrainingSet,
     *,
-    eta: float = 0.1,
-    lam: float = 1e-3,
-    epochs: int = 300,
+    eta: Annotated[float, POSITIVE] = 0.1,
+    lam: Annotated[float, NON_NEGATIVE] = 1e-3,
+    epochs: Annotated[int, NON_NEGATIVE] = 300,
 ) -> LinearModel:
     """Fit multinomial logistic regression by full-batch gradient descent.
 
@@ -118,13 +119,7 @@ def train_maxent(
     and after every epoch (``epochs + 1`` values) and is non-increasing for
     a reasonable step size.
     """
-    if eta <= 0:
-        raise HyperparameterError(f"eta must be positive, got {eta}")
-    if lam < 0:
-        raise HyperparameterError(f"lam must be non-negative, got {lam}")
-    if epochs < 0:
-        raise HyperparameterError(f"epochs must be non-negative, got {epochs}")
-
+    hyper = check_hyperparameters(train_maxent, locals())
     x_dense = training.matrix.toarray()
     y = training.y()
     n_classes = len(training.classes)
@@ -156,7 +151,7 @@ def train_maxent(
         **training.header(),
         weights=weights,
         bias=bias,
-        hyper={"eta": eta, "lam": lam, "epochs": epochs},
+        hyper=hyper,
         loss_trace=tuple(trace),
     )
 
@@ -164,9 +159,9 @@ def train_maxent(
 def train_linear_svm(
     training: TrainingSet,
     *,
-    lam: float = 0.1,
-    epochs: int = 50,
-    seed: int = 0,
+    lam: Annotated[float, POSITIVE] = 0.1,
+    epochs: Annotated[int, at_least(1)] = 50,
+    seed: Seed = 0,
 ) -> LinearModel:
     """Fit a one-vs-rest linear SVM with the Pegasos subgradient method.
 
@@ -192,12 +187,7 @@ def train_linear_svm(
     non-finite weights, which raise :class:`TrainingError` after the last
     step.
     """
-    if lam <= 0:
-        raise HyperparameterError(f"lam must be positive, got {lam}")
-    if epochs < 1:
-        raise HyperparameterError(f"epochs must be at least 1, got {epochs}")
-    if seed < 0:
-        raise HyperparameterError(f"seed must be non-negative, got {seed}")
+    hyper = check_hyperparameters(train_linear_svm, locals())
     if len(training.classes) < 2:
         raise TrainingError(
             "SVM training needs at least two classes, got "
@@ -265,6 +255,6 @@ def train_linear_svm(
         **training.header(),
         weights=weights,
         bias=np.array(bias),
-        hyper={"lam": lam, "epochs": epochs, "seed": seed},
+        hyper=hyper,
         loss_trace=None,
     )

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
-from ..exceptions import HyperparameterError, TrainingError
-from .base import Model, TrainingSet
+from ..exceptions import TrainingError
+from .base import POSITIVE, Model, TrainingSet, check_hyperparameters
 
 __all__ = ["NAIVE_BAYES", "NaiveBayesModel", "train_naive_bayes"]
 
@@ -37,7 +37,7 @@ class NaiveBayesModel(Model):
         return posterior / posterior.sum(axis=1, keepdims=True)
 
 
-def train_naive_bayes(ts: TrainingSet, *, alpha: float = 1.0) -> NaiveBayesModel:
+def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.0) -> NaiveBayesModel:
     """Fit multinomial naive Bayes from a counts-weighted training set.
 
     prior(c) is the fraction of documents in class c; likelihood(t | c)
@@ -48,8 +48,7 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: float = 1.0) -> NaiveBayesModel
         TrainingError: some class in the class set has no documents.
         HyperparameterError: alpha <= 0.
     """
-    if alpha <= 0:
-        raise HyperparameterError(f"alpha must be positive, got {alpha}")
+    check_hyperparameters(train_naive_bayes, locals())
     m = ts.matrix
     y = ts.y()
     n_classes = len(ts.classes)

@@ -40,14 +40,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
-from ..exceptions import HyperparameterError
-from .base import Model, TrainingSet
+from .base import NON_NEGATIVE, Model, TrainingSet, at_least, check_hyperparameters
 
 DECISION_TREE = "decision_tree"
+
+# The growth limits every tree trainer takes: None grows to purity.
+MaxDepth = Annotated[int | None, NON_NEGATIVE]
+MinSamplesSplit = Annotated[int, at_least(2)]
 
 LEAF = -1
 
@@ -547,14 +550,9 @@ def grow_trees(
     column a candidate.  A tree does not depend on the others it is grown
     with.  ``members`` may be a lazy iterable: it is read
     :data:`GROW_GROUP` pairs at a time, and each group is grown in
-    lockstep before the next is read.
+    lockstep before the next is read.  The trainers check ``max_depth`` and
+    ``min_samples_split``.
     """
-    if max_depth is not None and max_depth < 0:
-        raise HyperparameterError(f"max_depth must be non-negative, got {max_depth}")
-    if min_samples_split < 2:
-        raise HyperparameterError(
-            f"min_samples_split must be at least 2, got {min_samples_split}"
-        )
     trees: list[Tree] = []
     members = iter(members)
     while group := list(islice(members, GROW_GROUP)):
@@ -589,18 +587,12 @@ class DecisionTreeModel(Model):
 def train_decision_tree(
     training: TrainingSet,
     *,
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
+    max_depth: MaxDepth = None,
+    min_samples_split: MinSamplesSplit = 2,
 ) -> DecisionTreeModel:
     """Fit a single CART tree on the sparse training matrix."""
+    hyper = check_hyperparameters(train_decision_tree, locals())
     (tree,) = grow_trees(
-        bin_training_set(training),
-        [(np.arange(training.n_docs), None)],
-        max_depth=max_depth,
-        min_samples_split=min_samples_split,
+        bin_training_set(training), [(np.arange(training.n_docs), None)], **hyper
     )
-    return DecisionTreeModel(
-        **training.header(),
-        tree=tree,
-        hyper={"max_depth": max_depth, "min_samples_split": min_samples_split},
-    )
+    return DecisionTreeModel(**training.header(), tree=tree, hyper=hyper)

@@ -51,6 +51,7 @@ from .models import (
     SVM,
     Model,
     TrainingSet,
+    check_hyperparameters,
     train_bagging,
     train_decision_tree,
     train_linear_svm,
@@ -65,9 +66,11 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ModelSpec:
     """How the pipeline runs one model kind: the name its report rows show,
-    its trainer, whose keyword-only parameters are the hyperparameters and
-    their defaults, and the feature weighting it trains on unless the config
-    says otherwise."""
+    its trainer, and the feature weighting it trains on unless the config
+    says otherwise.  The trainer's keyword-only parameters are the
+    hyperparameters: its signature declares each one's type, default and
+    range (:func:`~tweetsent.models.check_hyperparameters`), and the
+    model's ``hyper`` record, where it keeps one, holds their values."""
 
     display_name: str
     trainer: Callable[..., Model]
@@ -180,9 +183,11 @@ def validate_config(config: RunConfig) -> RunConfig:
             _expect(
                 _has_type(value, allowed[name]),
                 f"hyperparameters for {key}: {name!r} must be "
-                f"{' or '.join('finite float' if t is float else t.__name__ for t in allowed[name])}, "
+                f"{' or '.join(_JSON_TYPE_NAMES.get(t, t.__name__) for t in allowed[name])}, "
                 f"got {value!r}",
             )
+        with _errors_of(f"hyperparameters for {key}"):
+            check_hyperparameters(MODELS[key].trainer, values)
 
     for name, path in config.topics:
         _expect(path.is_file(), f"corpus file for topic {name!r} does not exist: {path}")
@@ -190,6 +195,10 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.stopwords is not None:
         _expect(config.stopwords.is_file(), f"stopwords file does not exist: {config.stopwords}")
     return config
+
+
+# How a type error names a type that JSON spells its own way.
+_JSON_TYPE_NAMES = {float: "finite float", type(None): "null"}
 
 
 def _has_type(value, allowed: tuple[type, ...]) -> bool:

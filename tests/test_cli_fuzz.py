@@ -1,6 +1,7 @@
 """Seeded fuzzing of the command line: a mutated config, corpus, lexicon or
 saved model file is a user error, so ``main()`` returns 0, 1 or 2 and never
-3 ("internal error").
+3 ("internal error").  A hyperparameter outside the range its trainer
+declares is a config error whatever the command, so it returns exactly 1.
 
 Each test draws its mutations from one numpy generator with a fixed seed,
 so a failure names a case that replays exactly.  Hyperparameter values stay
@@ -14,9 +15,13 @@ import numpy as np
 import pytest
 
 from tweetsent.cli import main
+from tweetsent.exceptions import HyperparameterError
+from tweetsent.models import check_hyperparameters
 from tweetsent.pipeline import MODEL_ORDER, MODELS
 
 N_CASES = 400
+# The exit codes of success and of the user errors.
+NOT_INTERNAL = (0, 1, 2)
 SMALL_HYPER = {
     "svm": {"epochs": 3},
     "maxent": {"epochs": 5},
@@ -93,13 +98,26 @@ def _run(argv, capsys):
 
 
 def _check(cases):
-    """``cases`` yields (description, exit code, stderr); every code must be 0, 1 or 2."""
+    """``cases`` yields (description, exit code, stderr, the codes allowed);
+    every code must be one of those allowed."""
     failures = [
         f"{what}: exit {code}: {err.strip()[-300:]}"
-        for what, code, err in cases
-        if code not in (0, 1, 2)
+        for what, code, err, allowed in cases
+        if code not in allowed
     ]
     assert not failures, "\n".join(failures)
+
+
+def _out_of_range(model, name, value) -> bool:
+    """Whether ``model``'s trainer declares a range that ``value`` is
+    outside of; a value of the wrong type is for the type check to refuse."""
+    try:
+        check_hyperparameters(MODELS[model].trainer, {name: value})
+    except HyperparameterError:
+        return True
+    except TypeError:
+        pass
+    return False
 
 
 def _pick(rng, items):
@@ -163,6 +181,7 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
             kind = _pick(rng, ["top", "delete", "weighting", "hyper", "topic"])
             value = _pick(rng, CONFIG_VALUES if kind == "top" else VALUES)
             flags = ["--out", str(tmp_path / "out")]
+            allowed = NOT_INTERNAL
             if kind == "top":
                 key = _pick(rng, ["seed", "folds", "min_df", "models", "out_dir", "stopwords",
                                   "lexicon", "topics", "weighting", "hyperparameters", "bogus"])
@@ -183,6 +202,10 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
                 # trainer; half select one other model, so the mutated block
                 # lies outside the selection.
                 key = f"{model}.{name}"
+                # A value outside its declared range is a config error,
+                # found when the config is loaded, whatever runs after.
+                if _out_of_range(model, name, value):
+                    allowed = (1,)
                 if rng.random() < 0.5:
                     selection = _pick(rng, [m for m in MODEL_ORDER if m != model])
                     flags += ["--model", selection]
@@ -194,7 +217,7 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
             path.write_text(json.dumps(config), encoding="utf-8")
             command = _pick(rng, ["ingest", "label", "train", "crossval", "compare"])
             code, err = _run([command, "--config", str(path), *flags], capsys)
-            yield f"case {case}: {command} with {kind} {key} = {value!r}", code, err
+            yield f"case {case}: {command} with {kind} {key} = {value!r}", code, err, allowed
 
     _check(cases())
 
@@ -229,7 +252,7 @@ def test_mutated_corpora_never_exit_3(base, tmp_path, capsys):
                 [command, "--config", str(work / "config.json"), "--model", "naive_bayes,svm"],
                 capsys,
             )
-            yield f"case {case}: {command} on {corpus.name} after {what}", code, err
+            yield f"case {case}: {command} on {corpus.name} after {what}", code, err, NOT_INTERNAL
 
     _check(cases())
 
@@ -265,7 +288,7 @@ def test_mutated_lexicons_and_stopwords_never_exit_3(base, tmp_path, capsys):
                 [command, "--config", str(work / "config.json"), "--model", "naive_bayes,maxent"],
                 capsys,
             )
-            yield f"case {case}: {command} after {what} in {target.name}", code, err
+            yield f"case {case}: {command} after {what} in {target.name}", code, err, NOT_INTERNAL
 
     _check(cases())
 
@@ -288,6 +311,6 @@ def test_mutated_model_files_never_exit_3(base, tmp_path, capsys):
             code, err = _run(
                 ["evaluate", "--config", str(work / "config.json"), "--model", model], capsys
             )
-            yield f"case {case}: evaluate {path.name} after {what}", code, err
+            yield f"case {case}: evaluate {path.name} after {what}", code, err, NOT_INTERNAL
 
     _check(cases())

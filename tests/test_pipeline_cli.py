@@ -815,24 +815,31 @@ class TestUserErrorsAreNotInternalErrors:
         assert "hyperparameters for svm: 'epochs' must be int" in err
 
     @pytest.mark.parametrize("command", ["ingest", "label", "train"])
-    @pytest.mark.parametrize("selection", [[], ["--model", "maxent"]], ids=["unselected", "selected"])
+    @pytest.mark.parametrize("selected", [False, True], ids=["unselected", "selected"])
     @pytest.mark.parametrize(
-        "values, message",
+        "model, values, message",
         [
-            ({"bogus": 1}, "hyperparameters for maxent: unknown name 'bogus'; choose from eta, lam, epochs"),
-            ({"epochs": 2.5}, "hyperparameters for maxent: 'epochs' must be int, got 2.5"),
+            ("maxent", {"bogus": 1}, "hyperparameters for maxent: unknown name 'bogus'; choose from eta, lam, epochs"),
+            ("maxent", {"epochs": 2.5}, "hyperparameters for maxent: 'epochs' must be int, got 2.5"),
+            (
+                "decision_tree",
+                {"max_depth": "deep"},
+                "hyperparameters for decision_tree: 'max_depth' must be int or null, got 'deep'",
+            ),
         ],
-        ids=["bogus-name", "wrong-type"],
+        ids=["bogus-name", "wrong-type", "wrong-type-or-null"],
     )
     def test_every_hyperparameters_block_is_checked(
-        self, command, selection, values, message, workspace, tmp_path, capsys
+        self, command, selected, model, values, message, workspace, tmp_path, capsys
     ):
         """A mistake in the block of a model the run leaves out is still a
-        mistake: every subcommand refuses it, whatever ``--model`` selects."""
+        mistake: every subcommand refuses it, whatever ``--model`` selects.
+        A type error names JSON's types: ``null``, not ``NoneType``."""
         payload = minimal_config_payload(
-            workspace, models=["naive_bayes"], hyperparameters={"maxent": values},
+            workspace, models=["naive_bayes"], hyperparameters={model: values},
             out_dir=str(tmp_path / "out"),
         )
+        selection = ["--model", model] if selected else []
         code = main([command, "--config", str(write_config(tmp_path, payload)), *selection])
         assert code == 1
         assert message in capsys.readouterr().err
@@ -859,29 +866,46 @@ class TestUserErrorsAreNotInternalErrors:
         )
         assert load_config(path).hyperparameters == hyper
 
+    @pytest.mark.parametrize("command", ["ingest", "label", "crossval"])
     @pytest.mark.parametrize(
-        "model, hyper",
+        "model, name, value, wording",
         [
-            ("bagging", {"n_members": 0}),
-            ("svm", {"epochs": -1}),
-            ("decision_tree", {"max_depth": -2}),
-            ("svm", {"seed": -1}),
-            ("bagging", {"seed": -1}),
+            ("naive_bayes", "alpha", 0, "positive"),
+            ("svm", "lam", 0.0, "positive"),
+            ("svm", "epochs", 0, "at least 1"),
+            ("svm", "seed", -1, "non-negative"),
+            ("maxent", "eta", 0, "positive"),
+            ("maxent", "lam", -1, "non-negative"),
+            ("maxent", "epochs", -1, "non-negative"),
+            ("decision_tree", "max_depth", -2, "non-negative"),
+            ("decision_tree", "min_samples_split", 1, "at least 2"),
+            ("random_forest", "n_members", 0, "at least 1"),
+            ("random_forest", "max_depth", -1, "non-negative"),
+            ("random_forest", "min_samples_split", 1, "at least 2"),
+            ("random_forest", "seed", -1, "non-negative"),
+            ("random_forest", "n_features_per_split", 0, "at least 1"),
+            ("bagging", "n_members", 0, "at least 1"),
+            ("bagging", "max_depth", -1, "non-negative"),
+            ("bagging", "min_samples_split", 1, "at least 2"),
+            ("bagging", "seed", -5, "non-negative"),
         ],
     )
     def test_out_of_range_hyperparameter_is_a_config_error(
-        self, model, hyper, workspace, tmp_path, capsys
+        self, command, model, name, value, wording, workspace, tmp_path, capsys, caplog
     ):
-        """The type is right, so the config loads; the trainer's range check
-        rejects the value in the first fold."""
+        """One value outside each range a trainer declares: the config is
+        refused when it is loaded, before any stage runs, whatever the
+        command."""
         path = write_config(
-            tmp_path, minimal_config_payload(workspace, hyperparameters={model: hyper})
+            tmp_path,
+            minimal_config_payload(workspace, hyperparameters={model: {name: value}}),
         )
-        code = main(["crossval", "--config", str(path), "--model", model])
+        with caplog.at_level("INFO", logger="tweetsent.pipeline"):
+            code = main([command, "--config", str(path), "--model", model])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"{next(iter(hyper))} must be" in err
-        assert "internal error" not in err
+        assert f"hyperparameters for {model}: {name} must be {wording}, got {value}" in err
+        assert not [r for r in caplog.records if "pipeline stage" in r.getMessage()]
 
     def test_train_writes_nothing_when_a_fit_fails(self, workspace, tmp_path, capsys):
         """Naive Bayes fits, then bagging refuses its seed: train saves

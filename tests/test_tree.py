@@ -689,9 +689,14 @@ class TestGrowTree:
         "kwargs", [{"max_depth": -1}, {"min_samples_split": 1}]
     )
     def test_rejects_bad_hyperparameters(self, kwargs):
-        x = np.array([[0.0], [1.0]])
+        """The trainer checks the growth limits; grow_trees, which only the
+        trainers call, takes them as given."""
+        training = TrainingSet(
+            matrix=build_count_matrix(build_vocabulary([["a"]]), [[], ["a"]]),
+            labels=(SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE),
+        )
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            grow(x, np.array([0, 1]), 2, **kwargs)
+            train_decision_tree(training, **kwargs)
 
 
 class TestDecisionTreeModel:
