@@ -1,6 +1,6 @@
 """The models: one base class, :class:`Model`, and one training-set and prediction API."""
 
-from .base import Model, Prediction, TrainingSet, check_hyperparameters, member_rng
+from .base import Model, Prediction, TrainingSet, check_hyperparameters, hyperparameters, member_rng
 from .ensemble import (
     BAGGING,
     RANDOM_FOREST,
@@ -47,6 +47,7 @@ __all__ = [
     "bin_training_set",
     "check_hyperparameters",
     "gini_impurity",
+    "hyperparameters",
     "load_model",
     "maxent_loss_and_grad",
     "member_rng",

@@ -14,7 +14,9 @@ from __future__ import annotations
 import inspect
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Annotated, ClassVar, NamedTuple
+from functools import cache
+from types import MappingProxyType
+from typing import Annotated, ClassVar, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -22,7 +24,9 @@ from ..exceptions import HyperparameterError, TrainingError
 from ..features import DocTermMatrix
 from ..lexicon import SentimentLabel
 
-__all__ = ["Model", "TrainingSet", "Prediction", "check_hyperparameters", "member_rng"]
+__all__ = [
+    "Model", "TrainingSet", "Prediction", "check_hyperparameters", "hyperparameters", "member_rng",
+]
 
 
 class Range(NamedTuple):
@@ -42,12 +46,38 @@ def at_least(k: int) -> Range:
     return Range(f"at least {k}", lambda value: value >= k)
 
 
+def at_most(k: int) -> Range:
+    return Range(f"at most {k}", lambda value: value <= k)
+
+
 Seed = Annotated[int, NON_NEGATIVE]
+
+
+class Hyperparameter(NamedTuple):
+    types: tuple[type, ...]
+    ranges: tuple[Range, ...]
+
+
+@cache
+def hyperparameters(trainer: Callable) -> Mapping[str, Hyperparameter]:
+    """Each keyword-only parameter of ``trainer``, in signature order, with
+    the plain types its annotation admits (``int | None`` -> ``(int,
+    NoneType)``) and its ranges; each trainer's annotations are read once."""
+    # Not typing's hint reader: before Python 3.11 it wraps the annotation
+    # of a None default in Optional, which hides the Annotated metadata.
+    annotations = inspect.get_annotations(trainer, eval_str=True)
+    declared = {}
+    for name in trainer.__kwdefaults__:
+        annotation, ranges = annotations[name], ()
+        if get_origin(annotation) is Annotated:
+            annotation, *ranges = get_args(annotation)
+        declared[name] = Hyperparameter(get_args(annotation) or (annotation,), tuple(ranges))
+    return MappingProxyType(declared)
 
 
 def check_hyperparameters(trainer: Callable, arguments: Mapping) -> dict:
     """Those ``arguments`` that are hyperparameters of ``trainer`` (its
-    keyword-only parameters), once each is found within the range its
+    keyword-only parameters), once each is found within the ranges its
     annotation declares; None is within every range.
 
     A trainer calls it on its ``locals()`` first, and the result is the
@@ -56,14 +86,13 @@ def check_hyperparameters(trainer: Callable, arguments: Mapping) -> dict:
     Raises:
         HyperparameterError: a value outside its declared range.
     """
-    # Not typing.get_type_hints: before Python 3.11 it wraps the annotation
-    # of a None default in Optional, which hides the Annotated metadata.
-    annotations = inspect.get_annotations(trainer, eval_str=True)
-    for name, value in arguments.items():
-        for wording, test in getattr(annotations.get(name), "__metadata__", ()):
+    declared = hyperparameters(trainer)
+    hyper = {name: value for name, value in arguments.items() if name in declared}
+    for name, value in hyper.items():
+        for wording, test in declared[name].ranges:
             if value is not None and not test(value):
                 raise HyperparameterError(f"{name} must be {wording}, got {value}")
-    return {name: value for name, value in arguments.items() if name in trainer.__kwdefaults__}
+    return hyper
 
 
 def _canonical(labels: Sequence[SentimentLabel]) -> tuple[SentimentLabel, ...]:

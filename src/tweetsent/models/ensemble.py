@@ -24,7 +24,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .base import Model, Seed, TrainingSet, at_least, check_hyperparameters, member_rng
+from .base import Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters, member_rng
 from .tree import MaxDepth, MinSamplesSplit, Tree, bin_training_set, grow_trees, stack_trees
 
 BAGGING = "bagging"
@@ -95,7 +95,7 @@ def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> EnsembleMo
 def train_bagging(
     training: TrainingSet,
     *,
-    n_members: Annotated[int, at_least(1)] = 15,
+    n_members: Annotated[int, at_least(1), at_most(1_000)] = 15,
     max_depth: MaxDepth = None,
     min_samples_split: MinSamplesSplit = 2,
     seed: Seed = 0,
@@ -108,7 +108,7 @@ def train_bagging(
 def train_random_forest(
     training: TrainingSet,
     *,
-    n_members: Annotated[int, at_least(1)] = 25,
+    n_members: Annotated[int, at_least(1), at_most(1_000)] = 25,
     max_depth: MaxDepth = None,
     min_samples_split: MinSamplesSplit = 2,
     seed: Seed = 0,

@@ -20,7 +20,9 @@ from typing import Annotated
 import numpy as np
 
 from ..exceptions import TrainingError
-from .base import NON_NEGATIVE, POSITIVE, Model, Seed, TrainingSet, at_least, check_hyperparameters
+from .base import (
+    NON_NEGATIVE, POSITIVE, Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters,
+)
 
 MAXENT = "maxent"
 SVM = "svm"
@@ -110,7 +112,7 @@ def train_maxent(
     *,
     eta: Annotated[float, POSITIVE] = 0.1,
     lam: Annotated[float, NON_NEGATIVE] = 1e-3,
-    epochs: Annotated[int, NON_NEGATIVE] = 300,
+    epochs: Annotated[int, NON_NEGATIVE, at_most(10_000)] = 300,
 ) -> LinearModel:
     """Fit multinomial logistic regression by full-batch gradient descent.
 
@@ -160,7 +162,7 @@ def train_linear_svm(
     training: TrainingSet,
     *,
     lam: Annotated[float, POSITIVE] = 0.1,
-    epochs: Annotated[int, at_least(1)] = 50,
+    epochs: Annotated[int, at_least(1), at_most(10_000)] = 50,
     seed: Seed = 0,
 ) -> LinearModel:
     """Fit a one-vs-rest linear SVM with the Pegasos subgradient method.

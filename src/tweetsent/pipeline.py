@@ -11,13 +11,11 @@ memory first so a failing run leaves no partial output behind.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import logging
 import math
 import os
-import typing
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -52,6 +50,7 @@ from .models import (
     Model,
     TrainingSet,
     check_hyperparameters,
+    hyperparameters,
     train_bagging,
     train_decision_tree,
     train_linear_svm,
@@ -69,19 +68,12 @@ class ModelSpec:
     its trainer, and the feature weighting it trains on unless the config
     says otherwise.  The trainer's keyword-only parameters are the
     hyperparameters: its signature declares each one's type, default and
-    range (:func:`~tweetsent.models.check_hyperparameters`), and the
+    range (:func:`~tweetsent.models.hyperparameters` reads them), and the
     model's ``hyper`` record, where it keeps one, holds their values."""
 
     display_name: str
     trainer: Callable[..., Model]
     weighting: str
-
-    @property
-    def hyperparameters(self) -> dict[str, tuple[type, ...]]:
-        """Each hyperparameter's name and the plain types its annotation
-        admits (``int | None`` -> ``(int, NoneType)``)."""
-        hints = typing.get_type_hints(self.trainer)
-        return {name: typing.get_args(hints[name]) or (hints[name],) for name in self.trainer.__kwdefaults__}
 
 
 # Keyed by the ``model_kind`` of each model's files, in report order.
@@ -174,16 +166,17 @@ def validate_config(config: RunConfig) -> RunConfig:
             isinstance(values, Mapping),
             f"hyperparameters for {key} must be an object, got {values!r}",
         )
-        allowed = MODELS[key].hyperparameters
+        allowed = hyperparameters(MODELS[key].trainer)
         for name, value in values.items():
             _expect(
                 name in allowed,
                 f"hyperparameters for {key}: unknown name {name!r}; choose from {', '.join(allowed)}",
             )
+            types = allowed[name].types
             _expect(
-                _has_type(value, allowed[name]),
+                _has_type(value, types),
                 f"hyperparameters for {key}: {name!r} must be "
-                f"{' or '.join(_JSON_TYPE_NAMES.get(t, t.__name__) for t in allowed[name])}, "
+                f"{' or '.join(_JSON_TYPE_NAMES.get(t, t.__name__) for t in types)}, "
                 f"got {value!r}",
             )
         with _errors_of(f"hyperparameters for {key}"):
@@ -307,7 +300,7 @@ def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
     a seeded trainer gets the config seed unless its hyperparameters set one."""
     spec = MODELS[key]
     kwargs = dict(config.hyperparameters.get(key, {}))
-    if "seed" in spec.hyperparameters:
+    if "seed" in hyperparameters(spec.trainer):
         kwargs.setdefault("seed", config.seed)
     return partial(spec.trainer, **kwargs)
 
@@ -548,6 +541,9 @@ def table_rows(records: Iterable[Mapping], columns: Sequence[str]) -> list[list]
 
 def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[dict[str, bytes], dict]:
     """Assemble every report file in memory; returns (files, manifest)."""
+    # Imported here: OpenSSL adds megabytes to every command that writes no bundle.
+    import hashlib
+
     files: dict[str, bytes] = {}
     for report in reports:
         files[f"metrics_{report.topic}.csv"] = csv_text(

@@ -4,8 +4,9 @@ saved model file is a user error, so ``main()`` returns 0, 1 or 2 and never
 declares is a config error whatever the command, so it returns exactly 1.
 
 Each test draws its mutations from one numpy generator with a fixed seed,
-so a failure names a case that replays exactly.  Hyperparameter values stay
-small: a huge ``epochs`` or ``n_members`` is a slow run, not an error.
+so a failure names a case that replays exactly.  A huge value sizes no
+loop: every hyperparameter that sets an amount of work declares an upper
+bound, so ``epochs`` or ``n_members`` of ``10**30`` is a config error.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 
 from tweetsent.cli import main
 from tweetsent.exceptions import HyperparameterError
-from tweetsent.models import check_hyperparameters
+from tweetsent.models import check_hyperparameters, hyperparameters
 from tweetsent.pipeline import MODEL_ORDER, MODELS
 
 N_CASES = 400
@@ -39,7 +40,7 @@ VALUES = [
     "", "abc", "positive", "2024-13-45T99:00:00Z", [], [1], ["all"], ["abc", 1],
     {}, {"a": 1}, [[0.5]],
 ]
-# Top-level config integers may also be huge; they size no loop.
+# Config integers may also be huge; they size no loop.
 CONFIG_VALUES = VALUES + [10**30]
 LEXICON_WEIGHTS = ["nan", "inf", "-inf", "abc", "", "1e400", "-0", "0", "1_0", " 2 "]
 
@@ -169,7 +170,7 @@ def _mutate_json(rng, document, values):
 
 def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
     rng = np.random.default_rng(1001)
-    hyper_names = {key: [*spec.hyperparameters, "bogus"] for key, spec in MODELS.items()}
+    hyper_names = {key: [*hyperparameters(spec.trainer), "bogus"] for key, spec in MODELS.items()}
 
     def cases():
         for case in range(N_CASES):
@@ -179,7 +180,7 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
             config["lexicon"] = str(base / config["lexicon"])
             config["stopwords"] = str(base / config["stopwords"])
             kind = _pick(rng, ["top", "delete", "weighting", "hyper", "topic"])
-            value = _pick(rng, CONFIG_VALUES if kind == "top" else VALUES)
+            value = _pick(rng, CONFIG_VALUES if kind in ("top", "hyper") else VALUES)
             flags = ["--out", str(tmp_path / "out")]
             allowed = NOT_INTERNAL
             if kind == "top":

@@ -43,14 +43,14 @@ class TestLoadJsonl:
             {"id": "b", "text": "x", "created_at": "2024-05-01T12:00:00+02:00", "topic": "t"},
             {"id": "c", "text": "x", "created_at": "2024-05-01T10:00:00", "topic": "t"},
         ]
-        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
         loaded = load_corpus(path)
         expected = datetime(2024, 5, 1, 10, 0, tzinfo=timezone.utc)
         assert all(t.created_at == expected for t in loaded)
 
     def test_missing_field_names_field_and_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text('{"id": "a", "text": "x", "topic": "t"}\n')
+        path.write_text('{"id": "a", "text": "x", "topic": "t"}\n', encoding="utf-8")
         with pytest.raises(CorpusError, match="line 1") as err:
             load_corpus(path)
         assert "created_at" in str(err.value)
@@ -59,27 +59,27 @@ class TestLoadJsonl:
         path = tmp_path / "c.jsonl"
         record = {"id": "a", "text": "x", "created_at": "2024-05-01T10:00:00Z",
                   "topic": "t", "retweets": 3}
-        path.write_text(json.dumps(record) + "\n")
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="retweets"):
             load_corpus(path)
 
     def test_blank_line_is_an_error(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = {"id": "a", "text": "x", "created_at": "2024-05-01T10:00:00Z", "topic": "t"}
-        path.write_text(json.dumps(record) + "\n\n" + json.dumps({**record, "id": "b"}) + "\n")
+        path.write_text(json.dumps(record) + "\n\n" + json.dumps({**record, "id": "b"}) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = {"id": "a", "text": "x", "created_at": "2024-05-01T10:00:00Z", "topic": "t"}
-        path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
+        path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="'a'"):
             load_corpus(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text('{"id": "a"\n')
+        path.write_text('{"id": "a"\n', encoding="utf-8")
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(path)
 
@@ -95,14 +95,15 @@ class TestLoadCsv:
         path = tmp_path / "c.csv"
         path.write_text(
             "topic,created_at,text,id\n"
-            "t,2024-05-01T10:00:00Z,hello,a\n"
+            "t,2024-05-01T10:00:00Z,hello,a\n",
+            encoding="utf-8",
         )
         [tweet] = load_corpus(path)
         assert tweet.id == "a" and tweet.topic == "t"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("id,text,topic\na,hello,t\n")
+        path.write_text("id,text,topic\na,hello,t\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="created_at"):
             load_corpus(path)
 
@@ -154,7 +155,7 @@ class TestTokenize:
 class TestStopwords:
     def test_loads_lowercased_ignoring_comments(self, tmp_path):
         path = tmp_path / "stop.txt"
-        path.write_text("# comment\nThe\nand\n\n  OR \n")
+        path.write_text("# comment\nThe\nand\n\n  OR \n", encoding="utf-8")
         assert load_stopwords(path) == frozenset({"the", "and", "or"})
 
     def test_none_means_empty(self):

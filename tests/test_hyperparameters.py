@@ -18,7 +18,7 @@ from tweetsent.models import (
     train_maxent,
     train_random_forest,
 )
-from tweetsent.models.base import NON_NEGATIVE, POSITIVE, Seed, at_least
+from tweetsent.models.base import NON_NEGATIVE, POSITIVE, Seed, at_least, at_most
 
 
 def _trainer(
@@ -26,7 +26,7 @@ def _trainer(
     *,
     rate: Annotated[float, POSITIVE] = 1.0,
     depth: Annotated[int | None, NON_NEGATIVE] = None,
-    splits: Annotated[int, at_least(2)] = 2,
+    splits: Annotated[int, at_least(2), at_most(9)] = 2,
     seed: Seed = 0,
     flag: bool = True,
 ):
@@ -41,6 +41,7 @@ class TestCheckHyperparameters:
             ("rate", -1, "rate must be positive, got -1"),
             ("depth", -1, "depth must be non-negative, got -1"),
             ("splits", 1, "splits must be at least 2, got 1"),
+            ("splits", 10, "splits must be at most 9, got 10"),
             ("seed", -5, "seed must be non-negative, got -5"),
         ],
     )
@@ -53,7 +54,8 @@ class TestCheckHyperparameters:
         assert check_hyperparameters(_trainer, {name: None}) == {name: None}
 
     @pytest.mark.parametrize(
-        "name, value", [("rate", 1e-300), ("depth", 0), ("splits", 2), ("seed", 0), ("flag", False)]
+        "name, value",
+        [("rate", 1e-300), ("depth", 0), ("splits", 2), ("splits", 9), ("seed", 0), ("flag", False)],
     )
     def test_accepts_the_bounds(self, name, value):
         assert check_hyperparameters(_trainer, {name: value}) == {name: value}

@@ -21,12 +21,12 @@ class TestLoadLexicon:
 
     def test_tokens_are_lowercased(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        path.write_text("GOOD\t1.5\n")
+        path.write_text("GOOD\t1.5\n", encoding="utf-8")
         assert load_lexicon(path) == {"good": 1.5}
 
     def test_later_duplicate_wins(self, tmp_path, caplog):
         path = tmp_path / "lex.tsv"
-        path.write_text("good\t1.0\ngood\t3.0\n")
+        path.write_text("good\t1.0\ngood\t3.0\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
             lex = load_lexicon(path)
         assert lex["good"] == 3.0
@@ -34,13 +34,13 @@ class TestLoadLexicon:
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        path.write_text("good\t1.0\nbad 1.0\n")
+        path.write_text("good\t1.0\nbad 1.0\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="line 2"):
             load_lexicon(path)
 
     def test_unparseable_weight_names_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        path.write_text("good\tnot-a-number\n")
+        path.write_text("good\tnot-a-number\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="line 1"):
             load_lexicon(path)
 
@@ -49,19 +49,19 @@ class TestLoadLexicon:
         """float() parses these, but a NaN weight labels every document it
         touches Neutral, and infinite weights of both signs sum to NaN."""
         path = tmp_path / "lex.tsv"
-        path.write_text(f"good\t1.0\nbad\t{weight}\n")
+        path.write_text(f"good\t1.0\nbad\t{weight}\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="line 2: .* is not finite"):
             load_lexicon(path)
 
     def test_empty_lexicon_rejected(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        path.write_text("# nothing here\n")
+        path.write_text("# nothing here\n", encoding="utf-8")
         with pytest.raises(LexiconError):
             load_lexicon(path)
 
     def test_one_sided_lexicon_warns(self, tmp_path, caplog):
         path = tmp_path / "lex.tsv"
-        path.write_text("good\t1.0\nnice\t0.5\n")
+        path.write_text("good\t1.0\nnice\t0.5\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
             load_lexicon(path)
         assert any("negative" in rec.message for rec in caplog.records)

@@ -42,7 +42,7 @@ TRAINERS = {
 def saved_document(model, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
-    return path, json.loads(path.read_text())
+    return path, json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestRoundTrip:
@@ -169,7 +169,7 @@ class TestFormatValidation:
     def test_unsupported_version_is_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
         document["format_version"] = 99
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
@@ -180,7 +180,7 @@ class TestFormatValidation:
         path, document = self._valid_document(tmp_path)
         document["format_version"] = version
         del document["weighting"]
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(
             ModelFormatError, match=f"unsupported model format version {version}"
         ):
@@ -190,27 +190,27 @@ class TestFormatValidation:
     def test_unknown_weighting_is_rejected(self, weighting, tmp_path):
         path, document = self._valid_document(tmp_path)
         document["weighting"] = weighting
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="'weighting' must be"):
             load_model(path)
 
     def test_unknown_kind_is_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
         document["model_kind"] = "perceptron"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="unknown model kind"):
             load_model(path)
 
     def test_truncated_file_is_rejected(self, tmp_path):
         path, _ = self._valid_document(tmp_path)
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
         with pytest.raises(ModelFormatError, match="not a valid model file"):
             load_model(path)
 
     def test_non_object_top_level_is_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text("[1, 2, 3]")
+        path.write_text("[1, 2, 3]", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="JSON object"):
             load_model(path)
 
@@ -220,21 +220,21 @@ class TestFormatValidation:
     def test_missing_top_level_field_is_rejected(self, field, tmp_path):
         path, document = self._valid_document(tmp_path)
         del document[field]
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="missing field"):
             load_model(path)
 
     def test_missing_params_field_is_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
         del document["params"]["alpha"]
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="missing field"):
             load_model(path)
 
     def test_unparseable_parameters_are_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
         document["params"]["class_log_prior"] = "not numbers"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
 
@@ -255,7 +255,7 @@ class TestFormatValidation:
         bare NaN into the JSON."""
         path, document = self._valid_document(tmp_path)
         document["params"]["alpha"] = alpha
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
@@ -273,14 +273,14 @@ class TestFormatValidation:
         model = TRAINERS["maxent"](make_toy_training_set())
         path, document = saved_document(model, tmp_path)
         document["params"]["loss_trace"] = trace
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
     def test_unknown_class_tag_is_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
         document["classes"] = ["positive", "sideways"]
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
 
@@ -359,7 +359,7 @@ class TestTreeStructureValidation:
     def test_decision_tree_defect_is_rejected(self, defect, tmp_path):
         path, document = tree_document(tmp_path)
         corrupt_tree(document["params"]["tree"], defect)
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="malformed model file: tree"):
             load_model(path)
 
@@ -372,7 +372,7 @@ class TestTreeStructureValidation:
         tree = document["params"]["trees"][-1]
         assert len(tree["column"]) >= 3
         corrupt_tree(tree, defect)
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="malformed model file: tree"):
             load_model(path)
 
@@ -380,6 +380,6 @@ class TestTreeStructureValidation:
         model = train_bagging(make_toy_training_set(), n_members=1, seed=0)
         path, document = saved_document(model, tmp_path)
         document["params"]["trees"] = []
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="no trees"):
             load_model(path)

@@ -10,6 +10,7 @@ import inspect
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from tweetsent.cli import build_parser, main
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import ConfigError, DataError
+from tweetsent.models import hyperparameters
 from tweetsent.pipeline import (
     DEFAULT_WEIGHTING,
     MODEL_ORDER,
@@ -163,11 +165,14 @@ class TestLoadConfig:
 
     def test_hyperparameters_are_the_trainers_keyword_only_parameters(self):
         """Each admits the plain types of its annotation."""
-        assert MODELS["naive_bayes"].hyperparameters == {"alpha": (float,)}
-        assert MODELS["decision_tree"].hyperparameters == {
+        def types(key):
+            return {name: h.types for name, h in hyperparameters(MODELS[key].trainer).items()}
+
+        assert types("naive_bayes") == {"alpha": (float,)}
+        assert types("decision_tree") == {
             "max_depth": (int, type(None)), "min_samples_split": (int,),
         }
-        assert list(MODELS["random_forest"].hyperparameters) == [
+        assert list(hyperparameters(MODELS["random_forest"].trainer)) == [
             "n_members", "max_depth", "min_samples_split", "seed", "bootstrap",
             "n_features_per_split",
         ]
@@ -224,7 +229,7 @@ class TestLoadConfig:
 
     def test_invalid_json_is_rejected(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
@@ -365,7 +370,7 @@ class TestRunPipeline:
 
     def test_metrics_csv_has_the_documented_shape(self, run_result):
         config, _ = run_result
-        lines = (config.out_dir / "metrics_alpha.csv").read_text().splitlines()
+        lines = (config.out_dir / "metrics_alpha.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "Algorithm,Precision,Recall,Fscore,CrossValidate"
         assert len(lines) == 1 + len(MODEL_ORDER)
         first = lines[1].split(",")
@@ -375,21 +380,21 @@ class TestRunPipeline:
 
     def test_hourly_csv_has_24_rows_summing_to_the_corpus(self, run_result):
         config, _ = run_result
-        lines = (config.out_dir / "hourly_alpha.csv").read_text().splitlines()
+        lines = (config.out_dir / "hourly_alpha.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "hour,count"
         assert len(lines) == 25
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 24
 
     def test_distribution_json_shares_sum_to_one(self, run_result):
         config, _ = run_result
-        payload = json.loads((config.out_dir / "distribution_beta.json").read_text())
+        payload = json.loads((config.out_dir / "distribution_beta.json").read_text(encoding="utf-8"))
         assert payload["documents"] == 24
         assert sum(payload["counts"].values()) == 24
         assert sum(payload["shares"].values()) == pytest.approx(1.0)
 
     def test_manifest_hashes_match_the_written_files(self, run_result):
         config, result = run_result
-        manifest = json.loads((config.out_dir / "manifest.json").read_text())
+        manifest = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest == result.manifest
         assert set(manifest["files"]) == {
             path.name
@@ -416,9 +421,25 @@ class TestRunPipeline:
         for path in sorted(config.out_dir.iterdir()):
             assert (again.out_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_each_trainer_signature_is_read_once(self, run_result, tmp_path, monkeypatch):
+        """Config checks, seeding and every fit of every fold share one
+        reading of each trainer's annotations."""
+        config, _ = run_result
+        calls = Counter()
+        read = inspect.get_annotations
+
+        def counting(obj, **kwargs):
+            calls[obj] += 1
+            return read(obj, **kwargs)
+
+        hyperparameters.cache_clear()
+        monkeypatch.setattr(inspect, "get_annotations", counting)
+        run_pipeline(replace(config, out_dir=tmp_path / "again"))
+        assert calls == Counter(spec.trainer for spec in MODELS.values())
+
     def test_comparison_reports_deltas_and_ratios(self, run_result):
         config, result = run_result
-        payload = json.loads((config.out_dir / "comparison.json").read_text())
+        payload = json.loads((config.out_dir / "comparison.json").read_text(encoding="utf-8"))
         assert payload["topics"] == ["alpha", "beta"]
         assert payload["documents"] == {"alpha": 24, "beta": 24}
         assert payload["positive_negative_ratio"]["alpha"] == pytest.approx(1.0)
@@ -535,7 +556,7 @@ class TestCli:
         assert payload["topics"][0]["distribution"] == {
             "positive": 8, "neutral": 8, "negative": 8,
         }
-        labels = (tmp_path / "labels_alpha.csv").read_text().splitlines()
+        labels = (tmp_path / "labels_alpha.csv").read_text(encoding="utf-8").splitlines()
         assert labels[0] == "id,label,score"
         assert len(labels) == 25
 
@@ -873,18 +894,22 @@ class TestUserErrorsAreNotInternalErrors:
             ("naive_bayes", "alpha", 0, "positive"),
             ("svm", "lam", 0.0, "positive"),
             ("svm", "epochs", 0, "at least 1"),
+            ("svm", "epochs", 10001, "at most 10000"),
             ("svm", "seed", -1, "non-negative"),
             ("maxent", "eta", 0, "positive"),
             ("maxent", "lam", -1, "non-negative"),
             ("maxent", "epochs", -1, "non-negative"),
+            ("maxent", "epochs", 10001, "at most 10000"),
             ("decision_tree", "max_depth", -2, "non-negative"),
             ("decision_tree", "min_samples_split", 1, "at least 2"),
             ("random_forest", "n_members", 0, "at least 1"),
+            ("random_forest", "n_members", 1001, "at most 1000"),
             ("random_forest", "max_depth", -1, "non-negative"),
             ("random_forest", "min_samples_split", 1, "at least 2"),
             ("random_forest", "seed", -1, "non-negative"),
             ("random_forest", "n_features_per_split", 0, "at least 1"),
             ("bagging", "n_members", 0, "at least 1"),
+            ("bagging", "n_members", 1001, "at most 1000"),
             ("bagging", "max_depth", -1, "non-negative"),
             ("bagging", "min_samples_split", 1, "at least 2"),
             ("bagging", "seed", -5, "non-negative"),
@@ -906,6 +931,22 @@ class TestUserErrorsAreNotInternalErrors:
         assert code == 1
         assert f"hyperparameters for {model}: {name} must be {wording}, got {value}" in err
         assert not [r for r in caplog.records if "pipeline stage" in r.getMessage()]
+
+    @pytest.mark.parametrize(
+        "model, name, value",
+        [
+            ("svm", "epochs", 10000),
+            ("maxent", "epochs", 10000),
+            ("random_forest", "n_members", 1000),
+            ("bagging", "n_members", 1000),
+        ],
+    )
+    def test_upper_bound_is_admissible(self, model, name, value, workspace, tmp_path):
+        path = write_config(
+            tmp_path,
+            minimal_config_payload(workspace, hyperparameters={model: {name: value}}),
+        )
+        assert main(["ingest", "--config", str(path), "--model", model]) == 0
 
     def test_train_writes_nothing_when_a_fit_fails(self, workspace, tmp_path, capsys):
         """Naive Bayes fits, then bagging refuses its seed: train saves

@@ -1,7 +1,8 @@
 """Start-up cost of the package and the CLI, each in a fresh interpreter.
 
 ``import tweetsent`` loads no numpy, so ``python -m tweetsent.cli`` can set
-numpy's BLAS thread count before numpy loads.
+numpy's BLAS thread count before numpy loads, and ``import tweetsent.cli``
+loads no ``hashlib``.
 """
 
 import os
@@ -21,7 +22,7 @@ def run_python(code, **env):
     )
     environ.update(env)
     result = subprocess.run(
-        [sys.executable, "-c", code], env=environ, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, encoding="utf-8",
         check=True, timeout=60,
     )
     return result.stdout.strip()
@@ -35,6 +36,16 @@ def test_lexicon_import_leaves_numpy_unloaded():
     """Weak labelling runs on an interpreter without numpy."""
     code = "import sys, tweetsent.lexicon; print('numpy' in sys.modules)"
     assert run_python(code) == "False"
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    """Only a command that writes a report bundle hashes it, so only that
+    one pays for loading OpenSSL."""
+    code = (
+        "import sys; before = 'hashlib' in sys.modules; import tweetsent.cli; "
+        "print(before or 'hashlib' not in sys.modules)"
+    )
+    assert run_python(code) == "True"
 
 
 def test_cli_defaults_openblas_to_one_thread():
