@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .evaluation import score
 from .exceptions import ConfigError, DataError, TweetsentError
-from .models import load_model, save_model
+from .models import encode_model, load_model
 from .pipeline import (
     METRICS,
     MODELS,
@@ -38,6 +38,7 @@ from .pipeline import (
     run_pipeline,
     table_rows,
     train_topic_models,
+    write_bundle,
 )
 
 
@@ -117,26 +118,26 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    summaries = []
-    written: list[str] = []
-    for data in load_topic_data(config):
-        summaries.append(
-            {"topic": data.topic, "documents": len(data.documents), "distribution": data.distribution}
-        )
-        if args.out_dir is not None:
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            target = out_dir / f"labels_{data.topic}.csv"
-            rows = [
-                [doc.id, label.tag, repr(value)]
-                for doc, label, value in zip(data.documents, data.labels, data.scores)
-            ]
-            target.write_bytes(csv_text(["id", "label", "score"], rows).encode("utf-8"))
-            written.append(str(target))
-
+    topic_data = load_topic_data(config)
+    summaries = [
+        {"topic": data.topic, "documents": len(data.documents), "distribution": data.distribution}
+        for data in topic_data
+    ]
     payload: dict = {"topics": summaries}
-    if written:
-        payload["files"] = written
+    if args.out_dir is not None:
+        out_dir = Path(args.out_dir)
+        files = {
+            f"labels_{data.topic}.csv": csv_text(
+                ["id", "label", "score"],
+                (
+                    [doc.id, label.tag, repr(value)]
+                    for doc, label, value in zip(data.documents, data.labels, data.scores)
+                ),
+            ).encode("utf-8")
+            for data in topic_data
+        }
+        write_bundle(out_dir, files)
+        payload["files"] = [str(out_dir / name) for name in files]
     _emit(
         args,
         payload,
@@ -148,18 +149,17 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    # Every fit runs before anything is written, so a failing one leaves
-    # no output behind.
-    fitted_by_topic = [
-        (data.topic, train_topic_models(config, data)) for data in load_topic_data(config)
-    ]
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    # Every fit runs before anything is written, and write_bundle writes
+    # all the files or none, so a failure leaves no output behind.
+    files: dict[str, bytes] = {}
     entries = []
-    for topic, fitted in fitted_by_topic:
+    for data in load_topic_data(config):
+        fitted = train_topic_models(config, data)
         for key in config.models:
-            target = config.out_dir / model_filename(topic, key)
-            save_model(fitted[key], target)
-            entries.append({"topic": topic, "model": key, "path": str(target)})
+            name = model_filename(data.topic, key)
+            files[name] = encode_model(fitted[key])
+            entries.append({"topic": data.topic, "model": key, "path": str(config.out_dir / name)})
+    write_bundle(config.out_dir, files)
     columns = ["topic", "model", "path"]
     _emit(args, {"models": entries}, columns, table_rows(entries, columns))
     return 0

@@ -1,10 +1,13 @@
 """Tweet corpus ingestion, text normalization, and time-of-day exploration.
 
-Corpora are flat files, one record per tweet, in either of two formats:
+Corpora are flat files, one record per tweet, in either of two formats,
+chosen by the file's suffix when it is loaded and when it is saved:
 
-* JSONL: one object per line with exactly the fields ``id``, ``text``,
-  ``created_at`` (ISO-8601 UTC), ``topic``.
-* CSV: RFC-4180 with a header row carrying the same four column names.
+* CSV, for a ``.csv`` suffix in any case: RFC-4180 with a header row
+  carrying the column names ``id``, ``text``, ``created_at`` (ISO-8601
+  UTC) and ``topic``.
+* JSONL, for any other suffix: one object per line with exactly the same
+  four fields.
 
 Text normalization is a fixed rule sequence (lowercase, URL removal,
 mention removal, "#" stripping, punctuation/emoji removal, whitespace
@@ -140,13 +143,14 @@ def _load_csv(path: Path) -> list[RawTweet]:
     return tweets
 
 
-def load_corpus(path: str | Path, format: str | None = None) -> list[RawTweet]:
-    """Load a tweet corpus file.
+def _is_csv(path: Path) -> bool:
+    """The one format rule, for loading and saving alike: a ``.csv`` suffix
+    (any case) means CSV, any other means JSONL."""
+    return path.suffix.lower() == ".csv"
 
-    Args:
-        path: corpus file location.
-        format: "jsonl" or "csv"; when None the file suffix decides
-            (".csv" means CSV, anything else JSONL).
+
+def load_corpus(path: str | Path) -> list[RawTweet]:
+    """Load a tweet corpus file, in the format its suffix names.
 
     Returns:
         Tweets in file order. An empty file yields an empty list.
@@ -156,11 +160,7 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[RawTweet]:
             by line/row), missing or unexpected field, or duplicate tweet id.
     """
     path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown corpus format {format!r}")
-    tweets = _load_jsonl(path) if format == "jsonl" else _load_csv(path)
+    tweets = _load_csv(path) if _is_csv(path) else _load_jsonl(path)
 
     seen: set[str] = set()
     for tweet in tweets:
@@ -170,14 +170,22 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[RawTweet]:
     return tweets
 
 
-def save_corpus(tweets: Sequence[RawTweet], path: str | Path, format: str = "jsonl") -> None:
-    """Write tweets back out in one of the two corpus formats.
+def save_corpus(tweets: Sequence[RawTweet], path: str | Path) -> None:
+    """Write tweets out in the format the suffix of ``path`` names.
 
     A corpus round-trips: loading a saved file yields an equal tweet
     sequence (timestamps are normalized to UTC "Z" notation).
     """
     path = Path(path)
-    if format == "jsonl":
+    if _is_csv(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CORPUS_FIELDS)
+            for t in tweets:
+                writer.writerow(
+                    [t.id, t.text, _format_timestamp(t.created_at), t.topic]
+                )
+    else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for t in tweets:
                 record = {
@@ -187,16 +195,6 @@ def save_corpus(tweets: Sequence[RawTweet], path: str | Path, format: str = "jso
                     "topic": t.topic,
                 }
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CORPUS_FIELDS)
-            for t in tweets:
-                writer.writerow(
-                    [t.id, t.text, _format_timestamp(t.created_at), t.topic]
-                )
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
 
 
 def load_stopwords(path: str | Path | None) -> frozenset[str]:

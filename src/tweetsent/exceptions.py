@@ -35,7 +35,8 @@ class ModelFormatError(DataError):
 
 
 class TrainingError(DataError):
-    """Training preconditions violated (empty class, single-class SVM, divergence)."""
+    """Training preconditions violated (no documents, a label count that is
+    not the row count, single-class SVM, divergence)."""
 
 
 class HyperparameterError(ConfigError, ValueError):

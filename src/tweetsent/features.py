@@ -190,11 +190,6 @@ def tfidf_transform(m: DocTermMatrix) -> DocTermMatrix:
     """
     if m.weighting != COUNTS:
         raise ValueError(f"expected a counts matrix, got weighting={m.weighting!r}")
-    if m.nnz == 0:
-        return DocTermMatrix(
-            vocab=m.vocab, indptr=m.indptr.copy(), indices=m.indices.copy(),
-            data=m.data.copy(), weighting=TFIDF,
-        )
     idf_per_term = np.log(m.n_docs / m.vocab.doc_freq.astype(np.float64))
     new_data = m.data * idf_per_term[m.indices]
     keep = new_data != 0.0

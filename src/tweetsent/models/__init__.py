@@ -8,7 +8,7 @@ from .ensemble import (
     train_bagging,
     train_random_forest,
 )
-from .io import FORMAT_VERSION, load_model, save_model
+from .io import FORMAT_VERSION, encode_model, load_model, save_model
 from .linear import (
     MAXENT,
     SVM,
@@ -46,6 +46,7 @@ __all__ = [
     "Tree",
     "bin_training_set",
     "check_hyperparameters",
+    "encode_model",
     "gini_impurity",
     "hyperparameters",
     "load_model",

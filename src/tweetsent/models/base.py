@@ -95,35 +95,26 @@ def check_hyperparameters(trainer: Callable, arguments: Mapping) -> dict:
     return hyper
 
 
-def _canonical(labels: Sequence[SentimentLabel]) -> tuple[SentimentLabel, ...]:
-    return tuple(sorted(set(labels)))
-
-
 @dataclass(frozen=True)
 class TrainingSet:
     """A vectorized corpus with aligned labels.
 
-    ``classes`` defaults to the distinct labels present, in canonical
-    order; it may list extra classes explicitly, but trainers reject
-    classes with no documents.
+    ``classes`` is derived, not given: the distinct labels present, in
+    canonical order, so every model breaks ties the same way.
     """
 
     matrix: DocTermMatrix
     labels: tuple[SentimentLabel, ...]
-    classes: tuple[SentimentLabel, ...] = field(default=())
+    classes: tuple[SentimentLabel, ...] = field(init=False)
 
     def __post_init__(self):
         if len(self.labels) != self.matrix.n_docs:
             raise TrainingError(
                 f"{len(self.labels)} labels for a {self.matrix.n_docs}-row matrix"
             )
-        if not self.classes:
-            if not self.labels:
-                raise TrainingError("training set has no documents")
-            object.__setattr__(self, "classes", _canonical(self.labels))
-        missing = set(self.labels) - set(self.classes)
-        if missing:
-            raise TrainingError(f"labels outside the class set: {sorted(missing)}")
+        if not self.labels:
+            raise TrainingError("training set has no documents")
+        object.__setattr__(self, "classes", tuple(sorted(set(self.labels))))
 
     @property
     def n_docs(self) -> int:

@@ -106,8 +106,8 @@ def _encode_params(model: Model) -> dict:
     }
 
 
-def save_model(model: Model, path: str | Path) -> None:
-    """Write ``model`` to ``path`` as deterministic JSON."""
+def encode_model(model: Model) -> bytes:
+    """The bytes of ``model``'s file: deterministic JSON."""
     if not isinstance(model, Model):
         raise TypeError(f"cannot serialise object of type {type(model).__name__}")
     document = {
@@ -119,7 +119,12 @@ def save_model(model: Model, path: str | Path) -> None:
         "params": _encode_params(model),
     }
     text = json.dumps(document, ensure_ascii=False, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    return (text + "\n").encode("utf-8")
+
+
+def save_model(model: Model, path: str | Path) -> None:
+    """Write ``model`` to ``path`` as deterministic JSON."""
+    Path(path).write_bytes(encode_model(model))
 
 
 def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Model:

@@ -7,7 +7,6 @@ from typing import Annotated, ClassVar
 
 import numpy as np
 
-from ..exceptions import TrainingError
 from .base import POSITIVE, Model, TrainingSet, check_hyperparameters
 
 __all__ = ["NAIVE_BAYES", "NaiveBayesModel", "train_naive_bayes"]
@@ -45,7 +44,6 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.
     stored as logs.
 
     Raises:
-        TrainingError: some class in the class set has no documents.
         HyperparameterError: alpha <= 0.
     """
     check_hyperparameters(train_naive_bayes, locals())
@@ -55,14 +53,9 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.
     n_terms = m.n_terms
 
     doc_counts = np.bincount(y, minlength=n_classes)
-    for label, n_c in zip(ts.classes, doc_counts):
-        if n_c == 0:
-            raise TrainingError(f"class {label} has no training documents")
-
     term_counts = np.zeros((n_classes, n_terms), dtype=np.float64)
     row_ids = np.repeat(np.arange(m.n_docs), np.diff(m.indptr))
-    if m.nnz:
-        np.add.at(term_counts, (y[row_ids], m.indices), m.data)
+    np.add.at(term_counts, (y[row_ids], m.indices), m.data)
 
     if n_terms:
         totals = term_counts.sum(axis=1, keepdims=True)

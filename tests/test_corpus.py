@@ -88,7 +88,7 @@ class TestLoadCsv:
     def test_round_trip(self, tmp_path):
         tweets = [_tweet(1, text='with, comma and "quote"'), _tweet(2)]
         path = tmp_path / "c.csv"
-        save_corpus(tweets, path, format="csv")
+        save_corpus(tweets, path)
         assert load_corpus(path) == tweets
 
     def test_column_order_is_free(self, tmp_path):
@@ -107,13 +107,21 @@ class TestLoadCsv:
         with pytest.raises(CorpusError, match="created_at"):
             load_corpus(path)
 
-    def test_format_inferred_from_suffix_and_overridable(self, tmp_path):
-        tweets = [_tweet(1)]
-        odd = tmp_path / "corpus.dat"
-        save_corpus(tweets, odd, format="csv")
-        with pytest.raises(CorpusError):
-            load_corpus(odd)  # unknown suffix defaults to JSONL, which fails
-        assert load_corpus(odd, format="csv") == tweets
+    @pytest.mark.parametrize(
+        "name, first_line",
+        [
+            ("corpus.csv", "id,text,created_at,topic"),
+            ("CORPUS.CSV", "id,text,created_at,topic"),
+            ("corpus.dat", '{"id": "t-001"'),
+        ],
+    )
+    def test_suffix_names_the_format_for_saving_and_loading(self, tmp_path, name, first_line):
+        """A ``.csv`` suffix, in any case, is CSV both ways; any other is JSONL."""
+        tweets = [_tweet(1, text='with, comma and "quote"'), _tweet(2)]
+        path = tmp_path / name
+        save_corpus(tweets, path)
+        assert path.read_text(encoding="utf-8").startswith(first_line)
+        assert load_corpus(path) == tweets
 
 
 class TestCleanText:

@@ -192,6 +192,15 @@ class TestTfidf:
         # the zero weights are removed from the sparse structure entirely
         assert weighted.nnz == 2
 
+    def test_matrix_without_entries(self):
+        """A min_df that keeps no term leaves nothing to reweight."""
+        docs = [["a"], ["b"]]
+        counts = build_count_matrix(build_vocabulary(docs, min_df=2), docs)
+        weighted = tfidf_transform(counts)
+        assert weighted.weighting == TFIDF and weighted.nnz == 0
+        assert weighted.indptr.tolist() == [0, 0, 0]
+        assert weighted.data.dtype == np.float64 and weighted.indices.dtype == np.int64
+
     def test_requires_count_input(self):
         vocab = build_vocabulary(DOCS)
         weighted = tfidf_transform(build_count_matrix(vocab, DOCS))

@@ -22,7 +22,7 @@ CORPUS = DEMO_DIR / "corpus_burgerhouse.jsonl"
 
 def _csv_corpus(tmp_path):
     path = tmp_path / "source.csv"
-    save_corpus(load_corpus(CORPUS)[:20], path, format="csv")
+    save_corpus(load_corpus(CORPUS)[:20], path)
     return path.read_bytes()
 
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tweetsent.exceptions import TrainingError
 from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import CANONICAL_LABELS, SentimentLabel
 from tweetsent.models import TrainingSet, train_naive_bayes
@@ -142,16 +141,33 @@ class TestModelBehaviour:
         sums = np.exp(model.term_log_likelihood).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
-    def test_empty_class_rejected(self):
-        matrix_ts = _training_set(((1,), (2,)),
-                                  (SentimentLabel.POSITIVE, SentimentLabel.POSITIVE))
-        full = TrainingSet(
-            matrix=matrix_ts.matrix,
-            labels=matrix_ts.labels,
-            classes=(SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE),
-        )
-        with pytest.raises(TrainingError, match="Negative"):
-            train_naive_bayes(full)
+    def test_documents_without_terms_fit_the_prior(self):
+        """No counts: every term is equally likely, and the prior decides."""
+        ts = _training_set(((0, 0), (0, 0), (0, 0)),
+                           (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE,
+                            SentimentLabel.NEGATIVE))
+        model = train_naive_bayes(ts)
+        np.testing.assert_allclose(np.exp(model.term_log_likelihood), 0.5, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.exp(model.class_log_prior), [1 / 3, 2 / 3], rtol=1e-15)
+
+    def test_classes_cannot_be_given(self):
+        """A training set's classes are derived from its labels, so no
+        caller can reorder them and move the tie-break."""
+        ts = _training_set(((1,), (2,)),
+                           (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE))
+        with pytest.raises(TypeError, match="classes"):
+            TrainingSet(
+                matrix=ts.matrix,
+                labels=ts.labels,
+                classes=(SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE),
+            )
+
+    @pytest.mark.parametrize("labels", list(itertools.permutations(CANONICAL_LABELS)))
+    def test_classes_are_canonical_whatever_the_label_order(self, labels):
+        ts = _training_set(((1,), (2,), (3,)), labels)
+        assert ts.classes == CANONICAL_LABELS
+        kept = {labels[2], labels[0]}
+        assert ts.take([2, 0]).classes == tuple(c for c in CANONICAL_LABELS if c in kept)
 
     def test_alpha_must_be_positive(self):
         ts = _training_set(((1,), (2,)),

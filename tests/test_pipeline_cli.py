@@ -967,6 +967,27 @@ class TestUserErrorsAreNotInternalErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            (["train", "--model", "naive_bayes"], "model_beta_naive_bayes.json"),
+            (["label"], "labels_beta.csv"),
+        ],
+    )
+    def test_a_failed_write_leaves_no_file_behind(
+        self, command, blocked, workspace, tmp_path, capsys
+    ):
+        """A directory where the second topic's file goes fails that write
+        (exit 2), and the first topic's file, written before it, is removed:
+        every output set is written all or nothing."""
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        code = main([*command, "--config", str(workspace / "config.json"), "--out", str(out)])
+        assert code == 2
+        assert str(out / blocked) in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == [blocked]
+        assert not any((out / blocked).iterdir())
+
+    @pytest.mark.parametrize(
         "model, hyper, message",
         [
             ("svm", {"lam": 5e-324}, "linear SVM diverged"),

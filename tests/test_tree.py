@@ -258,7 +258,6 @@ def count_training_set(rng, n_docs, n_terms):
     return TrainingSet(
         matrix=build_count_matrix(build_vocabulary([terms] + docs), docs),
         labels=tuple(labels[i] for i in rng.integers(0, 3, size=n_docs)),
-        classes=labels,
     )
 
 
