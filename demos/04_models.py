@@ -49,13 +49,14 @@ def show(name, model):
 
 
 # ---------------------------------------------------------------------------
-# 2. Naive Bayes: Laplace-smoothed count model. Its scores are posteriors
-#    that sum to one.
+# 2. Naive Bayes: Laplace-smoothed count model, a linear model in log space
+#    (log likelihoods as weights, log priors as bias). Its scores are
+#    posteriors that sum to one.
 nb = train_naive_bayes(training, alpha=1.0)
 show("naive bayes", nb)
-print(f"    log prior per class: {np.round(nb.class_log_prior, 3)}")
-print(f"    P(term | class) sums: "
-      f"{np.round(np.exp(nb.term_log_likelihood).sum(axis=1), 6)}")
+print(f"    log prior per class (its bias): {np.round(nb.bias, 3)}")
+print(f"    P(term | class) sums (exp of its weights): "
+      f"{np.round(np.exp(nb.weights).sum(axis=1), 6)}")
 print()
 
 # ---------------------------------------------------------------------------

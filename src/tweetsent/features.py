@@ -86,6 +86,18 @@ class DocTermMatrix:
         dense[row_ids, self.indices] = self.data
         return dense
 
+    def dot(self, weights: np.ndarray) -> np.ndarray:
+        """The ``(n_docs, k)`` products of the rows with the ``k`` rows of
+        ``weights``: one ``bincount`` adds each row's ``data * weights[c,
+        indices]`` left to right from 0.0, so, unlike a BLAS product, a
+        row's products are the same bytes in any batch."""
+        k = weights.shape[0]
+        row_ids = np.repeat(np.arange(self.n_docs), np.diff(self.indptr))
+        codes = np.add.outer(row_ids * k, np.arange(k)).ravel()
+        products = (self.data[:, None] * weights[:, self.indices].T).ravel()
+        sums = np.bincount(codes, weights=products, minlength=self.n_docs * k)
+        return sums.reshape(self.n_docs, k)
+
     def take(self, rows: Sequence[int] | np.ndarray) -> "DocTermMatrix":
         """Row subset (same vocabulary and weighting)."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -168,29 +180,31 @@ def build_count_matrix(
     )
 
 
-def idf(n_docs: int, df: int) -> float:
-    """Inverse document frequency, ln(n_docs / df).
+def idf(n_docs: int, df: int | np.ndarray) -> float | np.ndarray:
+    """Inverse document frequency, ln(n_docs / df), of one document
+    frequency or, elementwise, of an array of them.
 
     Requires 1 <= df <= n_docs; a term present in every document gets 0.
     """
-    if n_docs < 1:
-        raise ValueError(f"n_docs must be positive, got {n_docs}")
-    if df < 1 or df > n_docs:
+    df = np.asarray(df)
+    if ((df < 1) | (df > n_docs)).any() or n_docs < 1:
         raise ValueError(f"df must be in 1..{n_docs}, got {df}")
-    return float(np.log(n_docs / df))
+    return np.log(n_docs / df.astype(np.float64))
 
 
 def tfidf_transform(m: DocTermMatrix) -> DocTermMatrix:
     """Reweight a counts matrix to TF-IDF.
 
-    Each stored count becomes count * ln(n_docs / doc_freq[term]), using
-    the document frequencies of the matrix's own fit corpus. Weights that
-    become exactly zero (terms present in every document) are dropped, so
-    the sparsity pattern can only shrink.
+    Each stored count becomes count * idf(n_docs, doc_freq[term]), so the
+    rows must be the vocabulary's fit corpus, with its document
+    frequencies. Weights that become exactly zero (terms present in every
+    document) are dropped, so the sparsity pattern can only shrink.
     """
     if m.weighting != COUNTS:
         raise ValueError(f"expected a counts matrix, got weighting={m.weighting!r}")
-    idf_per_term = np.log(m.n_docs / m.vocab.doc_freq.astype(np.float64))
+    if not np.array_equal(np.bincount(m.indices, minlength=m.n_terms), m.vocab.doc_freq):
+        raise ValueError("the matrix is not its vocabulary's fit corpus")
+    idf_per_term = idf(m.n_docs, m.vocab.doc_freq)
     new_data = m.data * idf_per_term[m.indices]
     keep = new_data != 0.0
     row_ids = np.repeat(np.arange(m.n_docs), np.diff(m.indptr))

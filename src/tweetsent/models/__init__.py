@@ -11,13 +11,14 @@ from .ensemble import (
 from .io import FORMAT_VERSION, encode_model, load_model, save_model
 from .linear import (
     MAXENT,
+    NAIVE_BAYES,
     SVM,
     LinearModel,
     maxent_loss_and_grad,
     train_linear_svm,
     train_maxent,
 )
-from .naive_bayes import NAIVE_BAYES, NaiveBayesModel, train_naive_bayes
+from .naive_bayes import train_naive_bayes
 from .tree import (
     DECISION_TREE,
     DecisionTreeModel,
@@ -40,7 +41,6 @@ __all__ = [
     "EnsembleModel",
     "LinearModel",
     "Model",
-    "NaiveBayesModel",
     "Prediction",
     "TrainingSet",
     "Tree",

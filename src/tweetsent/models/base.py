@@ -163,12 +163,12 @@ class Model:
     A model records the ``classes``, vocabulary ``terms`` and ``weighting``
     of the matrix it was trained on (:meth:`TrainingSet.header`).  Each
     subclass states its ``kind`` (the ``model_kind`` its files carry) and
-    one kernel, ``_scores(x)``, which maps dense ``(n_docs, n_terms)`` rows
-    to ``(n_docs, n_classes)`` scores: naive Bayes posteriors, linear
-    margins (softmax for maxent), a tree's leaf class shares or an
-    ensemble's vote shares.  The predicted class is a row's first highest
-    score.  ``predict`` scores one document, a one-row matrix, through the
-    same path.
+    one kernel, ``_scores(matrix)``, which maps the sparse matrix to
+    ``(n_docs, n_classes)`` scores, each row's from that row alone: linear
+    margins (softmax for naive Bayes and maxent), a tree's leaf class shares
+    or an ensemble's vote shares.  The predicted class is a row's first
+    highest score.  ``predict`` scores one document, a one-row matrix,
+    through the same path, to the same bytes as its row in any batch.
     """
 
     kind: ClassVar[str]
@@ -188,7 +188,7 @@ class Model:
                 f"vector column {int(matrix.indices.max())} out of range for "
                 f"{len(self.terms)}-term vocabulary"
             )
-        scores = self._scores(matrix.toarray())
+        scores = self._scores(matrix)
         return np.argmax(scores, axis=1), scores
 
     def predict(self, row: DocTermMatrix) -> Prediction:

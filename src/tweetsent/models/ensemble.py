@@ -12,7 +12,7 @@ Members are grown in lockstep by :func:`~.tree.grow_trees`, each still
 calling its own column sampler in its own node preorder, so every member
 is the tree it would be if grown alone.  Prediction walks all members at
 once through one stacked node array, built on first use, over
-:data:`WALK_CHUNK` rows at a time.
+:data:`WALK_CHUNK` rows at a time, each chunk densified on its own.
 """
 
 from __future__ import annotations
@@ -24,14 +24,16 @@ from typing import Annotated
 
 import numpy as np
 
+from ..features import DocTermMatrix
 from .base import Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters, member_rng
 from .tree import MaxDepth, MinSamplesSplit, Tree, bin_training_set, grow_trees, stack_trees
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
 
-# Rows walked through all members per pass.  Results do not depend on it;
-# it bounds the walk's arrays to this many rows times the member count.
+# Rows densified and walked through all members per pass.  Results do not
+# depend on it; it bounds the walk's arrays to this many rows times the
+# member count.
 WALK_CHUNK = 256
 
 
@@ -50,16 +52,17 @@ class EnsembleModel(Model):
         forest, roots = stack_trees(self.members)
         return forest, roots, np.argmax(forest.counts, axis=1)
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
+    def _scores(self, matrix: DocTermMatrix) -> np.ndarray:
         """Share of members voting for each class: a member votes for the
         vote of the leaf it reaches."""
         forest, roots, vote = self._forest
         n_classes = len(self.classes)
-        votes = np.empty((x.shape[0], n_classes))
-        for start in range(0, x.shape[0], WALK_CHUNK):
-            n_rows = min(WALK_CHUNK, x.shape[0] - start)
+        votes = np.empty((matrix.n_docs, n_classes))
+        for start in range(0, matrix.n_docs, WALK_CHUNK):
+            n_rows = min(WALK_CHUNK, matrix.n_docs - start)
+            x = matrix.take(np.arange(start, start + n_rows)).toarray()
             rows = np.tile(np.arange(n_rows), roots.shape[0])
-            leaf = forest.walk(x[start : start + n_rows], rows, np.repeat(roots, n_rows))
+            leaf = forest.walk(x, rows, np.repeat(roots, n_rows))
             votes[start : start + n_rows] = np.bincount(
                 rows * n_classes + vote[leaf], minlength=n_rows * n_classes
             ).reshape(n_rows, n_classes)

@@ -1,8 +1,8 @@
 """Save and load trained models as a versioned JSON document.
 
 Every file carries ``format_version``, ``model_kind``, the class list (as
-lowercase tags), the vocabulary, the ``weighting`` of the features the model
-was trained on, and a kind-specific ``params`` block.
+lowercase tags in canonical order), the vocabulary, the ``weighting`` of
+the features the model was trained on, and a kind-specific ``params`` block.
 Floats are written with full ``repr`` precision, so a load followed by a
 save reproduces the parameters bit for bit.
 
@@ -25,8 +25,8 @@ from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
 from .base import Model, check_hyperparameters
 from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
-from .linear import MAXENT, SVM, LinearModel
-from .naive_bayes import NAIVE_BAYES, NaiveBayesModel, train_naive_bayes
+from .linear import MAXENT, NAIVE_BAYES, SVM, LinearModel
+from .naive_bayes import train_naive_bayes
 from .tree import DECISION_TREE, LEAF, DecisionTreeModel, Tree
 
 FORMAT_VERSION = 3
@@ -85,11 +85,11 @@ def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
 
 
 def _encode_params(model: Model) -> dict:
-    if isinstance(model, NaiveBayesModel):
+    if model.kind == NAIVE_BAYES:
         return {
-            "alpha": model.alpha,
-            "class_log_prior": model.class_log_prior.tolist(),
-            "term_log_likelihood": model.term_log_likelihood.tolist(),
+            "alpha": model.hyper["alpha"],
+            "class_log_prior": model.bias.tolist(),
+            "term_log_likelihood": model.weights.tolist(),
         }
     if isinstance(model, LinearModel):
         return {
@@ -131,16 +131,14 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
     header = {"classes": classes, "terms": terms, "weighting": weighting}
     if kind == NAIVE_BAYES:
         alpha = float(_float_array(params["alpha"], "alpha", ()))
-        check_hyperparameters(train_naive_bayes, {"alpha": alpha})
-        return NaiveBayesModel(
+        return LinearModel(
+            kind=kind,
             **header,
-            class_log_prior=_float_array(
-                params["class_log_prior"], "class_log_prior", (len(classes),)
-            ),
-            term_log_likelihood=_float_array(
+            weights=_float_array(
                 params["term_log_likelihood"], "term_log_likelihood", (len(classes), len(terms))
             ),
-            alpha=alpha,
+            bias=_float_array(params["class_log_prior"], "class_log_prior", (len(classes),)),
+            hyper=check_hyperparameters(train_naive_bayes, {"alpha": alpha}),
         )
     if kind in (MAXENT, SVM):
         trace = params["loss_trace"]
@@ -193,8 +191,10 @@ def load_model(path: str | Path) -> Model:
         if not isinstance(tags, list) or not tags or not all(isinstance(t, str) for t in tags):
             raise ModelFormatError(f"{path}: 'classes' must be a non-empty list of label tags")
         classes = tuple(SentimentLabel.from_tag(tag) for tag in tags)
-        if len(set(classes)) != len(classes):
-            raise ModelFormatError(f"{path}: 'classes' lists a label twice: {tags}")
+        if classes != tuple(sorted(set(classes))):
+            raise ModelFormatError(
+                f"{path}: 'classes' must be distinct labels in canonical order: {tags}"
+            )
         terms = tuple(str(t) for t in document["vocabulary"])
         weighting = document["weighting"]
         if weighting not in (COUNTS, TFIDF):

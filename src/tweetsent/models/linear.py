@@ -1,9 +1,7 @@
-"""Linear classifiers: multinomial logistic regression and one-vs-rest SVM.
-
-Both models share the same parameter layout — a weight matrix with one row
-per class and one column per vocabulary term, plus a per-class bias — and
-differ only in how those parameters are fit and how raw margins are turned
-into scores.
+"""Linear classifiers: logistic regression (maxent), one-vs-rest SVM, and
+the model of :mod:`.naive_bayes`.  All three are a :class:`LinearModel`,
+a weight row per class and a per-class bias, and differ in how those are
+fit and in whether a softmax turns margins into posteriors.
 
 A fit that diverges (a step size that overflows the parameters) raises
 :class:`TrainingError` from a finiteness check, not a numpy overflow
@@ -20,21 +18,30 @@ from typing import Annotated
 import numpy as np
 
 from ..exceptions import TrainingError
+from ..features import DocTermMatrix
 from .base import (
     NON_NEGATIVE, POSITIVE, Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters,
 )
 
 MAXENT = "maxent"
+NAIVE_BAYES = "naive_bayes"
 SVM = "svm"
+
+
+def softmax(margins: np.ndarray) -> np.ndarray:
+    """Each row's margins as a distribution: exp(m - max m), normalised."""
+    expd = np.exp(margins - margins.max(axis=1, keepdims=True))
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
 class LinearModel(Model):
     """A trained linear classifier.
 
-    ``kind`` is either ``"maxent"`` (scores are softmax probabilities) or
-    ``"svm"`` (scores are raw margins).  ``weights`` has shape
-    ``(n_classes, n_terms)`` and ``bias`` has shape ``(n_classes,)``.
+    A row's margins are ``matrix.dot(weights) + bias``, with ``weights``
+    of shape ``(n_classes, n_terms)``.  For ``"naive_bayes"`` (log
+    likelihoods and log priors) and ``"maxent"`` the scores are their
+    softmax; for ``"svm"`` the margins themselves.
     """
 
     kind: str
@@ -43,13 +50,10 @@ class LinearModel(Model):
     hyper: dict = field(default_factory=dict)
     loss_trace: tuple[float, ...] | None = None
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
-        """Margins ``x @ W.T + b`` per row; softmax probabilities for maxent."""
-        margins = x @ self.weights.T + self.bias
-        if self.kind != MAXENT:
-            return margins
-        expd = np.exp(margins - margins.max(axis=1, keepdims=True))
-        return expd / expd.sum(axis=1, keepdims=True)
+    def _scores(self, matrix: DocTermMatrix) -> np.ndarray:
+        """Margins per row; softmax of them unless the model is an SVM."""
+        margins = matrix.dot(self.weights) + self.bias
+        return margins if self.kind == SVM else softmax(margins)
 
 
 def maxent_loss_and_grad(

@@ -2,46 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Annotated, ClassVar
+from typing import Annotated
 
 import numpy as np
 
-from .base import POSITIVE, Model, TrainingSet, check_hyperparameters
-
-__all__ = ["NAIVE_BAYES", "NaiveBayesModel", "train_naive_bayes"]
-
-NAIVE_BAYES = "naive_bayes"
+from .base import POSITIVE, TrainingSet, check_hyperparameters
+from .linear import NAIVE_BAYES, LinearModel
 
 
-@dataclass(frozen=True)
-class NaiveBayesModel(Model):
-    """Per-class log priors and Laplace-smoothed per-term log likelihoods.
-
-    For every class the smoothed term likelihoods sum to one over the
-    vocabulary by construction.
-    """
-
-    kind: ClassVar[str] = NAIVE_BAYES
-    class_log_prior: np.ndarray  # (C,)
-    term_log_likelihood: np.ndarray  # (C, V)
-    alpha: float
-
-    def _scores(self, x: np.ndarray) -> np.ndarray:
-        """Posterior over classes for each count row (each row sums to 1)."""
-        joint = self.class_log_prior + x @ self.term_log_likelihood.T
-        top = joint.max(axis=1, keepdims=True)
-        log_norm = top + np.log(np.exp(joint - top).sum(axis=1, keepdims=True))
-        posterior = np.exp(joint - log_norm)
-        return posterior / posterior.sum(axis=1, keepdims=True)
-
-
-def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.0) -> NaiveBayesModel:
+def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.0) -> LinearModel:
     """Fit multinomial naive Bayes from a counts-weighted training set.
 
     prior(c) is the fraction of documents in class c; likelihood(t | c)
     is (count(t, c) + alpha) / (total_count(c) + alpha * V). Both are
-    stored as logs.
+    stored as logs, the likelihoods as a :class:`LinearModel`'s
+    ``weights`` and the priors as its ``bias``; ``alpha`` is kept as a float.
 
     Raises:
         HyperparameterError: alpha <= 0.
@@ -63,9 +38,10 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.
     else:
         log_likelihood = np.zeros((n_classes, 0), dtype=np.float64)
     log_prior = np.log(doc_counts / m.n_docs)
-    return NaiveBayesModel(
+    return LinearModel(
+        kind=NAIVE_BAYES,
         **ts.header(),
-        class_log_prior=log_prior,
-        term_log_likelihood=log_likelihood,
-        alpha=float(alpha),
+        weights=log_likelihood,
+        bias=log_prior,
+        hyper={"alpha": float(alpha)},
     )

@@ -44,6 +44,7 @@ from typing import Annotated, ClassVar
 
 import numpy as np
 
+from ..features import DocTermMatrix
 from .base import NON_NEGATIVE, Model, TrainingSet, at_least, check_hyperparameters
 
 DECISION_TREE = "decision_tree"
@@ -578,9 +579,9 @@ class DecisionTreeModel(Model):
     tree: Tree
     hyper: dict = field(default_factory=dict)
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
-        """Class shares of the leaf each row reaches."""
-        counts = self.tree.counts[self.tree.apply(x)]
+    def _scores(self, matrix: DocTermMatrix) -> np.ndarray:
+        """Class shares of the leaf each row reaches, walked on the dense rows."""
+        counts = self.tree.counts[self.tree.apply(matrix.toarray())]
         return counts / counts.sum(axis=1, keepdims=True)
 
 

@@ -69,7 +69,7 @@ class ModelSpec:
     says otherwise.  The trainer's keyword-only parameters are the
     hyperparameters: its signature declares each one's type, default and
     range (:func:`~tweetsent.models.hyperparameters` reads them), and the
-    model's ``hyper`` record, where it keeps one, holds their values."""
+    model's ``hyper`` record holds their values."""
 
     display_name: str
     trainer: Callable[..., Model]

@@ -90,6 +90,27 @@ class TestCountMatrix:
              [0, 0, 2, 1]], dtype=np.float64)
         np.testing.assert_array_equal(dense, expected)
 
+    def test_dot_adds_each_row_left_to_right_alone(self):
+        """Row i's product with weight row c is its entries' products added
+        in column order from 0.0, whatever other rows the batch holds."""
+        rng = np.random.default_rng(5)
+        docs = [[f"t{j}" for j in rng.integers(0, 12, size=n)] for n in rng.integers(0, 9, 30)]
+        m = build_count_matrix(build_vocabulary(docs), docs)
+        # Magnitudes 1e-8..1e7, so that another summation order rounds apart.
+        scale = 10.0 ** rng.integers(-8, 8, size=(3, m.n_terms))
+        weights = rng.normal(size=(3, m.n_terms)) * scale
+        products = m.dot(weights)
+        assert products.shape == (m.n_docs, 3) and products.dtype == np.float64
+        for i in range(m.n_docs):
+            row = m.row(i)
+            for c in range(3):
+                expected = 0.0
+                for j, w in zip(row.indices.tolist(), row.data.tolist()):
+                    expected += w * float(weights[c, j])
+                assert products[i, c] == expected
+            assert row.dot(weights).tobytes() == products[[i]].tobytes()
+        assert m.take([]).dot(weights).shape == (0, 3)
+
     def test_row_returns_a_sorted_one_row_matrix(self):
         counts = build_count_matrix(build_vocabulary(DOCS), DOCS)
         for m in (counts, tfidf_transform(counts)):
@@ -166,6 +187,12 @@ class TestIdf:
         assert idf(10, 2) == pytest.approx(math.log(5.0))
         assert idf(3, 3) == 0.0
 
+    def test_array_of_frequencies_is_elementwise(self):
+        df = np.array([1, 2, 4])
+        assert idf(4, df).tolist() == [idf(4, 1), idf(4, 2), idf(4, 4)]
+        with pytest.raises(ValueError, match="df must be in 1..4"):
+            idf(4, np.array([1, 5, 2]))
+
     def test_rejects_out_of_range_df(self):
         with pytest.raises(ValueError):
             idf(3, 0)
@@ -200,6 +227,16 @@ class TestTfidf:
         assert weighted.weighting == TFIDF and weighted.nnz == 0
         assert weighted.indptr.tolist() == [0, 0, 0]
         assert weighted.data.dtype == np.float64 and weighted.indices.dtype == np.int64
+
+    @pytest.mark.parametrize("rows", [[0], []])
+    def test_refuses_rows_of_another_corpus(self, rows):
+        """ln(n_docs / doc_freq) over rows that are not the vocabulary's
+        fit corpus would weigh a term by two corpora: over the first row,
+        "banana" (in two of the three documents) would get ln(1/2) < 0,
+        and over none, log(0)."""
+        counts = build_count_matrix(build_vocabulary(DOCS), DOCS)
+        with pytest.raises(ValueError, match="not its vocabulary's fit corpus"):
+            tfidf_transform(counts.take(rows))
 
     def test_requires_count_input(self):
         vocab = build_vocabulary(DOCS)

@@ -72,11 +72,15 @@ class TestRoundTrip:
         path = tmp_path / "nb.json"
         save_model(model, path)
         reloaded = load_model(path)
-        np.testing.assert_array_equal(reloaded.class_log_prior, model.class_log_prior)
-        np.testing.assert_array_equal(
-            reloaded.term_log_likelihood, model.term_log_likelihood
-        )
-        assert reloaded.alpha == model.alpha
+        assert reloaded.bias.tobytes() == model.bias.tobytes()
+        assert reloaded.weights.tobytes() == model.weights.tobytes()
+        assert reloaded.hyper == model.hyper == {"alpha": 1.0}
+
+    def test_naive_bayes_alpha_is_stored_as_a_float(self, tmp_path):
+        """An integer alpha is written as the float the fit used."""
+        model = train_naive_bayes(make_toy_training_set(), alpha=2)
+        path, _ = saved_document(model, tmp_path)
+        assert b'"alpha": 2.0' in path.read_bytes()
 
     @pytest.mark.parametrize("kind", ["maxent", "svm"])
     def test_linear_parameters_and_trace_survive(self, kind, tmp_path):

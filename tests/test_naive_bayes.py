@@ -138,7 +138,7 @@ class TestModelBehaviour:
         ts = _training_set(((1, 2, 0), (0, 1, 1)),
                            (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE))
         model = train_naive_bayes(ts, alpha=0.5)
-        sums = np.exp(model.term_log_likelihood).sum(axis=1)
+        sums = np.exp(model.weights).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_documents_without_terms_fit_the_prior(self):
@@ -147,8 +147,8 @@ class TestModelBehaviour:
                            (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE,
                             SentimentLabel.NEGATIVE))
         model = train_naive_bayes(ts)
-        np.testing.assert_allclose(np.exp(model.term_log_likelihood), 0.5, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(np.exp(model.class_log_prior), [1 / 3, 2 / 3], rtol=1e-15)
+        np.testing.assert_allclose(np.exp(model.weights), 0.5, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.exp(model.bias), [1 / 3, 2 / 3], rtol=1e-15)
 
     def test_classes_cannot_be_given(self):
         """A training set's classes are derived from its labels, so no

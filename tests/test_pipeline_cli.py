@@ -1063,7 +1063,9 @@ class TestUserErrorsAreNotInternalErrors:
         "model, field, value, message",
         [
             ("naive_bayes", "classes", [5, 5, 5], "'classes' must be a non-empty list"),
-            ("naive_bayes", "classes", ["positive"] * 3, "'classes' lists a label twice"),
+            ("naive_bayes", "classes", ["positive"] * 3, "'classes' must be distinct labels"),
+            # Reversed, the classes would move the canonical tie-break.
+            ("svm", "classes", lambda tags: tags[::-1], "distinct labels in canonical order"),
             ("naive_bayes", "class_log_prior", [-1.0], "class_log_prior has shape (1,)"),
             ("svm", "bias", [0.5], "bias has shape (1,)"),
             ("svm", "weights", lambda rows: sum(rows, []), "weights has shape ("),
@@ -1078,8 +1080,9 @@ class TestUserErrorsAreNotInternalErrors:
         self, model, field, value, message, workspace, tmp_path, capsys
     ):
         """Each of these once loaded and labelled every document, or raised
-        inside numpy; the class list and every parameter array must have
-        their exact shape and finite numbers."""
+        inside numpy; the class list must be distinct labels in canonical
+        order, and every parameter array must have its exact shape and
+        finite numbers."""
         args = [
             "--config", str(workspace / "config.json"),
             "--out", str(tmp_path),
