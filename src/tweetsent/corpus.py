@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .exceptions import CorpusError, read_input
+from .exceptions import CorpusError, parse_json, read_input
 
 __all__ = [
     "RawTweet",
@@ -112,10 +112,7 @@ def _load_jsonl(path: Path) -> list[RawTweet]:
         stripped = line.strip()
         if not stripped:
             raise CorpusError(f"line {lineno}: blank line in JSONL corpus")
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+        record = parse_json(stripped, CorpusError, f"{path}: line {lineno}")
         if not isinstance(record, dict):
             raise CorpusError(f"line {lineno}: record is not an object")
         tweets.append(_validate_record(record, f"line {lineno}"))

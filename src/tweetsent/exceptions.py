@@ -2,11 +2,13 @@
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and its
 subclasses) -> 2, anything else -> 3.  ``read_input`` reads every input
-file, so each loader refuses an unreadable one with its own error.
+file and ``parse_json`` parses every JSON one, so each loader refuses an
+unreadable or unparsable one with its own error.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 
@@ -67,3 +69,18 @@ def read_input(
         raise error(f"{path} is not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
+def parse_json(text: str, error: type[TweetsentError], where: str):
+    """The JSON value of ``text``, which ``where`` locates: its file, and
+    the line of a JSONL file.
+
+    Text that is not JSON, or that nests too deeply for the parser's
+    recursion limit, raises ``error("<where>: not valid JSON (<reason>)")``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: not valid JSON ({exc.msg} at char {exc.pos})") from exc
+    except RecursionError as exc:
+        raise error(f"{where}: not valid JSON (nested too deeply)") from exc

@@ -17,14 +17,13 @@ from .linear import (
     maxent_loss_and_grad,
     train_linear_svm,
     train_maxent,
+    train_naive_bayes,
 )
-from .naive_bayes import train_naive_bayes
 from .tree import (
     DECISION_TREE,
     DecisionTreeModel,
     Tree,
     bin_training_set,
-    gini_impurity,
     train_decision_tree,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "bin_training_set",
     "check_hyperparameters",
     "encode_model",
-    "gini_impurity",
     "hyperparameters",
     "load_model",
     "maxent_loss_and_grad",

@@ -11,8 +11,8 @@ into that one binning, repeats included, so no member copies the matrix.
 Members are grown in lockstep by :func:`~.tree.grow_trees`, each still
 calling its own column sampler in its own node preorder, so every member
 is the tree it would be if grown alone.  Prediction walks all members at
-once through one stacked node array, built on first use, over
-:data:`WALK_CHUNK` rows at a time, each chunk densified on its own.
+once through one stacked node array, built on first use, with
+:func:`~.tree.walk_leaves`, the decision tree's walk.
 """
 
 from __future__ import annotations
@@ -26,15 +26,12 @@ import numpy as np
 
 from ..features import DocTermMatrix
 from .base import Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters, member_rng
-from .tree import MaxDepth, MinSamplesSplit, Tree, bin_training_set, grow_trees, stack_trees
+from .tree import (
+    MaxDepth, MinSamplesSplit, Tree, bin_training_set, grow_trees, stack_trees, walk_leaves,
+)
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
-
-# Rows densified and walked through all members per pass.  Results do not
-# depend on it; it bounds the walk's arrays to this many rows times the
-# member count.
-WALK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -56,17 +53,11 @@ class EnsembleModel(Model):
         """Share of members voting for each class: a member votes for the
         vote of the leaf it reaches."""
         forest, roots, vote = self._forest
-        n_classes = len(self.classes)
-        votes = np.empty((matrix.n_docs, n_classes))
-        for start in range(0, matrix.n_docs, WALK_CHUNK):
-            n_rows = min(WALK_CHUNK, matrix.n_docs - start)
-            x = matrix.take(np.arange(start, start + n_rows)).toarray()
-            rows = np.tile(np.arange(n_rows), roots.shape[0])
-            leaf = forest.walk(x, rows, np.repeat(roots, n_rows))
-            votes[start : start + n_rows] = np.bincount(
-                rows * n_classes + vote[leaf], minlength=n_rows * n_classes
-            ).reshape(n_rows, n_classes)
-        return votes / len(self.members)
+        n_docs, n_classes = matrix.n_docs, len(self.classes)
+        codes = vote[walk_leaves(forest, roots, matrix)]
+        codes += np.arange(n_docs)[:, None] * n_classes
+        votes = np.bincount(codes.ravel(), minlength=n_docs * n_classes)
+        return votes.reshape(n_docs, n_classes) / len(self.members)
 
 
 def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> EnsembleModel:

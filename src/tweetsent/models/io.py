@@ -20,13 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..exceptions import ModelFormatError, read_input
+from ..exceptions import ModelFormatError, parse_json, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
 from .base import Model, check_hyperparameters
 from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
-from .linear import MAXENT, NAIVE_BAYES, SVM, LinearModel
-from .naive_bayes import train_naive_bayes
+from .linear import MAXENT, NAIVE_BAYES, SVM, LinearModel, train_naive_bayes
 from .tree import DECISION_TREE, LEAF, DecisionTreeModel, Tree
 
 FORMAT_VERSION = 3
@@ -59,7 +58,7 @@ def _float_array(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
     """Rebuild a tree, rejecting arrays that do not form one: a cycle would
-    never let :meth:`Tree.apply` finish, a column past the vocabulary
+    never let :func:`~.tree.walk_leaves` finish, a column past the vocabulary
     would index outside the rows, and a node whose class counts are
     negative or sum to 0 (every node of a fitted tree holds a row) would
     give no class shares."""
@@ -172,10 +171,9 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
 
 def load_model(path: str | Path) -> Model:
     """Read a model document written by :func:`save_model`."""
-    try:
-        document = json.loads(read_input(path, ModelFormatError, "model file"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a valid model file: {exc}") from exc
+    document = parse_json(
+        read_input(path, ModelFormatError, "model file"), ModelFormatError, str(path)
+    )
     if not isinstance(document, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
 

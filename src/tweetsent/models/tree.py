@@ -31,8 +31,11 @@ about :data:`SEARCH_ROWS` rows, so no array grows with the ensemble.
 A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
 grown with explicit stacks and walked level by level for all rows at
 once, so no tree is too deep for the interpreter's recursion limit.
-:func:`stack_trees` joins trees into one node array, which an ensemble
-walks for all its members at once.
+:func:`walk_leaves` is the one walk that prediction takes: it densifies
+:data:`WALK_CHUNK` rows at a time, never the whole batch, and walks them
+from each given root.  A decision tree passes its one root;
+:func:`stack_trees` joins an ensemble's members into one node array, whose
+roots the ensemble passes.
 """
 
 from __future__ import annotations
@@ -62,19 +65,10 @@ LEAF = -1
 GROW_GROUP = 32
 SEARCH_ROWS = 2048
 
-
-def gini_impurity(counts) -> float:
-    """Gini impurity ``1 - sum((c/n)^2)`` of a class-count vector."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 1:
-        raise ValueError(f"expected a 1-D count vector, got shape {counts.shape}")
-    if (counts < 0).any():
-        raise ValueError("class counts must be non-negative")
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("gini impurity is undefined for an empty node")
-    fractions = counts / total
-    return float(1.0 - (fractions * fractions).sum())
+# Rows densified and walked per pass of walk_leaves.  Results do not depend
+# on it; it bounds the walk's arrays to this many rows times the vocabulary,
+# or times the number of roots.
+WALK_CHUNK = 256
 
 
 def _gini_rows(counts: np.ndarray) -> np.ndarray:
@@ -113,10 +107,6 @@ class Tree:
             level[[self.left[node], self.right[node]]] = level[node] + 1
         return int(level.max())
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Index of the leaf each row of ``x`` reaches."""
-        return self.walk(x, np.arange(x.shape[0]), np.zeros(x.shape[0], dtype=np.int64))
-
     def walk(self, x: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Index of the leaf that row ``rows[i]`` of ``x`` reaches from node
         ``node[i]``, for every ``i`` at once, one level at a time."""
@@ -129,6 +119,20 @@ class Tree:
             goes_left = x[rows[active], self.column[at]] <= self.threshold[at]
             node[active] = np.where(goes_left, self.left[at], self.right[at])
         return node
+
+
+def walk_leaves(tree: Tree, roots: np.ndarray, matrix: DocTermMatrix) -> np.ndarray:
+    """The ``(n_docs, n_roots)`` index of the leaf that each row of
+    ``matrix`` reaches from each node of ``roots``, walked
+    :data:`WALK_CHUNK` rows at a time, each chunk densified on its own."""
+    leaves = np.empty((matrix.n_docs, roots.shape[0]), dtype=np.int64)
+    for start in range(0, matrix.n_docs, WALK_CHUNK):
+        n_rows = min(WALK_CHUNK, matrix.n_docs - start)
+        x = matrix.take(np.arange(start, start + n_rows)).toarray()
+        rows = np.tile(np.arange(n_rows), roots.shape[0])
+        leaf = tree.walk(x, rows, np.repeat(roots, n_rows))
+        leaves[start : start + n_rows] = leaf.reshape(roots.shape[0], n_rows).T
+    return leaves
 
 
 def stack_trees(trees) -> tuple[Tree, np.ndarray]:
@@ -580,8 +584,9 @@ class DecisionTreeModel(Model):
     hyper: dict = field(default_factory=dict)
 
     def _scores(self, matrix: DocTermMatrix) -> np.ndarray:
-        """Class shares of the leaf each row reaches, walked on the dense rows."""
-        counts = self.tree.counts[self.tree.apply(matrix.toarray())]
+        """Class shares of the leaf each row reaches from the root."""
+        leaf = walk_leaves(self.tree, np.zeros(1, dtype=np.int64), matrix)[:, 0]
+        counts = self.tree.counts[leaf]
         return counts / counts.sum(axis=1, keepdims=True)
 
 

@@ -30,7 +30,7 @@ from .corpus import (
     load_stopwords,
 )
 from .evaluation import CVResult, cross_validate
-from .exceptions import ConfigError, DataError, TweetsentError, read_input
+from .exceptions import ConfigError, DataError, TweetsentError, parse_json, read_input
 from .features import (
     COUNTS,
     TFIDF,
@@ -237,10 +237,7 @@ def load_config(
         "stopwords": stopwords, "out_dir": out_dir, "models": models,
     }
     path = Path(path)
-    try:
-        raw = json.loads(read_input(path, ConfigError, "config file"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    raw = parse_json(read_input(path, ConfigError, "config file"), ConfigError, str(path))
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)

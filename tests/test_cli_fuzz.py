@@ -6,7 +6,9 @@ declares is a config error whatever the command, so it returns exactly 1.
 Each test draws its mutations from one numpy generator with a fixed seed,
 so a failure names a case that replays exactly.  A huge value sizes no
 loop: every hyperparameter that sets an amount of work declares an upper
-bound, so ``epochs`` or ``n_members`` of ``10**30`` is a config error.
+bound, so ``epochs`` or ``n_members`` of ``10**30`` is a config error.  A
+value nested too deeply for the JSON parser is no valid JSON, a user error
+like any other.
 """
 
 import json
@@ -34,15 +36,25 @@ POSITIVE = ["good love meal", "love good snack", "good fine lunch"]
 NEGATIVE = ["bad awful queue", "awful bad noise", "bad cold fries"]
 NEUTRAL = ["table chair note", "chair table memo", "door seat wall"]
 
+# Stands for an array nested past the JSON parser's recursion limit, which
+# json.dumps cannot write: _dumps writes DEEP_JSON in its place.
+DEEP = "@deep@"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 # JSON values a mutation puts in place of a config, record or model field.
 VALUES = [
     None, True, False, -1, 0, 1, 3, 2.5, float("nan"), float("inf"), -float("inf"),
     "", "abc", "positive", "2024-13-45T99:00:00Z", [], [1], ["all"], ["abc", 1],
-    {}, {"a": 1}, [[0.5]],
+    {}, {"a": 1}, [[0.5]], DEEP,
 ]
 # Config integers may also be huge; they size no loop.
 CONFIG_VALUES = VALUES + [10**30]
 LEXICON_WEIGHTS = ["nan", "inf", "-inf", "abc", "", "1e400", "-0", "0", "1_0", " 2 "]
+
+
+def _dumps(document) -> str:
+    """``document`` as JSON text, each DEEP value written as DEEP_JSON."""
+    return json.dumps(document).replace(json.dumps(DEEP), DEEP_JSON)
 
 
 def _corpus_lines(topic, n):
@@ -215,7 +227,7 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
                 key = _pick(rng, ["alpha", "beta", "gamma"])
                 config["topics"][key] = value
             path = tmp_path / f"config{case}.json"
-            path.write_text(json.dumps(config), encoding="utf-8")
+            path.write_text(_dumps(config), encoding="utf-8")
             command = _pick(rng, ["ingest", "label", "train", "crossval", "compare"])
             code, err = _run([command, "--config", str(path), *flags], capsys)
             yield f"case {case}: {command} with {kind} {key} = {value!r}", code, err, allowed
@@ -245,7 +257,7 @@ def test_mutated_corpora_never_exit_3(base, tmp_path, capsys):
                     record["id"] = json.loads(lines[(index + 1) % len(lines)])["id"]
                 else:
                     record[field] = _pick(rng, VALUES)
-                lines[index] = json.dumps(record)
+                lines[index] = _dumps(record)
                 corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
                 what = f"{op} line {index + 1} field {field}"
             command = _pick(rng, ["ingest", "label", "crossval", "train"])
@@ -308,7 +320,7 @@ def test_mutated_model_files_never_exit_3(base, tmp_path, capsys):
             else:
                 document = json.loads(path.read_text(encoding="utf-8"))
                 what = _mutate_json(rng, document, VALUES)
-                path.write_text(json.dumps(document), encoding="utf-8")
+                path.write_text(_dumps(document), encoding="utf-8")
             code, err = _run(
                 ["evaluate", "--config", str(work / "config.json"), "--model", model], capsys
             )

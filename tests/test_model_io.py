@@ -209,7 +209,7 @@ class TestFormatValidation:
         path, _ = self._valid_document(tmp_path)
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: len(text) // 2], encoding="utf-8")
-        with pytest.raises(ModelFormatError, match="not a valid model file"):
+        with pytest.raises(ModelFormatError, match="model.json: not valid JSON"):
             load_model(path)
 
     def test_non_object_top_level_is_rejected(self, tmp_path):

@@ -6,14 +6,20 @@ the same labels and the same scores within 1e-12.  The reference takes
 its products from BLAS, which may sum in another order than
 ``DocTermMatrix.dot``, so scores may differ in the last bit; a label may
 not.  A document's own batch row, as ``predict`` gives it, must match to
-the byte: no row's scores depend on the other rows.
+the byte: no row's scores depend on the other rows.  And no model densifies
+a whole batch to score it: the memory a prediction takes grows with the
+matrix's entries, plus a bounded chunk of dense rows for the tree walk.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tweetsent.evaluation import accuracy, confusion_matrix, cross_validate, k_fold_split
-from tweetsent.features import build_count_matrix, build_vocabulary, tfidf_transform
+from tweetsent.features import (
+    COUNTS, DocTermMatrix, build_count_matrix, build_vocabulary, tfidf_transform,
+)
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
     MAXENT,
@@ -28,7 +34,7 @@ from tweetsent.models import (
     train_naive_bayes,
     train_random_forest,
 )
-from tweetsent.models.tree import LEAF
+from tweetsent.models.tree import LEAF, WALK_CHUNK
 
 from conftest import one_row
 
@@ -200,3 +206,52 @@ def test_predict_is_a_one_row_batch(kind):
             model.predict(training.matrix.take(rows))
     with pytest.raises(ValueError, match=f"matrix over 2 terms for a {len(model.terms)}-term"):
         model.predict(one_row(model.terms[:2], [1], [1.0]))
+
+
+def wide_matrix(rng, n_docs, n_terms, per_row):
+    """``n_docs`` rows of ``per_row`` random counts over ``n_terms`` terms."""
+    columns = np.sort(
+        np.stack([rng.choice(n_terms, size=per_row, replace=False) for _ in range(n_docs)]),
+        axis=1,
+    )
+    return DocTermMatrix(
+        vocab=build_vocabulary([[f"t{j}" for j in range(n_terms)]]),
+        indptr=np.arange(n_docs + 1, dtype=np.int64) * per_row,
+        indices=columns.ravel(),
+        data=rng.integers(1, 4, size=n_docs * per_row).astype(np.float64),
+        weighting=COUNTS,
+    )
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A matrix of 8 walk chunks over 2000 terms, whose dense form (32 MB)
+    is 8 times a chunk's, and the six models fitted on its first 300 rows,
+    labelled by whether they hold the term t0 to t99."""
+    matrix = wide_matrix(np.random.default_rng(77), 8 * WALK_CHUNK, 2000, 8)
+    training = matrix.take(np.arange(300))
+    first = training.indices[training.indptr[:-1]]
+    labels = tuple(LABELS[min(2, int(c) // 100)] for c in first)
+    models = {kind: trainer(TrainingSet(matrix=training, labels=labels))
+              for kind, trainer in TRAINERS.items()}
+    return matrix, models
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_prediction_memory_follows_the_entries(wide, kind):
+    """``predict_batch`` on a wide matrix peaks, under tracemalloc, below
+    8 float64s per (entry, class) plus 2 dense chunks of WALK_CHUNK rows:
+    the linear products take a few arrays of nnz x n_classes, and the
+    tree walk densifies one chunk at a time, never all n x V."""
+    matrix, models = wide
+    model = models[kind]
+    n_classes = len(model.classes)
+    bound = 8 * 8 * matrix.nnz * n_classes + 2 * 8 * WALK_CHUNK * matrix.n_terms
+    assert bound < 8 * matrix.n_docs * matrix.n_terms / 2
+    tracemalloc.start()
+    try:
+        model.predict_batch(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"{kind}: peak {peak} bytes, bound {bound}"

@@ -23,7 +23,6 @@ from tweetsent.models import (
     train_decision_tree,
     train_random_forest,
 )
-from tweetsent.models import ensemble as ensemble_module
 from tweetsent.models import tree as tree_module
 from tweetsent.models.tree import (
     LEAF,
@@ -32,12 +31,26 @@ from tweetsent.models.tree import (
     _best_splits,
     _gini_rows,
     bin_rows,
-    gini_impurity,
     grow_trees,
     stack_trees,
+    walk_leaves,
 )
 
 from conftest import one_row
+
+
+def gini_impurity(counts) -> float:
+    """Gini impurity ``1 - sum((c/n)^2)`` of a class-count vector."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1:
+        raise ValueError(f"expected a 1-D count vector, got shape {counts.shape}")
+    if (counts < 0).any():
+        raise ValueError("class counts must be non-negative")
+    total = counts.sum()
+    if total == 0:
+        raise ValueError("gini impurity is undefined for an empty node")
+    fractions = counts / total
+    return float(1.0 - (fractions * fractions).sum())
 
 
 def enumerate_weighted_ginis(x, y, n_classes):
@@ -501,7 +514,7 @@ class TestLockstepGrowth:
         expected_scores = expected.predict_batch(training.matrix)[1]
         monkeypatch.setattr(tree_module, "GROW_GROUP", size)
         monkeypatch.setattr(tree_module, "SEARCH_ROWS", size)
-        monkeypatch.setattr(ensemble_module, "WALK_CHUNK", size)
+        monkeypatch.setattr(tree_module, "WALK_CHUNK", size)
         model = trainer(training, n_members=5, seed=4)
         assert [flatten_tree(t) for t in model.members] == [
             flatten_tree(t) for t in expected.members
@@ -509,20 +522,22 @@ class TestLockstepGrowth:
         np.testing.assert_array_equal(model.predict_batch(training.matrix)[1], expected_scores)
 
     def test_stacked_walk_equals_the_per_member_walk(self):
-        """Walking the stacked members from each root reaches each member's
-        own leaves, and the ensemble's vote shares tally the members'
-        walks."""
+        """Walking the stacked members from each root, chunk by chunk of the
+        sparse rows, reaches each member's own leaves on the dense rows,
+        and the ensemble's vote shares tally the members' walks."""
         training = count_training_set(np.random.default_rng(91), 80, 12)
         model = train_random_forest(training, n_members=7, seed=2)
         x = training.matrix.toarray()
+        n_rows = x.shape[0]
         forest, roots = stack_trees(model.members)
         assert forest.n_nodes == sum(t.n_nodes for t in model.members)
-        votes = np.zeros((x.shape[0], len(model.classes)))
-        for root, member in zip(roots, model.members):
-            leaves = member.apply(x)
-            stacked = forest.walk(x, np.arange(x.shape[0]), np.full(x.shape[0], root))
-            np.testing.assert_array_equal(stacked, root + leaves)
-            votes[np.arange(x.shape[0]), np.argmax(member.counts[leaves], axis=1)] += 1
+        stacked = walk_leaves(forest, roots, training.matrix)
+        assert stacked.shape == (n_rows, 7)
+        votes = np.zeros((n_rows, len(model.classes)))
+        for m, (root, member) in enumerate(zip(roots, model.members)):
+            leaves = member.walk(x, np.arange(n_rows), np.zeros(n_rows, dtype=np.int64))
+            np.testing.assert_array_equal(stacked[:, m], root + leaves)
+            votes[np.arange(n_rows), np.argmax(member.counts[leaves], axis=1)] += 1
         np.testing.assert_array_equal(model.predict_batch(training.matrix)[1], votes / 7)
 
 
@@ -539,7 +554,7 @@ class TestNodeCounts:
         assert tree.n_nodes > 1
         np.testing.assert_array_equal(tree.counts[0], np.bincount(y[rows], minlength=3))
         # Every resampled row reaches the leaf it was routed to in training.
-        reached = tree.apply(x[rows])
+        reached = tree.walk(x, rows, np.zeros(rows.size, dtype=np.int64))
         for node in range(tree.n_nodes):
             if tree.column[node] == LEAF:
                 expected = np.bincount(y[rows][reached == node], minlength=3)
@@ -549,7 +564,7 @@ class TestNodeCounts:
 
 
 class TestGiniImpurity:
-    """Impurity values checked against hand arithmetic."""
+    """The oracle's impurity values checked against hand arithmetic."""
 
     @pytest.mark.parametrize(
         "counts, expected",

@@ -1,13 +1,20 @@
-"""Every loader refuses an input file it cannot read with its own error.
+"""Every loader refuses an input file it cannot read or parse with its own error.
 
 One function reads every input file, so a missing path and a directory fail
 alike in each loader: with the loader's own error class, which the CLI maps
-to exit 1 (config) or 2 (data), and a message that names the path.
+to exit 1 (config) or 2 (data), and a message that names the path.  One
+function parses every JSON input, so a value nested too deeply for the
+parser fails alike in the config, corpus and model loaders.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
+from tweetsent.cli import main
 from tweetsent.corpus import load_corpus, load_stopwords
+from tweetsent.datagen import TOPICS, write_demo_data
 from tweetsent.exceptions import ConfigError, CorpusError, LexiconError, ModelFormatError
 from tweetsent.lexicon import load_lexicon
 from tweetsent.models import load_model
@@ -34,3 +41,80 @@ def test_an_unreadable_input_raises_the_loaders_own_error(name, what, tmp_path):
         load(path)
     assert type(raised.value) is error
     assert str(path) in str(raised.value)
+
+
+# An array nested deeper than the JSON parser's recursion limit.  A thousand
+# levels are past it on Python 3.11; later versions may bound the parser's
+# recursion otherwise, so this nests far deeper to be past it on each.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _with_deep_field(document: dict, *keys: str) -> str:
+    """``document`` as JSON text, with the field at ``keys`` replaced by DEEP."""
+    field = document
+    for key in keys[:-1]:
+        field = field[key]
+    field[keys[-1]] = "@deep@"
+    return json.dumps(document).replace('"@deep@"', DEEP)
+
+
+@pytest.fixture()
+def workspace(tmp_path):
+    """A small two-topic datagen workspace with naive Bayes models trained
+    into ``out``, and the command-line flags that name them."""
+    files = write_demo_data(tmp_path, seed=1, docs_per_topic=20)
+    out = tmp_path / "out"
+    args = ["--config", str(files.config), "--out", str(out), "--model", "naive_bayes"]
+    assert main(["train", *args]) == 0
+    return files, out, args
+
+
+def _deep_config(files, out) -> Path:
+    document = json.loads(files.config.read_text(encoding="utf-8"))
+    files.config.write_text(_with_deep_field(document, "topics"), encoding="utf-8")
+    return files.config
+
+
+def _deep_corpus(files, out) -> Path:
+    path = files.corpora[0]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = _with_deep_field(json.loads(lines[1]), "text")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _deep_model(files, out) -> Path:
+    path = out / f"model_{TOPICS[0]}_naive_bayes.json"
+    document = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(_with_deep_field(document, "params", "class_log_prior"), encoding="utf-8")
+    return path
+
+
+# name -> (what the deep value goes into, its loader, the loader's error,
+# where the message says it is, the CLI command that reads it, its exit code)
+DEEP_INPUTS = {
+    "config": (_deep_config, load_config, ConfigError, "", "ingest", 1),
+    "corpus": (_deep_corpus, load_corpus, CorpusError, ": line 2", "ingest", 2),
+    "model": (_deep_model, load_model, ModelFormatError, "", "evaluate", 2),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_a_too_deeply_nested_input_is_the_loaders_error(name, workspace, capsys):
+    """A JSON value nested past the parser's recursion limit is no valid
+    JSON: the loader raises its own error naming the file (and the line of
+    a corpus), and the CLI exits 1 for a config or 2 for a data file, not
+    3 ("internal error")."""
+    files, out, args = workspace
+    write, load, error, line, command, code = DEEP_INPUTS[name]
+    path = write(files, out)
+    message = f"{path}{line}: not valid JSON (nested too deeply)"
+    with pytest.raises(error) as raised:
+        load(path)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+    capsys.readouterr()
+    assert main([command, *args]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "internal error" not in err
