@@ -1,5 +1,6 @@
-"""Shared fixtures: paths to the bundled demo data and small corpora, and
-the ``one_row`` builder for hand-made documents."""
+"""Shared fixtures: paths to the bundled demo data and small corpora, the
+``one_row`` builder for hand-made documents, and a too deeply nested JSON
+value."""
 
 from datetime import datetime, timezone
 from pathlib import Path
@@ -13,6 +14,11 @@ from tweetsent.features import COUNTS, DocTermMatrix, build_vocabulary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = REPO_ROOT / "data" / "demo"
+
+# JSON text of an array nested deeper than the JSON parser's recursion
+# limit.  A thousand levels are past it on Python 3.11; later versions may
+# bound the parser's recursion otherwise, so this nests far deeper.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def one_row(terms, cols, weights) -> DocTermMatrix:

@@ -22,6 +22,8 @@ from tweetsent.exceptions import HyperparameterError
 from tweetsent.models import check_hyperparameters, hyperparameters
 from tweetsent.pipeline import MODEL_ORDER, MODELS
 
+from conftest import DEEP_JSON
+
 N_CASES = 400
 # The exit codes of success and of the user errors.
 NOT_INTERNAL = (0, 1, 2)
@@ -36,10 +38,9 @@ POSITIVE = ["good love meal", "love good snack", "good fine lunch"]
 NEGATIVE = ["bad awful queue", "awful bad noise", "bad cold fries"]
 NEUTRAL = ["table chair note", "chair table memo", "door seat wall"]
 
-# Stands for an array nested past the JSON parser's recursion limit, which
-# json.dumps cannot write: _dumps writes DEEP_JSON in its place.
+# Stands for DEEP_JSON, an array nested past the JSON parser's recursion
+# limit, which json.dumps cannot write: _dumps writes it in its place.
 DEEP = "@deep@"
-DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 # JSON values a mutation puts in place of a config, record or model field.
 VALUES = [

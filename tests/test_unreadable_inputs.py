@@ -20,6 +20,8 @@ from tweetsent.lexicon import load_lexicon
 from tweetsent.models import load_model
 from tweetsent.pipeline import load_config
 
+from conftest import DEEP_JSON
+
 # name -> (loader, the error it raises for a file it cannot read)
 LOADERS = {
     "corpus": (load_corpus, CorpusError),
@@ -43,19 +45,14 @@ def test_an_unreadable_input_raises_the_loaders_own_error(name, what, tmp_path):
     assert str(path) in str(raised.value)
 
 
-# An array nested deeper than the JSON parser's recursion limit.  A thousand
-# levels are past it on Python 3.11; later versions may bound the parser's
-# recursion otherwise, so this nests far deeper to be past it on each.
-DEEP = "[" * 100_000 + "]" * 100_000
-
-
 def _with_deep_field(document: dict, *keys: str) -> str:
-    """``document`` as JSON text, with the field at ``keys`` replaced by DEEP."""
+    """``document`` as JSON text, with the field at ``keys`` replaced by
+    DEEP_JSON, which ``json.dumps`` cannot write."""
     field = document
     for key in keys[:-1]:
         field = field[key]
     field[keys[-1]] = "@deep@"
-    return json.dumps(document).replace('"@deep@"', DEEP)
+    return json.dumps(document).replace('"@deep@"', DEEP_JSON)
 
 
 @pytest.fixture()
