@@ -86,7 +86,7 @@ print()
 #    The toy corpus separates with a handful of splits.
 tree = train_decision_tree(training, max_depth=None)
 show("decision tree", tree)
-flat = tree.tree
+flat = tree.trees[0]
 print(f"    {flat.n_nodes} nodes, depth {flat.depth}; root splits on "
       f"{vocab.terms[flat.column[0]]!r} <= {flat.threshold[0]}")
 print(f"    flat arrays in preorder: column={flat.column.tolist()}")
@@ -102,10 +102,10 @@ forest = train_random_forest(training, n_members=25, seed=0)
 bagging = train_bagging(training, n_members=15, seed=0)
 show("random forest", forest)
 show("bagging", bagging)
-print(f"    forest: {len(forest.members)} trees, "
+print(f"    forest: {len(forest.trees)} trees, "
       f"{forest.hyper['n_features_per_split']} features per split; "
       f"votes for probe = "
-      f"{[round(s * len(forest.members)) for s in forest.predict(probe).scores.values()]}")
+      f"{[round(s * len(forest.trees)) for s in forest.predict(probe).scores.values()]}")
 print()
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,14 @@ class DocTermMatrix:
             indices=self.indices[lo:hi], data=self.data[lo:hi], weighting=self.weighting,
         )
 
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry, aligned with ``indices`` and ``data``."""
+        return np.repeat(np.arange(self.n_docs), np.diff(self.indptr))
+
     def toarray(self) -> np.ndarray:
         """Densify to an (n_docs, n_terms) float64 array."""
         dense = np.zeros((self.n_docs, self.n_terms), dtype=np.float64)
-        row_ids = np.repeat(np.arange(self.n_docs), np.diff(self.indptr))
-        dense[row_ids, self.indices] = self.data
+        dense[self.entry_rows(), self.indices] = self.data
         return dense
 
     def dot(self, weights: np.ndarray) -> np.ndarray:
@@ -92,8 +95,7 @@ class DocTermMatrix:
         indices]`` left to right from 0.0, so, unlike a BLAS product, a
         row's products are the same bytes in any batch."""
         k = weights.shape[0]
-        row_ids = np.repeat(np.arange(self.n_docs), np.diff(self.indptr))
-        codes = np.add.outer(row_ids * k, np.arange(k)).ravel()
+        codes = np.add.outer(self.entry_rows() * k, np.arange(k)).ravel()
         products = (self.data[:, None] * weights[:, self.indices].T).ravel()
         sums = np.bincount(codes, weights=products, minlength=self.n_docs * k)
         return sums.reshape(self.n_docs, k)
@@ -207,8 +209,7 @@ def tfidf_transform(m: DocTermMatrix) -> DocTermMatrix:
     idf_per_term = idf(m.n_docs, m.vocab.doc_freq)
     new_data = m.data * idf_per_term[m.indices]
     keep = new_data != 0.0
-    row_ids = np.repeat(np.arange(m.n_docs), np.diff(m.indptr))
-    kept_per_row = np.bincount(row_ids[keep], minlength=m.n_docs)
+    kept_per_row = np.bincount(m.entry_rows()[keep], minlength=m.n_docs)
     indptr = np.zeros(m.n_docs + 1, dtype=np.int64)
     np.cumsum(kept_per_row, out=indptr[1:])
     return DocTermMatrix(

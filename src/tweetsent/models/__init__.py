@@ -1,13 +1,7 @@
 """The models: one base class, :class:`Model`, and one training-set and prediction API."""
 
 from .base import Model, Prediction, TrainingSet, check_hyperparameters, hyperparameters, member_rng
-from .ensemble import (
-    BAGGING,
-    RANDOM_FOREST,
-    EnsembleModel,
-    train_bagging,
-    train_random_forest,
-)
+from .ensemble import BAGGING, RANDOM_FOREST, train_bagging, train_random_forest
 from .io import FORMAT_VERSION, encode_model, load_model, save_model
 from .linear import (
     MAXENT,
@@ -21,8 +15,8 @@ from .linear import (
 )
 from .tree import (
     DECISION_TREE,
-    DecisionTreeModel,
     Tree,
+    TreeModel,
     bin_training_set,
     train_decision_tree,
 )
@@ -36,13 +30,12 @@ __all__ = [
     "NAIVE_BAYES",
     "RANDOM_FOREST",
     "SVM",
-    "DecisionTreeModel",
-    "EnsembleModel",
     "LinearModel",
     "Model",
     "Prediction",
     "TrainingSet",
     "Tree",
+    "TreeModel",
     "bin_training_set",
     "check_hyperparameters",
     "encode_model",

@@ -161,12 +161,13 @@ class Model:
     """The base of every model, and its one prediction path.
 
     A model records the ``classes``, vocabulary ``terms`` and ``weighting``
-    of the matrix it was trained on (:meth:`TrainingSet.header`).  Each
-    subclass states its ``kind`` (the ``model_kind`` its files carry) and
-    one kernel, ``_scores(matrix)``, which maps the sparse matrix to
-    ``(n_docs, n_classes)`` scores, each row's from that row alone: linear
-    margins (softmax for naive Bayes and maxent), a tree's leaf class shares
-    or an ensemble's vote shares.  The predicted class is a row's first
+    of the matrix it was trained on (:meth:`TrainingSet.header`).  There
+    are two subclasses, ``LinearModel`` and ``TreeModel``; each model
+    states its ``kind`` (the ``model_kind`` its files carry), and each
+    subclass one kernel, ``_scores(matrix)``, which maps the sparse matrix
+    to ``(n_docs, n_classes)`` scores, each row's from that row alone:
+    linear margins (softmax for naive Bayes and maxent), a decision tree's
+    leaf class shares or an ensemble's vote shares.  The predicted class is a row's first
     highest score.  ``predict`` scores one document, a one-row matrix,
     through the same path, to the same bytes as its row in any batch.
     """

@@ -10,57 +10,26 @@ not once per member: a member's bootstrap resample is a list of row indices
 into that one binning, repeats included, so no member copies the matrix.
 Members are grown in lockstep by :func:`~.tree.grow_trees`, each still
 calling its own column sampler in its own node preorder, so every member
-is the tree it would be if grown alone.  Prediction walks all members at
-once through one stacked node array, built on first use, with
-:func:`~.tree.walk_leaves`, the decision tree's walk.
+is the tree it would be if grown alone.  A fitted ensemble is a
+:class:`~.tree.TreeModel` holding its members, scored as a decision tree
+is.  This module holds only the trainers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from math import floor, sqrt
 from typing import Annotated
 
 import numpy as np
 
-from ..features import DocTermMatrix
-from .base import Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters, member_rng
-from .tree import (
-    MaxDepth, MinSamplesSplit, Tree, bin_training_set, grow_trees, stack_trees, walk_leaves,
-)
+from .base import Seed, TrainingSet, at_least, at_most, check_hyperparameters, member_rng
+from .tree import MaxDepth, MinSamplesSplit, TreeModel, bin_training_set, grow_trees
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
 
 
-@dataclass(frozen=True)
-class EnsembleModel(Model):
-    """A majority-vote committee of decision trees."""
-
-    kind: str
-    members: tuple[Tree, ...]
-    hyper: dict = field(default_factory=dict)
-
-    @cached_property
-    def _forest(self) -> tuple[Tree, np.ndarray, np.ndarray]:
-        """The members stacked into one tree, each member's root in it, and
-        each node's vote: its most frequent class, the first one on a tie."""
-        forest, roots = stack_trees(self.members)
-        return forest, roots, np.argmax(forest.counts, axis=1)
-
-    def _scores(self, matrix: DocTermMatrix) -> np.ndarray:
-        """Share of members voting for each class: a member votes for the
-        vote of the leaf it reaches."""
-        forest, roots, vote = self._forest
-        n_docs, n_classes = matrix.n_docs, len(self.classes)
-        codes = vote[walk_leaves(forest, roots, matrix)]
-        codes += np.arange(n_docs)[:, None] * n_classes
-        votes = np.bincount(codes.ravel(), minlength=n_docs * n_classes)
-        return votes.reshape(n_docs, n_classes) / len(self.members)
-
-
-def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> EnsembleModel:
+def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> TreeModel:
     """The ensemble of ``kind`` that the checked hyperparameters ``hyper``
     describe; bagging's give no ``n_features_per_split``."""
     binned = bin_training_set(training)
@@ -83,7 +52,7 @@ def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> EnsembleMo
         max_depth=hyper["max_depth"],
         min_samples_split=hyper["min_samples_split"],
     )
-    return EnsembleModel(kind=kind, **training.header(), members=tuple(members), hyper=hyper)
+    return TreeModel(kind=kind, **training.header(), trees=tuple(members), hyper=hyper)
 
 
 def train_bagging(
@@ -94,7 +63,7 @@ def train_bagging(
     min_samples_split: MinSamplesSplit = 2,
     seed: Seed = 0,
     bootstrap: bool = True,
-) -> EnsembleModel:
+) -> TreeModel:
     """Bagged trees: each member sees a bootstrap resample, all columns."""
     return _train_ensemble(BAGGING, training, check_hyperparameters(train_bagging, locals()))
 
@@ -108,7 +77,7 @@ def train_random_forest(
     seed: Seed = 0,
     bootstrap: bool = True,
     n_features_per_split: Annotated[int | None, at_least(1)] = None,
-) -> EnsembleModel:
+) -> TreeModel:
     """Random forest: bagging plus a fresh column subset at every split.
 
     ``n_features_per_split`` defaults to ``floor(sqrt(n_terms))`` (at least

@@ -7,9 +7,10 @@ Floats are written with full ``repr`` precision, so a load followed by a
 save reproduces the parameters bit for bit.
 
 Each tree is stored as the five flat lists of a
-:class:`~tweetsent.models.tree.Tree`.  Format 3 added ``weighting``; earlier
-formats (2, without it, and 1, with nested tree nodes) are not read, so
-retrain to replace such files.
+:class:`~tweetsent.models.tree.Tree`: a decision tree's one tree as
+``params.tree``, an ensemble's members as the list ``params.trees``.
+Format 3 added ``weighting``; earlier formats (2, without it, and 1, with
+nested tree nodes) are not read, so retrain to replace such files.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from ..exceptions import ModelFormatError, parse_json, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
 from .base import Model, check_hyperparameters
-from .ensemble import BAGGING, RANDOM_FOREST, EnsembleModel
+from .ensemble import BAGGING, RANDOM_FOREST
 from .linear import MAXENT, NAIVE_BAYES, SVM, LinearModel, train_naive_bayes
-from .tree import DECISION_TREE, LEAF, DecisionTreeModel, Tree
+from .tree import DECISION_TREE, LEAF, Tree, TreeModel
 
 FORMAT_VERSION = 3
 
@@ -58,7 +59,7 @@ def _float_array(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
     """Rebuild a tree, rejecting arrays that do not form one: a cycle would
-    never let :func:`~.tree.walk_leaves` finish, a column past the vocabulary
+    never let :meth:`~.tree.Tree.walk` finish, a column past the vocabulary
     would index outside the rows, and a node whose class counts are
     negative or sum to 0 (every node of a fitted tree holds a row) would
     give no class shares."""
@@ -97,12 +98,10 @@ def _encode_params(model: Model) -> dict:
             "hyper": model.hyper,
             "loss_trace": list(model.loss_trace) if model.loss_trace is not None else None,
         }
-    if isinstance(model, DecisionTreeModel):
-        return {"hyper": model.hyper, "tree": _encode_tree(model.tree)}
-    return {
-        "hyper": model.hyper,
-        "trees": [_encode_tree(member) for member in model.members],
-    }
+    trees = [_encode_tree(tree) for tree in model.trees]
+    if model.kind == DECISION_TREE:
+        return {"hyper": model.hyper, "tree": trees[0]}
+    return {"hyper": model.hyper, "trees": trees}
 
 
 def encode_model(model: Model) -> bytes:
@@ -151,21 +150,12 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
             hyper=dict(params["hyper"]),
             loss_trace=trace,
         )
-    if kind == DECISION_TREE:
-        return DecisionTreeModel(
-            **header,
-            tree=_decode_tree(params["tree"], len(classes), len(terms)),
-            hyper=dict(params["hyper"]),
-        )
-    if kind in (BAGGING, RANDOM_FOREST):
-        members = tuple(
-            _decode_tree(t, len(classes), len(terms)) for t in params["trees"]
-        )
-        if not members:
+    if kind in (DECISION_TREE, BAGGING, RANDOM_FOREST):
+        listed = [params["tree"]] if kind == DECISION_TREE else params["trees"]
+        trees = tuple(_decode_tree(t, len(classes), len(terms)) for t in listed)
+        if not trees:
             raise ValueError("ensemble has no trees")
-        return EnsembleModel(
-            kind=kind, **header, members=members, hyper=dict(params["hyper"])
-        )
+        return TreeModel(kind=kind, **header, trees=trees, hyper=dict(params["hyper"]))
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 

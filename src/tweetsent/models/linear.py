@@ -75,8 +75,7 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.
 
     doc_counts = np.bincount(y, minlength=n_classes)
     term_counts = np.zeros((n_classes, n_terms), dtype=np.float64)
-    row_ids = np.repeat(np.arange(m.n_docs), np.diff(m.indptr))
-    np.add.at(term_counts, (y[row_ids], m.indices), m.data)
+    np.add.at(term_counts, (y[m.entry_rows()], m.indices), m.data)
 
     if n_terms:
         totals = term_counts.sum(axis=1, keepdims=True)

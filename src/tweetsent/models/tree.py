@@ -31,19 +31,21 @@ about :data:`SEARCH_ROWS` rows, so no array grows with the ensemble.
 A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
 grown with explicit stacks and walked level by level for all rows at
 once, so no tree is too deep for the interpreter's recursion limit.
-:func:`walk_leaves` is the one walk that prediction takes: it densifies
-:data:`WALK_CHUNK` rows at a time, never the whole batch, and walks them
-from each given root.  A decision tree passes its one root;
-:func:`stack_trees` joins an ensemble's members into one node array, whose
-roots the ensemble passes.
+
+:class:`TreeModel` is every tree model: a decision tree is the one-tree
+case of the bagging and random-forest committees.  It scores through one
+walk: :func:`stack_trees` joins its trees into one node array, and each
+:data:`WALK_CHUNK` rows, densified on their own and never the whole
+batch, walk it from every root at once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
-from typing import Annotated, ClassVar
+from typing import Annotated
 
 import numpy as np
 
@@ -65,9 +67,9 @@ LEAF = -1
 GROW_GROUP = 32
 SEARCH_ROWS = 2048
 
-# Rows densified and walked per pass of walk_leaves.  Results do not depend
-# on it; it bounds the walk's arrays to this many rows times the vocabulary,
-# or times the number of roots.
+# Rows densified and walked per pass of TreeModel._scores.  Results do not
+# depend on it; it bounds the walk's arrays to this many rows times the
+# vocabulary, or times the number of trees.
 WALK_CHUNK = 256
 
 
@@ -119,20 +121,6 @@ class Tree:
             goes_left = x[rows[active], self.column[at]] <= self.threshold[at]
             node[active] = np.where(goes_left, self.left[at], self.right[at])
         return node
-
-
-def walk_leaves(tree: Tree, roots: np.ndarray, matrix: DocTermMatrix) -> np.ndarray:
-    """The ``(n_docs, n_roots)`` index of the leaf that each row of
-    ``matrix`` reaches from each node of ``roots``, walked
-    :data:`WALK_CHUNK` rows at a time, each chunk densified on its own."""
-    leaves = np.empty((matrix.n_docs, roots.shape[0]), dtype=np.int64)
-    for start in range(0, matrix.n_docs, WALK_CHUNK):
-        n_rows = min(WALK_CHUNK, matrix.n_docs - start)
-        x = matrix.take(np.arange(start, start + n_rows)).toarray()
-        rows = np.tile(np.arange(n_rows), roots.shape[0])
-        leaf = tree.walk(x, rows, np.repeat(roots, n_rows))
-        leaves[start : start + n_rows] = leaf.reshape(roots.shape[0], n_rows).T
-    return leaves
 
 
 def stack_trees(trees) -> tuple[Tree, np.ndarray]:
@@ -576,18 +564,49 @@ def bin_training_set(training: TrainingSet) -> BinnedRows:
 
 
 @dataclass(frozen=True)
-class DecisionTreeModel(Model):
-    """A fitted classification tree over a fixed vocabulary."""
+class TreeModel(Model):
+    """A fitted decision tree, or a committee of them, over a fixed vocabulary.
 
-    kind: ClassVar[str] = DECISION_TREE
-    tree: Tree
+    A ``"decision_tree"`` holds one tree and scores a row with the class
+    shares of the leaf it reaches.  A ``"random_forest"`` or ``"bagging"``
+    holds its members, each voting for the first most frequent class of
+    the leaf it reaches, and scores a row with each class's share of the
+    votes.
+    """
+
+    kind: str
+    trees: tuple[Tree, ...]
     hyper: dict = field(default_factory=dict)
 
+    @cached_property
+    def _stacked(self) -> tuple[Tree, np.ndarray, np.ndarray]:
+        """The trees stacked into one node array, each tree's root in it,
+        and each node's per-class table: its class shares for a decision
+        tree, a one-hot of its vote for an ensemble."""
+        stacked, roots = stack_trees(self.trees)
+        counts = stacked.counts
+        if self.kind == DECISION_TREE:
+            table = counts / counts.sum(axis=1, keepdims=True)
+        else:
+            table = np.eye(counts.shape[1])[np.argmax(counts, axis=1)]
+        return stacked, roots, table
+
     def _scores(self, matrix: DocTermMatrix) -> np.ndarray:
-        """Class shares of the leaf each row reaches from the root."""
-        leaf = walk_leaves(self.tree, np.zeros(1, dtype=np.int64), matrix)[:, 0]
-        counts = self.tree.counts[leaf]
-        return counts / counts.sum(axis=1, keepdims=True)
+        """The mean over the trees of the table row at the leaf each row
+        reaches, walked :data:`WALK_CHUNK` rows at a time."""
+        stacked, roots, table = self._stacked
+        scores = np.empty((matrix.n_docs, table.shape[1]))
+        for start in range(0, matrix.n_docs, WALK_CHUNK):
+            rows = np.arange(start, min(start + WALK_CHUNK, matrix.n_docs))
+            # The chunk's dense rows are only the walk's argument, so they
+            # are freed before the next chunk is densified.
+            leaf = stacked.walk(
+                matrix.take(rows).toarray(),
+                np.tile(np.arange(rows.size), roots.size),
+                np.repeat(roots, rows.size),
+            )
+            scores[rows] = table[leaf].reshape(roots.size, rows.size, -1).sum(axis=0)
+        return scores / len(self.trees)
 
 
 def train_decision_tree(
@@ -595,10 +614,10 @@ def train_decision_tree(
     *,
     max_depth: MaxDepth = None,
     min_samples_split: MinSamplesSplit = 2,
-) -> DecisionTreeModel:
+) -> TreeModel:
     """Fit a single CART tree on the sparse training matrix."""
     hyper = check_hyperparameters(train_decision_tree, locals())
     (tree,) = grow_trees(
         bin_training_set(training), [(np.arange(training.n_docs), None)], **hyper
     )
-    return DecisionTreeModel(**training.header(), tree=tree, hyper=hyper)
+    return TreeModel(kind=DECISION_TREE, **training.header(), trees=(tree,), hyper=hyper)

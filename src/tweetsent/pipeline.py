@@ -248,7 +248,9 @@ def load_config(
     topics_raw = raw.get("topics")
     if not isinstance(topics_raw, dict) or not topics_raw:
         raise ConfigError(f"{path}: 'topics' must map topic names to corpus paths")
-    topics = tuple((str(t), base / str(p)) for t, p in topics_raw.items())
+    topics = tuple(
+        (t, base / _path_value(p, f"{path}: topic {t!r}")) for t, p in topics_raw.items()
+    )
 
     if "lexicon" not in raw:
         raise ConfigError(f"{path}: 'lexicon' is required")
@@ -264,17 +266,28 @@ def load_config(
         if not isinstance(raw.get(key, {}), dict):
             raise ConfigError(f"{path}: '{key}' must be a JSON object, got {raw[key]!r}")
 
+    stopwords = _path_value(raw.get("stopwords"), f"{path}: 'stopwords'", nullable=True)
     config = RunConfig(
         topics=topics,
-        lexicon=base / str(raw["lexicon"]),
-        stopwords=(base / str(raw["stopwords"])) if raw.get("stopwords") else None,
-        out_dir=base / str(raw.get("out_dir", "report")),
+        lexicon=base / _path_value(raw["lexicon"], f"{path}: 'lexicon'"),
+        stopwords=base / stopwords if stopwords else None,
+        out_dir=base / _path_value(raw.get("out_dir", "report"), f"{path}: 'out_dir'"),
         models=model_selection,
         # Absent keys keep RunConfig's defaults.
         **{key: raw[key] for key in ("seed", "folds", "min_df", "weighting", "hyperparameters") if key in raw},
     )
     overrides = {key: OVERRIDES[key](value) for key, value in flags.items() if value is not None}
     return validate_config(replace(config, **overrides))
+
+
+def _path_value(value, where: str, *, nullable: bool = False) -> str | None:
+    """A config file's path ``value``, which must be a JSON string, or null
+    where ``nullable``: any other value (a number, ``false``, a list) is an
+    error naming ``where``, not a file named after its ``str``."""
+    if isinstance(value, str) or (nullable and value is None):
+        return value
+    wanted = "a path string or null" if nullable else "a path string"
+    raise ConfigError(f"{where} must be {wanted}, got {value!r}")
 
 
 def _parse_model_selection(names: list[str]) -> tuple[str, ...]:

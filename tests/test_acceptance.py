@@ -318,9 +318,9 @@ def test_criterion_7_ensemble_degeneracy_identities(announce):
             seed=case,
         )
         bagged = train_bagging(training, n_members=1, bootstrap=False, seed=case)
-        if not same_tree(plain.tree, forest.members[0]):
+        if not same_tree(plain.trees[0], forest.trees[0]):
             failures.append(f"case {case}: forest tree differs structurally")
-        if not same_tree(plain.tree, bagged.members[0]):
+        if not same_tree(plain.trees[0], bagged.trees[0]):
             failures.append(f"case {case}: bagged tree differs structurally")
         for i in range(training.n_docs):
             vec = training.matrix.row(i)

@@ -14,11 +14,11 @@ from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
     TrainingSet,
+    TreeModel,
     train_bagging,
     train_decision_tree,
     train_random_forest,
 )
-from tweetsent.models.ensemble import EnsembleModel
 from tweetsent.models.tree import LEAF, Tree
 
 from conftest import one_row
@@ -70,7 +70,7 @@ class TestDegeneracyIdentities:
                 n_features_per_split=training.matrix.n_terms,
                 seed=int(rng.integers(1000)),
             )
-            assert same_tree(plain.tree, forest.members[0])
+            assert same_tree(plain.trees[0], forest.trees[0])
 
     def test_single_member_bagging_equals_plain_tree(self):
         """No bootstrap: the single bagged member IS the tree."""
@@ -81,7 +81,7 @@ class TestDegeneracyIdentities:
             bagged = train_bagging(
                 training, n_members=1, bootstrap=False, seed=int(rng.integers(1000))
             )
-            assert same_tree(plain.tree, bagged.members[0])
+            assert same_tree(plain.trees[0], bagged.trees[0])
 
     def test_oversized_column_budget_behaves_like_no_budget(self):
         """A budget of n_terms or more must not consume any randomness."""
@@ -91,7 +91,7 @@ class TestDegeneracyIdentities:
         oversized = train_random_forest(
             training, n_features_per_split=n_terms + 5, seed=1
         )
-        for a, b in zip(exact.members, oversized.members):
+        for a, b in zip(exact.trees, oversized.trees):
             assert same_tree(a, b)
 
 
@@ -102,7 +102,7 @@ class TestSeeding:
         training = make_toy_training_set()
         a = train_random_forest(training, n_members=5, seed=11)
         b = train_random_forest(training, n_members=5, seed=11)
-        for x, y in zip(a.members, b.members):
+        for x, y in zip(a.trees, b.trees):
             assert same_tree(x, y)
 
     def test_extending_an_ensemble_keeps_earlier_members(self):
@@ -110,7 +110,7 @@ class TestSeeding:
         training = make_toy_training_set()
         small = train_bagging(training, n_members=3, seed=5)
         big = train_bagging(training, n_members=6, seed=5)
-        for x, y in zip(small.members, big.members):
+        for x, y in zip(small.trees, big.trees):
             assert same_tree(x, y)
 
     def test_different_seed_changes_the_bootstrap(self):
@@ -118,14 +118,14 @@ class TestSeeding:
         a = train_bagging(training, n_members=4, seed=0)
         b = train_bagging(training, n_members=4, seed=1)
         assert not all(
-            same_tree(x, y) for x, y in zip(a.members, b.members)
+            same_tree(x, y) for x, y in zip(a.trees, b.trees)
         )
 
     def test_members_differ_from_each_other(self):
         """Distinct substreams draw distinct bootstraps (on a non-trivial set)."""
         training = make_toy_training_set()
         model = train_bagging(training, n_members=4, seed=2)
-        roots = model.members
+        roots = model.trees
         assert not all(same_tree(roots[0], m) for m in roots[1:])
 
 
@@ -143,7 +143,7 @@ class TestVoting:
         )
 
     def _committee(self, votes):
-        return EnsembleModel(
+        return TreeModel(
             kind="bagging",
             classes=(
                 SentimentLabel.POSITIVE,
@@ -152,7 +152,7 @@ class TestVoting:
             ),
             terms=("a",),
             weighting="counts",
-            members=tuple(self._stump(v) for v in votes),
+            trees=tuple(self._stump(v) for v in votes),
         )
 
     def test_vote_counts_tally_member_predictions(self):
@@ -201,7 +201,7 @@ class TestTraining:
 
     def test_member_count_matches_request(self):
         model = train_bagging(make_toy_training_set(), n_members=7)
-        assert len(model.members) == 7
+        assert len(model.trees) == 7
 
     def test_forest_records_its_default_column_budget(self):
         """The toy vocabulary has nine terms, so the default budget is 3."""
@@ -220,8 +220,8 @@ class TestTraining:
             bootstrap=False,
             n_features_per_split=training.matrix.n_terms,
         )
-        assert same_tree(model.members[0], model.members[1])
-        assert same_tree(model.members[0], model.members[2])
+        assert same_tree(model.trees[0], model.trees[1])
+        assert same_tree(model.trees[0], model.trees[2])
 
     @pytest.mark.parametrize(
         "trainer, kwargs",

@@ -90,6 +90,14 @@ class TestCountMatrix:
              [0, 0, 2, 1]], dtype=np.float64)
         np.testing.assert_array_equal(dense, expected)
 
+    def test_entry_rows_name_each_entry_s_row(self):
+        """Empty rows hold no entry; no rows give no entries."""
+        vocab = build_vocabulary(DOCS)
+        m = build_count_matrix(vocab, [[], DOCS[0], [], DOCS[2]])
+        rows = m.entry_rows()
+        assert rows.tolist() == [1, 1, 3, 3] and rows.dtype == np.int64
+        assert m.take([]).entry_rows().shape == (0,)
+
     def test_dot_adds_each_row_left_to_right_alone(self):
         """Row i's product with weight row c is its entries' products added
         in column order from 0.0, whatever other rows the batch holds."""

@@ -79,7 +79,7 @@ def collect_tree_hashes() -> dict:
                     if trainer is not train_decision_tree:
                         hyper = {"seed": seed, **hyper}
                     model = trainer(training, **hyper)
-                    trees = model.members if hasattr(model, "members") else (model.tree,)
+                    trees = model.trees
                     key = f"{seed}-{docs}/{data.topic}/{subset}/{name}"
                     hashes[key] = [tree_hash(tree) for tree in trees]
     return hashes

@@ -120,7 +120,7 @@ def collect_wide() -> dict:
             for name, trainer in TREE_FITS.items():
                 hyper = {} if trainer is train_decision_tree else {"seed": SEED}
                 model = trainer(training, **hyper)
-                trees = model.members if hasattr(model, "members") else (model.tree,)
+                trees = model.trees
                 key = f"{data.topic}/{subset}/{name}"
                 pinned["trees"][key] = [tree_hash(tree) for tree in trees]
                 pinned["predictions"][key] = bytes_hash(*model.predict_batch(full.matrix))

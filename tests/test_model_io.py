@@ -98,7 +98,7 @@ class TestRoundTrip:
         path = tmp_path / "tree.json"
         save_model(model, path)
         reloaded = load_model(path)
-        assert same_tree(reloaded.tree, model.tree)
+        assert same_tree(reloaded.trees[0], model.trees[0])
         assert reloaded.hyper == model.hyper
 
     @pytest.mark.parametrize("kind", ["bagging", "random_forest"])
@@ -107,8 +107,8 @@ class TestRoundTrip:
         path = tmp_path / "ensemble.json"
         save_model(model, path)
         reloaded = load_model(path)
-        assert len(reloaded.members) == len(model.members)
-        for a, b in zip(reloaded.members, model.members):
+        assert len(reloaded.trees) == len(model.trees)
+        for a, b in zip(reloaded.trees, model.trees):
             assert same_tree(a, b)
         assert reloaded.hyper == model.hyper
 
@@ -125,11 +125,11 @@ class TestRoundTrip:
             matrix=build_count_matrix(build_vocabulary(docs), docs), labels=tuple(labels)
         )
         model = train_decision_tree(training)
-        assert model.tree.depth == n_docs - 1
+        assert model.trees[0].depth == n_docs - 1
         path = tmp_path / "deep.json"
         save_model(model, path)
         reloaded = load_model(path)
-        assert same_tree(reloaded.tree, model.tree)
+        assert same_tree(reloaded.trees[0], model.trees[0])
         label_idx, _ = reloaded.predict_batch(training.matrix)
         assert [reloaded.classes[i] for i in label_idx] == labels
 
@@ -298,7 +298,7 @@ class TestFormatValidation:
 def tree_document(tmp_path):
     """A saved decision tree of the toy corpus, with at least one split."""
     model = TRAINERS["decision_tree"](make_toy_training_set())
-    assert model.tree.n_nodes >= 3
+    assert model.trees[0].n_nodes >= 3
     return saved_document(model, tmp_path)
 
 

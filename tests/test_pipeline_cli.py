@@ -810,6 +810,41 @@ class TestUserErrorsAreNotInternalErrors:
             with pytest.raises(ConfigError, match="too long"):
                 load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("out_dir", None),
+            ("out_dir", ["x"]),
+            ("lexicon", 5),
+            ("stopwords", False),
+            ("stopwords", 0),
+            ("topic", 3),
+        ],
+        ids=repr,
+    )
+    def test_a_path_that_is_no_string_is_a_config_error(
+        self, workspace, tmp_path, capsys, key, value
+    ):
+        """A path is a JSON string (or null for stopwords), never the
+        ``str`` of another JSON value: ``null`` is no directory named
+        ``None``, and ``false`` no silent "no stopwords"."""
+        payload = minimal_config_payload(workspace)
+        if key == "topic":
+            payload["topics"] = {"alpha": value}
+        else:
+            payload[key] = value
+        path = write_config(tmp_path, payload)
+        code = main(["ingest", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        named = "topic 'alpha'" if key == "topic" else f"'{key}'"
+        assert f"{named} must be a path string" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_null_stopwords_means_none(self, workspace, tmp_path):
+        path = write_config(tmp_path, minimal_config_payload(workspace, stopwords=None))
+        assert load_config(path).stopwords is None
+
     def test_maxent_takes_no_seed(self, workspace, tmp_path, capsys):
         """Maxent's fit is deterministic, so a seed for it is a mistake."""
         code, err = self._run(

@@ -22,9 +22,9 @@ from tweetsent.features import (
 )
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
+    DECISION_TREE,
     MAXENT,
     NAIVE_BAYES,
-    EnsembleModel,
     LinearModel,
     TrainingSet,
     train_bagging,
@@ -87,9 +87,9 @@ def reference_tree_walk(tree, vec):
 
 def reference_votes(model, vec):
     counts = np.zeros(len(model.classes))
-    for member in model.members:
+    for member in model.trees:
         counts[int(np.argmax(reference_tree_walk(member, vec)))] += 1.0
-    return counts / len(model.members)
+    return counts / len(model.trees)
 
 
 def reference_scores(model, vec):
@@ -97,9 +97,9 @@ def reference_scores(model, vec):
         return reference_naive_bayes(model, vec)
     if isinstance(model, LinearModel):
         return reference_linear(model, vec)
-    if isinstance(model, EnsembleModel):
-        return reference_votes(model, vec)
-    return reference_tree_walk(model.tree, vec)
+    if model.kind == DECISION_TREE:
+        return reference_tree_walk(model.trees[0], vec)
+    return reference_votes(model, vec)
 
 
 def assert_matches_reference(model, matrix):
@@ -226,15 +226,28 @@ def wide_matrix(rng, n_docs, n_terms, per_row):
 @pytest.fixture(scope="module")
 def wide():
     """A matrix of 8 walk chunks over 2000 terms, whose dense form (32 MB)
-    is 8 times a chunk's, and the six models fitted on its first 300 rows,
-    labelled by whether they hold the term t0 to t99."""
+    is 8 times a chunk's, and the six models, plus a 200-member random
+    forest, fitted on its first 300 rows, labelled by whether they hold the
+    term t0 to t99."""
     matrix = wide_matrix(np.random.default_rng(77), 8 * WALK_CHUNK, 2000, 8)
     training = matrix.take(np.arange(300))
     first = training.indices[training.indptr[:-1]]
     labels = tuple(LABELS[min(2, int(c) // 100)] for c in first)
-    models = {kind: trainer(TrainingSet(matrix=training, labels=labels))
-              for kind, trainer in TRAINERS.items()}
+    training_set = TrainingSet(matrix=training, labels=labels)
+    models = {kind: trainer(training_set) for kind, trainer in TRAINERS.items()}
+    models["random_forest_200"] = train_random_forest(training_set, n_members=200, seed=3)
     return matrix, models
+
+
+def traced_peak(model, matrix) -> int:
+    """Peak bytes that tracemalloc sees while ``model`` scores ``matrix``."""
+    tracemalloc.start()
+    try:
+        model.predict_batch(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
@@ -248,10 +261,20 @@ def test_prediction_memory_follows_the_entries(wide, kind):
     n_classes = len(model.classes)
     bound = 8 * 8 * matrix.nnz * n_classes + 2 * 8 * WALK_CHUNK * matrix.n_terms
     assert bound < 8 * matrix.n_docs * matrix.n_terms / 2
-    tracemalloc.start()
-    try:
-        model.predict_batch(matrix)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(model, matrix)
     assert peak < bound, f"{kind}: peak {peak} bytes, bound {bound}"
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "random_forest_200"])
+def test_tree_walk_memory_does_not_grow_with_the_batch(wide, kind):
+    """A tree model scoring all 8 walk chunks of the wide matrix peaks less
+    than a quarter of one dense chunk above its peak on the first chunk
+    alone: the walk holds one chunk's dense rows and per-row arrays at a
+    time, and releases each chunk before it densifies the next."""
+    matrix, models = wide
+    model = models[kind]
+    first = matrix.take(np.arange(WALK_CHUNK))
+    model.predict_batch(first)  # builds what the model caches on first use
+    growth = traced_peak(model, matrix) - traced_peak(model, first)
+    quarter_chunk = 8 * WALK_CHUNK * matrix.n_terms // 4
+    assert growth < quarter_chunk, f"{kind}: peak grew by {growth} bytes"

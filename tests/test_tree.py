@@ -17,7 +17,9 @@ from tweetsent.datagen import make_toy_training_set
 from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
+    DECISION_TREE,
     TrainingSet,
+    TreeModel,
     member_rng,
     train_bagging,
     train_decision_tree,
@@ -26,14 +28,12 @@ from tweetsent.models import (
 from tweetsent.models import tree as tree_module
 from tweetsent.models.tree import (
     LEAF,
-    DecisionTreeModel,
     Tree,
     _best_splits,
     _gini_rows,
     bin_rows,
     grow_trees,
     stack_trees,
-    walk_leaves,
 )
 
 from conftest import one_row
@@ -406,7 +406,7 @@ class TestSplitSearchMatchesPerColumnReference:
             training = count_training_set(rng, 60, 12)
             model = trainer(training, n_members=3, seed=seed)
             x, y = training.matrix.toarray(), training.y()
-            for m, member in enumerate(model.members):
+            for m, member in enumerate(model.trees):
                 member_draws = member_rng(seed, m)
                 rows = member_draws.integers(0, 60, size=60)
                 k = model.hyper.get("n_features_per_split")
@@ -516,28 +516,30 @@ class TestLockstepGrowth:
         monkeypatch.setattr(tree_module, "SEARCH_ROWS", size)
         monkeypatch.setattr(tree_module, "WALK_CHUNK", size)
         model = trainer(training, n_members=5, seed=4)
-        assert [flatten_tree(t) for t in model.members] == [
-            flatten_tree(t) for t in expected.members
+        assert [flatten_tree(t) for t in model.trees] == [
+            flatten_tree(t) for t in expected.trees
         ]
         np.testing.assert_array_equal(model.predict_batch(training.matrix)[1], expected_scores)
 
-    def test_stacked_walk_equals_the_per_member_walk(self):
-        """Walking the stacked members from each root, chunk by chunk of the
-        sparse rows, reaches each member's own leaves on the dense rows,
-        and the ensemble's vote shares tally the members' walks."""
+    def test_stacked_walk_equals_the_per_member_walk(self, monkeypatch):
+        """Walking the stacked members from each root reaches each member's
+        own leaves, and the ensemble's vote shares, walked chunk by chunk
+        of the sparse rows, tally the members' walks."""
         training = count_training_set(np.random.default_rng(91), 80, 12)
         model = train_random_forest(training, n_members=7, seed=2)
         x = training.matrix.toarray()
         n_rows = x.shape[0]
-        forest, roots = stack_trees(model.members)
-        assert forest.n_nodes == sum(t.n_nodes for t in model.members)
-        stacked = walk_leaves(forest, roots, training.matrix)
-        assert stacked.shape == (n_rows, 7)
+        forest, roots = stack_trees(model.trees)
+        assert forest.n_nodes == sum(t.n_nodes for t in model.trees)
+        stacked = forest.walk(
+            x, np.tile(np.arange(n_rows), 7), np.repeat(roots, n_rows)
+        ).reshape(7, n_rows).T
         votes = np.zeros((n_rows, len(model.classes)))
-        for m, (root, member) in enumerate(zip(roots, model.members)):
+        for m, (root, member) in enumerate(zip(roots, model.trees)):
             leaves = member.walk(x, np.arange(n_rows), np.zeros(n_rows, dtype=np.int64))
             np.testing.assert_array_equal(stacked[:, m], root + leaves)
             votes[np.arange(n_rows), np.argmax(member.counts[leaves], axis=1)] += 1
+        monkeypatch.setattr(tree_module, "WALK_CHUNK", 16)
         np.testing.assert_array_equal(model.predict_batch(training.matrix)[1], votes / 7)
 
 
@@ -719,7 +721,8 @@ class TestDecisionTreeModel:
     @staticmethod
     def _stump():
         """value[term 0] <= 0.5 goes to a Positive leaf, else Negative."""
-        return DecisionTreeModel(
+        return TreeModel(
+            kind=DECISION_TREE,
             classes=(
                 SentimentLabel.POSITIVE,
                 SentimentLabel.NEUTRAL,
@@ -727,12 +730,14 @@ class TestDecisionTreeModel:
             ),
             terms=("a", "b"),
             weighting="counts",
-            tree=Tree(
-                column=np.array([0, LEAF, LEAF]),
-                threshold=np.array([0.5, 0.0, 0.0]),
-                left=np.array([1, LEAF, LEAF]),
-                right=np.array([2, LEAF, LEAF]),
-                counts=np.array([[3.0, 0.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+            trees=(
+                Tree(
+                    column=np.array([0, LEAF, LEAF]),
+                    threshold=np.array([0.5, 0.0, 0.0]),
+                    left=np.array([1, LEAF, LEAF]),
+                    right=np.array([2, LEAF, LEAF]),
+                    counts=np.array([[3.0, 0.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+                ),
             ),
         )
 
