@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 # No matrix here is large enough to use a second BLAS thread, and OpenBLAS
 # starts its pool when numpy is first imported, which the package imports
@@ -125,7 +124,6 @@ def _cmd_label(args: argparse.Namespace) -> int:
     ]
     payload: dict = {"topics": summaries}
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
         files = {
             f"labels_{data.topic}.csv": csv_text(
                 ["id", "label", "score"],
@@ -136,8 +134,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
             ).encode("utf-8")
             for data in topic_data
         }
-        write_bundle(out_dir, files)
-        payload["files"] = [str(out_dir / name) for name in files]
+        write_bundle(config.out_dir, files)
+        payload["files"] = [str(config.out_dir / name) for name in files]
     _emit(
         args,
         payload,

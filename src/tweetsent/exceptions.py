@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and its
 subclasses) -> 2, anything else -> 3.  ``read_input`` reads every input
 file and ``parse_json`` parses every JSON one, so each loader refuses an
-unreadable or unparsable one with its own error.
+unreadable or unparsable one with its own error; ``json_bytes`` gives the
+bytes of every model file and of the report bundle's JSON files.
 """
 
 from __future__ import annotations
@@ -84,3 +85,9 @@ def parse_json(text: str, error: type[TweetsentError], where: str):
         raise error(f"{where}: not valid JSON ({exc.msg} at char {exc.pos})") from exc
     except RecursionError as exc:
         raise error(f"{where}: not valid JSON (nested too deeply)") from exc
+
+
+def json_bytes(value) -> bytes:
+    """``value`` as the bytes of a model file or a report bundle's JSON
+    file: sorted keys, so a value always gives the same bytes."""
+    return (json.dumps(value, ensure_ascii=False, indent=1, sort_keys=True) + "\n").encode("utf-8")

@@ -25,11 +25,22 @@ __all__ = [
     "build_vocabulary",
     "build_count_matrix",
     "idf",
+    "index_ranges",
     "tfidf_transform",
 ]
 
 COUNTS = "counts"
 TFIDF = "tfidf"
+
+
+def index_ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``starts[i] + j`` for ``j < lengths[i]``, range after
+    range (none for no ranges), and where each range begins among them:
+    the entries of some CSR rows, and the ``indptr`` of those rows alone."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    shifted = np.repeat(starts - indptr[:-1], lengths)
+    return shifted + np.arange(shifted.shape[0]), indptr
 
 
 @dataclass(frozen=True)
@@ -105,11 +116,7 @@ class DocTermMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        # Each output entry's source position: its row's start in this
-        # matrix plus its offset within the row.
-        source = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        source, indptr = index_ranges(starts, lengths)
         return DocTermMatrix(
             vocab=self.vocab, indptr=indptr, indices=self.indices[source],
             data=self.data[source], weighting=self.weighting,

@@ -2,7 +2,7 @@
 
 from .base import Model, Prediction, TrainingSet, check_hyperparameters, hyperparameters, member_rng
 from .ensemble import BAGGING, RANDOM_FOREST, train_bagging, train_random_forest
-from .io import FORMAT_VERSION, encode_model, load_model, save_model
+from .io import FORMAT_VERSION, TRAINERS, encode_model, load_model, save_model
 from .linear import (
     MAXENT,
     NAIVE_BAYES,
@@ -17,7 +17,6 @@ from .tree import (
     DECISION_TREE,
     Tree,
     TreeModel,
-    bin_training_set,
     train_decision_tree,
 )
 
@@ -30,13 +29,13 @@ __all__ = [
     "NAIVE_BAYES",
     "RANDOM_FOREST",
     "SVM",
+    "TRAINERS",
     "LinearModel",
     "Model",
     "Prediction",
     "TrainingSet",
     "Tree",
     "TreeModel",
-    "bin_training_set",
     "check_hyperparameters",
     "encode_model",
     "hyperparameters",

@@ -12,6 +12,7 @@ Positive < Neutral < Negative.
 from __future__ import annotations
 
 import inspect
+import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -25,7 +26,8 @@ from ..features import DocTermMatrix
 from ..lexicon import SentimentLabel
 
 __all__ = [
-    "Model", "TrainingSet", "Prediction", "check_hyperparameters", "hyperparameters", "member_rng",
+    "Model", "TrainingSet", "Prediction", "check_hyperparameters", "has_json_type",
+    "hyperparameters", "member_rng", "validate_hyperparameters",
 ]
 
 
@@ -93,6 +95,37 @@ def check_hyperparameters(trainer: Callable, arguments: Mapping) -> dict:
             if value is not None and not test(value):
                 raise HyperparameterError(f"{name} must be {wording}, got {value}")
     return hyper
+
+
+# How a type error names a type that JSON spells its own way.
+_JSON_TYPE_NAMES = {float: "finite float", type(None): "null"}
+
+
+def has_json_type(value, allowed: tuple[type, ...]) -> bool:
+    """JSON-value type check: bool is no int, an int is a valid float, and
+    NaN or an infinity (which JSON parsing admits) is no valid float."""
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    if isinstance(value, int) and float in allowed:
+        return True
+    return any(isinstance(value, t) for t in allowed if t is not bool)
+
+
+def validate_hyperparameters(trainer: Callable, values: Mapping) -> dict:
+    """:func:`check_hyperparameters` of ``values`` read from JSON (a
+    config's or a model file's), once each name is one of ``trainer``'s
+    and each value has a type its annotation admits."""
+    declared = hyperparameters(trainer)
+    for name, value in values.items():
+        if name not in declared:
+            raise HyperparameterError(f"unknown name {name!r}; choose from {', '.join(declared)}")
+        types = declared[name].types
+        if not has_json_type(value, types):
+            wanted = " or ".join(_JSON_TYPE_NAMES.get(t, t.__name__) for t in types)
+            raise HyperparameterError(f"{name!r} must be {wanted}, got {value!r}")
+    return check_hyperparameters(trainer, values)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Annotated
 import numpy as np
 
 from .base import Seed, TrainingSet, at_least, at_most, check_hyperparameters, member_rng
-from .tree import MaxDepth, MinSamplesSplit, TreeModel, bin_training_set, grow_trees
+from .tree import MaxDepth, MinSamplesSplit, TreeModel, bin_rows, grow_trees
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random_forest"
@@ -32,7 +32,7 @@ RANDOM_FOREST = "random_forest"
 def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> TreeModel:
     """The ensemble of ``kind`` that the checked hyperparameters ``hyper``
     describe; bagging's give no ``n_features_per_split``."""
-    binned = bin_training_set(training)
+    binned = bin_rows(training.matrix, training.y(), len(training.classes))
     n_docs, n_terms = training.n_docs, training.matrix.n_terms
     seed, bootstrap = hyper["seed"], hyper["bootstrap"]
     k = hyper.get("n_features_per_split")

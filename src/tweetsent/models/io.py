@@ -4,7 +4,8 @@ Every file carries ``format_version``, ``model_kind``, the class list (as
 lowercase tags in canonical order), the vocabulary, the ``weighting`` of
 the features the model was trained on, and a kind-specific ``params`` block.
 Floats are written with full ``repr`` precision, so a load followed by a
-save reproduces the parameters bit for bit.
+save reproduces the parameters bit for bit.  Loading checks the recorded
+hyperparameters against the kind's trainer, as a config's are checked.
 
 Each tree is stored as the five flat lists of a
 :class:`~tweetsent.models.tree.Tree`: a decision tree's one tree as
@@ -15,21 +16,29 @@ nested tree nodes) are not read, so retrain to replace such files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from ..exceptions import ModelFormatError, parse_json, read_input
+from ..exceptions import ModelFormatError, json_bytes, parse_json, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
-from .base import Model, check_hyperparameters
-from .ensemble import BAGGING, RANDOM_FOREST
-from .linear import MAXENT, NAIVE_BAYES, SVM, LinearModel, train_naive_bayes
-from .tree import DECISION_TREE, LEAF, Tree, TreeModel
+from .base import Model, validate_hyperparameters
+from .ensemble import BAGGING, RANDOM_FOREST, train_bagging, train_random_forest
+from .linear import (
+    MAXENT, NAIVE_BAYES, SVM, LinearModel, train_linear_svm, train_maxent, train_naive_bayes,
+)
+from .tree import DECISION_TREE, LEAF, Tree, TreeModel, train_decision_tree
 
 FORMAT_VERSION = 3
+
+# Each model kind's trainer, whose signature declares the hyperparameters
+# a model of that kind records.
+TRAINERS = {
+    NAIVE_BAYES: train_naive_bayes, SVM: train_linear_svm, MAXENT: train_maxent,
+    DECISION_TREE: train_decision_tree, RANDOM_FOREST: train_random_forest, BAGGING: train_bagging,
+}
 
 
 def _encode_tree(tree: Tree) -> dict:
@@ -108,16 +117,14 @@ def encode_model(model: Model) -> bytes:
     """The bytes of ``model``'s file: deterministic JSON."""
     if not isinstance(model, Model):
         raise TypeError(f"cannot serialise object of type {type(model).__name__}")
-    document = {
+    return json_bytes({
         "format_version": FORMAT_VERSION,
         "model_kind": model.kind,
         "classes": [cls.tag for cls in model.classes],
         "vocabulary": list(model.terms),
         "weighting": model.weighting,
         "params": _encode_params(model),
-    }
-    text = json.dumps(document, ensure_ascii=False, sort_keys=True, indent=1)
-    return (text + "\n").encode("utf-8")
+    })
 
 
 def save_model(model: Model, path: str | Path) -> None:
@@ -126,37 +133,38 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Model:
+    trainer = TRAINERS.get(kind) if isinstance(kind, str) else None
+    if trainer is None:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
     header = {"classes": classes, "terms": terms, "weighting": weighting}
     if kind == NAIVE_BAYES:
-        alpha = float(_float_array(params["alpha"], "alpha", ()))
-        return LinearModel(
-            kind=kind,
-            **header,
-            weights=_float_array(
-                params["term_log_likelihood"], "term_log_likelihood", (len(classes), len(terms))
-            ),
-            bias=_float_array(params["class_log_prior"], "class_log_prior", (len(classes),)),
-            hyper=check_hyperparameters(train_naive_bayes, {"alpha": alpha}),
+        # Naive Bayes keeps its one hyperparameter among its parameters.
+        hyper = {"alpha": float(_float_array(params["alpha"], "alpha", ()))}
+    else:
+        hyper = params["hyper"]
+        if not isinstance(hyper, dict):
+            raise ValueError(f"hyper must be an object, got {hyper!r}")
+    hyper = validate_hyperparameters(trainer, hyper)
+    if kind in (NAIVE_BAYES, MAXENT, SVM):
+        weights, bias = (
+            ("term_log_likelihood", "class_log_prior") if kind == NAIVE_BAYES else ("weights", "bias")
         )
-    if kind in (MAXENT, SVM):
-        trace = params["loss_trace"]
+        trace = None if kind == NAIVE_BAYES else params["loss_trace"]
         if trace is not None:
             trace = tuple(_float_array(trace, "loss_trace", (np.size(trace),)).tolist())
         return LinearModel(
             kind=kind,
             **header,
-            weights=_float_array(params["weights"], "weights", (len(classes), len(terms))),
-            bias=_float_array(params["bias"], "bias", (len(classes),)),
-            hyper=dict(params["hyper"]),
+            weights=_float_array(params[weights], weights, (len(classes), len(terms))),
+            bias=_float_array(params[bias], bias, (len(classes),)),
+            hyper=hyper,
             loss_trace=trace,
         )
-    if kind in (DECISION_TREE, BAGGING, RANDOM_FOREST):
-        listed = [params["tree"]] if kind == DECISION_TREE else params["trees"]
-        trees = tuple(_decode_tree(t, len(classes), len(terms)) for t in listed)
-        if not trees:
-            raise ValueError("ensemble has no trees")
-        return TreeModel(kind=kind, **header, trees=trees, hyper=dict(params["hyper"]))
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+    listed = [params["tree"]] if kind == DECISION_TREE else params["trees"]
+    trees = tuple(_decode_tree(t, len(classes), len(terms)) for t in listed)
+    if not trees:
+        raise ValueError("ensemble has no trees")
+    return TreeModel(kind=kind, **header, trees=trees, hyper=hyper)
 
 
 def load_model(path: str | Path) -> Model:

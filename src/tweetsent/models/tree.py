@@ -8,8 +8,8 @@ reduce impurity, as long as both children are nonempty — a node only
 becomes a leaf when it is pure, too small, too deep, or has no usable
 threshold.
 
-The split search is an exact histogram search.  :func:`bin_training_set`
-bins each column once per fit, by its distinct values with zero among them,
+The split search is an exact histogram search.  :func:`bin_rows` bins
+each column once per fit, by its distinct values with zero among them,
 straight from the CSR matrix; a node then counts classes per bin from its
 nonzero entries and takes each column's zero bin as the node's class totals
 minus that column's nonzero counts.  Boundaries lie between adjacent bins
@@ -49,7 +49,7 @@ from typing import Annotated
 
 import numpy as np
 
-from ..features import DocTermMatrix
+from ..features import DocTermMatrix, index_ranges
 from .base import NON_NEGATIVE, Model, TrainingSet, at_least, check_hyperparameters
 
 DECISION_TREE = "decision_tree"
@@ -185,29 +185,13 @@ class BinnedRows:
         return self.column_ptr.shape[0] - 1
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices ``starts[i] + j`` for ``j < lengths[i]``, range after range."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
-
-
-def bin_rows(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    n_columns: int,
-    y: np.ndarray,
-    n_classes: int,
-) -> BinnedRows:
-    """Bin the CSR matrix ``(indptr, indices, data)`` of ``n_columns``
-    columns, whose row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at
-    columns ``indices[...]``, at most one value per column, and has label
-    ``y[i]`` out of ``n_classes``."""
-    n_rows = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+def bin_rows(matrix: DocTermMatrix, y: np.ndarray, n_classes: int) -> BinnedRows:
+    """Bin the rows of ``matrix``, whose row ``i`` has label ``y[i]`` out
+    of ``n_classes``, for :func:`grow_trees`, once per fit."""
+    n_rows, n_columns = matrix.n_docs, matrix.n_terms
     # A stored zero is no entry: it belongs to the column's zero bin.
-    nonzero = data != 0
-    rows, columns, values = rows[nonzero], indices[nonzero], data[nonzero]
+    nonzero = matrix.data != 0
+    rows, columns, values = matrix.entry_rows()[nonzero], matrix.indices[nonzero], matrix.data[nonzero]
     nnz = values.shape[0]
     row_length = np.bincount(rows, minlength=n_rows)
 
@@ -259,7 +243,7 @@ def _histograms(
     n_bins = binned.bin_value.shape[0]
     rows = np.concatenate(node_rows)
     lengths = binned.row_length[rows]
-    entries = _ranges(binned.row_start[rows], lengths)
+    entries, _ = index_ranges(binned.row_start[rows], lengths)
     bin_code = binned.entry_code[entries]
     column_code = binned.entry_column_code[entries]
     if n_nodes > 1:  # one node needs no node offsets
@@ -398,7 +382,7 @@ def _route(
     # Each node's split column for every training row, zeros included.
     starts = binned.column_ptr[column]
     lengths = binned.column_ptr[column + 1] - starts
-    entries = _ranges(starts, lengths)
+    entries, _ = index_ranges(starts, lengths)
     values = np.zeros((n_nodes, binned.n_rows))
     values[np.repeat(np.arange(n_nodes), lengths), binned.column_rows[entries]] = (
         binned.column_values[entries]
@@ -555,14 +539,6 @@ def grow_trees(
     return trees
 
 
-def bin_training_set(training: TrainingSet) -> BinnedRows:
-    """The training set's rows binned for :func:`grow_trees`, once per fit."""
-    m = training.matrix
-    return bin_rows(
-        m.indptr, m.indices, m.data, m.n_terms, training.y(), len(training.classes)
-    )
-
-
 @dataclass(frozen=True)
 class TreeModel(Model):
     """A fitted decision tree, or a committee of them, over a fixed vocabulary.
@@ -617,7 +593,6 @@ def train_decision_tree(
 ) -> TreeModel:
     """Fit a single CART tree on the sparse training matrix."""
     hyper = check_hyperparameters(train_decision_tree, locals())
-    (tree,) = grow_trees(
-        bin_training_set(training), [(np.arange(training.n_docs), None)], **hyper
-    )
+    binned = bin_rows(training.matrix, training.y(), len(training.classes))
+    (tree,) = grow_trees(binned, [(np.arange(training.n_docs), None)], **hyper)
     return TreeModel(kind=DECISION_TREE, **training.header(), trees=(tree,), hyper=hyper)

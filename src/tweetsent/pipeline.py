@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
-import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -30,7 +28,7 @@ from .corpus import (
     load_stopwords,
 )
 from .evaluation import CVResult, cross_validate
-from .exceptions import ConfigError, DataError, TweetsentError, parse_json, read_input
+from .exceptions import ConfigError, DataError, TweetsentError, json_bytes, parse_json, read_input
 from .features import (
     COUNTS,
     TFIDF,
@@ -47,17 +45,12 @@ from .models import (
     NAIVE_BAYES,
     RANDOM_FOREST,
     SVM,
+    TRAINERS,
     Model,
     TrainingSet,
-    check_hyperparameters,
     hyperparameters,
-    train_bagging,
-    train_decision_tree,
-    train_linear_svm,
-    train_maxent,
-    train_naive_bayes,
-    train_random_forest,
 )
+from .models.base import has_json_type, validate_hyperparameters
 
 logger = logging.getLogger(__name__)
 
@@ -80,12 +73,12 @@ class ModelSpec:
 # Count features suit the multinomial and tree models; the margin-based
 # models train on TF-IDF.
 MODELS: Mapping[str, ModelSpec] = {
-    NAIVE_BAYES: ModelSpec("Naive Bayes", train_naive_bayes, COUNTS),
-    SVM: ModelSpec("SVM", train_linear_svm, TFIDF),
-    MAXENT: ModelSpec("MaxEnt", train_maxent, TFIDF),
-    DECISION_TREE: ModelSpec("Decision Tree", train_decision_tree, COUNTS),
-    RANDOM_FOREST: ModelSpec("Random Forest", train_random_forest, COUNTS),
-    BAGGING: ModelSpec("Bagging", train_bagging, COUNTS),
+    NAIVE_BAYES: ModelSpec("Naive Bayes", TRAINERS[NAIVE_BAYES], COUNTS),
+    SVM: ModelSpec("SVM", TRAINERS[SVM], TFIDF),
+    MAXENT: ModelSpec("MaxEnt", TRAINERS[MAXENT], TFIDF),
+    DECISION_TREE: ModelSpec("Decision Tree", TRAINERS[DECISION_TREE], COUNTS),
+    RANDOM_FOREST: ModelSpec("Random Forest", TRAINERS[RANDOM_FOREST], COUNTS),
+    BAGGING: ModelSpec("Bagging", TRAINERS[BAGGING], COUNTS),
 }
 MODEL_ORDER = tuple(MODELS)
 DEFAULT_WEIGHTING = {key: spec.weighting for key, spec in MODELS.items()}
@@ -150,7 +143,7 @@ def validate_config(config: RunConfig) -> RunConfig:
         )
     for key in ("seed", "folds", "min_df"):
         value = getattr(config, key)
-        _expect(_has_type(value, (int,)), f"'{key}' must be an integer, got {value!r}")
+        _expect(has_json_type(value, (int,)), f"'{key}' must be an integer, got {value!r}")
     _expect(config.folds >= 2, f"folds must be at least 2, got {config.folds}")
     _expect(config.min_df >= 1, f"min_df must be at least 1, got {config.min_df}")
     _expect(config.seed >= 0, f"seed must be non-negative, got {config.seed}")
@@ -166,21 +159,8 @@ def validate_config(config: RunConfig) -> RunConfig:
             isinstance(values, Mapping),
             f"hyperparameters for {key} must be an object, got {values!r}",
         )
-        allowed = hyperparameters(MODELS[key].trainer)
-        for name, value in values.items():
-            _expect(
-                name in allowed,
-                f"hyperparameters for {key}: unknown name {name!r}; choose from {', '.join(allowed)}",
-            )
-            types = allowed[name].types
-            _expect(
-                _has_type(value, types),
-                f"hyperparameters for {key}: {name!r} must be "
-                f"{' or '.join(_JSON_TYPE_NAMES.get(t, t.__name__) for t in types)}, "
-                f"got {value!r}",
-            )
         with _errors_of(f"hyperparameters for {key}"):
-            check_hyperparameters(MODELS[key].trainer, values)
+            validate_hyperparameters(MODELS[key].trainer, values)
 
     for name, path in config.topics:
         _expect(path.is_file(), f"corpus file for topic {name!r} does not exist: {path}")
@@ -190,20 +170,17 @@ def validate_config(config: RunConfig) -> RunConfig:
     return config
 
 
-# How a type error names a type that JSON spells its own way.
-_JSON_TYPE_NAMES = {float: "finite float", type(None): "null"}
-
-
-def _has_type(value, allowed: tuple[type, ...]) -> bool:
-    """JSON-value type check: bool is no int, an int is a valid float, and
-    NaN or an infinity (which JSON parsing admits) is no valid float."""
-    if isinstance(value, bool):
-        return bool in allowed
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    if isinstance(value, int) and float in allowed:
-        return True
-    return any(isinstance(value, t) for t in allowed if t is not bool)
+def _config_path(value, base: Path, where: str, *, nullable: bool = False) -> Path | None:
+    """A config file's or a flag's path ``value`` resolved against ``base``,
+    the file's directory or the working directory.  It must be a nonempty
+    string, or null where ``nullable``: anything else (``""``, a number,
+    ``false``) is an error naming ``where``, not a file named after it."""
+    if nullable and value is None:
+        return None
+    if isinstance(value, str) and value:
+        return base / value
+    wanted = "a path string or null" if nullable else "a path string"
+    raise ConfigError(f"{where} must be {wanted}, got {value!r}")
 
 
 # Each override load_config takes (a command-line flag), and how the value
@@ -211,7 +188,8 @@ def _has_type(value, allowed: tuple[type, ...]) -> bool:
 # checks them as it checks the file's.
 OVERRIDES: Mapping[str, Callable] = {
     **dict.fromkeys(("seed", "folds", "min_df"), lambda value: value),
-    **dict.fromkeys(("lexicon", "stopwords", "out_dir"), Path),
+    **{key: partial(_config_path, base=Path(), where=f"override {key!r}")
+       for key in ("lexicon", "stopwords", "out_dir")},
     "models": lambda names: _parse_model_selection(names.split(",")),
 }
 
@@ -249,7 +227,7 @@ def load_config(
     if not isinstance(topics_raw, dict) or not topics_raw:
         raise ConfigError(f"{path}: 'topics' must map topic names to corpus paths")
     topics = tuple(
-        (t, base / _path_value(p, f"{path}: topic {t!r}")) for t, p in topics_raw.items()
+        (t, _config_path(p, base, f"{path}: topic {t!r}")) for t, p in topics_raw.items()
     )
 
     if "lexicon" not in raw:
@@ -266,12 +244,11 @@ def load_config(
         if not isinstance(raw.get(key, {}), dict):
             raise ConfigError(f"{path}: '{key}' must be a JSON object, got {raw[key]!r}")
 
-    stopwords = _path_value(raw.get("stopwords"), f"{path}: 'stopwords'", nullable=True)
     config = RunConfig(
         topics=topics,
-        lexicon=base / _path_value(raw["lexicon"], f"{path}: 'lexicon'"),
-        stopwords=base / stopwords if stopwords else None,
-        out_dir=base / _path_value(raw.get("out_dir", "report"), f"{path}: 'out_dir'"),
+        lexicon=_config_path(raw["lexicon"], base, f"{path}: 'lexicon'"),
+        stopwords=_config_path(raw.get("stopwords"), base, f"{path}: 'stopwords'", nullable=True),
+        out_dir=_config_path(raw.get("out_dir", "report"), base, f"{path}: 'out_dir'"),
         models=model_selection,
         # Absent keys keep RunConfig's defaults.
         **{key: raw[key] for key in ("seed", "folds", "min_df", "weighting", "hyperparameters") if key in raw},
@@ -280,21 +257,13 @@ def load_config(
     return validate_config(replace(config, **overrides))
 
 
-def _path_value(value, where: str, *, nullable: bool = False) -> str | None:
-    """A config file's path ``value``, which must be a JSON string, or null
-    where ``nullable``: any other value (a number, ``false``, a list) is an
-    error naming ``where``, not a file named after its ``str``."""
-    if isinstance(value, str) or (nullable and value is None):
-        return value
-    wanted = "a path string or null" if nullable else "a path string"
-    raise ConfigError(f"{where} must be {wanted}, got {value!r}")
-
-
 def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
     cleaned = [n.strip() for n in names if n.strip()]
     if not cleaned:
         raise ConfigError("no models selected")
-    if cleaned == ["all"]:
+    if "all" in cleaned:
+        if set(cleaned) != {"all"}:
+            raise ConfigError("model 'all' cannot be combined with other model names")
         return MODEL_ORDER
     for name in cleaned:
         if name not in MODELS:
@@ -526,10 +495,6 @@ def compare_topics(a: TopicReport, b: TopicReport) -> dict:
     }
 
 
-def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=True) + "\n").encode("utf-8")
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """``header`` and ``rows`` as CSV with ``\\n`` line ends: every table the
     program writes, to a file or to stdout."""
@@ -560,7 +525,7 @@ def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[d
             ["Algorithm", "Precision", "Recall", "Fscore", "CrossValidate"],
             table_rows(map(asdict, report.models), ["display_name", *METRICS]),
         ).encode("utf-8")
-        files[f"distribution_{report.topic}.json"] = _json_bytes(
+        files[f"distribution_{report.topic}.json"] = json_bytes(
             {
                 "topic": report.topic,
                 "documents": report.documents,
@@ -571,12 +536,12 @@ def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[d
         files[f"hourly_{report.topic}.csv"] = csv_text(
             ["hour", "count"], enumerate(report.hourly)
         ).encode("utf-8")
-        files[f"report_{report.topic}.json"] = _json_bytes(asdict(report))
+        files[f"report_{report.topic}.json"] = json_bytes(asdict(report))
 
     comparison = None
     if len(reports) == 2:
         comparison = compare_topics(reports[0], reports[1])
-        files["comparison.json"] = _json_bytes(comparison)
+        files["comparison.json"] = json_bytes(comparison)
 
     manifest = {
         "format_version": 1,
@@ -596,7 +561,7 @@ def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[d
             for name, data in files.items()
         },
     }
-    files["manifest.json"] = _json_bytes(manifest)
+    files["manifest.json"] = json_bytes(manifest)
     return files, manifest
 
 

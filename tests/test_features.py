@@ -12,6 +12,7 @@ from tweetsent.features import (
     build_count_matrix,
     build_vocabulary,
     idf,
+    index_ranges,
     tfidf_transform,
 )
 
@@ -164,6 +165,20 @@ class TestCountMatrix:
         m = build_count_matrix(vocab, [["apple"], [], ["date"]])
         assert m.row(1).nnz == 0
         np.testing.assert_array_equal(m.toarray()[1], np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "starts, lengths",
+        [([4, 0, 9], [2, 0, 3]), ([7], [0]), ([], [])],
+        ids=["ranges", "one-empty", "none"],
+    )
+    def test_index_ranges_list_each_range_in_turn(self, starts, lengths):
+        """The positions of the ranges one after another, and where each
+        begins among them; no ranges, as an empty fold takes, give none."""
+        positions, offsets = index_ranges(
+            np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)
+        )
+        assert positions.tolist() == [s + j for s, n in zip(starts, lengths) for j in range(n)]
+        assert offsets.tolist() == np.cumsum([0, *lengths]).tolist()
 
     def test_take_reorders_rows(self):
         vocab = build_vocabulary(DOCS)

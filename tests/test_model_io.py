@@ -281,6 +281,16 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
+    @pytest.mark.parametrize("hyper", [[["lam", 0.1]], "ab", None], ids=repr)
+    def test_hyper_must_be_an_object(self, hyper, tmp_path):
+        """A list of pairs is no JSON object, though ``dict()`` would take it."""
+        model = TRAINERS["svm"](make_toy_training_set())
+        path, document = saved_document(model, tmp_path)
+        document["params"]["hyper"] = hyper
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=re.escape(f"hyper must be an object, got {hyper!r}")):
+            load_model(path)
+
     def test_unknown_class_tag_is_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
         document["classes"] = ["positive", "sideways"]

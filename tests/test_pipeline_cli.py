@@ -845,6 +845,58 @@ class TestUserErrorsAreNotInternalErrors:
         path = write_config(tmp_path, minimal_config_payload(workspace, stopwords=None))
         assert load_config(path).stopwords is None
 
+    @pytest.mark.parametrize("key", ["topic", "lexicon", "stopwords", "out_dir"])
+    def test_an_empty_path_in_the_file_is_a_config_error(
+        self, workspace, tmp_path, capsys, monkeypatch, key
+    ):
+        """``""`` names no file: it is neither "no stopwords" nor the
+        config's own directory as the place to write to."""
+        monkeypatch.chdir(tmp_path)
+        payload = minimal_config_payload(workspace, stopwords=str(workspace / "stopwords.txt"))
+        if key == "topic":
+            payload["topics"] = {"alpha": ""}
+        else:
+            payload[key] = ""
+        path = write_config(tmp_path, payload)
+        code = main(["train", "--config", str(path), "--model", "naive_bayes"])
+        err = capsys.readouterr().err
+        assert code == 1
+        named = "topic 'alpha'" if key == "topic" else f"'{key}'"
+        assert f"{path}: {named} must be a path string" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "flag, key", [("--lexicon", "lexicon"), ("--stopwords", "stopwords"), ("--out", "out_dir")]
+    )
+    def test_an_empty_path_flag_is_a_config_error(
+        self, workspace, tmp_path, capsys, monkeypatch, flag, key
+    ):
+        """A flag's path follows the file's rule, resolved against the
+        working directory: ``""`` is refused, not taken for that directory."""
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, minimal_config_payload(workspace))
+        code = main(["train", "--config", str(path), "--model", "naive_bayes", flag, ""])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"override '{key}' must be a path string, got ''" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("route", ["file", "flag"])
+    @pytest.mark.parametrize("names", [["all", "svm"], ["naive_bayes", "all"]])
+    def test_all_cannot_be_combined_with_other_model_names(
+        self, workspace, tmp_path, capsys, route, names
+    ):
+        if route == "file":
+            path = write_config(tmp_path, minimal_config_payload(workspace, models=names))
+            code = main(["ingest", "--config", str(path)])
+        else:
+            path = write_config(tmp_path, minimal_config_payload(workspace))
+            code = main(["ingest", "--config", str(path), "--model", ",".join(names)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "model 'all' cannot be combined with other model names" in err
+        assert "unknown model" not in err
+
     def test_maxent_takes_no_seed(self, workspace, tmp_path, capsys):
         """Maxent's fit is deterministic, so a seed for it is a mistake."""
         code, err = self._run(
@@ -1071,6 +1123,40 @@ class TestUserErrorsAreNotInternalErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}: malformed model file: tree" in err
+
+    @pytest.mark.parametrize(
+        "model, hyper, message",
+        [
+            ("svm", {"lam": float("nan")}, "'lam' must be finite float, got nan"),
+            ("decision_tree", {"max_depth": -3}, "max_depth must be non-negative, got -3"),
+            (
+                "decision_tree",
+                {"max_depth": -3, "bogus": 1},
+                "unknown name 'bogus'; choose from max_depth, min_samples_split",
+            ),
+        ],
+        ids=["svm-nan-lam", "tree-negative-depth", "tree-unknown-name"],
+    )
+    def test_model_file_hyperparameter_outside_its_trainers_is_a_data_error(
+        self, model, hyper, message, workspace, tmp_path, capsys
+    ):
+        """A model file's ``hyper`` follows the config's rule for its kind:
+        its trainer's names, types and ranges."""
+        args = [
+            "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path),
+            "--model", model,
+        ]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / f"model_alpha_{model}.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["params"]["hyper"].update(hyper)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: malformed model file: {message}" in err
 
     @pytest.mark.parametrize(
         "hyper",

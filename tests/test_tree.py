@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tweetsent.datagen import make_toy_training_set
-from tweetsent.features import build_count_matrix, build_vocabulary
+from tweetsent.features import COUNTS, DocTermMatrix, build_count_matrix, build_vocabulary
 from tweetsent.lexicon import SentimentLabel
 from tweetsent.models import (
     DECISION_TREE,
@@ -132,11 +132,18 @@ def reference_best_split(x, y, n_classes, rows, columns):
 
 
 def binned_rows(x, y, n_classes):
-    """Dense ``x`` as CSR rows with labels ``y``, binned for the search."""
+    """Dense ``x`` as a sparse matrix with labels ``y``, binned for the search."""
     rows, cols = np.nonzero(x)
     indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
-    return bin_rows(indptr, cols, x[rows, cols], x.shape[1], y, n_classes)
+    matrix = DocTermMatrix(
+        vocab=build_vocabulary([[f"t{j}" for j in range(x.shape[1])]]),
+        indptr=indptr,
+        indices=cols.astype(np.int64),
+        data=x[rows, cols].astype(np.float64),
+        weighting=COUNTS,
+    )
+    return bin_rows(matrix, y, n_classes)
 
 
 def histogram_split(x, y, n_classes, rows, columns):
