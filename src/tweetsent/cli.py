@@ -41,13 +41,9 @@ from .pipeline import (
 )
 
 
-class UsageError(Exception):
-    """Bad command line; maps to exit code 1."""
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
-        raise UsageError(f"{self.prog}: {message}")
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> _ArgumentParser:
@@ -256,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
@@ -267,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.handler(args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:  # OSError: an output write failed

@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import RawTweet, save_corpus
 from .features import build_count_matrix, build_vocabulary
 from .lexicon import SentimentLabel
-from .models import TrainingSet
+from .models import TrainingSet, seeded_rng
 
 TOPICS = ("burgerhouse", "espressobar")
 
@@ -181,7 +181,7 @@ def generate_corpus(
     polarity vocabulary and none from the other.  The stream is seeded per
     topic, so the two demo corpora differ in content, not just in tag.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _topic_key(topic)]))
+    rng = seeded_rng(seed, _topic_key(topic))
     polarities = _polarity_plan(topic, n_docs, rng)
     return [
         RawTweet(

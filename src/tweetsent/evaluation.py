@@ -20,7 +20,7 @@ import numpy as np
 
 from .features import DocTermMatrix
 from .lexicon import CANONICAL_LABELS, SentimentLabel
-from .models import Model, TrainingSet
+from .models import Model, TrainingSet, seeded_rng
 
 logger = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def k_fold_split(
         raise ValueError(f"k-fold cross-validation needs k >= 2, got k={k}")
     if k > n_docs:
         raise ValueError(f"cannot split {n_docs} documents into {k} folds")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = seeded_rng(seed)
     perm = rng.permutation(n_docs)
     folds = [perm[i::k] for i in range(k)]
     splits = []

@@ -18,7 +18,7 @@ class TweetsentError(Exception):
 
 
 class ConfigError(TweetsentError):
-    """Invalid run configuration (bad flag values, missing referenced files)."""
+    """Invalid command line or run configuration (bad flags or values, missing files)."""
 
 
 class DataError(TweetsentError):

@@ -1,6 +1,6 @@
 """The models: one base class, :class:`Model`, and one training-set and prediction API."""
 
-from .base import Model, Prediction, TrainingSet, check_hyperparameters, hyperparameters, member_rng
+from .base import Model, Prediction, TrainingSet, check_hyperparameters, hyperparameters, seeded_rng
 from .ensemble import BAGGING, RANDOM_FOREST, train_bagging, train_random_forest
 from .io import FORMAT_VERSION, TRAINERS, encode_model, load_model, save_model
 from .linear import (
@@ -41,8 +41,8 @@ __all__ = [
     "hyperparameters",
     "load_model",
     "maxent_loss_and_grad",
-    "member_rng",
     "save_model",
+    "seeded_rng",
     "train_bagging",
     "train_decision_tree",
     "train_linear_svm",

@@ -1,9 +1,9 @@
 """The training-set container and the base class of every model.
 
-Every trainer is a pure function of (data, hyperparameters, seed). Where
-randomness is needed it comes from numpy's PCG64 generator seeded through
-SeedSequence; ensemble member m draws from the substream
-SeedSequence([seed, m]) so adding members never perturbs earlier ones.
+Every trainer is a pure function of (data, hyperparameters, seed). Every
+random number comes from :func:`seeded_rng`, PCG64 over the SeedSequence
+of a key list; ensemble member m draws from ``seeded_rng(seed, m)`` so
+adding members never perturbs earlier ones.
 
 Ties are always broken by the canonical class order
 Positive < Neutral < Negative.
@@ -27,7 +27,7 @@ from ..lexicon import SentimentLabel
 
 __all__ = [
     "Model", "TrainingSet", "Prediction", "check_hyperparameters", "has_json_type",
-    "hyperparameters", "member_rng", "validate_hyperparameters",
+    "hyperparameters", "seeded_rng", "validate_hyperparameters",
 ]
 
 
@@ -184,9 +184,9 @@ class Prediction:
     scores: dict[SentimentLabel, float]
 
 
-def member_rng(seed: int, member: int) -> np.random.Generator:
-    """Deterministic per-member generator: PCG64 over SeedSequence([seed, member])."""
-    return np.random.default_rng(np.random.SeedSequence([seed, member]))
+def seeded_rng(*key: int) -> np.random.Generator:
+    """PCG64 over the SeedSequence of ``key``: the one seeding rule for every draw."""
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Member ``m`` of an ensemble seeded with ``seed`` draws all of its
 randomness — the bootstrap resample and, for random forest, the per-split
-column subsets — from the dedicated substream ``SeedSequence([seed, m])``,
+column subsets — from the dedicated substream ``seeded_rng(seed, m)``,
 so members are independent of each other and reproducible in isolation.
 
 The training rows are binned for the tree split search once per ensemble,
@@ -22,7 +22,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .base import Seed, TrainingSet, at_least, at_most, check_hyperparameters, member_rng
+from .base import Seed, TrainingSet, at_least, at_most, check_hyperparameters, seeded_rng
 from .tree import MaxDepth, MinSamplesSplit, TreeModel, bin_rows, grow_trees
 
 BAGGING = "bagging"
@@ -38,11 +38,11 @@ def _train_ensemble(kind: str, training: TrainingSet, hyper: dict) -> TreeModel:
     k = hyper.get("n_features_per_split")
 
     def member(m):
-        rng = member_rng(seed, m)
+        rng = seeded_rng(seed, m)
         rows = rng.integers(0, n_docs, size=n_docs) if bootstrap else np.arange(n_docs)
         if k is None or k >= n_terms:
             return rows, None
-        return rows, lambda: np.sort(rng.choice(n_terms, size=k, replace=False))
+        return rows, lambda: rng.choice(n_terms, size=k, replace=False)
 
     # Read lazily, a group at a time, so that only one group's bootstrap
     # rows exist at once.

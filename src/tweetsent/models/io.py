@@ -191,7 +191,12 @@ def load_model(path: str | Path) -> Model:
             raise ModelFormatError(
                 f"{path}: 'classes' must be distinct labels in canonical order: {tags}"
             )
-        terms = tuple(str(t) for t in document["vocabulary"])
+        terms = document["vocabulary"]
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ModelFormatError(f"{path}: 'vocabulary' must be a list of term strings")
+        terms = tuple(terms)
+        if len(set(terms)) != len(terms):
+            raise ModelFormatError(f"{path}: 'vocabulary' must list distinct terms")
         weighting = document["weighting"]
         if weighting not in (COUNTS, TFIDF):
             raise ModelFormatError(

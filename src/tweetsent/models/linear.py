@@ -21,6 +21,7 @@ from ..exceptions import TrainingError
 from ..features import DocTermMatrix
 from .base import (
     NON_NEGATIVE, POSITIVE, Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters,
+    seeded_rng,
 )
 
 MAXENT = "maxent"
@@ -253,7 +254,7 @@ def train_linear_svm(
         pairs = tuple((c, 1.0 if c == label else -1.0) for c in range(n_classes))
         docs.append((terms, pairs))
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = seeded_rng(seed)
     # W is represented as scale * rows to keep the per-step shrink O(1).
     scale = 1.0
     rows = [[0.0] * matrix.n_terms for _ in range(n_classes)]

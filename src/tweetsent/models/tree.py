@@ -23,9 +23,9 @@ GPU histogram tree builders do for the nodes of one level.  Each tree
 makes its nodes in depth-first preorder from its own stack, up to the next
 node to try to split, calling its own column sampler for that node; one
 batched search then scores the nodes of all trees with one ``bincount``
-over (node, class, bin), and one pass routes their rows and counts their
-children's classes.  A single tree is the one-member case.  Members are
-grown :data:`GROW_GROUP` at a time and their nodes searched in batches of
+over (node, class, bin), which also gives their children's class counts,
+and one pass routes their rows.  A single tree is the one-member case.
+Members are grown :data:`GROW_GROUP` at a time and their nodes searched in batches of
 about :data:`SEARCH_ROWS` rows, so no array grows with the ensemble.
 
 A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
@@ -316,23 +316,26 @@ def _best_splits(
     node_rows: Sequence[np.ndarray],
     node_counts: np.ndarray,
     node_columns: Sequence[np.ndarray | None],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest-weighted-impurity (column, threshold) of every node at once.
 
     Node ``i`` has the rows ``node_rows[i]``, repeats allowed, the integer
-    class counts ``node_counts[i]``, and the ascending candidate columns
+    class counts ``node_counts[i]``, and the candidate columns
     ``node_columns[i]``, or None for every column.  A node's boundaries
     are scored in bin order, so its first minimum is the lowest column,
     then the lowest threshold.  Returns the columns, ``LEAF`` for a node
-    with no usable threshold, and the thresholds.
+    with no usable threshold, the thresholds, and the class counts of each
+    split's left child (zeros for a leaf); the right child's are the
+    node's less those.
     """
     split_column = np.full(len(node_rows), LEAF, dtype=np.int64)
     split_threshold = np.zeros(len(node_rows))
+    split_left = np.zeros_like(node_counts)
     node, column, lower, upper, left = _boundaries(
         binned, node_rows, node_counts, node_columns
     )
     if node.size == 0:
-        return split_column, split_threshold
+        return split_column, split_threshold, split_left
 
     counts = np.take(node_counts.T, node, axis=1)
     n_rows = node_counts.sum(axis=1)[node]
@@ -361,7 +364,8 @@ def _best_splits(
     best = at_lowest[np.searchsorted(at_lowest, first)][lowest != np.inf]
     split_column[node[best]] = column[best]
     split_threshold[node[best]] = midpoints[best]
-    return split_column, split_threshold
+    split_left[node[best]] = left[:, best].T
+    return split_column, split_threshold, split_left
 
 
 def _route(
@@ -369,16 +373,16 @@ def _route(
     node_rows: Sequence[np.ndarray],
     column: np.ndarray,
     threshold: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> list[np.ndarray]:
     """Split every node ``i`` on ``row[column[i]] <= threshold[i]``.
 
     Returns the children's rows, node ``i``'s left child at ``2 * i`` and
-    its right child at ``2 * i + 1``, each in its parent's row order, and
-    their class counts as a ``(2 * n_nodes, n_classes)`` array.
+    its right child at ``2 * i + 1``, each in its parent's row order.
     """
-    n_nodes, n_classes = len(node_rows), binned.n_classes
+    n_nodes = len(node_rows)
     rows = np.concatenate(node_rows)
-    node_of_row = np.repeat(np.arange(n_nodes), [r.shape[0] for r in node_rows])
+    sizes = [r.shape[0] for r in node_rows]
+    node_of_row = np.repeat(np.arange(n_nodes), sizes)
     # Each node's split column for every training row, zeros included.
     starts = binned.column_ptr[column]
     lengths = binned.column_ptr[column + 1] - starts
@@ -388,19 +392,15 @@ def _route(
         binned.column_values[entries]
     )
     goes_left = values[node_of_row, rows] <= threshold[node_of_row]
-    counts = np.bincount(
-        (2 * node_of_row + ~goes_left) * n_classes + binned.y[rows],
-        minlength=2 * n_nodes * n_classes,
-    ).reshape(2 * n_nodes, n_classes)
     # Masking keeps the rows grouped by node, each group in its order.
     left, right = rows[goes_left], rows[~goes_left]
-    sizes = counts.sum(axis=1)
-    left_ends = np.cumsum(sizes[0::2]).tolist()
-    right_ends = np.cumsum(sizes[1::2]).tolist()
+    ends = np.cumsum(sizes)
+    left_ends = np.cumsum(goes_left)[ends - 1].tolist()
+    right_ends = (ends - left_ends).tolist()
     children = []
     for a, b, c, d in zip([0] + left_ends, left_ends, [0] + right_ends, right_ends):
         children += (left[a:b], right[c:d])
-    return children, counts
+    return children
 
 
 class _Growth:
@@ -472,21 +472,21 @@ def _split_batch(binned: BinnedRows, batch: list) -> None:
     the children of every node that splits onto its growth's stack."""
     growths, attempts = zip(*batch)
     nodes, node_rows, node_counts, depths, node_columns = zip(*attempts)
-    column, threshold = _best_splits(
-        binned, node_rows, np.array(node_counts), node_columns
-    )
+    node_counts = np.array(node_counts)
+    column, threshold, left = _best_splits(binned, node_rows, node_counts, node_columns)
     split = np.flatnonzero(column != LEAF).tolist()
     if not split:
         return
-    children, counts = _route(
+    children = _route(
         binned, [node_rows[i] for i in split], column[split], threshold[split]
     )
+    right = node_counts - left
     for k, i in enumerate(split):
         growth, node, depth = growths[i], nodes[i], depths[i]
         growth.column[node] = int(column[i])
         growth.threshold[node] = float(threshold[i])
-        growth.stack.append((children[2 * k + 1], counts[2 * k + 1], depth + 1, node))
-        growth.stack.append((children[2 * k], counts[2 * k], depth + 1, LEAF))
+        growth.stack.append((children[2 * k + 1], right[i], depth + 1, node))
+        growth.stack.append((children[2 * k], left[i], depth + 1, LEAF))
 
 
 def _grow_group(
@@ -523,7 +523,7 @@ def grow_trees(
     ``rows`` are a tree's training rows; a bootstrap resample lists rows as
     often as it draws them.  The column sampler, when not None, is called
     once per attempt to split a node, in the tree's node preorder, and
-    returns the sorted candidate columns of that split; None makes every
+    returns the distinct candidate columns of that split; None makes every
     column a candidate.  A tree does not depend on the others it is grown
     with.  ``members`` may be a lazy iterable: it is read
     :data:`GROW_GROUP` pairs at a time, and each group is grown in

@@ -57,15 +57,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """How the pipeline runs one model kind: the name its report rows show,
-    its trainer, and the feature weighting it trains on unless the config
-    says otherwise.  The trainer's keyword-only parameters are the
-    hyperparameters: its signature declares each one's type, default and
-    range (:func:`~tweetsent.models.hyperparameters` reads them), and the
-    model's ``hyper`` record holds their values."""
+    """How the pipeline runs one model kind: the name its report rows show
+    and the feature weighting it trains on unless the config says
+    otherwise.  Its trainer is ``TRAINERS[kind]``, whose keyword-only
+    parameters are the hyperparameters: its signature declares each one's
+    type, default and range (:func:`~tweetsent.models.hyperparameters`
+    reads them), and the model's ``hyper`` record holds their values."""
 
     display_name: str
-    trainer: Callable[..., Model]
     weighting: str
 
 
@@ -73,12 +72,12 @@ class ModelSpec:
 # Count features suit the multinomial and tree models; the margin-based
 # models train on TF-IDF.
 MODELS: Mapping[str, ModelSpec] = {
-    NAIVE_BAYES: ModelSpec("Naive Bayes", TRAINERS[NAIVE_BAYES], COUNTS),
-    SVM: ModelSpec("SVM", TRAINERS[SVM], TFIDF),
-    MAXENT: ModelSpec("MaxEnt", TRAINERS[MAXENT], TFIDF),
-    DECISION_TREE: ModelSpec("Decision Tree", TRAINERS[DECISION_TREE], COUNTS),
-    RANDOM_FOREST: ModelSpec("Random Forest", TRAINERS[RANDOM_FOREST], COUNTS),
-    BAGGING: ModelSpec("Bagging", TRAINERS[BAGGING], COUNTS),
+    NAIVE_BAYES: ModelSpec("Naive Bayes", COUNTS),
+    SVM: ModelSpec("SVM", TFIDF),
+    MAXENT: ModelSpec("MaxEnt", TFIDF),
+    DECISION_TREE: ModelSpec("Decision Tree", COUNTS),
+    RANDOM_FOREST: ModelSpec("Random Forest", COUNTS),
+    BAGGING: ModelSpec("Bagging", COUNTS),
 }
 MODEL_ORDER = tuple(MODELS)
 DEFAULT_WEIGHTING = {key: spec.weighting for key, spec in MODELS.items()}
@@ -160,7 +159,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"hyperparameters for {key} must be an object, got {values!r}",
         )
         with _errors_of(f"hyperparameters for {key}"):
-            validate_hyperparameters(MODELS[key].trainer, values)
+            validate_hyperparameters(TRAINERS[key], values)
 
     for name, path in config.topics:
         _expect(path.is_file(), f"corpus file for topic {name!r} does not exist: {path}")
@@ -277,11 +276,11 @@ def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
 def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
     """A no-argument-but-data trainer for ``key`` with hyperparameters bound;
     a seeded trainer gets the config seed unless its hyperparameters set one."""
-    spec = MODELS[key]
+    trainer = TRAINERS[key]
     kwargs = dict(config.hyperparameters.get(key, {}))
-    if "seed" in hyperparameters(spec.trainer):
+    if "seed" in hyperparameters(trainer):
         kwargs.setdefault("seed", config.seed)
-    return partial(spec.trainer, **kwargs)
+    return partial(trainer, **kwargs)
 
 
 @contextmanager
@@ -380,6 +379,11 @@ def _load_topic(
         distribution = {label.tag: labels.count(label) for label in CANONICAL_LABELS}
     with _stage("featurize"):
         vocab = build_vocabulary(tokens, min_df=min_df)
+        if not vocab.terms:
+            raise DataError(
+                f"{path}: topic {name!r} has no term in at least 'min_df' = {min_df} "
+                "documents, so no model has a feature to train on"
+            )
         count_matrix = build_count_matrix(vocab, tokens)
         matrices = {COUNTS: count_matrix, TFIDF: tfidf_transform(count_matrix)}
     return TopicData(

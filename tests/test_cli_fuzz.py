@@ -19,7 +19,7 @@ import pytest
 
 from tweetsent.cli import main
 from tweetsent.exceptions import HyperparameterError
-from tweetsent.models import check_hyperparameters, hyperparameters
+from tweetsent.models import TRAINERS, check_hyperparameters, hyperparameters
 from tweetsent.pipeline import MODEL_ORDER, MODELS
 
 from conftest import DEEP_JSON
@@ -126,7 +126,7 @@ def _out_of_range(model, name, value) -> bool:
     """Whether ``model``'s trainer declares a range that ``value`` is
     outside of; a value of the wrong type is for the type check to refuse."""
     try:
-        check_hyperparameters(MODELS[model].trainer, {name: value})
+        check_hyperparameters(TRAINERS[model], {name: value})
     except HyperparameterError:
         return True
     except TypeError:
@@ -183,7 +183,7 @@ def _mutate_json(rng, document, values):
 
 def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
     rng = np.random.default_rng(1001)
-    hyper_names = {key: [*hyperparameters(spec.trainer), "bogus"] for key, spec in MODELS.items()}
+    hyper_names = {key: [*hyperparameters(TRAINERS[key]), "bogus"] for key in MODELS}
 
     def cases():
         for case in range(N_CASES):

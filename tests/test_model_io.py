@@ -298,6 +298,28 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "rewrite, message",
+        [
+            (lambda terms: "".join(t[0] for t in terms), "'vocabulary' must be a list of term strings"),
+            (lambda terms: list(range(len(terms))), "'vocabulary' must be a list of term strings"),
+            (dict.fromkeys, "'vocabulary' must be a list of term strings"),
+            (lambda terms: [*terms[:-1], terms[0]], "'vocabulary' must list distinct terms"),
+        ],
+        ids=["string", "numbers", "object", "duplicate"],
+    )
+    def test_vocabulary_must_be_a_list_of_distinct_strings(self, rewrite, message, tmp_path):
+        """Each rewrite keeps the vocabulary's length, and each once loaded:
+        a string as one term per character, numbers as strings, an object
+        as its keys, and a repeated term as two columns."""
+        path, document = self._valid_document(tmp_path)
+        terms = document["vocabulary"]
+        document["vocabulary"] = rewrite(terms)
+        assert len(document["vocabulary"]) == len(terms)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
     def test_unserialisable_object_is_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         with pytest.raises(TypeError, match="cannot serialise object of type object"):

@@ -18,7 +18,7 @@ import pytest
 from tweetsent.cli import build_parser, main
 from tweetsent.datagen import make_toy_training_set
 from tweetsent.exceptions import ConfigError, DataError
-from tweetsent.models import hyperparameters
+from tweetsent.models import TRAINERS, hyperparameters
 from tweetsent.pipeline import (
     DEFAULT_WEIGHTING,
     MODEL_ORDER,
@@ -122,8 +122,8 @@ def run_result(workspace, tmp_path_factory):
 def test_each_model_is_keyed_by_the_kind_its_trainer_fits():
     """The pipeline's key for a model is the kind its saved files carry."""
     training = make_toy_training_set()
-    for key, spec in MODELS.items():
-        model = spec.trainer(training)
+    for key in MODELS:
+        model = TRAINERS[key](training)
         assert model.kind == key
 
 
@@ -166,13 +166,13 @@ class TestLoadConfig:
     def test_hyperparameters_are_the_trainers_keyword_only_parameters(self):
         """Each admits the plain types of its annotation."""
         def types(key):
-            return {name: h.types for name, h in hyperparameters(MODELS[key].trainer).items()}
+            return {name: h.types for name, h in hyperparameters(TRAINERS[key]).items()}
 
         assert types("naive_bayes") == {"alpha": (float,)}
         assert types("decision_tree") == {
             "max_depth": (int, type(None)), "min_samples_split": (int,),
         }
-        assert list(hyperparameters(MODELS["random_forest"].trainer)) == [
+        assert list(hyperparameters(TRAINERS["random_forest"])) == [
             "n_members", "max_depth", "min_samples_split", "seed", "bootstrap",
             "n_features_per_split",
         ]
@@ -435,7 +435,7 @@ class TestRunPipeline:
         hyperparameters.cache_clear()
         monkeypatch.setattr(inspect, "get_annotations", counting)
         run_pipeline(replace(config, out_dir=tmp_path / "again"))
-        assert calls == Counter(spec.trainer for spec in MODELS.values())
+        assert calls == Counter(TRAINERS[key] for key in MODELS)
 
     def test_comparison_reports_deltas_and_ratios(self, run_result):
         config, result = run_result
@@ -1222,6 +1222,25 @@ class TestUserErrorsAreNotInternalErrors:
         assert code == 2
         assert f"{path}: " in err and message in err
 
+    def test_model_with_a_repeated_term_is_a_data_error(self, workspace, tmp_path, capsys):
+        """A model file whose vocabulary lists a term twice is refused on
+        load, before its vocabulary is compared with the config's."""
+        args = [
+            "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path),
+            "--model", "naive_bayes",
+        ]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / "model_alpha_naive_bayes.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["vocabulary"][-1] = document["vocabulary"][0]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path}: 'vocabulary' must list distinct terms" in err
+
     def test_model_with_a_class_the_labels_lack_is_a_data_error(
         self, workspace, tmp_path, capsys
     ):
@@ -1254,6 +1273,46 @@ class TestUserErrorsAreNotInternalErrors:
         assert "error: ingest: line 1: unparseable weight 'very'" in capsys.readouterr().err
         assert main([command, "--config", config, "--folds", "25"]) == 2
         assert "too few for 'folds' = 25" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "crossval", "train", "report"])
+    def test_min_df_that_keeps_no_term_is_a_data_error(
+        self, command, workspace, tmp_path, capsys
+    ):
+        """With no term every model would only predict the prior, and
+        ``train`` would save models with no vocabulary."""
+        out = tmp_path / "out"
+        code = main([
+            command, "--config", str(workspace / "config.json"),
+            "--min-df", "100000", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (
+            f"error: featurize: {workspace / 'corpus_alpha.jsonl'}: topic 'alpha' has no "
+            "term in at least 'min_df' = 100000 documents"
+        ) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "crossval", "train", "report"])
+    def test_corpus_of_stopwords_only_is_a_data_error(
+        self, command, workspace, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        docs = [_doc("alpha", i, "the a THE") for i in range(4)]
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        path = write_config(
+            tmp_path,
+            minimal_config_payload(
+                workspace, topics={"alpha": str(corpus)},
+                stopwords=str(workspace / "stopwords.txt"), folds=2,
+            ),
+        )
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: featurize: {corpus}: topic 'alpha' has no term in at least 'min_df' = 1" in err
+        assert not out.exists()
 
     def test_lexicon_score_overflow_is_a_data_error(self, workspace, tmp_path, capsys):
         """Each weight is finite, but their float sum for a document is not,

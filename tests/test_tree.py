@@ -20,7 +20,7 @@ from tweetsent.models import (
     DECISION_TREE,
     TrainingSet,
     TreeModel,
-    member_rng,
+    seeded_rng,
     train_bagging,
     train_decision_tree,
     train_random_forest,
@@ -146,15 +146,24 @@ def binned_rows(x, y, n_classes):
     return bin_rows(matrix, y, n_classes)
 
 
+def left_counts(x, y, n_classes, rows, column, threshold):
+    """Class counts of the ``rows`` of dense ``x`` that a split sends left."""
+    return np.bincount(y[rows][x[rows, column] <= threshold], minlength=n_classes)
+
+
 def histogram_split(x, y, n_classes, rows, columns):
     """The package's histogram search, called with the reference's arguments
-    as a batch of one node: its (column, threshold), or None."""
+    as a batch of one node: its (column, threshold), or None.  The left
+    child's counts it gives must be those of the rows the split sends left."""
     node_counts = np.bincount(y[rows], minlength=n_classes)
-    column, threshold = _best_splits(
+    column, threshold, left = _best_splits(
         binned_rows(x, y, n_classes), [rows], node_counts[None], [columns]
     )
     if column[0] == LEAF:
         return None
+    np.testing.assert_array_equal(
+        left[0], left_counts(x, y, n_classes, rows, column[0], threshold[0])
+    )
     return int(column[0]), float(threshold[0])
 
 
@@ -171,19 +180,22 @@ def grow(x, y, n_classes, *, rows=None, column_sampler=None, **kwargs):
 
 def reference_search(x, y, n_classes):
     """A stand-in for the batched search that answers each node of a batch
-    with ``reference_best_split`` on dense rows ``x``."""
+    with ``reference_best_split`` on dense rows ``x``, and each split's left
+    counts by recounting the rows it sends left."""
     all_columns = np.arange(x.shape[1])
 
     def search(binned, node_rows, node_counts, node_columns):
         column = np.full(len(node_rows), LEAF)
         threshold = np.zeros(len(node_rows))
+        left = np.zeros_like(node_counts)
         for i, (rows, columns) in enumerate(zip(node_rows, node_columns)):
             split = reference_best_split(
                 x, y, n_classes, rows, all_columns if columns is None else columns
             )
             if split is not None:
                 column[i], threshold[i] = split
-        return column, threshold
+                left[i] = left_counts(x, y, n_classes, rows, *split)
+        return column, threshold, left
 
     return search
 
@@ -414,7 +426,7 @@ class TestSplitSearchMatchesPerColumnReference:
             model = trainer(training, n_members=3, seed=seed)
             x, y = training.matrix.toarray(), training.y()
             for m, member in enumerate(model.trees):
-                member_draws = member_rng(seed, m)
+                member_draws = seeded_rng(seed, m)
                 rows = member_draws.integers(0, 60, size=60)
                 k = model.hyper.get("n_features_per_split")
                 sampler = (
@@ -440,7 +452,8 @@ class TestLockstepGrowth:
     def test_batched_search_equals_the_reference_node_by_node(self, make, seed):
         """Random batches mixing node sizes, bootstrap repeats, column
         subsets and all columns, and nodes with no usable threshold: every
-        node gets the reference's exact (column, threshold)."""
+        node gets the reference's exact (column, threshold), and every split
+        node the class counts of the rows it sends left."""
         rng = np.random.default_rng(seed)
         found = unsplittable = 0
         for _ in range(80):
@@ -463,7 +476,7 @@ class TestLockstepGrowth:
                     k = int(rng.integers(1, n_cols + 1))
                     node_columns.append(np.sort(rng.choice(n_cols, size=k, replace=False)))
             node_counts = np.array([np.bincount(y[r], minlength=n_classes) for r in node_rows])
-            column, threshold = _best_splits(
+            column, threshold, left = _best_splits(
                 binned_rows(x, y, n_classes), node_rows, node_counts, node_columns
             )
             for i, (rows, columns) in enumerate(zip(node_rows, node_columns)):
@@ -472,6 +485,10 @@ class TestLockstepGrowth:
                 expected = reference_best_split(x, y, n_classes, rows, columns)
                 got = None if column[i] == LEAF else (int(column[i]), float(threshold[i]))
                 assert got == expected
+                if got is not None:
+                    np.testing.assert_array_equal(
+                        left[i], left_counts(x, y, n_classes, rows, *got)
+                    )
                 found += expected is not None
                 unsplittable += expected is None
         assert found >= 150 and unsplittable >= 30
