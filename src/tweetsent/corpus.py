@@ -94,9 +94,10 @@ def _validate_record(raw: dict, where: str) -> RawTweet:
             raise CorpusError(f"{where}: field '{field}' must be a string")
     if not raw["id"]:
         raise CorpusError(f"{where}: field 'id' must be non-empty")
+    # OverflowError: an offset time whose UTC instant leaves years 1-9999.
     try:
         created = _parse_timestamp(raw["created_at"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CorpusError(
             f"{where}: invalid created_at {raw['created_at']!r} ({exc})"
         ) from exc

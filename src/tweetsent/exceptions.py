@@ -76,13 +76,19 @@ def parse_json(text: str, error: type[TweetsentError], where: str):
     """The JSON value of ``text``, which ``where`` locates: its file, and
     the line of a JSONL file.
 
-    Text that is not JSON, or that nests too deeply for the parser's
-    recursion limit, raises ``error("<where>: not valid JSON (<reason>)")``.
+    Text that is not JSON, that nests too deeply for the parser's recursion
+    limit, or that holds an integer of more digits than Python converts
+    (``sys.get_int_max_str_digits()``) raises
+    ``error("<where>: not valid JSON (<reason>)")``.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: not valid JSON ({exc.msg} at char {exc.pos})") from exc
+    except ValueError as exc:
+        # Python's own advice after the ";" is for programs, not for inputs.
+        reason = str(exc).partition(";")[0]
+        raise error(f"{where}: not valid JSON ({reason})") from exc
     except RecursionError as exc:
         raise error(f"{where}: not valid JSON (nested too deeply)") from exc
 

@@ -1,7 +1,6 @@
 """The models: one base class, :class:`Model`, and one training-set and prediction API."""
 
 from .base import Model, Prediction, TrainingSet, check_hyperparameters, hyperparameters, seeded_rng
-from .ensemble import BAGGING, RANDOM_FOREST, train_bagging, train_random_forest
 from .io import FORMAT_VERSION, TRAINERS, encode_model, load_model, save_model
 from .linear import (
     MAXENT,
@@ -14,10 +13,14 @@ from .linear import (
     train_naive_bayes,
 )
 from .tree import (
+    BAGGING,
     DECISION_TREE,
+    RANDOM_FOREST,
     Tree,
     TreeModel,
+    train_bagging,
     train_decision_tree,
+    train_random_forest,
 )
 
 

@@ -25,11 +25,13 @@ from ..exceptions import ModelFormatError, json_bytes, parse_json, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
 from .base import Model, validate_hyperparameters
-from .ensemble import BAGGING, RANDOM_FOREST, train_bagging, train_random_forest
 from .linear import (
     MAXENT, NAIVE_BAYES, SVM, LinearModel, train_linear_svm, train_maxent, train_naive_bayes,
 )
-from .tree import DECISION_TREE, LEAF, Tree, TreeModel, train_decision_tree
+from .tree import (
+    BAGGING, DECISION_TREE, LEAF, RANDOM_FOREST, Tree, TreeModel,
+    train_bagging, train_decision_tree, train_random_forest,
+)
 
 FORMAT_VERSION = 3
 

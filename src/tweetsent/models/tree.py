@@ -1,4 +1,5 @@
-"""CART-style decision tree on sparse term-weight rows.
+"""CART-style decision trees, and their bagging and random-forest
+committees, on sparse term-weight rows.
 
 Splits minimise Gini impurity.  Candidate thresholds are midpoints between
 consecutive distinct values of a column, ties go to the lowest column and
@@ -24,17 +25,27 @@ makes its nodes in depth-first preorder from its own stack, up to the next
 node to try to split, calling its own column sampler for that node; one
 batched search then scores the nodes of all trees with one ``bincount``
 over (node, class, bin), which also gives their children's class counts,
-and one pass routes their rows.  A single tree is the one-member case.
-Members are grown :data:`GROW_GROUP` at a time and their nodes searched in batches of
-about :data:`SEARCH_ROWS` rows, so no array grows with the ensemble.
+and one pass routes their rows.  Members are grown :data:`GROW_GROUP` at
+a time and their nodes searched in batches of about :data:`SEARCH_ROWS`
+rows, so no array grows with the ensemble.
+
+The three trainers share one fit, :func:`_train_trees`, which bins the
+training rows once per committee, not once per member: a member's
+bootstrap resample is a list of row indices into that one binning,
+repeats included, so no member copies the matrix.  Member ``m`` of a
+committee seeded with ``seed`` draws all of its randomness (the bootstrap
+resample and, for a random forest, the per-split column subsets) from the
+dedicated substream ``seeded_rng(seed, m)``, so members are independent
+of each other and reproducible in isolation.  A decision tree is the
+one-member committee that sees every row and every column, and draws no
+random number.
 
 A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
 grown with explicit stacks and walked level by level for all rows at
 once, so no tree is too deep for the interpreter's recursion limit.
 
-:class:`TreeModel` is every tree model: a decision tree is the one-tree
-case of the bagging and random-forest committees.  It scores through one
-walk: :func:`stack_trees` joins its trees into one node array, and each
+:class:`TreeModel` is every tree model, and scores through one walk:
+:func:`stack_trees` joins its trees into one node array, and each
 :data:`WALK_CHUNK` rows, densified on their own and never the whole
 batch, walk it from every root at once.
 """
@@ -45,14 +56,19 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from math import floor, sqrt
 from typing import Annotated
 
 import numpy as np
 
 from ..features import DocTermMatrix, index_ranges
-from .base import NON_NEGATIVE, Model, TrainingSet, at_least, check_hyperparameters
+from .base import (
+    NON_NEGATIVE, Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters, seeded_rng,
+)
 
 DECISION_TREE = "decision_tree"
+BAGGING = "bagging"
+RANDOM_FOREST = "random_forest"
 
 # The growth limits every tree trainer takes: None grows to purity.
 MaxDepth = Annotated[int | None, NON_NEGATIVE]
@@ -585,6 +601,31 @@ class TreeModel(Model):
         return scores / len(self.trees)
 
 
+def _train_trees(kind: str, training: TrainingSet, hyper: dict) -> TreeModel:
+    """The tree model of ``kind`` that the checked hyperparameters ``hyper``
+    describe; a decision tree's give no committee size, seed or sampling."""
+    binned = bin_rows(training.matrix, training.y(), len(training.classes))
+    n_docs, n_terms = training.n_docs, training.matrix.n_terms
+    bootstrap = hyper.get("bootstrap", False)
+    k = hyper.get("n_features_per_split")
+    sampled = k is not None and k < n_terms
+
+    def member(m):
+        rng = seeded_rng(hyper["seed"], m) if bootstrap or sampled else None
+        rows = rng.integers(0, n_docs, size=n_docs) if bootstrap else np.arange(n_docs)
+        return rows, (lambda: rng.choice(n_terms, size=k, replace=False)) if sampled else None
+
+    # Read lazily, a group at a time, so that only one group's bootstrap
+    # rows exist at once.
+    trees = grow_trees(
+        binned,
+        map(member, range(hyper.get("n_members", 1))),
+        max_depth=hyper["max_depth"],
+        min_samples_split=hyper["min_samples_split"],
+    )
+    return TreeModel(kind=kind, **training.header(), trees=tuple(trees), hyper=hyper)
+
+
 def train_decision_tree(
     training: TrainingSet,
     *,
@@ -592,7 +633,42 @@ def train_decision_tree(
     min_samples_split: MinSamplesSplit = 2,
 ) -> TreeModel:
     """Fit a single CART tree on the sparse training matrix."""
-    hyper = check_hyperparameters(train_decision_tree, locals())
-    binned = bin_rows(training.matrix, training.y(), len(training.classes))
-    (tree,) = grow_trees(binned, [(np.arange(training.n_docs), None)], **hyper)
-    return TreeModel(kind=DECISION_TREE, **training.header(), trees=(tree,), hyper=hyper)
+    return _train_trees(
+        DECISION_TREE, training, check_hyperparameters(train_decision_tree, locals())
+    )
+
+
+def train_bagging(
+    training: TrainingSet,
+    *,
+    n_members: Annotated[int, at_least(1), at_most(1_000)] = 15,
+    max_depth: MaxDepth = None,
+    min_samples_split: MinSamplesSplit = 2,
+    seed: Seed = 0,
+    bootstrap: bool = True,
+) -> TreeModel:
+    """Bagged trees: each member sees a bootstrap resample, all columns."""
+    return _train_trees(BAGGING, training, check_hyperparameters(train_bagging, locals()))
+
+
+def train_random_forest(
+    training: TrainingSet,
+    *,
+    n_members: Annotated[int, at_least(1), at_most(1_000)] = 25,
+    max_depth: MaxDepth = None,
+    min_samples_split: MinSamplesSplit = 2,
+    seed: Seed = 0,
+    bootstrap: bool = True,
+    n_features_per_split: Annotated[int | None, at_least(1)] = None,
+) -> TreeModel:
+    """Random forest: bagging plus a fresh column subset at every split.
+
+    ``n_features_per_split`` defaults to ``floor(sqrt(n_terms))`` (at least
+    one).  When it reaches the vocabulary size the subset covers every
+    column and member trees coincide with plain bagged trees.
+    """
+    if n_features_per_split is None:
+        n_features_per_split = max(1, floor(sqrt(training.matrix.n_terms)))
+    return _train_trees(
+        RANDOM_FOREST, training, check_hyperparameters(train_random_forest, locals())
+    )

@@ -173,10 +173,13 @@ def _config_path(value, base: Path, where: str, *, nullable: bool = False) -> Pa
     """A config file's or a flag's path ``value`` resolved against ``base``,
     the file's directory or the working directory.  It must be a nonempty
     string, or null where ``nullable``: anything else (``""``, a number,
-    ``false``) is an error naming ``where``, not a file named after it."""
+    ``false``) is an error naming ``where``, not a file named after it.
+    No path may hold a NUL, which no file name can."""
     if nullable and value is None:
         return None
     if isinstance(value, str) and value:
+        if "\0" in value:
+            raise ConfigError(f"{where} contains '\\x00', which no path may hold, got {value!r}")
         return base / value
     wanted = "a path string or null" if nullable else "a path string"
     raise ConfigError(f"{where} must be {wanted}, got {value!r}")

@@ -7,12 +7,13 @@ Each test draws its mutations from one numpy generator with a fixed seed,
 so a failure names a case that replays exactly.  A huge value sizes no
 loop: every hyperparameter that sets an amount of work declares an upper
 bound, so ``epochs`` or ``n_members`` of ``10**30`` is a config error.  A
-value nested too deeply for the JSON parser is no valid JSON, a user error
-like any other.
+value nested too deeply for the JSON parser, or an integer of more digits
+than Python converts, is no valid JSON, a user error like any other.
 """
 
 import json
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -38,15 +39,21 @@ POSITIVE = ["good love meal", "love good snack", "good fine lunch"]
 NEGATIVE = ["bad awful queue", "awful bad noise", "bad cold fries"]
 NEUTRAL = ["table chair note", "chair table memo", "door seat wall"]
 
-# Stands for DEEP_JSON, an array nested past the JSON parser's recursion
-# limit, which json.dumps cannot write: _dumps writes it in its place.
+# Stand for JSON texts that json.dumps cannot write, and _dumps writes in
+# their place: DEEP for DEEP_JSON, an array nested past the JSON parser's
+# recursion limit, and LONG for an integer one digit longer than Python
+# converts (where Python sets no such limit, a plain long integer).
 DEEP = "@deep@"
+LONG = "@long@"
+LONG_JSON = "9" * ((getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) + 1)
 
-# JSON values a mutation puts in place of a config, record or model field.
+# JSON values a mutation puts in place of a config, record or model field:
+# among them a path no file can have, and a valid local time whose UTC
+# instant falls in year 10000.
 VALUES = [
     None, True, False, -1, 0, 1, 3, 2.5, float("nan"), float("inf"), -float("inf"),
-    "", "abc", "positive", "2024-13-45T99:00:00Z", [], [1], ["all"], ["abc", 1],
-    {}, {"a": 1}, [[0.5]], DEEP,
+    "", "abc", "positive", "2024-13-45T99:00:00Z", "9999-12-31T23:30:00-01:00", "a\0b",
+    [], [1], ["all"], ["abc", 1], {}, {"a": 1}, [[0.5]], DEEP, LONG,
 ]
 # Config integers may also be huge; they size no loop.
 CONFIG_VALUES = VALUES + [10**30]
@@ -54,8 +61,10 @@ LEXICON_WEIGHTS = ["nan", "inf", "-inf", "abc", "", "1e400", "-0", "0", "1_0", "
 
 
 def _dumps(document) -> str:
-    """``document`` as JSON text, each DEEP value written as DEEP_JSON."""
-    return json.dumps(document).replace(json.dumps(DEEP), DEEP_JSON)
+    """``document`` as JSON text, each DEEP value written as DEEP_JSON and
+    each LONG as LONG_JSON."""
+    text = json.dumps(document).replace(json.dumps(DEEP), DEEP_JSON)
+    return text.replace(json.dumps(LONG), LONG_JSON)
 
 
 def _corpus_lines(topic, n):
@@ -181,17 +190,22 @@ def _mutate_json(rng, document, values):
     return f"{op} {'/'.join(map(str, path))}"
 
 
+def _absolute_config(base) -> dict:
+    """The base config, to be written elsewhere, so with absolute paths."""
+    config = json.loads((base / "config.json").read_text(encoding="utf-8"))
+    config["topics"] = {t: str(base / p) for t, p in config["topics"].items()}
+    config["lexicon"] = str(base / config["lexicon"])
+    config["stopwords"] = str(base / config["stopwords"])
+    return config
+
+
 def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
     rng = np.random.default_rng(1001)
     hyper_names = {key: [*hyperparameters(TRAINERS[key]), "bogus"] for key in MODELS}
 
     def cases():
         for case in range(N_CASES):
-            config = json.loads((base / "config.json").read_text(encoding="utf-8"))
-            # The file is written elsewhere, so its paths must not be relative.
-            config["topics"] = {t: str(base / p) for t, p in config["topics"].items()}
-            config["lexicon"] = str(base / config["lexicon"])
-            config["stopwords"] = str(base / config["stopwords"])
+            config = _absolute_config(base)
             kind = _pick(rng, ["top", "delete", "weighting", "hyper", "topic"])
             value = _pick(rng, CONFIG_VALUES if kind in ("top", "hyper") else VALUES)
             flags = ["--out", str(tmp_path / "out")]
@@ -200,6 +214,8 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
                 key = _pick(rng, ["seed", "folds", "min_df", "models", "out_dir", "stopwords",
                                   "lexicon", "topics", "weighting", "hyperparameters", "bogus"])
                 config[key] = value
+                if key == "out_dir":  # --out would override it
+                    flags = []
             elif kind == "delete":
                 key = _pick(rng, sorted(config))
                 del config[key]
@@ -232,6 +248,23 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
             command = _pick(rng, ["ingest", "label", "train", "crossval", "compare"])
             code, err = _run([command, "--config", str(path), *flags], capsys)
             yield f"case {case}: {command} with {kind} {key} = {value!r}", code, err, allowed
+
+    _check(cases())
+
+
+@pytest.mark.parametrize("key", ["out_dir", "lexicon", "stopwords"])
+def test_every_string_value_as_a_path_never_exits_3(base, tmp_path, capsys, key):
+    """Each string of VALUES as a config path, which the seeded draws above
+    may miss: ``train`` reads the lexicon and stopwords and writes to
+    ``out_dir``."""
+
+    def cases():
+        for case, value in enumerate(v for v in VALUES if isinstance(v, str)):
+            config = {**_absolute_config(base), key: value}
+            path = tmp_path / f"config{case}.json"
+            path.write_text(_dumps(config), encoding="utf-8")
+            code, err = _run(["train", "--config", str(path), "--model", "naive_bayes"], capsys)
+            yield f"train with {key} = {value!r}", code, err, NOT_INTERNAL
 
     _check(cases())
 

@@ -18,6 +18,9 @@ from tweetsent.corpus import (
 )
 from tweetsent.exceptions import CorpusError
 
+# Valid local times whose UTC instants fall outside years 1-9999.
+OUT_OF_RANGE_STAMPS = ["9999-12-31T23:30:00-01:00", "0001-01-01T00:30:00+01:00"]
+
 
 def _tweet(i: int, text: str = "hello world", hour: int = 12, topic: str = "demo") -> RawTweet:
     return RawTweet(
@@ -83,6 +86,18 @@ class TestLoadJsonl:
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE_STAMPS)
+    def test_instant_outside_utc_years_names_line(self, tmp_path, stamp):
+        path = tmp_path / "c.jsonl"
+        records = [
+            {"id": "a", "text": "x", "created_at": "2024-05-01T10:00:00Z", "topic": "t"},
+            {"id": "b", "text": "x", "created_at": stamp, "topic": "t"},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"line 2: invalid created_at {stamp!r} (date value out of range)"
+
 
 class TestLoadCsv:
     def test_round_trip(self, tmp_path):
@@ -106,6 +121,17 @@ class TestLoadCsv:
         path.write_text("id,text,topic\na,hello,t\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="created_at"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE_STAMPS)
+    def test_instant_outside_utc_years_names_row(self, tmp_path, stamp):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            f"id,text,created_at,topic\na,x,2024-05-01T10:00:00Z,t\nb,x,{stamp},t\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"row 2: invalid created_at {stamp!r} (date value out of range)"
 
     @pytest.mark.parametrize(
         "name, first_line",

@@ -881,6 +881,40 @@ class TestUserErrorsAreNotInternalErrors:
         assert f"override '{key}' must be a path string, got ''" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "command, key", [("train", "out_dir"), ("report", "out_dir"), ("ingest", "lexicon")]
+    )
+    def test_a_path_holding_nul_is_a_config_error(
+        self, workspace, tmp_path, capsys, caplog, monkeypatch, command, key
+    ):
+        """No file name may hold a NUL, so the path is refused, naming the
+        key, when the config is loaded: no stage runs and nothing is
+        written."""
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, minimal_config_payload(workspace, **{key: "out\0x"}))
+        with caplog.at_level("INFO", logger="tweetsent.pipeline"):
+            code = main([command, "--config", str(path), "--model", "naive_bayes"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{path}: '{key}' contains '\\x00', which no path may hold" in err
+        assert not [r for r in caplog.records if "pipeline stage" in r.getMessage()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_a_timestamp_outside_the_utc_years_is_a_data_error(self, workspace, tmp_path, capsys):
+        """A valid local time whose UTC instant falls in year 10000 is a
+        corpus error naming its line, not an internal error."""
+        lines = (workspace / "corpus_alpha.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "created_at": "9999-12-31T23:30:00-01:00"})
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        payload = minimal_config_payload(workspace, topics={"alpha": str(corpus)})
+        path = write_config(tmp_path, payload)
+        code = main(["ingest", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2: invalid created_at '9999-12-31T23:30:00-01:00'" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("route", ["file", "flag"])
     @pytest.mark.parametrize("names", [["all", "svm"], ["naive_bayes", "all"]])
     def test_all_cannot_be_combined_with_other_model_names(
