@@ -23,9 +23,9 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exceptions import CorpusError, parse_json, read_input
+from .exceptions import CorpusError, errors_of, located, parse_json, read_input
 
 __all__ = [
     "RawTweet",
@@ -82,63 +82,56 @@ def _format_timestamp(dt: datetime) -> str:
     return out.replace("+00:00", "Z")
 
 
-def _validate_record(raw: dict, where: str) -> RawTweet:
+def _validate_record(raw: dict) -> RawTweet:
     missing = [f for f in CORPUS_FIELDS if f not in raw]
     if missing:
-        raise CorpusError(f"{where}: missing field '{missing[0]}'")
+        raise CorpusError(f"missing field '{missing[0]}'")
     extra = [k for k in raw if k not in CORPUS_FIELDS]
     if extra:
-        raise CorpusError(f"{where}: unexpected field(s) {extra}")
+        raise CorpusError(f"unexpected field(s) {extra}")
     for field in CORPUS_FIELDS:
         if not isinstance(raw[field], str):
-            raise CorpusError(f"{where}: field '{field}' must be a string")
+            raise CorpusError(f"field '{field}' must be a string")
     if not raw["id"]:
-        raise CorpusError(f"{where}: field 'id' must be non-empty")
+        raise CorpusError("field 'id' must be non-empty")
     # OverflowError: an offset time whose UTC instant leaves years 1-9999.
     try:
         created = _parse_timestamp(raw["created_at"])
     except (ValueError, OverflowError) as exc:
-        raise CorpusError(
-            f"{where}: invalid created_at {raw['created_at']!r} ({exc})"
-        ) from exc
-    return RawTweet(
-        id=raw["id"], text=raw["text"], created_at=created, topic=raw["topic"]
-    )
+        raise CorpusError(f"invalid created_at {raw['created_at']!r} ({exc})") from exc
+    return RawTweet(**{**raw, "created_at": created})
 
 
-def _load_jsonl(path: Path) -> list[RawTweet]:
-    tweets = []
-    text = read_input(path, CorpusError, "corpus file")
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        stripped = line.strip()
-        if not stripped:
-            raise CorpusError(f"line {lineno}: blank line in JSONL corpus")
-        record = parse_json(stripped, CorpusError, f"{path}: line {lineno}")
-        if not isinstance(record, dict):
-            raise CorpusError(f"line {lineno}: record is not an object")
-        tweets.append(_validate_record(record, f"line {lineno}"))
-    return tweets
+def _jsonl_record(line: str) -> dict:
+    stripped = line.strip()
+    if not stripped:
+        raise CorpusError("blank line in JSONL corpus")
+    record = parse_json(stripped, CorpusError)
+    if not isinstance(record, dict):
+        raise CorpusError("record is not an object")
+    return record
 
 
-def _load_csv(path: Path) -> list[RawTweet]:
-    tweets = []
+def _csv_records(text: str) -> Iterator[dict]:
+    """The rows of a CSV corpus, after checking its header row."""
     # newline="" on the read and on the StringIO: the csv module splits the
     # lines itself, so a quoted newline stays part of its field.
-    text = read_input(path, CorpusError, "corpus file", newline="")
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None:
-        return []  # zero-byte file: empty corpus
-    if sorted(reader.fieldnames) != sorted(CORPUS_FIELDS):
-        raise CorpusError(
-            f"header: expected columns {list(CORPUS_FIELDS)}, "
-            f"got {list(reader.fieldnames)}"
-        )
-    for recno, row in enumerate(reader, start=1):
-        where = f"row {recno}"
-        if None in row or any(v is None for v in row.values()):
-            raise CorpusError(f"{where}: wrong number of columns")
-        tweets.append(_validate_record(dict(row), where))
-    return tweets
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:  # such as a field past the csv module's size limit
+        raise located("header", CorpusError(str(exc))) from exc
+    if header is None:
+        return iter(())  # zero-byte file: empty corpus
+    if sorted(header) != sorted(CORPUS_FIELDS):
+        raise CorpusError(f"header: expected columns {list(CORPUS_FIELDS)}, got {list(header)}")
+    return map(_csv_record, reader)
+
+
+def _csv_record(row: dict) -> dict:
+    if None in row or any(v is None for v in row.values()):
+        raise CorpusError("wrong number of columns")
+    return row
 
 
 def _is_csv(path: Path) -> bool:
@@ -154,18 +147,30 @@ def load_corpus(path: str | Path) -> list[RawTweet]:
         Tweets in file order. An empty file yields an empty list.
 
     Raises:
-        CorpusError: unreadable or non-UTF-8 file, malformed record (named
-            by line/row), missing or unexpected field, or duplicate tweet id.
+        CorpusError: unreadable or non-UTF-8 file, malformed record,
+            missing or unexpected field, or duplicate tweet id; the message
+            names the file, and a record's JSONL line or CSV row.
     """
     path = Path(path)
-    tweets = _load_csv(path) if _is_csv(path) else _load_jsonl(path)
-
-    seen: set[str] = set()
-    for tweet in tweets:
-        if tweet.id in seen:
-            raise CorpusError(f"duplicate tweet id {tweet.id!r}")
-        seen.add(tweet.id)
-    return tweets
+    is_csv = _is_csv(path)
+    text = read_input(path, CorpusError, "corpus file", newline="" if is_csv else None)
+    tweets: dict[str, RawTweet] = {}  # by id
+    with errors_of(path):
+        if is_csv:
+            unit, records = "row", _csv_records(text)
+        else:  # every line is a record, so record n is line n
+            unit, records = "line", map(_jsonl_record, io.StringIO(text))
+        try:
+            for record in records:
+                tweet = _validate_record(record)
+                if tweet.id in tweets:
+                    raise CorpusError(f"duplicate tweet id {tweet.id!r}")
+                tweets[tweet.id] = tweet
+        except csv.Error as exc:
+            raise located(f"row {len(tweets) + 1}", CorpusError(str(exc))) from exc
+        except CorpusError as exc:
+            raise located(f"{unit} {len(tweets) + 1}", exc) from exc
+    return list(tweets.values())
 
 
 def save_corpus(tweets: Sequence[RawTweet], path: str | Path) -> None:

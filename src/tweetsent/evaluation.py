@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import DocTermMatrix
-from .lexicon import CANONICAL_LABELS, SentimentLabel
+from .lexicon import SentimentLabel
 from .models import Model, TrainingSet, seeded_rng
+from .models.base import class_indices
 
 logger = logging.getLogger(__name__)
 
@@ -70,11 +71,7 @@ def confusion_matrix(
     ``classes`` fixes the axis order; by default it is the canonical label
     order restricted to labels that actually occur in either sequence.
     """
-    if classes is None:
-        seen = set(gold) | set(predicted)
-        classes = tuple(cls for cls in CANONICAL_LABELS if cls in seen)
-    else:
-        classes = tuple(classes)
+    classes = tuple(sorted(set(gold) | set(predicted)) if classes is None else classes)
     if not classes:
         raise ValueError("cannot build a confusion matrix with no classes")
     return _tally(
@@ -86,9 +83,8 @@ def confusion_matrix(
 
 def _positions(labels: Sequence[SentimentLabel], classes, role: str) -> np.ndarray:
     """Each label's index in ``classes``."""
-    position = {cls: i for i, cls in enumerate(classes)}
     try:
-        return np.array([position[label] for label in labels], dtype=np.int64)
+        return class_indices(labels, classes)
     except KeyError as exc:
         raise ValueError(f"{role} label {exc.args[0]!s} is not in the class list") from None
 

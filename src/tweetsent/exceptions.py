@@ -3,14 +3,16 @@
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and its
 subclasses) -> 2, anything else -> 3.  ``read_input`` reads every input
 file and ``parse_json`` parses every JSON one, so each loader refuses an
-unreadable or unparsable one with its own error; ``json_bytes`` gives the
-bytes of every model file and of the report bundle's JSON files.
+unreadable or unparsable one with its own error, ``located`` at the file;
+``json_bytes`` gives the bytes of every model file and bundle JSON file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 
 class TweetsentError(Exception):
@@ -72,25 +74,39 @@ def read_input(
         raise error(f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
-def parse_json(text: str, error: type[TweetsentError], where: str):
-    """The JSON value of ``text``, which ``where`` locates: its file, and
-    the line of a JSONL file.
+def located(where: object, exc: TweetsentError) -> TweetsentError:
+    """``exc`` again, of its own class, its message put after ``where``: the
+    one way a location enters a message, as ``"<where>: <message>"``."""
+    return type(exc)(f"{where}: {exc}")
+
+
+@contextmanager
+def errors_of(where: object) -> Iterator[None]:
+    """Every package error raised inside, :func:`located` at ``where``."""
+    try:
+        yield
+    except TweetsentError as exc:
+        raise located(where, exc) from exc
+
+
+def parse_json(text: str, error: type[TweetsentError]):
+    """The JSON value of ``text``; the caller says where the text is.
 
     Text that is not JSON, that nests too deeply for the parser's recursion
     limit, or that holds an integer of more digits than Python converts
     (``sys.get_int_max_str_digits()``) raises
-    ``error("<where>: not valid JSON (<reason>)")``.
+    ``error("not valid JSON (<reason>)")``.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"{where}: not valid JSON ({exc.msg} at char {exc.pos})") from exc
+        raise error(f"not valid JSON ({exc.msg} at char {exc.pos})") from exc
     except ValueError as exc:
         # Python's own advice after the ";" is for programs, not for inputs.
         reason = str(exc).partition(";")[0]
-        raise error(f"{where}: not valid JSON ({reason})") from exc
+        raise error(f"not valid JSON ({reason})") from exc
     except RecursionError as exc:
-        raise error(f"{where}: not valid JSON (nested too deeply)") from exc
+        raise error("not valid JSON (nested too deeply)") from exc
 
 
 def json_bytes(value) -> bytes:

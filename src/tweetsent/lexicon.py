@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-from .exceptions import LexiconError, read_input
+from .exceptions import LexiconError, errors_of, located, read_input
 
 logger = logging.getLogger(__name__)
 
@@ -75,38 +75,38 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
     lowercased on load.
 
     Raises:
-        LexiconError: unreadable or non-UTF-8 file, malformed line (named by
-            number), unparseable or non-finite weight, or a file with no
-            entries at all.
+        LexiconError: unreadable or non-UTF-8 file, malformed line,
+            unparseable or non-finite weight (each named by the file and
+            the line), or a file with no entries at all.
     """
     text = read_input(path, LexiconError, "lexicon file")
     entries: dict[str, float] = {}
-    # read_input has already turned "\r\n" and "\r" into "\n".
-    for lineno, stripped in enumerate(text.split("\n"), start=1):
-        if not stripped.strip() or stripped.lstrip().startswith("#"):
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 2:
-            raise LexiconError(
-                f"line {lineno}: expected 'token<TAB>weight', got {stripped!r}"
-            )
-        token = parts[0].strip().lower()
-        if not token or any(ch.isspace() for ch in token):
-            raise LexiconError(f"line {lineno}: invalid token {parts[0]!r}")
-        try:
-            weight = float(parts[1])
-        except ValueError:
-            raise LexiconError(
-                f"line {lineno}: unparseable weight {parts[1]!r}"
-            ) from None
-        if not math.isfinite(weight):
-            raise LexiconError(f"line {lineno}: weight {parts[1]!r} is not finite")
-        if token in entries:
-            logger.warning(
-                "lexicon %s line %d: duplicate token %r, overriding %g with %g",
-                path, lineno, token, entries[token], weight,
-            )
-        entries[token] = weight
+    with errors_of(path):
+        # read_input has already turned "\r\n" and "\r" into "\n".
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            token = parts[0].strip().lower()
+            try:
+                if len(parts) != 2:
+                    raise LexiconError(f"expected 'token<TAB>weight', got {line!r}")
+                if not token or any(ch.isspace() for ch in token):
+                    raise LexiconError(f"invalid token {parts[0]!r}")
+                try:
+                    weight = float(parts[1])
+                except ValueError:
+                    raise LexiconError(f"unparseable weight {parts[1]!r}") from None
+                if not math.isfinite(weight):
+                    raise LexiconError(f"weight {parts[1]!r} is not finite")
+            except LexiconError as exc:
+                raise located(f"line {lineno}", exc) from exc
+            if token in entries:
+                logger.warning(
+                    "lexicon %s line %d: duplicate token %r, overriding %g with %g",
+                    path, lineno, token, entries[token], weight,
+                )
+            entries[token] = weight
     if not entries:
         raise LexiconError(f"lexicon file {path} contains no entries")
     if not (any(w > 0 for w in entries.values()) and any(w < 0 for w in entries.values())):

@@ -26,7 +26,7 @@ from ..features import DocTermMatrix
 from ..lexicon import SentimentLabel
 
 __all__ = [
-    "Model", "TrainingSet", "Prediction", "check_hyperparameters", "has_json_type",
+    "Model", "TrainingSet", "Prediction", "check_hyperparameters", "class_indices", "has_json_type",
     "hyperparameters", "seeded_rng", "validate_hyperparameters",
 ]
 
@@ -128,6 +128,12 @@ def validate_hyperparameters(trainer: Callable, values: Mapping) -> dict:
     return check_hyperparameters(trainer, values)
 
 
+def class_indices(labels: Sequence[SentimentLabel], classes: Sequence[SentimentLabel]) -> np.ndarray:
+    """Each label's index in ``classes`` (``KeyError`` for one it lacks)."""
+    index = {cls: i for i, cls in enumerate(classes)}
+    return np.array([index[label] for label in labels], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """A vectorized corpus with aligned labels.
@@ -155,8 +161,7 @@ class TrainingSet:
 
     def y(self) -> np.ndarray:
         """Labels as indices into ``classes``."""
-        lookup = {c: i for i, c in enumerate(self.classes)}
-        return np.array([lookup[l] for l in self.labels], dtype=np.int64)
+        return class_indices(self.labels, self.classes)
 
     def header(self) -> dict:
         """What a model fitted on this set records about it: its

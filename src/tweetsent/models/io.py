@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..exceptions import ModelFormatError, json_bytes, parse_json, read_input
+from ..exceptions import ModelFormatError, errors_of, json_bytes, parse_json, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
 from .base import Model, validate_hyperparameters
@@ -134,7 +134,45 @@ def save_model(model: Model, path: str | Path) -> None:
     Path(path).write_bytes(encode_model(model))
 
 
-def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Model:
+def load_model(path: str | Path) -> Model:
+    """Read a model document written by :func:`save_model`."""
+    text = read_input(path, ModelFormatError, "model file")
+    with errors_of(path):
+        document = parse_json(text, ModelFormatError)
+        if not isinstance(document, dict):
+            raise ModelFormatError("expected a JSON object at top level")
+        try:
+            return _decode_model(document)
+        except KeyError as exc:
+            raise ModelFormatError(f"model file is missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"malformed model file: {exc}") from exc
+
+
+def _decode_model(document: dict) -> Model:
+    version = document["format_version"]
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(
+            f"unsupported model format version {version!r} "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    kind = document["model_kind"]
+    tags = document["classes"]
+    if not isinstance(tags, list) or not tags or not all(isinstance(t, str) for t in tags):
+        raise ModelFormatError("'classes' must be a non-empty list of label tags")
+    classes = tuple(SentimentLabel.from_tag(tag) for tag in tags)
+    if classes != tuple(sorted(set(classes))):
+        raise ModelFormatError(f"'classes' must be distinct labels in canonical order: {tags}")
+    terms = document["vocabulary"]
+    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+        raise ModelFormatError("'vocabulary' must be a list of term strings")
+    terms = tuple(terms)
+    if len(set(terms)) != len(terms):
+        raise ModelFormatError("'vocabulary' must list distinct terms")
+    weighting = document["weighting"]
+    if weighting not in (COUNTS, TFIDF):
+        raise ModelFormatError(f"'weighting' must be '{COUNTS}' or '{TFIDF}', got {weighting!r}")
+    params = document["params"]
     trainer = TRAINERS.get(kind) if isinstance(kind, str) else None
     if trainer is None:
         raise ModelFormatError(f"unknown model kind {kind!r}")
@@ -169,43 +207,3 @@ def _decode_model(kind: str, classes, terms, weighting: str, params: dict) -> Mo
     return TreeModel(kind=kind, **header, trees=trees, hyper=hyper)
 
 
-def load_model(path: str | Path) -> Model:
-    """Read a model document written by :func:`save_model`."""
-    document = parse_json(
-        read_input(path, ModelFormatError, "model file"), ModelFormatError, str(path)
-    )
-    if not isinstance(document, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object at top level")
-
-    try:
-        version = document["format_version"]
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(
-                f"{path}: unsupported model format version {version!r} "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        kind = document["model_kind"]
-        tags = document["classes"]
-        if not isinstance(tags, list) or not tags or not all(isinstance(t, str) for t in tags):
-            raise ModelFormatError(f"{path}: 'classes' must be a non-empty list of label tags")
-        classes = tuple(SentimentLabel.from_tag(tag) for tag in tags)
-        if classes != tuple(sorted(set(classes))):
-            raise ModelFormatError(
-                f"{path}: 'classes' must be distinct labels in canonical order: {tags}"
-            )
-        terms = document["vocabulary"]
-        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-            raise ModelFormatError(f"{path}: 'vocabulary' must be a list of term strings")
-        terms = tuple(terms)
-        if len(set(terms)) != len(terms):
-            raise ModelFormatError(f"{path}: 'vocabulary' must list distinct terms")
-        weighting = document["weighting"]
-        if weighting not in (COUNTS, TFIDF):
-            raise ModelFormatError(
-                f"{path}: 'weighting' must be '{COUNTS}' or '{TFIDF}', got {weighting!r}"
-            )
-        return _decode_model(kind, classes, terms, weighting, document["params"])
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: model file is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc

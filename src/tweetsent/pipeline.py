@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 import os
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -28,7 +29,7 @@ from .corpus import (
     load_stopwords,
 )
 from .evaluation import CVResult, cross_validate
-from .exceptions import ConfigError, DataError, TweetsentError, json_bytes, parse_json, read_input
+from .exceptions import ConfigError, DataError, errors_of, json_bytes, parse_json, read_input
 from .features import (
     COUNTS,
     TFIDF,
@@ -158,7 +159,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             isinstance(values, Mapping),
             f"hyperparameters for {key} must be an object, got {values!r}",
         )
-        with _errors_of(f"hyperparameters for {key}"):
+        with errors_of(f"hyperparameters for {key}"):
             validate_hyperparameters(TRAINERS[key], values)
 
     for name, path in config.topics:
@@ -196,67 +197,56 @@ OVERRIDES: Mapping[str, Callable] = {
 }
 
 
-def load_config(
-    path: str | Path,
-    *,
-    seed: int | None = None,
-    folds: int | None = None,
-    min_df: int | None = None,
-    lexicon: str | None = None,
-    stopwords: str | None = None,
-    out_dir: str | None = None,
-    models: str | None = None,
-) -> RunConfig:
-    """Read a JSON config file and apply command-line overrides (flags win).
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    """Read a JSON config file and apply the command-line ``overrides``, each
+    named in ``OVERRIDES`` (flags win; ``None`` leaves the file's value).
 
     Relative paths inside the file resolve against the file's directory;
     override paths resolve against the working directory.
     """
-    flags = {
-        "seed": seed, "folds": folds, "min_df": min_df, "lexicon": lexicon,
-        "stopwords": stopwords, "out_dir": out_dir, "models": models,
-    }
+    if unexpected := overrides.keys() - OVERRIDES.keys():
+        raise TypeError(f"load_config() got an unexpected keyword argument {min(unexpected)!r}")
     path = Path(path)
-    raw = parse_json(read_input(path, ConfigError, "config file"), ConfigError, str(path))
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-
+    text = read_input(path, ConfigError, "config file")
     base = path.parent
-    topics_raw = raw.get("topics")
-    if not isinstance(topics_raw, dict) or not topics_raw:
-        raise ConfigError(f"{path}: 'topics' must map topic names to corpus paths")
-    topics = tuple(
-        (t, _config_path(p, base, f"{path}: topic {t!r}")) for t, p in topics_raw.items()
-    )
+    with errors_of(path):
+        raw = parse_json(text, ConfigError)
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    if "lexicon" not in raw:
-        raise ConfigError(f"{path}: 'lexicon' is required")
+        topics_raw = raw.get("topics")
+        if not isinstance(topics_raw, dict) or not topics_raw:
+            raise ConfigError("'topics' must map topic names to corpus paths")
+        topics = tuple((t, _config_path(p, base, f"topic {t!r}")) for t, p in topics_raw.items())
 
-    model_selection: tuple[str, ...] = MODEL_ORDER
-    if "models" in raw:
-        listed = raw["models"]
-        if not isinstance(listed, list):
-            raise ConfigError(f"{path}: 'models' must be a list")
-        model_selection = _parse_model_selection([str(m) for m in listed])
+        if "lexicon" not in raw:
+            raise ConfigError("'lexicon' is required")
 
-    for key in ("weighting", "hyperparameters"):
-        if not isinstance(raw.get(key, {}), dict):
-            raise ConfigError(f"{path}: '{key}' must be a JSON object, got {raw[key]!r}")
+        model_selection: tuple[str, ...] = MODEL_ORDER
+        if "models" in raw:
+            listed = raw["models"]
+            if not isinstance(listed, list):
+                raise ConfigError("'models' must be a list")
+            model_selection = _parse_model_selection([str(m) for m in listed])
 
-    config = RunConfig(
-        topics=topics,
-        lexicon=_config_path(raw["lexicon"], base, f"{path}: 'lexicon'"),
-        stopwords=_config_path(raw.get("stopwords"), base, f"{path}: 'stopwords'", nullable=True),
-        out_dir=_config_path(raw.get("out_dir", "report"), base, f"{path}: 'out_dir'"),
-        models=model_selection,
-        # Absent keys keep RunConfig's defaults.
-        **{key: raw[key] for key in ("seed", "folds", "min_df", "weighting", "hyperparameters") if key in raw},
-    )
-    overrides = {key: OVERRIDES[key](value) for key, value in flags.items() if value is not None}
-    return validate_config(replace(config, **overrides))
+        for key in ("weighting", "hyperparameters"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(f"'{key}' must be a JSON object, got {raw[key]!r}")
+
+        config = RunConfig(
+            topics=topics,
+            lexicon=_config_path(raw["lexicon"], base, "'lexicon'"),
+            stopwords=_config_path(raw.get("stopwords"), base, "'stopwords'", nullable=True),
+            out_dir=_config_path(raw.get("out_dir", "report"), base, "'out_dir'"),
+            models=model_selection,
+            # Absent keys keep RunConfig's defaults.
+            **{key: raw[key] for key in ("seed", "folds", "min_df", "weighting", "hyperparameters") if key in raw},
+        )
+    flags = {key: OVERRIDES[key](overrides[key]) for key in OVERRIDES if overrides.get(key) is not None}
+    return validate_config(replace(config, **flags))
 
 
 def _parse_model_selection(names: list[str]) -> tuple[str, ...]:
@@ -287,18 +277,9 @@ def trainer_for(key: str, config: RunConfig) -> Callable[[TrainingSet], Model]:
 
 
 @contextmanager
-def _errors_of(name: str) -> Iterator[None]:
-    """Prefix the message of a package error raised inside with ``name``."""
-    try:
-        yield
-    except TweetsentError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
-
-
-@contextmanager
 def _stage(name: str) -> Iterator[None]:
     logger.info("pipeline stage: %s", name)
-    with _errors_of(name):
+    with errors_of(name):
         yield
 
 
@@ -377,7 +358,7 @@ def _load_topic(
     with _stage("clean"):
         documents = tuple(clean_corpus(kept, stopwords))
     tokens = [doc.tokens for doc in documents]
-    with _stage("label"):
+    with _stage("label"), errors_of(path):
         labels, scores = label_corpus(lexicon, tokens)
         distribution = {label.tag: labels.count(label) for label in CANONICAL_LABELS}
     with _stage("featurize"):
@@ -403,7 +384,7 @@ def _load_topic(
 def load_topic_data(config: RunConfig) -> list[TopicData]:
     """Run the data stages (ingest through featurize) for every topic."""
     # Part of every topic's ingest stage, which logs once per topic.
-    with _errors_of("ingest"):
+    with errors_of("ingest"):
         lexicon = load_lexicon(config.lexicon)
         stopwords = load_stopwords(config.stopwords)
     topics = []
@@ -420,7 +401,7 @@ def load_topic_data(config: RunConfig) -> list[TopicData]:
 
 def train_topic_models(config: RunConfig, data: TopicData) -> dict[str, Model]:
     """Fit every selected model on the topic's full training set."""
-    with _stage("train"):
+    with _stage("train"), errors_of(f"topic {data.topic!r}"):
         fitted = {}
         for key in config.models:
             training = data.training_set(config.weighting[key])
@@ -431,7 +412,7 @@ def train_topic_models(config: RunConfig, data: TopicData) -> dict[str, Model]:
 
 def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
     """Cross-validate every selected model and assemble the topic report."""
-    with _stage("evaluate"):
+    with _stage("evaluate"), errors_of(f"topic {data.topic!r}"):
         rows = []
         warnings: list[str] = []
         for key in config.models:
@@ -545,10 +526,8 @@ def build_bundle(config: RunConfig, reports: tuple[TopicReport, ...]) -> tuple[d
         ).encode("utf-8")
         files[f"report_{report.topic}.json"] = json_bytes(asdict(report))
 
-    comparison = None
     if len(reports) == 2:
-        comparison = compare_topics(reports[0], reports[1])
-        files["comparison.json"] = json_bytes(comparison)
+        files["comparison.json"] = json_bytes(compare_topics(*reports))
 
     manifest = {
         "format_version": 1,
@@ -601,7 +580,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
     with _stage("report"):
         files, manifest = build_bundle(config, reports)
         write_bundle(config.out_dir, files)
-    comparison = compare_topics(reports[0], reports[1]) if len(reports) == 2 else None
+    comparison = json.loads(files["comparison.json"]) if "comparison.json" in files else None
     return RunResult(
         reports=reports, comparison=comparison, out_dir=config.out_dir, manifest=manifest
     )

@@ -2,6 +2,8 @@
 saved model file is a user error, so ``main()`` returns 0, 1 or 2 and never
 3 ("internal error").  A hyperparameter outside the range its trainer
 declares is a config error whatever the command, so it returns exactly 1.
+An exit 2 in which a mutated corpus, lexicon, stopword or model file's own
+loader refuses it names that file, once.
 
 Each test draws its mutations from one numpy generator with a fixed seed,
 so a failure names a case that replays exactly.  A huge value sizes no
@@ -121,14 +123,23 @@ def _run(argv, capsys):
 
 
 def _check(cases):
-    """``cases`` yields (description, exit code, stderr, the codes allowed);
-    every code must be one of those allowed."""
-    failures = [
-        f"{what}: exit {code}: {err.strip()[-300:]}"
-        for what, code, err, allowed in cases
-        if code not in allowed
-    ]
+    """``cases`` yields (description, exit code, stderr, the codes allowed,
+    and the file that stderr must name once, or None); every code must be
+    one of those allowed."""
+    failures = []
+    for what, code, err, allowed, named in cases:
+        if code not in allowed:
+            failures.append(f"{what}: exit {code}: {err.strip()[-300:]}")
+        elif named is not None and err.count(str(named)) != 1:
+            times = err.count(str(named))
+            failures.append(f"{what}: stderr names {named.name} {times} times: {err.strip()[-300:]}")
     assert not failures, "\n".join(failures)
+
+
+def _refused_by_ingest(code, err, path):
+    """``path`` if its loader refused it (exit 2 in the ingest stage),
+    which must then name it; else None."""
+    return path if code == 2 and err.startswith("error: ingest:") else None
 
 
 def _out_of_range(model, name, value) -> bool:
@@ -247,7 +258,7 @@ def test_mutated_configs_never_exit_3(base, tmp_path, capsys):
             path.write_text(_dumps(config), encoding="utf-8")
             command = _pick(rng, ["ingest", "label", "train", "crossval", "compare"])
             code, err = _run([command, "--config", str(path), *flags], capsys)
-            yield f"case {case}: {command} with {kind} {key} = {value!r}", code, err, allowed
+            yield f"case {case}: {command} with {kind} {key} = {value!r}", code, err, allowed, None
 
     _check(cases())
 
@@ -264,7 +275,7 @@ def test_every_string_value_as_a_path_never_exits_3(base, tmp_path, capsys, key)
             path = tmp_path / f"config{case}.json"
             path.write_text(_dumps(config), encoding="utf-8")
             code, err = _run(["train", "--config", str(path), "--model", "naive_bayes"], capsys)
-            yield f"train with {key} = {value!r}", code, err, NOT_INTERNAL
+            yield f"train with {key} = {value!r}", code, err, NOT_INTERNAL, None
 
     _check(cases())
 
@@ -299,7 +310,8 @@ def test_mutated_corpora_never_exit_3(base, tmp_path, capsys):
                 [command, "--config", str(work / "config.json"), "--model", "naive_bayes,svm"],
                 capsys,
             )
-            yield f"case {case}: {command} on {corpus.name} after {what}", code, err, NOT_INTERNAL
+            named = _refused_by_ingest(code, err, corpus)
+            yield f"case {case}: {command} on {corpus.name} after {what}", code, err, NOT_INTERNAL, named
 
     _check(cases())
 
@@ -335,7 +347,8 @@ def test_mutated_lexicons_and_stopwords_never_exit_3(base, tmp_path, capsys):
                 [command, "--config", str(work / "config.json"), "--model", "naive_bayes,maxent"],
                 capsys,
             )
-            yield f"case {case}: {command} after {what} in {target.name}", code, err, NOT_INTERNAL
+            named = _refused_by_ingest(code, err, target)
+            yield f"case {case}: {command} after {what} in {target.name}", code, err, NOT_INTERNAL, named
 
     _check(cases())
 
@@ -358,6 +371,8 @@ def test_mutated_model_files_never_exit_3(base, tmp_path, capsys):
             code, err = _run(
                 ["evaluate", "--config", str(work / "config.json"), "--model", model], capsys
             )
-            yield f"case {case}: evaluate {path.name} after {what}", code, err, NOT_INTERNAL
+            # Only the model file changed, so every exit 2 is its refusal.
+            named = path if code == 2 else None
+            yield f"case {case}: evaluate {path.name} after {what}", code, err, NOT_INTERNAL, named
 
     _check(cases())

@@ -1,5 +1,6 @@
 """Corpus loading, validation, text cleaning, and the hourly histogram."""
 
+import csv
 import json
 from datetime import datetime, timezone
 
@@ -96,7 +97,7 @@ class TestLoadJsonl:
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError) as err:
             load_corpus(path)
-        assert str(err.value) == f"line 2: invalid created_at {stamp!r} (date value out of range)"
+        assert str(err.value) == f"{path}: line 2: invalid created_at {stamp!r} (date value out of range)"
 
 
 class TestLoadCsv:
@@ -131,7 +132,22 @@ class TestLoadCsv:
         )
         with pytest.raises(CorpusError) as err:
             load_corpus(path)
-        assert str(err.value) == f"row 2: invalid created_at {stamp!r} (date value out of range)"
+        assert str(err.value) == f"{path}: row 2: invalid created_at {stamp!r} (date value out of range)"
+
+    @pytest.mark.parametrize("where", ["header", "row 2"])
+    def test_a_field_past_the_csv_size_limit_is_a_corpus_error(self, tmp_path, where):
+        """The csv module refuses a field of more than ``csv.field_size_limit()``
+        characters; that is the file's fault, so its loader's error."""
+        limit = csv.field_size_limit()
+        huge = "x" * (limit + 1)
+        header, row = "id,text,created_at,topic", f"b,{huge},2024-05-01T10:00:00Z,t"
+        if where == "header":
+            header, row = f"id,text,created_at,topic{huge}", "b,x,2024-05-01T10:00:00Z,t"
+        path = tmp_path / "c.csv"
+        path.write_text(f"{header}\na,x,2024-05-01T10:00:00Z,t\n{row}\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}: {where}: field larger than field limit ({limit})"
 
     @pytest.mark.parametrize(
         "name, first_line",

@@ -5,6 +5,7 @@ deterministic contents, so bundle bytes, manifests, and exit codes can be
 asserted exactly.
 """
 
+import csv
 import hashlib
 import inspect
 import json
@@ -177,10 +178,13 @@ class TestLoadConfig:
             "n_features_per_split",
         ]
 
-    def test_every_override_is_a_load_config_keyword_and_a_flag(self):
-        """The CLI hands each flag to the load_config keyword of its name."""
-        parameters = inspect.signature(load_config).parameters.values()
-        assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == list(OVERRIDES)
+    def test_every_override_is_a_load_config_keyword_and_a_flag(self, workspace):
+        """The CLI hands each flag to the load_config keyword of its name, and
+        load_config refuses any other keyword, as Python refuses one."""
+        path = workspace / "config.json"
+        assert load_config(path, **dict.fromkeys(OVERRIDES)) == load_config(path)
+        with pytest.raises(TypeError, match="load_config\\(\\) got an unexpected keyword argument 'outdir'"):
+            load_config(path, outdir="o")
         args = build_parser().parse_args([
             "ingest", "--config", "c.json", "--seed", "1", "--folds", "2", "--min-df", "3",
             "--lexicon", "l.tsv", "--stopwords", "s.txt", "--out", "o", "--model", "svm",
@@ -1304,7 +1308,7 @@ class TestUserErrorsAreNotInternalErrors:
         lexicon.write_text("good\tvery\n", encoding="utf-8")
         config = str(workspace / "config.json")
         assert main([command, "--config", config, "--lexicon", str(lexicon)]) == 2
-        assert "error: ingest: line 1: unparseable weight 'very'" in capsys.readouterr().err
+        assert f"error: ingest: {lexicon}: line 1: unparseable weight 'very'" in capsys.readouterr().err
         assert main([command, "--config", config, "--folds", "25"]) == 2
         assert "too few for 'folds' = 25" in capsys.readouterr().err
 
@@ -1362,7 +1366,9 @@ class TestUserErrorsAreNotInternalErrors:
         out = tmp_path / "labels"
         code = main(["label", "--config", str(path), "--lexicon", str(lexicon), "--out", str(out)])
         assert code == 2
-        assert "error: label: the score of document 0 (0-based) is inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: label: {corpus}: the score of document 0 (0-based) is inf" in err
+        assert err.count(str(corpus)) == 1
         assert not out.exists()
 
     def test_ingest_is_logged_once_per_topic(self, workspace, caplog):
@@ -1414,3 +1420,92 @@ class TestUserErrorsAreNotInternalErrors:
         code = main(["evaluate", *args])
         assert code == expected_code
         assert str(path) in capsys.readouterr().err
+
+
+class TestEveryRefusalNamesItsFile:
+    """A refused input is named once: the file first, then a record's JSONL
+    line or CSV row; a per-topic stage error names its topic or corpus."""
+
+    @staticmethod
+    def _two_topics(workspace, tmp_path, beta_records=None, suffix=".jsonl"):
+        """A two-topic config over copies of the workspace's inputs, whose
+        'beta' corpus holds ``beta_records`` in the format of ``suffix``."""
+        beta = tmp_path / f"beta{suffix}"
+        records = beta_records or _topic_docs("beta", 10, 6, 8)
+        if suffix == ".csv":
+            with open(beta, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+                writer.writeheader()
+                writer.writerows(records)
+        else:
+            beta.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        alpha = tmp_path / "alpha.jsonl"
+        alpha.write_bytes((workspace / "corpus_alpha.jsonl").read_bytes())
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_bytes((workspace / "lexicon.tsv").read_bytes())
+        payload = {
+            "topics": {"alpha": str(alpha), "beta": str(beta)},
+            "lexicon": str(lexicon),
+            "out_dir": str(tmp_path / "out"),
+        }
+        return write_config(tmp_path, payload), alpha, beta, lexicon
+
+    @staticmethod
+    def _refused(argv, capsys, code=2):
+        assert main(argv) == code
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix, unit", [(".jsonl", "line"), (".csv", "row")])
+    def test_a_bad_timestamp_in_the_second_corpus_names_it(
+        self, workspace, tmp_path, capsys, suffix, unit
+    ):
+        records = _topic_docs("beta", 10, 6, 8)
+        records[2]["created_at"] = "x" + records[2]["created_at"]
+        config, alpha, beta, _ = self._two_topics(workspace, tmp_path, records, suffix)
+        err = self._refused(["ingest", "--config", str(config)], capsys)
+        assert err.startswith(f"error: ingest: {beta}: {unit} 3: invalid created_at 'x2024-")
+        assert err.count(str(beta)) == 1 and str(alpha) not in err
+
+    @pytest.mark.parametrize("suffix, unit", [(".jsonl", "line"), (".csv", "row")])
+    def test_a_repeated_id_names_its_file_and_record(
+        self, workspace, tmp_path, capsys, suffix, unit
+    ):
+        records = _topic_docs("beta", 10, 6, 8)
+        records[3]["id"] = records[1]["id"]
+        config, _, beta, _ = self._two_topics(workspace, tmp_path, records, suffix)
+        err = self._refused(["ingest", "--config", str(config)], capsys)
+        assert err == f"error: ingest: {beta}: {unit} 4: duplicate tweet id 'beta-001'\n"
+
+    def test_an_unparseable_lexicon_weight_names_the_lexicon_and_line(
+        self, workspace, tmp_path, capsys
+    ):
+        config, _, _, lexicon = self._two_topics(workspace, tmp_path)
+        lexicon.write_text("# weights\ngood\t2.0\nbad\t-2.0\nlove\tvery\n", encoding="utf-8")
+        err = self._refused(["ingest", "--config", str(config)], capsys)
+        assert err == f"error: ingest: {lexicon}: line 4: unparseable weight 'very'\n"
+
+    def test_a_model_file_of_unknown_kind_names_it(self, workspace, tmp_path, capsys):
+        config, _, _, _ = self._two_topics(workspace, tmp_path)
+        args = ["--config", str(config), "--model", "naive_bayes"]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / "out" / model_filename("beta", "naive_bayes")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["model_kind"] = "perceptron"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        err = self._refused(["evaluate", *args], capsys)
+        assert err == f"error: {path}: unknown model kind 'perceptron'\n"
+
+    @pytest.mark.parametrize("command, stage", [("crossval", "evaluate"), ("train", "train")])
+    def test_a_single_class_topic_names_the_topic(
+        self, workspace, tmp_path, capsys, command, stage
+    ):
+        """A lexicon that matches no token labels every document Neutral,
+        which the SVM cannot train on."""
+        config, _, _, lexicon = self._two_topics(workspace, tmp_path)
+        lexicon.write_text("zzz\t1.0\nyyy\t-1.0\n", encoding="utf-8")
+        err = self._refused([command, "--config", str(config), "--model", "svm"], capsys)
+        assert err == (
+            f"error: {stage}: topic 'alpha': SVM training needs at least two classes, "
+            "got ['Neutral']\n"
+        )
