@@ -90,8 +90,8 @@ flat = tree.trees[0]
 print(f"    {flat.n_nodes} nodes, depth {flat.depth}; root splits on "
       f"{vocab.terms[flat.column[0]]!r} <= {flat.threshold[0]}")
 print(f"    flat arrays in preorder: column={flat.column.tolist()}")
-print(f"                             left  ={flat.left.tolist()}")
 print(f"                             right ={flat.right.tolist()}")
+print("    (an internal node's left child is the next node, so it is not stored)")
 print()
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,23 @@
 
 Every file carries ``format_version``, ``model_kind``, the class list (as
 lowercase tags in canonical order), the vocabulary, the ``weighting`` of
-the features the model was trained on, and a kind-specific ``params`` block.
-Floats are written with full ``repr`` precision, so a load followed by a
-save reproduces the parameters bit for bit.  Loading checks the recorded
-hyperparameters against the kind's trainer, as a config's are checked.
+the features the model was trained on, and a ``params`` block laid out by
+the model's family.  Floats are written with full ``repr`` precision, so a
+load followed by a save reproduces the parameters bit for bit.  Loading
+checks the recorded hyperparameters against the kind's trainer, as a
+config's are checked.
 
-Each tree is stored as the five flat lists of a
-:class:`~tweetsent.models.tree.Tree`: a decision tree's one tree as
-``params.tree``, an ensemble's members as the list ``params.trees``.
-Format 3 added ``weighting``; earlier formats (2, without it, and 1, with
-nested tree nodes) are not read, so retrain to replace such files.
+* A linear model (naive Bayes, SVM, maxent) writes ``hyper``, ``weights``
+  (one row per class), ``bias`` and ``loss_trace`` (null for naive Bayes
+  and the SVM).
+* A tree model (decision tree, random forest, bagging) writes ``hyper`` and
+  ``trees``, one tree for a decision tree, each as the four flat lists of a
+  :class:`~tweetsent.models.tree.Tree`.  A tree stores no left child: an
+  internal node's left child is the next node in preorder.
+
+Format 4 gave each family one layout and dropped the stored left child;
+earlier formats (3, 2 without ``weighting``, and 1 with nested tree nodes)
+are not read, so retrain to replace such files.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .tree import (
     train_bagging, train_decision_tree, train_random_forest,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # Each model kind's trainer, whose signature declares the hyperparameters
 # a model of that kind records.
@@ -41,6 +48,8 @@ TRAINERS = {
     NAIVE_BAYES: train_naive_bayes, SVM: train_linear_svm, MAXENT: train_maxent,
     DECISION_TREE: train_decision_tree, RANDOM_FOREST: train_random_forest, BAGGING: train_bagging,
 }
+# The kinds a LinearModel holds; every other kind is a TreeModel.
+LINEAR_KINDS = (NAIVE_BAYES, SVM, MAXENT)
 
 
 def _encode_tree(tree: Tree) -> dict:
@@ -69,14 +78,15 @@ def _float_array(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
-    """Rebuild a tree, rejecting arrays that do not form one: a cycle would
-    never let :meth:`~.tree.Tree.walk` finish, a column past the vocabulary
-    would index outside the rows, and a node whose class counts are
-    negative or sum to 0 (every node of a fitted tree holds a row) would
-    give no class shares."""
-    column, left, right = (_int_array(data[name], name) for name in ("column", "left", "right"))
+    """Rebuild a tree, rejecting arrays that do not form one: an internal
+    node's right child must come after its left child (the next node) and
+    before the end, so :meth:`~.tree.Tree.walk` only moves forward and
+    stops inside the tree; a column past the vocabulary would index outside
+    the rows, and a node whose class counts are negative or sum to 0 (every
+    node of a fitted tree holds a row) would give no class shares."""
+    column, right = _int_array(data["column"], "column"), _int_array(data["right"], "right")
     n_nodes = column.size
-    if n_nodes == 0 or any(a.shape != (n_nodes,) for a in (left, right)):
+    if n_nodes == 0 or right.shape != (n_nodes,):
         raise ValueError("tree arrays are empty or differ in length")
     threshold = _float_array(data["threshold"], "tree threshold", (n_nodes,))
     counts = _float_array(
@@ -87,32 +97,22 @@ def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
     if ((column < LEAF) | (column >= n_terms)).any():
         raise ValueError(f"tree column outside the {n_terms}-term vocabulary")
     leaf = column == LEAF
-    for name, child in (("left", left), ("right", right)):
-        if (child[leaf] != LEAF).any():
-            raise ValueError(f"tree leaf has a {name} child")
-        if ((child <= np.arange(n_nodes)) | (child >= n_nodes))[~leaf].any():
-            raise ValueError(f"tree {name} child is not a later node")
-    return Tree(column=column, threshold=threshold, left=left, right=right, counts=counts)
+    if (right[leaf] != LEAF).any():
+        raise ValueError("tree leaf has a right child")
+    if ((right <= np.arange(n_nodes) + 1) | (right >= n_nodes))[~leaf].any():
+        raise ValueError("tree right child is not a node after the left child")
+    return Tree(column=column, threshold=threshold, right=right, counts=counts)
 
 
 def _encode_params(model: Model) -> dict:
-    if model.kind == NAIVE_BAYES:
-        return {
-            "alpha": model.hyper["alpha"],
-            "class_log_prior": model.bias.tolist(),
-            "term_log_likelihood": model.weights.tolist(),
-        }
     if isinstance(model, LinearModel):
         return {
+            "hyper": model.hyper,
             "weights": model.weights.tolist(),
             "bias": model.bias.tolist(),
-            "hyper": model.hyper,
             "loss_trace": list(model.loss_trace) if model.loss_trace is not None else None,
         }
-    trees = [_encode_tree(tree) for tree in model.trees]
-    if model.kind == DECISION_TREE:
-        return {"hyper": model.hyper, "tree": trees[0]}
-    return {"hyper": model.hyper, "trees": trees}
+    return {"hyper": model.hyper, "trees": [_encode_tree(tree) for tree in model.trees]}
 
 
 def encode_model(model: Model) -> bytes:
@@ -154,7 +154,7 @@ def _decode_model(document: dict) -> Model:
     if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads version {FORMAT_VERSION}); retrain with 'tweetsent train'"
         )
     kind = document["model_kind"]
     tags = document["classes"]
@@ -177,33 +177,25 @@ def _decode_model(document: dict) -> Model:
     if trainer is None:
         raise ModelFormatError(f"unknown model kind {kind!r}")
     header = {"classes": classes, "terms": terms, "weighting": weighting}
-    if kind == NAIVE_BAYES:
-        # Naive Bayes keeps its one hyperparameter among its parameters.
-        hyper = {"alpha": float(_float_array(params["alpha"], "alpha", ()))}
-    else:
-        hyper = params["hyper"]
-        if not isinstance(hyper, dict):
-            raise ValueError(f"hyper must be an object, got {hyper!r}")
+    hyper = params["hyper"]
+    if not isinstance(hyper, dict):
+        raise ValueError(f"hyper must be an object, got {hyper!r}")
     hyper = validate_hyperparameters(trainer, hyper)
-    if kind in (NAIVE_BAYES, MAXENT, SVM):
-        weights, bias = (
-            ("term_log_likelihood", "class_log_prior") if kind == NAIVE_BAYES else ("weights", "bias")
-        )
-        trace = None if kind == NAIVE_BAYES else params["loss_trace"]
+    if kind in LINEAR_KINDS:
+        trace = params["loss_trace"]
         if trace is not None:
             trace = tuple(_float_array(trace, "loss_trace", (np.size(trace),)).tolist())
         return LinearModel(
             kind=kind,
             **header,
-            weights=_float_array(params[weights], weights, (len(classes), len(terms))),
-            bias=_float_array(params[bias], bias, (len(classes),)),
+            weights=_float_array(params["weights"], "weights", (len(classes), len(terms))),
+            bias=_float_array(params["bias"], "bias", (len(classes),)),
             hyper=hyper,
             loss_trace=trace,
         )
-    listed = [params["tree"]] if kind == DECISION_TREE else params["trees"]
-    trees = tuple(_decode_tree(t, len(classes), len(terms)) for t in listed)
-    if not trees:
-        raise ValueError("ensemble has no trees")
+    trees = tuple(_decode_tree(t, len(classes), len(terms)) for t in params["trees"])
+    # As many trees as the fit grows: n_members, or one for a decision tree.
+    n_members = hyper.get("n_members", 1)
+    if len(trees) != n_members:
+        raise ValueError(f"{kind} holds {len(trees) or 'no'} trees, not n_members = {n_members}")
     return TreeModel(kind=kind, **header, trees=trees, hyper=hyper)
-
-

@@ -40,7 +40,8 @@ of each other and reproducible in isolation.  A decision tree is the
 one-member committee that sees every row and every column, and draws no
 random number.
 
-A fitted :class:`Tree` is five flat per-node arrays, as in scikit-learn,
+A fitted :class:`Tree` is four flat per-node arrays in preorder, as in
+scikit-learn less the left-child array (a left child is the next node),
 grown with explicit stacks and walked level by level for all rows at
 once, so no tree is too deep for the interpreter's recursion limit.
 
@@ -101,15 +102,15 @@ class Tree:
     """A fitted tree as parallel per-node arrays in depth-first preorder.
 
     Node 0 is the root.  An internal node routes a row left when
-    ``row[column] <= threshold``, else right; its children come after it.
-    A leaf has ``column``, ``left`` and ``right`` equal to ``LEAF`` and
-    threshold 0.  ``counts[i]`` are the class counts of the training rows
-    that reached node ``i``.
+    ``row[column] <= threshold``, else right.  Its left child is the next
+    node in preorder, ``i + 1``, so only its right child is stored: a later
+    node, after the left child's subtree.  A leaf has ``column`` and
+    ``right`` equal to ``LEAF`` and threshold 0.  ``counts[i]`` are the
+    class counts of the training rows that reached node ``i``.
     """
 
     column: np.ndarray  # int64, (n_nodes,)
     threshold: np.ndarray  # float64, (n_nodes,)
-    left: np.ndarray  # int64, (n_nodes,)
     right: np.ndarray  # int64, (n_nodes,)
     counts: np.ndarray  # float64, (n_nodes, n_classes)
 
@@ -122,7 +123,7 @@ class Tree:
         """Edge count of the longest root-to-leaf path."""
         level = np.zeros(self.n_nodes, dtype=np.int64)
         for node in np.flatnonzero(self.column != LEAF):  # parents before children
-            level[[self.left[node], self.right[node]]] = level[node] + 1
+            level[[node + 1, self.right[node]]] = level[node] + 1
         return int(level.max())
 
     def walk(self, x: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
@@ -135,29 +136,23 @@ class Tree:
             internal = self.column[at] != LEAF
             active, at = active[internal], at[internal]
             goes_left = x[rows[active], self.column[at]] <= self.threshold[at]
-            node[active] = np.where(goes_left, self.left[at], self.right[at])
+            node[active] = np.where(goes_left, at + 1, self.right[at])
         return node
 
 
 def stack_trees(trees) -> tuple[Tree, np.ndarray]:
     """The trees as one :class:`Tree` whose node arrays run tree after tree,
-    with child links shifted to match, and the index of each tree's root."""
+    with right-child links shifted to match, and the index of each tree's
+    root.  Left children need no shift: each is still the next node."""
     sizes = [tree.n_nodes for tree in trees]
     roots = np.zeros(len(sizes), dtype=np.int64)
     np.cumsum(sizes[:-1], out=roots[1:])
-    offset = np.repeat(roots, sizes)
     column = np.concatenate([tree.column for tree in trees])
-    internal = column != LEAF
-
-    def links(name):
-        link = np.concatenate([getattr(tree, name) for tree in trees])
-        return np.where(internal, link + offset, LEAF)
-
+    right = np.concatenate([tree.right for tree in trees])
     stacked = Tree(
         column=column,
         threshold=np.concatenate([tree.threshold for tree in trees]),
-        left=links("left"),
-        right=links("right"),
+        right=np.where(column != LEAF, right + np.repeat(roots, sizes), LEAF),
         counts=np.concatenate([tree.counts for tree in trees]),
     )
     return stacked, roots
@@ -461,7 +456,6 @@ class _Growth:
         return Tree(
             column=column,
             threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.where(column == LEAF, LEAF, np.arange(column.size) + 1),
             right=np.array(self.right, dtype=np.int64),
             counts=np.array(self.counts, dtype=np.float64).reshape(
                 column.size, n_classes

@@ -23,11 +23,11 @@ from tweetsent.models.tree import LEAF, Tree
 
 from conftest import one_row
 
-TREE_ARRAYS = ("column", "threshold", "left", "right", "counts")
+TREE_ARRAYS = ("column", "threshold", "right", "counts")
 
 
 def same_tree(a: Tree, b: Tree) -> bool:
-    """Structural equality: all five per-node arrays are equal."""
+    """Structural equality: all four per-node arrays are equal."""
     return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in TREE_ARRAYS)
 
 
@@ -138,9 +138,7 @@ class TestVoting:
         counts = np.zeros((1, 3))
         counts[0, winning_class_index] = 1.0
         leaf = np.array([LEAF])
-        return Tree(
-            column=leaf, threshold=np.zeros(1), left=leaf, right=leaf, counts=counts
-        )
+        return Tree(column=leaf, threshold=np.zeros(1), right=leaf, counts=counts)
 
     def _committee(self, votes):
         return TreeModel(

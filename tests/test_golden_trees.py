@@ -1,11 +1,11 @@
 """Golden trees: every node array of every fitted tree, pinned by hash.
 
 Each decision tree, random-forest member and bagging member fitted on
-seeded ``datagen`` corpora is recorded as the SHA-256 of its five arrays
-(column, threshold, left, right, counts).  Tree growth uses no BLAS, only
-integer counts and elementwise float arithmetic, so the hashes hold on any
-machine; the bundle golden test sees trees only through two-decimal
-metrics, this one sees every split.
+seeded ``datagen`` corpora is recorded as the SHA-256 of its four arrays
+and its implied left children (column, threshold, left, right, counts).
+Tree growth uses no BLAS, only integer counts and elementwise float
+arithmetic, so the hashes hold on any machine; the bundle golden test sees
+trees only through two-decimal metrics, this one sees every split.
 
 The expected hashes live in ``golden/trees.json``.  Regenerate them only
 for a deliberate behaviour change, and say so in the change log:
@@ -17,7 +17,6 @@ import hashlib
 import json
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ import pytest
 from tweetsent.datagen import write_demo_data
 from tweetsent.features import COUNTS
 from tweetsent.models import train_bagging, train_decision_tree, train_random_forest
-from tweetsent.models.tree import Tree
+from tweetsent.models.tree import LEAF, Tree
 from tweetsent.pipeline import load_config, load_topic_data
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "trees.json"
@@ -50,12 +49,20 @@ FITS = {
 
 
 def tree_hash(tree: Tree) -> str:
-    """SHA-256 over each array's dtype, shape and little-endian bytes."""
+    """SHA-256 over each array's dtype, shape and little-endian bytes.
+
+    A tree stores no left children, but they are hashed in their old place
+    (an internal node's is the next node), so the hashes recorded when
+    trees stored them still pin every tree."""
+    left = np.where(tree.column == LEAF, LEAF, np.arange(tree.n_nodes) + 1)
+    arrays = {
+        "column": tree.column, "threshold": tree.threshold, "left": left,
+        "right": tree.right, "counts": tree.counts,
+    }
     digest = hashlib.sha256()
-    for f in fields(Tree):
-        array = getattr(tree, f.name)
+    for name, array in arrays.items():
         array = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
-        digest.update(f"{f.name}:{array.dtype.str}:{array.shape};".encode())
+        digest.update(f"{name}:{array.dtype.str}:{array.shape};".encode())
         digest.update(array.tobytes())
     return digest.hexdigest()
 

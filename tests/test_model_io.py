@@ -152,6 +152,23 @@ class TestRoundTrip:
         assert load_model(path).weighting == weighting
 
     @pytest.mark.parametrize("kind", sorted(TRAINERS))
+    def test_params_have_one_layout_per_family(self, kind, tmp_path):
+        """Naive Bayes is laid out as the other linear models, and a
+        decision tree as the committees, with its one tree in ``trees``."""
+        model = TRAINERS[kind](make_toy_training_set())
+        _, document = saved_document(model, tmp_path)
+        params = document["params"]
+        if kind in ("naive_bayes", "svm", "maxent"):
+            assert sorted(params) == ["bias", "hyper", "loss_trace", "weights"]
+            assert (params["loss_trace"] is None) == (kind != "maxent")
+        else:
+            assert sorted(params) == ["hyper", "trees"]
+            assert len(params["trees"]) == len(model.trees)
+            assert all(sorted(tree) == ["column", "counts", "right", "threshold"]
+                       for tree in params["trees"])
+        assert params["hyper"] == model.hyper
+
+    @pytest.mark.parametrize("kind", sorted(TRAINERS))
     def test_save_load_save_is_byte_stable(self, kind, tmp_path):
         """Serialization is canonical: a second save changes nothing."""
         model = TRAINERS[kind](make_toy_training_set())
@@ -177,17 +194,22 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_formats_are_rejected(self, version, tmp_path):
-        """Format 1 stored trees as nested nodes and format 2 did not record
-        the features' weighting; neither is read any more."""
+        """Format 1 stored trees as nested nodes, format 2 did not record
+        the features' weighting, and format 3 laid naive Bayes and the
+        decision tree out on their own and stored every tree's left
+        children; none is read any more, and the refusal names the file
+        and the remedy."""
         path, document = self._valid_document(tmp_path)
         document["format_version"] = version
         del document["weighting"]
         path.write_text(json.dumps(document), encoding="utf-8")
-        with pytest.raises(
-            ModelFormatError, match=f"unsupported model format version {version}"
-        ):
+        message = (
+            f"{path}: unsupported model format version {version} "
+            "(this build reads version 4); retrain with 'tweetsent train'"
+        )
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
     @pytest.mark.parametrize("weighting", ["binary", "COUNTS", None, 1, ["counts"]])
@@ -230,14 +252,14 @@ class TestFormatValidation:
 
     def test_missing_params_field_is_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
-        del document["params"]["alpha"]
+        del document["params"]["bias"]
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="missing field"):
             load_model(path)
 
     def test_unparseable_parameters_are_rejected(self, tmp_path):
         path, document = self._valid_document(tmp_path)
-        document["params"]["class_log_prior"] = "not numbers"
+        document["params"]["bias"] = "not numbers"
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
@@ -245,20 +267,21 @@ class TestFormatValidation:
     @pytest.mark.parametrize(
         "alpha, message",
         [
-            ("NaN", "alpha must hold numbers"),
-            (float("nan"), "alpha holds a NaN"),
-            (float("inf"), "alpha holds a NaN or infinite value"),
-            (0.0, "alpha must be positive"),
-            (-1.0, "alpha must be positive"),
-            ([1.0], "alpha has shape (1,)"),
-            (True, "alpha must hold numbers"),
+            ("NaN", "'alpha' must be finite float, got 'NaN'"),
+            (float("nan"), "'alpha' must be finite float, got nan"),
+            (float("inf"), "'alpha' must be finite float, got inf"),
+            (0.0, "alpha must be positive, got 0.0"),
+            (-1.0, "alpha must be positive, got -1.0"),
+            ([1.0], "'alpha' must be finite float, got [1.0]"),
+            (True, "'alpha' must be finite float, got True"),
         ],
     )
     def test_alpha_must_be_a_finite_positive_number(self, alpha, message, tmp_path):
-        """``float()`` once read the string "NaN" here, and a re-save wrote a
-        bare NaN into the JSON."""
+        """Naive Bayes' ``alpha`` sits in ``params.hyper`` and follows its
+        trainer's rule, as every hyperparameter does.  ``float()`` once read
+        the string "NaN" here, and a re-save wrote a bare NaN into the JSON."""
         path, document = self._valid_document(tmp_path)
-        document["params"]["alpha"] = alpha
+        document["params"]["hyper"]["alpha"] = alpha
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
@@ -337,14 +360,18 @@ def tree_document(tmp_path):
 def corrupt_tree(tree: dict, defect: str) -> None:
     """Break one structural rule of a saved tree's flat arrays, in place."""
     if defect == "cycle":
-        tree["left"][0] = 0
+        tree["right"][0] = 0
+    elif defect == "right-is-the-left-child":
+        tree["right"][0] = 1
+    elif defect == "internal-last-node":
+        tree["column"][-1] = 0
     elif defect == "backward-child":
         internal = [i for i, c in enumerate(tree["column"]) if c != -1]
         tree["right"][internal[-1]] = internal[0]
     elif defect == "child-past-the-end":
         tree["right"][0] = len(tree["column"])
     elif defect == "leaf-with-child":
-        tree["left"][tree["column"].index(-1)] = 1
+        tree["right"][tree["column"].index(-1)] = len(tree["column"]) - 1
     elif defect == "column-outside-vocabulary":
         tree["column"][0] = 10_000
     elif defect == "negative-column":
@@ -364,7 +391,7 @@ def corrupt_tree(tree: dict, defect: str) -> None:
     elif defect == "non-integer-column":
         tree["column"][0] = 0.5
     elif defect == "no-nodes":
-        for name in ("column", "threshold", "left", "right", "counts"):
+        for name in ("column", "threshold", "right", "counts"):
             tree[name] = []
     else:
         raise AssertionError(defect)
@@ -372,6 +399,8 @@ def corrupt_tree(tree: dict, defect: str) -> None:
 
 TREE_DEFECTS = [
     "cycle",
+    "right-is-the-left-child",
+    "internal-last-node",
     "backward-child",
     "child-past-the-end",
     "leaf-with-child",
@@ -394,7 +423,8 @@ class TestTreeStructureValidation:
     @pytest.mark.parametrize("defect", TREE_DEFECTS)
     def test_decision_tree_defect_is_rejected(self, defect, tmp_path):
         path, document = tree_document(tmp_path)
-        corrupt_tree(document["params"]["tree"], defect)
+        tree, = document["params"]["trees"]
+        corrupt_tree(tree, defect)
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="malformed model file: tree"):
             load_model(path)
@@ -410,6 +440,27 @@ class TestTreeStructureValidation:
         corrupt_tree(tree, defect)
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="malformed model file: tree"):
+            load_model(path)
+
+    def test_decision_tree_with_two_trees_is_rejected(self, tmp_path):
+        """A decision tree holds one tree: a second would make it average
+        two trees' class shares."""
+        path, document = tree_document(tmp_path)
+        document["params"]["trees"] *= 2
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError, match=re.escape("decision_tree holds 2 trees, not n_members = 1")
+        ):
+            load_model(path)
+
+    def test_ensemble_with_a_tree_short_of_n_members_is_rejected(self, tmp_path):
+        model = train_bagging(make_toy_training_set(), n_members=3, seed=0)
+        path, document = saved_document(model, tmp_path)
+        document["params"]["trees"].pop()
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError, match=re.escape("bagging holds 2 trees, not n_members = 3")
+        ):
             load_model(path)
 
     def test_ensemble_without_trees_is_rejected(self, tmp_path):

@@ -1154,13 +1154,36 @@ class TestUserErrorsAreNotInternalErrors:
         capsys.readouterr()
         path = tmp_path / "model_alpha_decision_tree.json"
         document = json.loads(path.read_text(encoding="utf-8"))
-        assert len(document["params"]["tree"]["column"]) >= 3
-        corrupt_tree(document["params"]["tree"], defect)
+        tree, = document["params"]["trees"]
+        assert len(tree["column"]) >= 3
+        corrupt_tree(tree, defect)
         path.write_text(json.dumps(document), encoding="utf-8")
         code = main(["evaluate", *args])
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}: malformed model file: tree" in err
+
+    def test_format_3_model_file_names_the_remedy(self, workspace, tmp_path, capsys):
+        """A file of an earlier format is refused as a data error that
+        names the file and says to retrain."""
+        args = [
+            "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path),
+            "--model", "svm",
+        ]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / "model_alpha_svm.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["format_version"] = 3
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (
+            f"{path}: unsupported model format version 3 (this build reads version 4); "
+            "retrain with 'tweetsent train'"
+        ) in err
 
     @pytest.mark.parametrize(
         "model, hyper, message",
@@ -1225,13 +1248,13 @@ class TestUserErrorsAreNotInternalErrors:
             ("naive_bayes", "classes", ["positive"] * 3, "'classes' must be distinct labels"),
             # Reversed, the classes would move the canonical tie-break.
             ("svm", "classes", lambda tags: tags[::-1], "distinct labels in canonical order"),
-            ("naive_bayes", "class_log_prior", [-1.0], "class_log_prior has shape (1,)"),
+            ("naive_bayes", "bias", [-1.0], "bias has shape (1,)"),
             ("svm", "bias", [0.5], "bias has shape (1,)"),
             ("svm", "weights", lambda rows: sum(rows, []), "weights has shape ("),
-            ("naive_bayes", "class_log_prior", ["NaN"] * 3, "class_log_prior must hold numbers"),
-            ("naive_bayes", "class_log_prior", [float("nan")] * 3, "class_log_prior holds a NaN"),
-            ("naive_bayes", "alpha", "NaN", "alpha must hold numbers"),
-            ("naive_bayes", "alpha", -1.0, "alpha must be positive"),
+            ("naive_bayes", "bias", ["NaN"] * 3, "bias must hold numbers"),
+            ("naive_bayes", "bias", [float("nan")] * 3, "bias holds a NaN"),
+            ("naive_bayes", "hyper", {"alpha": "NaN"}, "'alpha' must be finite float, got 'NaN'"),
+            ("naive_bayes", "hyper", {"alpha": -1.0}, "alpha must be positive, got -1.0"),
             ("maxent", "loss_trace", [1.0, "NaN"], "loss_trace must hold numbers"),
         ],
     )

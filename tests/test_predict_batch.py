@@ -81,7 +81,7 @@ def reference_tree_walk(tree, vec):
             if pos < vec.indices.size and vec.indices[pos] == column
             else 0.0
         )
-        node = tree.left[node] if value <= tree.threshold[node] else tree.right[node]
+        node = node + 1 if value <= tree.threshold[node] else tree.right[node]
     return tree.counts[node] / tree.counts[node].sum()
 
 

@@ -212,12 +212,12 @@ def reference_grow(x, y, n_classes, *, rows=None, column_sampler=None):
     """A tree grown recursively, node by node in preorder, with
     ``reference_best_split``: an engine-independent oracle for the whole
     tree and, through ``column_sampler``, for the order of its calls."""
-    nodes = []  # [column, threshold, left, right, counts]
+    nodes = []  # [column, threshold, right, counts]
 
     def grow(rows):
         node = len(nodes)
         counts = np.bincount(y[rows], minlength=n_classes)
-        nodes.append([LEAF, 0.0, LEAF, LEAF, counts])
+        nodes.append([LEAF, 0.0, LEAF, counts])
         if rows.shape[0] < 2 or np.count_nonzero(counts) == 1:
             return node
         columns = np.arange(x.shape[1]) if column_sampler is None else column_sampler()
@@ -225,29 +225,27 @@ def reference_grow(x, y, n_classes, *, rows=None, column_sampler=None):
         if split is not None:
             goes_left = x[rows, split[0]] <= split[1]
             nodes[node][:2] = split
-            nodes[node][2] = grow(rows[goes_left])
-            nodes[node][3] = grow(rows[~goes_left])
+            grow(rows[goes_left])  # the left child is the next node
+            nodes[node][2] = grow(rows[~goes_left])
         return node
 
     grow(np.arange(y.shape[0]) if rows is None else rows)
-    column, threshold, left, right, counts = zip(*nodes)
+    column, threshold, right, counts = zip(*nodes)
     return Tree(
         column=np.array(column),
         threshold=np.array(threshold),
-        left=np.array(left),
         right=np.array(right),
         counts=np.array(counts, dtype=np.float64),
     )
 
 
 def flatten_tree(tree):
-    """Per-node (column, threshold, left, right, counts) tuples in preorder:
+    """Per-node (column, threshold, right, counts) tuples in preorder:
     equal iff the trees are."""
     return list(
         zip(
             tree.column.tolist(),
             tree.threshold.tolist(),
-            tree.left.tolist(),
             tree.right.tolist(),
             map(tuple, tree.counts.tolist()),
         )
@@ -585,7 +583,7 @@ class TestNodeCounts:
             if tree.column[node] == LEAF:
                 expected = np.bincount(y[rows][reached == node], minlength=3)
             else:
-                expected = tree.counts[tree.left[node]] + tree.counts[tree.right[node]]
+                expected = tree.counts[node + 1] + tree.counts[tree.right[node]]
             np.testing.assert_array_equal(tree.counts[node], expected)
 
 
@@ -758,7 +756,6 @@ class TestDecisionTreeModel:
                 Tree(
                     column=np.array([0, LEAF, LEAF]),
                     threshold=np.array([0.5, 0.0, 0.0]),
-                    left=np.array([1, LEAF, LEAF]),
                     right=np.array([2, LEAF, LEAF]),
                     counts=np.array([[3.0, 0.0, 2.0], [3.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
                 ),

@@ -121,7 +121,7 @@ def _refused(name, workspace, capsys, raw, keys, reason):
 
 
 # Where each input takes a nested value, and an integer.
-DEEP_KEYS = {"config": ("topics",), "corpus": ("text",), "model": ("params", "class_log_prior")}
+DEEP_KEYS = {"config": ("topics",), "corpus": ("text",), "model": ("params", "bias")}
 LONG_KEYS = {"config": ("seed",), "corpus": ("extra",), "model": ("format_version",)}
 
 # The most digits Python converts to an integer: 0 where there is no limit,
