@@ -21,7 +21,7 @@ from dataclasses import asdict
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .evaluation import score
-from .exceptions import ConfigError, DataError, TweetsentError
+from .exceptions import ConfigError, DataError, errors_of
 from .models import encode_model, load_model
 from .pipeline import (
     METRICS,
@@ -175,23 +175,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     f"{path}: holds a model of kind {model.kind!r}, "
                     f"not the {key!r} model its name says"
                 )
-            if model.weighting != config.weighting[key]:
-                raise DataError(
-                    f"{path}: model was trained on {model.weighting!r} features, "
-                    f"but this config gives {key} {config.weighting[key]!r} features"
-                )
             training = data.training_set(config.weighting[key])
-            if tuple(model.terms) != training.matrix.vocab.terms:
-                raise DataError(
-                    f"{path}: stored vocabulary does not match the features "
-                    "derived from this config (different corpus or min_df?)"
-                )
-            if not set(model.classes) <= set(training.classes):
-                raise DataError(
-                    f"{path}: stored classes {[c.tag for c in model.classes]} include a "
-                    "label no document has under this config (different lexicon?)"
-                )
-            accuracy, macro = score(model, training.matrix, training.y(), training.classes)
+            with errors_of(path):
+                accuracy, macro = score(model, training.matrix, training.y(), training.classes)
             results.append(
                 {
                     "topic": data.topic,
@@ -269,9 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:  # OSError: an output write failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TweetsentError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

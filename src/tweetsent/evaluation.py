@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import DataError
 from .features import DocTermMatrix
 from .lexicon import SentimentLabel
 from .models import Model, TrainingSet, seeded_rng
@@ -151,9 +152,14 @@ def score(
     """Accuracy and macro metrics of ``model`` on ``matrix``'s rows against
     ``gold``, each row's class as an index into ``classes``, with the
     confusion matrix built over ``classes``.  Every model class must be in
-    ``classes``."""
+    ``classes`` (``DataError``)."""
     predicted, _ = model.predict_batch(matrix)
-    lookup = _positions(model.classes, classes, "predicted")
+    try:
+        lookup = class_indices(model.classes, classes)
+    except KeyError as exc:
+        raise DataError(
+            f"model class {exc.args[0]!s} is not in the class list (a different lexicon?)"
+        ) from None
     cm = _tally(np.asarray(gold, dtype=np.int64), lookup[predicted], classes)
     return accuracy(cm), macro_average(per_class_metrics(cm))
 

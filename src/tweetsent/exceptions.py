@@ -111,5 +111,8 @@ def parse_json(text: str, error: type[TweetsentError]):
 
 def json_bytes(value) -> bytes:
     """``value`` as the bytes of a model file or a report bundle's JSON
-    file: sorted keys, so a value always gives the same bytes."""
-    return (json.dumps(value, ensure_ascii=False, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    file: sorted keys, so a value always gives the same bytes, and no NaN
+    or infinity, which strict JSON has no token for (``ValueError``)."""
+    return (
+        json.dumps(value, ensure_ascii=False, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    ).encode("utf-8")

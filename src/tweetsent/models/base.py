@@ -21,7 +21,7 @@ from typing import Annotated, ClassVar, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from ..exceptions import HyperparameterError, TrainingError
+from ..exceptions import DataError, HyperparameterError, TrainingError
 from ..features import DocTermMatrix
 from ..lexicon import SentimentLabel
 
@@ -217,10 +217,17 @@ class Model:
 
     def predict_batch(self, matrix: DocTermMatrix) -> tuple[np.ndarray, np.ndarray]:
         """Predicted class indices into ``classes`` and the per-class scores
-        of every row of ``matrix``."""
-        if matrix.n_terms != len(self.terms):
-            raise ValueError(
-                f"matrix over {matrix.n_terms} terms for a {len(self.terms)}-term model"
+        of every row of ``matrix``, which must hold features of the model's
+        weighting over its vocabulary (``DataError``)."""
+        if matrix.weighting != self.weighting:
+            raise DataError(
+                f"model was trained on {self.weighting!r} features, "
+                f"not on the {matrix.weighting!r} features given"
+            )
+        if matrix.vocab.terms != self.terms:
+            raise DataError(
+                f"model vocabulary ({len(self.terms)} terms) is not that of the "
+                f"features given ({matrix.n_terms} terms); a different corpus or min_df?"
             )
         if matrix.nnz and int(matrix.indices.max()) >= len(self.terms):
             raise ValueError(

@@ -82,8 +82,8 @@ def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
     node's right child must come after its left child (the next node) and
     before the end, so :meth:`~.tree.Tree.walk` only moves forward and
     stops inside the tree; a column past the vocabulary would index outside
-    the rows, and a node whose class counts are negative or sum to 0 (every
-    node of a fitted tree holds a row) would give no class shares."""
+    the rows, and a node whose class counts are negative, sum to 0 (every
+    node of a fitted tree holds a row) or overflow would give no class shares."""
     column, right = _int_array(data["column"], "column"), _int_array(data["right"], "right")
     n_nodes = column.size
     if n_nodes == 0 or right.shape != (n_nodes,):
@@ -92,8 +92,11 @@ def _decode_tree(data: dict, n_classes: int, n_terms: int) -> Tree:
     counts = _float_array(
         data["counts"], "tree counts", (n_nodes * n_classes,)
     ).reshape(n_nodes, n_classes)
-    if (counts < 0).any() or (counts.sum(axis=1) == 0).any():
-        raise ValueError("tree counts hold a negative value or a node summing to 0")
+    # Finite counts may still sum past the float range; the check reports it.
+    with np.errstate(over="ignore"):
+        totals = counts.sum(axis=1)
+    if (counts < 0).any() or not ((totals > 0) & np.isfinite(totals)).all():
+        raise ValueError("tree counts hold a negative value or a node summing to 0 or overflowing")
     if ((column < LEAF) | (column >= n_terms)).any():
         raise ValueError(f"tree column outside the {n_terms}-term vocabulary")
     leaf = column == LEAF

@@ -17,7 +17,7 @@ from typing import Annotated
 
 import numpy as np
 
-from ..exceptions import TrainingError
+from ..exceptions import DataError, TrainingError
 from ..features import DocTermMatrix
 from .base import (
     NON_NEGATIVE, POSITIVE, Model, Seed, TrainingSet, at_least, at_most, check_hyperparameters,
@@ -52,8 +52,18 @@ class LinearModel(Model):
     loss_trace: tuple[float, ...] | None = None
 
     def _scores(self, matrix: DocTermMatrix) -> np.ndarray:
-        """Margins per row; softmax of them unless the model is an SVM."""
-        margins = matrix.dot(self.weights) + self.bias
+        """Margins per row; softmax of them unless the model is an SVM.
+
+        Finite parameters may still overflow in the product, so margins
+        that are not finite raise :class:`DataError`.  The check is on the
+        margins, not on the scores: a margin of -inf has a finite softmax
+        share, 0.
+        """
+        # The check below reports an overflow, so numpy need not warn.
+        with np.errstate(over="ignore"):
+            margins = matrix.dot(self.weights) + self.bias
+        if not np.isfinite(margins).all():
+            raise DataError("a margin is not finite: a model parameter overflows when scored")
         return margins if self.kind == SVM else softmax(margins)
 
 
@@ -67,6 +77,8 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.
 
     Raises:
         HyperparameterError: alpha <= 0.
+        TrainingError: a log likelihood is not finite (``alpha`` so large
+            that the smoothed totals overflow).
     """
     check_hyperparameters(train_naive_bayes, locals())
     m = ts.matrix
@@ -83,6 +95,8 @@ def train_naive_bayes(ts: TrainingSet, *, alpha: Annotated[float, POSITIVE] = 1.
         log_likelihood = np.log(term_counts + alpha) - np.log(totals + alpha * n_terms)
     else:
         log_likelihood = np.zeros((n_classes, 0), dtype=np.float64)
+    if not np.isfinite(log_likelihood).all():
+        raise TrainingError(f"naive Bayes likelihoods are not finite; lower alpha={alpha}")
     log_prior = np.log(doc_counts / m.n_docs)
     return LinearModel(
         kind=NAIVE_BAYES,

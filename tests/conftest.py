@@ -10,7 +10,7 @@ import pytest
 
 from tweetsent.corpus import RawTweet, save_corpus
 from tweetsent.datagen import make_toy_training_set
-from tweetsent.features import COUNTS, DocTermMatrix, build_vocabulary
+from tweetsent.features import DocTermMatrix, build_vocabulary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = REPO_ROOT / "data" / "demo"
@@ -21,15 +21,16 @@ DEMO_DIR = REPO_ROOT / "data" / "demo"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
-def one_row(terms, cols, weights) -> DocTermMatrix:
-    """A hand-built document over a model's ``terms``: the one-row matrix
-    holding ``weights`` at the increasing columns ``cols``."""
+def one_row(model, cols, weights) -> DocTermMatrix:
+    """A hand-built document for ``model``: the one-row matrix over its
+    ``terms`` and of its ``weighting`` holding ``weights`` at the increasing
+    columns ``cols``."""
     return DocTermMatrix(
-        vocab=build_vocabulary([list(terms)]),
+        vocab=build_vocabulary([list(model.terms)]),
         indptr=np.array([0, len(cols)], dtype=np.int64),
         indices=np.array(cols, dtype=np.int64),
         data=np.array(weights, dtype=np.float64),
-        weighting=COUNTS,
+        weighting=model.weighting,
     )
 
 

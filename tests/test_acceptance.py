@@ -121,7 +121,7 @@ def test_criterion_2_exact_posterior_oracle(announce):
             classes, expected = _oracle_posteriors(count_rows, labels, query)
             cols = np.array([j for j, c in enumerate(query) if c], dtype=np.int64)
             weights = np.array([c for c in query if c], dtype=np.float64)
-            scores = model.predict(one_row(model.terms, cols, weights)).scores
+            scores = model.predict(one_row(model, cols, weights)).scores
             for cls, exact in zip(classes, expected):
                 gap = abs(scores[cls] - float(exact))
                 worst = max(worst, gap)

@@ -54,6 +54,7 @@ LONG_JSON = "9" * ((getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
 # instant falls in year 10000.
 VALUES = [
     None, True, False, -1, 0, 1, 3, 2.5, float("nan"), float("inf"), -float("inf"),
+    sys.float_info.max, -sys.float_info.max,
     "", "abc", "positive", "2024-13-45T99:00:00Z", "9999-12-31T23:30:00-01:00", "a\0b",
     [], [1], ["all"], ["abc", 1], {}, {"a": 1}, [[0.5]], DEEP, LONG,
 ]

@@ -155,7 +155,7 @@ class TestVoting:
 
     def test_vote_counts_tally_member_predictions(self):
         model = self._committee([0, 2, 2, 1, 2])
-        vec = one_row(model.terms, [], [])
+        vec = one_row(model, [], [])
         scores = model.predict(vec).scores
         np.testing.assert_array_equal(
             [scores[c] for c in model.classes], np.array([1.0, 1.0, 3.0]) / 5
@@ -165,12 +165,12 @@ class TestVoting:
     def test_ties_break_to_the_earlier_class(self):
         """Positive precedes Negative, so a 1-1 split predicts Positive."""
         model = self._committee([2, 0])
-        vec = one_row(model.terms, [], [])
+        vec = one_row(model, [], [])
         assert model.predict(vec).label is SentimentLabel.POSITIVE
 
     def test_scores_are_vote_shares(self):
         model = self._committee([0, 0, 1, 2])
-        vec = one_row(model.terms, [], [])
+        vec = one_row(model, [], [])
         scores = model.predict(vec).scores
         assert scores[SentimentLabel.POSITIVE] == 0.5
         assert sum(scores.values()) == pytest.approx(1.0)

@@ -23,6 +23,7 @@ from tweetsent.evaluation import (
     per_class_metrics,
     score,
 )
+from tweetsent.exceptions import DataError
 from tweetsent.features import build_count_matrix, build_vocabulary
 from tweetsent.lexicon import CANONICAL_LABELS, SentimentLabel
 from tweetsent.models import TrainingSet, train_naive_bayes
@@ -380,5 +381,5 @@ class TestScore:
         docs = [("good",), ("bad",)]
         matrix = build_count_matrix(build_vocabulary(docs), docs)
         model = train_naive_bayes(TrainingSet(matrix=matrix, labels=(POS, NEG)))
-        with pytest.raises(ValueError, match="Negative is not in the class list"):
+        with pytest.raises(DataError, match="model class Negative is not in the class list"):
             score(model, matrix, np.array([0, 0]), (POS, NEU))

@@ -650,7 +650,7 @@ class TestLinearModelContract:
     def test_maxent_scores_form_a_distribution(self):
         """Softmax scores are positive and sum to one."""
         model = self._model("maxent")
-        vec = one_row(model.terms, [0], [1.0])
+        vec = one_row(model, [0], [1.0])
         scores = model.predict(vec).scores
         assert all(s > 0.0 for s in scores.values())
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
@@ -658,7 +658,7 @@ class TestLinearModelContract:
     def test_svm_scores_are_raw_margins(self):
         """SVM predictions expose decision values, not normalized scores."""
         model = self._model("svm")
-        vec = one_row(model.terms, [2], [4.0])
+        vec = one_row(model, [2], [4.0])
         dense = np.zeros(4)
         dense[vec.indices] = vec.data
         margins = model.weights @ dense + model.bias
@@ -670,6 +670,6 @@ class TestLinearModelContract:
     def test_out_of_range_column_is_rejected(self):
         """A vector indexing past the vocabulary raises immediately."""
         model = self._model("svm")
-        vec = one_row(model.terms, [4], [1.0])
+        vec = one_row(model, [4], [1.0])
         with pytest.raises(ValueError, match="out of range"):
             model.predict(vec)

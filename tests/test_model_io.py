@@ -386,6 +386,9 @@ def corrupt_tree(tree: dict, defect: str) -> None:
         n_classes = len(tree["counts"]) // len(tree["column"])
         leaf = tree["column"].index(-1)
         tree["counts"][leaf * n_classes:(leaf + 1) * n_classes] = [0.0] * n_classes
+    elif defect == "overflowing-counts":
+        # Each count is finite, but a node's sum is past the float range.
+        tree["counts"] = [1e308] * len(tree["counts"])
     elif defect == "negative-count":
         tree["counts"][0] = -tree["counts"][0] - 1.0
     elif defect == "non-integer-column":
@@ -410,6 +413,7 @@ TREE_DEFECTS = [
     "counts-per-node",
     "zero-counts",
     "zero-count-node",
+    "overflowing-counts",
     "negative-count",
     "non-integer-column",
     "no-nodes",

@@ -96,7 +96,7 @@ class TestBruteForceOracle:
                 classes, expected = _oracle_posteriors(count_rows, labels, query)
                 cols = np.array([j for j, c in enumerate(query) if c], dtype=np.int64)
                 weights = np.array([c for c in query if c], dtype=np.float64)
-                got = model.predict(one_row(model.terms, cols, weights)).scores
+                got = model.predict(one_row(model, cols, weights)).scores
                 for cls, exact in zip(classes, expected):
                     assert got[cls] == pytest.approx(float(exact), abs=1e-9)
                     n_checks += 1
@@ -108,7 +108,7 @@ class TestBruteForceOracle:
                            (SentimentLabel.POSITIVE, SentimentLabel.POSITIVE,
                             SentimentLabel.NEGATIVE))
         model = train_naive_bayes(ts)
-        empty = one_row(model.terms, [], [])
+        empty = one_row(model, [], [])
         scores = model.predict(empty).scores
         assert scores[SentimentLabel.POSITIVE] == pytest.approx(2 / 3, abs=1e-12)
         assert scores[SentimentLabel.NEGATIVE] == pytest.approx(1 / 3, abs=1e-12)
@@ -119,7 +119,7 @@ class TestModelBehaviour:
         ts = _training_set(((2, 0), (0, 2)),
                            (SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE))
         model = train_naive_bayes(ts)
-        vec = one_row(model.terms, [0], [3.0])
+        vec = one_row(model, [0], [3.0])
         assert sum(model.predict(vec).scores.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_tie_predicts_canonical_first_class(self):
@@ -127,7 +127,7 @@ class TestModelBehaviour:
         ts = _training_set(((1,), (1,)),
                            (SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE))
         model = train_naive_bayes(ts)
-        vec = one_row(model.terms, [0], [1.0])
+        vec = one_row(model, [0], [1.0])
         prediction = model.predict(vec)
         assert prediction.scores[SentimentLabel.POSITIVE] == pytest.approx(
             prediction.scores[SentimentLabel.NEGATIVE]

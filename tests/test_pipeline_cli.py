@@ -11,6 +11,7 @@ import inspect
 import json
 import os
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -610,7 +611,9 @@ class TestCli:
         capsys.readouterr()
         code = main(["evaluate", *args, "--min-df", "3"])
         assert code == 2
-        assert "stored vocabulary does not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'model_alpha_naive_bayes.json'}: model vocabulary" in err
+        assert "is not that of the features given" in err
 
     def test_evaluate_rejects_a_model_of_another_kind(
         self, workspace, tmp_path, capsys
@@ -1140,7 +1143,10 @@ class TestUserErrorsAreNotInternalErrors:
 
     @pytest.mark.parametrize(
         "defect",
-        ["cycle", "column-outside-vocabulary", "unequal-lengths", "zero-counts", "negative-count"],
+        [
+            "cycle", "column-outside-vocabulary", "unequal-lengths", "zero-counts",
+            "overflowing-counts", "negative-count",
+        ],
     )
     def test_malformed_tree_file_is_a_data_error(
         self, defect, workspace, tmp_path, capsys
@@ -1319,7 +1325,58 @@ class TestUserErrorsAreNotInternalErrors:
         code = main(["evaluate", *args, "--lexicon", str(lexicon)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "include a label no document has under this config" in err
+        assert f"{tmp_path / 'model_alpha_naive_bayes.json'}: model class Negative is not" in err
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_model_whose_margins_overflow_is_a_data_error(
+        self, sign, workspace, tmp_path, capsys
+    ):
+        """Every weight is finite, so the file loads, but the margins
+        overflow: they are refused, with no numpy warning (which pytest
+        turns into an error, and so into exit 3).  A margin of -inf would
+        pass a check on the softmax scores, whose share for it is 0."""
+        args = [
+            "--config", str(workspace / "config.json"),
+            "--out", str(tmp_path),
+            "--model", "maxent",
+        ]
+        assert main(["train", *args]) == 0
+        capsys.readouterr()
+        path = tmp_path / "model_alpha_maxent.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        weights = document["params"]["weights"]
+        weights[0] = [sign * sys.float_info.max] * len(weights[0])
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: a margin is not finite" in err
+
+    @pytest.mark.parametrize(
+        "model, name",
+        [
+            (model, name)
+            for model in MODEL_ORDER
+            for name, declared in hyperparameters(TRAINERS[model]).items()
+            if declared.types == (float,)
+        ],
+    )
+    def test_float_hyperparameter_at_the_float_maximum_is_not_an_internal_error(
+        self, model, name, workspace, tmp_path, capsys
+    ):
+        """The largest finite float passes every range check; a fit it
+        overflows must end in the trainer's own error (exit 2) naming the
+        topic, not in a NaN score or a numpy warning (exit 3)."""
+        payload = minimal_config_payload(
+            workspace, hyperparameters={model: {name: sys.float_info.max}}
+        )
+        code = main(["crossval", "--config", str(write_config(tmp_path, payload)), "--model", model])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert "error: evaluate: topic 'alpha': " in err
+        if model == "naive_bayes":
+            assert code == 2 and "lower alpha=1.7976931348623157e+308" in err
 
     @pytest.mark.parametrize("command", ["ingest", "label"])
     def test_ingest_and_label_check_what_train_checks(

@@ -12,11 +12,13 @@ matrix's entries, plus a bounded chunk of dense rows for the tree walk.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tweetsent.evaluation import accuracy, confusion_matrix, cross_validate, k_fold_split
+from tweetsent.exceptions import DataError
 from tweetsent.features import (
     COUNTS, DocTermMatrix, build_count_matrix, build_vocabulary, tfidf_transform,
 )
@@ -35,8 +37,6 @@ from tweetsent.models import (
     train_random_forest,
 )
 from tweetsent.models.tree import LEAF, WALK_CHUNK
-
-from conftest import one_row
 
 LABELS = (SentimentLabel.POSITIVE, SentimentLabel.NEUTRAL, SentimentLabel.NEGATIVE)
 
@@ -186,15 +186,21 @@ def test_fold_model_that_lost_a_class(kind):
         assert result.folds[fold].accuracy == accuracy(cm)
 
 
+def small_fit(kind):
+    """A model of ``kind`` fitted on 30 random count rows over 6 terms, and
+    its training set."""
+    rng = np.random.default_rng(99)
+    labels = tuple(LABELS[i] for i in rng.integers(0, 3, size=30))
+    training = random_training_set(rng, len(labels), 6, labels, "counts")
+    return TRAINERS[kind](training), training
+
+
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
 def test_predict_is_a_one_row_batch(kind):
     """``predict(matrix.row(i))`` gives row i's batch label and scores,
     byte for byte; a matrix of any other number of rows, or over a
     narrower vocabulary than the model's, is refused."""
-    rng = np.random.default_rng(99)
-    labels = tuple(LABELS[i] for i in rng.integers(0, 3, size=30))
-    training = random_training_set(rng, len(labels), 6, labels, "counts")
-    model = TRAINERS[kind](training)
+    model, training = small_fit(kind)
     label_idx, scores = model.predict_batch(training.matrix)
     for i in range(training.n_docs):
         prediction = model.predict(training.matrix.row(i))
@@ -204,8 +210,31 @@ def test_predict_is_a_one_row_batch(kind):
     for rows in ([], [0, 1]):
         with pytest.raises(ValueError, match=f"one-row matrix, got {len(rows)} rows"):
             model.predict(training.matrix.take(rows))
-    with pytest.raises(ValueError, match=f"matrix over 2 terms for a {len(model.terms)}-term"):
-        model.predict(one_row(model.terms[:2], [1], [1.0]))
+    narrow = build_count_matrix(build_vocabulary([model.terms[:2]]), [[model.terms[1]]])
+    wording = rf"\({len(model.terms)} terms\) is not that of the features given \(2 terms\)"
+    with pytest.raises(DataError, match=wording):
+        model.predict(narrow)
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_a_same_width_matrix_over_other_terms_is_refused(kind):
+    """The width is not enough: a matrix over the model's terms in another
+    order has the model's width, but its columns name other terms."""
+    model, training = small_fit(kind)
+    vocab = build_vocabulary([list(reversed(model.terms))])
+    assert len(vocab) == len(model.terms) and vocab.terms != model.terms
+    with pytest.raises(DataError, match="model vocabulary .* is not that of the features given"):
+        model.predict_batch(replace(training.matrix, vocab=vocab))
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_a_matrix_of_another_weighting_is_refused(kind):
+    """The same rows and terms under another weighting hold other values."""
+    model, training = small_fit(kind)
+    with pytest.raises(
+        DataError, match="trained on 'counts' features, not on the 'tfidf' features given"
+    ):
+        model.predict_batch(tfidf_transform(training.matrix))
 
 
 def wide_matrix(rng, n_docs, n_terms, per_row):

@@ -775,21 +775,21 @@ class TestDecisionTreeModel:
     def test_absent_terms_route_as_zero(self):
         """A document without the split term takes the <= branch."""
         model = self._stump()
-        empty = one_row(model.terms, [], [])
+        empty = one_row(model, [], [])
         assert model.predict(empty).label is SentimentLabel.POSITIVE
-        present = one_row(model.terms, [0], [1.0])
+        present = one_row(model, [0], [1.0])
         assert model.predict(present).label is SentimentLabel.NEGATIVE
 
     def test_scores_are_leaf_class_shares(self):
         """Scores report the training-class mix of the reached leaf."""
         model = self._stump()
-        vec = one_row(model.terms, [0], [2.0])
+        vec = one_row(model, [0], [2.0])
         scores = model.predict(vec).scores
         assert scores[SentimentLabel.NEGATIVE] == 1.0
         assert sum(scores.values()) == pytest.approx(1.0)
 
     def test_out_of_range_column_is_rejected(self):
         model = self._stump()
-        vec = one_row(model.terms, [2], [1.0])
+        vec = one_row(model, [2], [1.0])
         with pytest.raises(ValueError, match="out of range"):
             model.predict(vec)
