@@ -41,6 +41,21 @@ from .pipeline import (
 )
 
 
+class _StderrHandler(logging.Handler):
+    """Prints a record to the ``sys.stderr`` of the moment: a warning as
+    ``warning: <message>``, a ``-v`` progress line as ``<logger>: <message>``."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        tag = record.levelname.lower() if record.levelno >= logging.WARNING else record.name
+        try:
+            print(f"{tag}: {record.getMessage()}", file=sys.stderr)
+        except OSError:  # a closed stderr loses the line, as logging's own handlers do
+            self.handleError(record)
+
+
+_LOG_HANDLER = _StderrHandler()
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         raise ConfigError(f"{self.prog}: {message}")
@@ -244,8 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    if args.verbose:
-        logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
+    package = logging.getLogger(__package__)
+    package.setLevel(logging.INFO)
+    package.addHandler(_LOG_HANDLER)  # a no-op once it is there: one per process
+    _LOG_HANDLER.setLevel(logging.INFO if args.verbose else logging.WARNING)
 
     try:
         return args.handler(args)

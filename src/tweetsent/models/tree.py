@@ -13,11 +13,11 @@ The split search is an exact histogram search.  :func:`bin_rows` bins
 each column once per fit, by its distinct values with zero among them,
 straight from the CSR matrix; a node then counts classes per bin from its
 nonzero entries and takes each column's zero bin as the node's class totals
-minus that column's nonzero counts.  Boundaries lie between adjacent bins
-that occur in the node, and are scored with the same midpoints and
-arithmetic as a sort of the node's values, so the search picks that sort's
-split bit for bit.  Counts are integer ``bincount``s, so there is no cap on
-the number of training rows.
+minus that column's nonzero counts, which it finds through each entry's
+bin.  Boundaries lie between adjacent bins that occur in the node, and
+are scored with the same midpoints and arithmetic as a sort of the node's
+values, so the search picks that sort's split bit for bit.  Counts are
+integer ``bincount``s, so there is no cap on the number of training rows.
 
 :func:`grow_trees` grows the members of an ensemble in lockstep, as
 GPU histogram tree builders do for the nodes of one level.  Each tree
@@ -163,13 +163,13 @@ class BinnedRows:
     """Training rows coded for the histogram split search.
 
     Each column's bins are its distinct values, zero among them; bins run
-    by column and then by ascending value (``bin_column``, ``bin_value``).
-    Entries are the matrix's nonzero values, row by row as in CSR (row
-    ``i`` has ``row_length[i]`` entries from ``row_start[i]``), each coded
-    with its row's label ``y``: ``entry_code`` is ``label * n_bins + bin``
-    and ``entry_column_code`` is ``label * n_columns + column``.  No entry
-    lies in a zero bin; ``zero_code[label * n_columns + c]`` is the code of
-    column ``c``'s zero bin.  The same entries, grouped by column
+    by column and then by ascending value (``bin_column``, ``bin_value``),
+    and ``zero_bin[c]`` is column ``c``'s zero bin.  Entries are the
+    matrix's nonzero values, row by row as in CSR (row ``i`` has
+    ``row_length[i]`` entries from ``row_start[i]``), none in a zero bin,
+    each coded with its row's label ``y`` as ``label * n_bins + bin``
+    (``entry_code``); ``bin_column_code[code]`` is such a code's ``label *
+    n_columns + column``.  The same entries, grouped by column
     (``column_ptr``, ``column_rows``, ``column_values``), route rows at a
     split.
     """
@@ -179,10 +179,10 @@ class BinnedRows:
     row_start: np.ndarray  # int64, (n_rows,)
     row_length: np.ndarray  # int64, (n_rows,)
     entry_code: np.ndarray  # int64, (nnz,)
-    entry_column_code: np.ndarray  # int64, (nnz,)
     bin_column: np.ndarray  # int64, (n_bins,)
     bin_value: np.ndarray  # float64, (n_bins,)
-    zero_code: np.ndarray  # int64, (n_classes * n_columns,)
+    bin_column_code: np.ndarray  # int64, (n_classes * n_bins,)
+    zero_bin: np.ndarray  # int64, (n_columns,)
     column_ptr: np.ndarray  # int64, (n_columns + 1,)
     column_rows: np.ndarray  # int64, (nnz,)
     column_values: np.ndarray  # float64, (nnz,)
@@ -198,7 +198,9 @@ class BinnedRows:
 
 def bin_rows(matrix: DocTermMatrix, y: np.ndarray, n_classes: int) -> BinnedRows:
     """Bin the rows of ``matrix``, whose row ``i`` has label ``y[i]`` out
-    of ``n_classes``, for :func:`grow_trees`, once per fit."""
+    of ``n_classes``, for :func:`grow_trees`, once per fit: three values
+    per entry, and what a bin or a column implies stored once per bin or
+    column."""
     n_rows, n_columns = matrix.n_docs, matrix.n_terms
     # A stored zero is no entry: it belongs to the column's zero bin.
     nonzero = matrix.data != 0
@@ -223,18 +225,16 @@ def bin_rows(matrix: DocTermMatrix, y: np.ndarray, n_classes: int) -> BinnedRows
     by_column = order[order < nnz]
     column_ptr = np.zeros(n_columns + 1, dtype=np.int64)
     np.cumsum(np.bincount(columns, minlength=n_columns), out=column_ptr[1:])
-    n_bins = bin_column.shape[0]
-    labels = y[rows]
     return BinnedRows(
         y=y,
         n_classes=n_classes,
         row_start=np.cumsum(row_length) - row_length,
         row_length=row_length,
-        entry_code=labels * n_bins + bin_of[:nnz],
-        entry_column_code=labels * n_columns + columns,
+        entry_code=y[rows] * bin_column.shape[0] + bin_of[:nnz],
         bin_column=bin_column,
         bin_value=sorted_values[starts_bin],
-        zero_code=(n_bins * np.arange(n_classes)[:, None] + bin_of[nnz:]).ravel(),
+        bin_column_code=(n_columns * np.arange(n_classes)[:, None] + bin_column).ravel(),
+        zero_bin=bin_of[nnz:],
         column_ptr=column_ptr,
         column_rows=rows[by_column],
         column_values=values[by_column],
@@ -246,9 +246,10 @@ def _histograms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class counts of every (node, class, bin) for the nodes with rows
     ``node_rows`` and integer class counts ``node_counts``: one
-    ``bincount`` of the nodes' nonzero entries, and each column's zero bin
-    gets the rest of its node.  Also returns which (node, column) pairs
-    have a nonzero entry: only those columns can split the node."""
+    ``bincount`` of the nodes' nonzero entries by bin and one by their
+    bins' columns, whose zero bins get the rest of their node.  Also
+    returns which (node, column) pairs have a nonzero entry: only those
+    columns can split the node."""
     n_nodes = len(node_rows)
     n_classes, n_columns = node_counts.shape[1], binned.n_columns
     n_bins = binned.bin_value.shape[0]
@@ -256,7 +257,7 @@ def _histograms(
     lengths = binned.row_length[rows]
     entries, _ = index_ranges(binned.row_start[rows], lengths)
     bin_code = binned.entry_code[entries]
-    column_code = binned.entry_column_code[entries]
+    column_code = binned.bin_column_code[bin_code]
     if n_nodes > 1:  # one node needs no node offsets
         node_of_entry = np.repeat(
             np.repeat(np.arange(n_nodes), [r.shape[0] for r in node_rows]), lengths
@@ -264,16 +265,14 @@ def _histograms(
         bin_code += node_of_entry * (n_classes * n_bins)
         column_code += node_of_entry * (n_classes * n_columns)
     hist = np.bincount(bin_code, minlength=n_nodes * n_classes * n_bins).reshape(
-        n_nodes, n_classes * n_bins
+        n_nodes, n_classes, n_bins
     )
     nonzero = np.bincount(
         column_code, minlength=n_nodes * n_classes * n_columns
-    ).reshape(n_nodes, n_classes * n_columns)
-    active = nonzero.reshape(n_nodes, n_classes, n_columns).any(axis=1)
-    hist[:, binned.zero_code] = np.subtract(
-        np.repeat(node_counts, n_columns, axis=1), nonzero, out=nonzero
-    )
-    return hist.reshape(n_nodes, n_classes, n_bins), active
+    ).reshape(n_nodes, n_classes, n_columns)
+    active = nonzero.any(axis=1)
+    hist[:, :, binned.zero_bin] = np.subtract(node_counts[:, :, None], nonzero, out=nonzero)
+    return hist, active
 
 
 def _boundaries(

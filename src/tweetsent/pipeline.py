@@ -292,7 +292,6 @@ class TopicData:
     labels: tuple
     scores: tuple[float, ...]
     distribution: dict
-    hourly: tuple[int, ...]
     matrices: dict[str, DocTermMatrix]
 
     def training_set(self, weighting: str) -> TrainingSet:
@@ -376,7 +375,6 @@ def _load_topic(
         labels=labels,
         scores=scores,
         distribution=distribution,
-        hourly=hourly_histogram(documents),
         matrices=matrices,
     )
 
@@ -436,7 +434,7 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
             topic=data.topic,
             documents=len(data.documents),
             distribution=data.distribution,
-            hourly=data.hourly,
+            hourly=hourly_histogram(data.documents),
             models=tuple(rows),
             warnings=tuple(warnings),
         )

@@ -1502,6 +1502,35 @@ class TestUserErrorsAreNotInternalErrors:
         assert str(path) in capsys.readouterr().err
 
 
+class TestStderrLog:
+    """The CLI prints the package's warnings as ``warning:`` lines, and its
+    stage lines only under the ``-v`` of the call at hand."""
+
+    @pytest.mark.parametrize("flags", [[], ["-v"]])
+    def test_a_one_sided_lexicon_prints_one_warning_line(
+        self, flags, workspace, tmp_path, capsys
+    ):
+        lexicon = tmp_path / "positive_only.tsv"
+        lexicon.write_text("good\t2.0\nlove\t1.0\n", encoding="utf-8")
+        config = str(workspace / "config.json")
+        assert main(["ingest", "--config", config, "--lexicon", str(lexicon), *flags]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        warning = (
+            f"warning: lexicon {lexicon} has no negative entries; "
+            "every document will lean one way"
+        )
+        assert [line for line in lines if line.startswith("warning:")] == [warning]
+        if not flags:
+            assert lines == [warning]
+
+    def test_verbose_ends_with_its_call(self, workspace, capsys):
+        config = str(workspace / "config.json")
+        assert main(["ingest", "-v", "--config", config]) == 0
+        assert "tweetsent.pipeline: pipeline stage: ingest" in capsys.readouterr().err
+        assert main(["ingest", "--config", config]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestEveryRefusalNamesItsFile:
     """A refused input is named once: the file first, then a record's JSONL
     line or CSV row; a per-topic stage error names its topic or corpus."""

@@ -587,6 +587,30 @@ class TestNodeCounts:
             np.testing.assert_array_equal(tree.counts[node], expected)
 
 
+class TestBinning:
+    """What the binning stores follows the entries, bins and columns."""
+
+    def test_binned_rows_keep_three_values_per_entry(self):
+        """On a wide random matrix, the binning's arrays with one value per
+        stored entry (its code, and its row and value by column) take 24
+        bytes an entry; the rest take at most three int64s per row, two
+        values plus one code per class per bin, and two int64s per column.
+        Neither an entry's column code nor a per-class zero bin is stored."""
+        rng = np.random.default_rng(11)
+        n_rows, n_columns, n_classes = 400, 3000, 3
+        x = count_matrix(rng, n_rows, n_columns) * (rng.random((n_rows, n_columns)) < 0.05)
+        binned = binned_rows(x, rng.integers(0, n_classes, size=n_rows), n_classes)
+        nnz, n_bins = np.count_nonzero(x), binned.bin_value.shape[0]
+        assert nnz not in {n_rows, n_bins, n_classes * n_bins, n_columns, n_columns + 1}
+        arrays = [
+            value for value in vars(binned).values() if isinstance(value, np.ndarray)
+        ]
+        per_entry = sum(a.nbytes for a in arrays if a.shape[0] == nnz)
+        assert per_entry == 24 * nnz
+        rest = sum(a.nbytes for a in arrays if a.shape[0] != nnz)
+        assert rest <= 8 * (3 * n_rows + (2 + n_classes) * n_bins + 2 * n_columns + 1)
+
+
 class TestGiniImpurity:
     """The oracle's impurity values checked against hand arithmetic."""
 
