@@ -49,18 +49,19 @@ print("tokens: ", tokenize(clean_text(noisy), stopwords))
 print()
 
 # ---------------------------------------------------------------------------
-# 4. clean_corpus applies both steps to every tweet and keeps the id,
-#    timestamp, and topic alongside the surviving tokens.
+# 4. clean_corpus applies both steps to every tweet: a cleaned tweet is
+#    its token tuple, in tweet order, so its id, timestamp and topic stay
+#    on the raw tweet at the same position.
 documents = clean_corpus(tweets, stopwords)
-print("first cleaned document:", documents[0])
-total_tokens = sum(len(d.tokens) for d in documents)
+print(f"first cleaned tweet {tweets[0].id!r}:", documents[0])
+total_tokens = sum(len(tokens) for tokens in documents)
 print(f"{len(documents)} documents, {total_tokens} tokens after cleaning")
 print()
 
 # ---------------------------------------------------------------------------
 # 5. Timestamps feed a 24-bin activity histogram — when does this topic
 #    get talked about?  The demo corpus is weighted toward lunch hours.
-histogram = hourly_histogram(documents)
+histogram = hourly_histogram(tweets)
 peak = max(range(24), key=lambda h: histogram[h])
 print("tweets per hour (UTC):")
 for hour, count in enumerate(histogram):

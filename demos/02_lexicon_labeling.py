@@ -56,8 +56,7 @@ print()
 #    view of public opinion.
 stopwords = load_stopwords(DEMO / "stopwords.txt")
 for topic_file in ("corpus_burgerhouse.jsonl", "corpus_espressobar.jsonl"):
-    documents = clean_corpus(load_corpus(DEMO / topic_file), stopwords)
-    labels, _ = label_corpus(lexicon, [doc.tokens for doc in documents])
+    labels, _ = label_corpus(lexicon, clean_corpus(load_corpus(DEMO / topic_file), stopwords))
     shares = {label.tag: labels.count(label) / len(labels) for label in CANONICAL_LABELS}
     print(f"{topic_file}:")
     for tag, share in shares.items():

@@ -28,19 +28,18 @@ docs = [
 ]
 
 # ---------------------------------------------------------------------------
-# 2. The vocabulary fixes the column order (first-appearance order) and
-#    records document frequencies.  min_df can drop rare terms.
-vocab = build_vocabulary(docs)
-print("terms:", vocab.terms)
-print("doc frequencies:", dict(zip(vocab.terms, vocab.doc_freq)))
-trimmed = build_vocabulary(docs, min_df=2)
-print("terms with min_df=2:", trimmed.terms)
+# 2. The vocabulary is a tuple of terms; it fixes the column order
+#    (first-appearance order).  min_df drops terms found in fewer
+#    documents.
+terms = build_vocabulary(docs)
+print("terms:", terms)
+print("terms with min_df=2:", build_vocabulary(docs, min_df=2))
 print()
 
 # ---------------------------------------------------------------------------
 # 3. The count matrix is CSR: row pointers, column indices, and values.
 #    Nothing is stored for absent terms.
-counts = build_count_matrix(vocab, docs)
+counts = build_count_matrix(terms, docs)
 print(f"count matrix: {counts.n_docs} docs x {counts.n_terms} terms, "
       f"{counts.nnz} stored entries")
 print("dense view:\n", counts.toarray())
@@ -50,7 +49,9 @@ print()
 
 # ---------------------------------------------------------------------------
 # 4. idf(n_docs, df) = ln(n_docs / df): strictly decreasing in df and zero
-#    for a term in every document.
+#    for a term in every document.  A term's df is the number of rows of
+#    the counts matrix that hold it.
+print("doc frequencies:", dict(zip(terms, np.bincount(counts.indices).tolist())))
 print("idf in a 4-document corpus:")
 for df in range(1, 5):
     print(f"  df={df}: idf={idf(4, df):.4f}")
@@ -71,5 +72,5 @@ print()
 #    one-row matrix; unseen words ("pizza") simply vanish rather than
 #    crashing the model.
 new_doc = ["tasty", "pizza", "tasty"]
-new_row = build_count_matrix(vocab, [new_doc])
+new_row = build_count_matrix(terms, [new_doc])
 print("new doc", new_doc, "-> indices =", new_row.indices, " data =", new_row.data)

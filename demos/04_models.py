@@ -36,8 +36,8 @@ training = make_toy_training_set()
 print(f"{training.n_docs} documents, {training.matrix.n_terms} terms, "
       f"classes = {[c.tag for c in training.classes]}")
 
-vocab = training.matrix.vocab
-probe = build_count_matrix(vocab, [["good", "fun", "fun"]])
+terms = training.matrix.terms
+probe = build_count_matrix(terms, [["good", "fun", "fun"]])
 print("probe document: ['good', 'fun', 'fun']")
 print()
 
@@ -88,7 +88,7 @@ tree = train_decision_tree(training, max_depth=None)
 show("decision tree", tree)
 flat = tree.trees[0]
 print(f"    {flat.n_nodes} nodes, depth {flat.depth}; root splits on "
-      f"{vocab.terms[flat.column[0]]!r} <= {flat.threshold[0]}")
+      f"{terms[flat.column[0]]!r} <= {flat.threshold[0]}")
 print(f"    flat arrays in preorder: column={flat.column.tolist()}")
 print(f"                             right ={flat.right.tolist()}")
 print("    (an internal node's left child is the next node, so it is not stored)")

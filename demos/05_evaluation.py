@@ -79,21 +79,19 @@ print()
 #    weak-labelled by the bundled lexicon, and vectorized.
 tweets = generate_corpus("burgerhouse", seed=7, n_docs=150)
 stop = load_stopwords(None)  # the generator avoids stopwords anyway
-docs = clean_corpus(tweets, stop)
+token_lists = clean_corpus(tweets, stop)
 lexicon = {
     token: float(weight)
     for token, weight in (
         line.split("\t") for line in lexicon_lines() if not line.startswith("#")
     )
 }
-token_lists = [doc.tokens for doc in docs]
 labels, _ = label_corpus(lexicon, token_lists)
 print("weak-label distribution:",
       {label.tag: labels.count(label) for label in CANONICAL_LABELS})
 
-vocab = build_vocabulary(token_lists, min_df=1)
 training = TrainingSet(
-    matrix=build_count_matrix(vocab, token_lists),
+    matrix=build_count_matrix(build_vocabulary(token_lists), token_lists),
     labels=labels,
 )
 print(f"training set: {training.n_docs} docs x {training.matrix.n_terms} terms")

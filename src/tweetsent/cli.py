@@ -118,7 +118,7 @@ def _emit(args: argparse.Namespace, payload: dict, header: list[str], rows: list
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     summaries = [
-        {"topic": data.topic, "documents": len(data.documents), "corpus": str(path)}
+        {"topic": data.topic, "documents": len(data.tweets), "corpus": str(path)}
         for (_, path), data in zip(config.topics, load_topic_data(config))
     ]
     columns = ["topic", "documents"]
@@ -130,7 +130,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     topic_data = load_topic_data(config)
     summaries = [
-        {"topic": data.topic, "documents": len(data.documents), "distribution": data.distribution}
+        {"topic": data.topic, "documents": len(data.tweets), "distribution": data.distribution}
         for data in topic_data
     ]
     payload: dict = {"topics": summaries}
@@ -139,8 +139,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
             f"labels_{data.topic}.csv": csv_text(
                 ["id", "label", "score"],
                 (
-                    [doc.id, label.tag, repr(value)]
-                    for doc, label, value in zip(data.documents, data.labels, data.scores)
+                    [tweet.id, label.tag, repr(value)]
+                    for tweet, label, value in zip(data.tweets, data.labels, data.scores)
                 ),
             ).encode("utf-8")
             for data in topic_data

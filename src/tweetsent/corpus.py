@@ -11,7 +11,8 @@ chosen by the file's suffix when it is loaded and when it is saved:
 
 Text normalization is a fixed rule sequence (lowercase, URL removal,
 mention removal, "#" stripping, punctuation/emoji removal, whitespace
-collapse) so that cleaning is deterministic and idempotent.
+collapse) so that cleaning is deterministic and idempotent. A cleaned
+tweet is its token tuple; its id, topic and time stay on its ``RawTweet``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .exceptions import CorpusError, errors_of, located, parse_json, read_input
 
 __all__ = [
     "RawTweet",
-    "CleanDocument",
     "load_corpus",
     "save_corpus",
     "load_stopwords",
@@ -50,16 +50,6 @@ class RawTweet:
     text: str
     created_at: datetime  # always timezone-aware, UTC
     topic: str
-
-
-@dataclass(frozen=True)
-class CleanDocument:
-    """A tweet after normalization and tokenization."""
-
-    id: str
-    tokens: tuple[str, ...]
-    topic: str
-    created_at: datetime
 
 
 def _parse_timestamp(value: str) -> datetime:
@@ -251,25 +241,17 @@ def tokenize(clean: str, stopwords: frozenset[str] | set[str] = frozenset()) -> 
 
 def clean_corpus(
     tweets: Iterable[RawTweet], stopwords: frozenset[str] | set[str] = frozenset()
-) -> list[CleanDocument]:
-    """Normalize and tokenize every tweet, preserving ids and metadata."""
-    return [
-        CleanDocument(
-            id=t.id,
-            tokens=tuple(tokenize(clean_text(t.text), stopwords)),
-            topic=t.topic,
-            created_at=t.created_at,
-        )
-        for t in tweets
-    ]
+) -> list[tuple[str, ...]]:
+    """Normalize and tokenize every tweet: its token tuple, in tweet order."""
+    return [tuple(tokenize(clean_text(t.text), stopwords)) for t in tweets]
 
 
-def hourly_histogram(docs: Iterable[CleanDocument | RawTweet]) -> tuple[int, ...]:
-    """Document counts per UTC hour of day: 24 bins, hour 0 first.
+def hourly_histogram(tweets: Iterable[RawTweet]) -> tuple[int, ...]:
+    """Tweet counts per UTC hour of day: 24 bins, hour 0 first.
 
-    The bin sum always equals the number of documents histogrammed.
+    The bin sum always equals the number of tweets histogrammed.
     """
     bins = [0] * 24
-    for doc in docs:
-        bins[doc.created_at.astimezone(timezone.utc).hour] += 1
+    for tweet in tweets:
+        bins[tweet.created_at.astimezone(timezone.utc).hour] += 1
     return tuple(bins)

@@ -284,8 +284,7 @@ def make_toy_training_set() -> TrainingSet:
         SentimentLabel.NEUTRAL, SentimentLabel.NEUTRAL, SentimentLabel.NEUTRAL,
         SentimentLabel.NEUTRAL,
     )
-    vocab = build_vocabulary(docs)
-    return TrainingSet(matrix=build_count_matrix(vocab, docs), labels=labels)
+    return TrainingSet(matrix=build_count_matrix(build_vocabulary(docs), docs), labels=labels)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -89,16 +90,25 @@ def errors_of(where: object) -> Iterator[None]:
         raise located(where, exc) from exc
 
 
+# A JSON escape: a surrogate pair, a lone surrogate (group 1), or any other
+# escaped character.
+_ESCAPE_RE = re.compile(
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)"
+)
+
+
 def parse_json(text: str, error: type[TweetsentError]):
     """The JSON value of ``text``; the caller says where the text is.
 
     Text that is not JSON, that nests too deeply for the parser's recursion
-    limit, or that holds an integer of more digits than Python converts
-    (``sys.get_int_max_str_digits()``) raises
-    ``error("not valid JSON (<reason>)")``.
+    limit, that holds an integer of more digits than Python converts
+    (``sys.get_int_max_str_digits()``), or that escapes a lone surrogate
+    in a string or key (``"\\ud83d"``, which RFC 7493 forbids and UTF-8
+    cannot encode) raises ``error("not valid JSON (<reason>)")``.
     """
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"not valid JSON ({exc.msg} at char {exc.pos})") from exc
     except ValueError as exc:
@@ -107,6 +117,15 @@ def parse_json(text: str, error: type[TweetsentError]):
         raise error(f"not valid JSON ({reason})") from exc
     except RecursionError as exc:
         raise error("not valid JSON (nested too deeply)") from exc
+    # Only a \u escape makes a surrogate: every backslash of valid JSON
+    # starts an escape, so the scan pairs them as the parser did.
+    if "\\u" in text:
+        for match in _ESCAPE_RE.finditer(text):
+            if match[1]:
+                raise error(
+                    f"not valid JSON (unpaired surrogate '\\{match[1]}' at char {match.start()})"
+                )
+    return value
 
 
 def json_bytes(value) -> bytes:

@@ -1,11 +1,13 @@
 """Vocabulary construction and sparse document-term matrices.
 
-The vocabulary is frozen on the training corpus (first-appearance term
-order, optional min_df pruning) and documents are vectorized against it;
-unseen terms are dropped. Matrices carry either raw counts or TF-IDF
-weights, where TF is the in-document count and IDF is ln(n_docs / df)
-with no smoothing. A single document is a one-row matrix: vectorize it
-with ``build_count_matrix(vocab, [tokens])`` or take ``matrix.row(i)``.
+A vocabulary is a tuple of terms, frozen on the training corpus
+(first-appearance term order, optional min_df pruning), and documents are
+vectorized against it; unseen terms are dropped. Matrices carry either raw
+counts or TF-IDF weights, where TF is the in-document count and IDF is
+ln(n_docs / df) with no smoothing, df being the number of the matrix's own
+rows that hold the term. A single document is a one-row matrix: vectorize
+it with ``build_count_matrix(terms, [tokens])``, for instance with a
+loaded model's ``terms``, or take ``matrix.row(i)``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .exceptions import DataError
 __all__ = [
     "COUNTS",
     "TFIDF",
-    "Vocabulary",
     "DocTermMatrix",
     "build_vocabulary",
     "build_count_matrix",
@@ -44,27 +45,15 @@ def index_ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, n
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    """Frozen term set with column positions and document frequencies."""
-
-    terms: tuple[str, ...]
-    index: dict[str, int]
-    doc_freq: np.ndarray  # int64, per term
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
 class DocTermMatrix:
     """Sparse document-by-term matrix in CSR layout.
 
     ``indptr`` has length n_docs + 1; row i occupies the half-open slice
     [indptr[i], indptr[i+1]) of ``indices``/``data``. Column indices are
-    strictly increasing within each row.
+    strictly increasing within each row, and column j is ``terms[j]``.
     """
 
-    vocab: Vocabulary
+    terms: tuple[str, ...]
     indptr: np.ndarray  # int64, len n_docs + 1
     indices: np.ndarray  # int64
     data: np.ndarray  # float64
@@ -76,7 +65,7 @@ class DocTermMatrix:
 
     @property
     def n_terms(self) -> int:
-        return len(self.vocab)
+        return len(self.terms)
 
     @property
     def nnz(self) -> int:
@@ -86,7 +75,7 @@ class DocTermMatrix:
         """Row ``i`` as a one-row matrix (same vocabulary and weighting)."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return DocTermMatrix(
-            vocab=self.vocab, indptr=self.indptr[i:i + 2] - lo,
+            terms=self.terms, indptr=self.indptr[i:i + 2] - lo,
             indices=self.indices[lo:hi], data=self.data[lo:hi], weighting=self.weighting,
         )
 
@@ -118,19 +107,20 @@ class DocTermMatrix:
         lengths = self.indptr[rows + 1] - starts
         source, indptr = index_ranges(starts, lengths)
         return DocTermMatrix(
-            vocab=self.vocab, indptr=indptr, indices=self.indices[source],
+            terms=self.terms, indptr=indptr, indices=self.indices[source],
             data=self.data[source], weighting=self.weighting,
         )
 
 
 def build_vocabulary(
     docs: Sequence[Sequence[str]], min_df: int = 1
-) -> Vocabulary:
-    """Scan token sequences and freeze the vocabulary.
+) -> tuple[str, ...]:
+    """Scan token sequences and freeze the vocabulary, a tuple of terms.
 
     Keeps exactly the terms appearing in at least ``min_df`` distinct
-    documents. Term order is first appearance across the corpus scan, so
-    the result is deterministic.
+    documents (a term repeated within one document counts once). Term
+    order is first appearance across the corpus scan, so the result is
+    deterministic.
 
     Raises:
         DataError: when the corpus has no documents.
@@ -152,21 +142,20 @@ def build_vocabulary(
                 df[tok] = df.get(tok, 0) + 1
                 seen.add(tok)
 
-    terms = tuple(t for t in order if df[t] >= min_df)
-    index = {t: i for i, t in enumerate(terms)}
-    doc_freq = np.array([df[t] for t in terms], dtype=np.int64)
-    return Vocabulary(terms=terms, index=index, doc_freq=doc_freq)
+    return tuple(t for t in order if df[t] >= min_df)
 
 
 def build_count_matrix(
-    vocab: Vocabulary, docs: Sequence[Sequence[str]]
+    terms: Sequence[str], docs: Sequence[Sequence[str]]
 ) -> DocTermMatrix:
-    """Vectorize a whole corpus against a frozen vocabulary.
+    """Vectorize a whole corpus against a frozen vocabulary, column j
+    counting ``terms[j]``.
 
     Each row holds the in-vocabulary token counts of one document, in
     increasing column order; out-of-vocabulary tokens are dropped.
     """
-    index = vocab.index
+    terms = tuple(terms)
+    index = {t: i for i, t in enumerate(terms)}
     indptr = [0]
     indices: list[int] = []
     data: list[int] = []
@@ -181,7 +170,7 @@ def build_count_matrix(
         data.extend(counts[c] for c in cols)
         indptr.append(len(indices))
     return DocTermMatrix(
-        vocab=vocab,
+        terms=terms,
         indptr=np.array(indptr, dtype=np.int64),
         indices=np.array(indices, dtype=np.int64),
         data=np.array(data, dtype=np.float64),
@@ -204,23 +193,22 @@ def idf(n_docs: int, df: int | np.ndarray) -> float | np.ndarray:
 def tfidf_transform(m: DocTermMatrix) -> DocTermMatrix:
     """Reweight a counts matrix to TF-IDF.
 
-    Each stored count becomes count * idf(n_docs, doc_freq[term]), so the
-    rows must be the vocabulary's fit corpus, with its document
-    frequencies. Weights that become exactly zero (terms present in every
-    document) are dropped, so the sparsity pattern can only shrink.
+    Each stored count becomes count * idf(n_docs, df[term]), where df is
+    the number of the matrix's rows that hold the term, so every term must
+    occur in some row (``idf`` raises ``ValueError`` otherwise). Weights
+    that become exactly zero (terms present in every row) are dropped, so
+    the sparsity pattern can only shrink.
     """
     if m.weighting != COUNTS:
         raise ValueError(f"expected a counts matrix, got weighting={m.weighting!r}")
-    if not np.array_equal(np.bincount(m.indices, minlength=m.n_terms), m.vocab.doc_freq):
-        raise ValueError("the matrix is not its vocabulary's fit corpus")
-    idf_per_term = idf(m.n_docs, m.vocab.doc_freq)
+    idf_per_term = idf(m.n_docs, np.bincount(m.indices, minlength=m.n_terms))
     new_data = m.data * idf_per_term[m.indices]
     keep = new_data != 0.0
     kept_per_row = np.bincount(m.entry_rows()[keep], minlength=m.n_docs)
     indptr = np.zeros(m.n_docs + 1, dtype=np.int64)
     np.cumsum(kept_per_row, out=indptr[1:])
     return DocTermMatrix(
-        vocab=m.vocab,
+        terms=m.terms,
         indptr=indptr,
         indices=m.indices[keep].copy(),
         data=new_data[keep],

@@ -168,7 +168,7 @@ class TrainingSet:
         ``classes``, its vocabulary ``terms`` and its ``weighting``."""
         return {
             "classes": self.classes,
-            "terms": self.matrix.vocab.terms,
+            "terms": self.matrix.terms,
             "weighting": self.matrix.weighting,
         }
 
@@ -224,7 +224,7 @@ class Model:
                 f"model was trained on {self.weighting!r} features, "
                 f"not on the {matrix.weighting!r} features given"
             )
-        if matrix.vocab.terms != self.terms:
+        if matrix.terms != self.terms:
             raise DataError(
                 f"model vocabulary ({len(self.terms)} terms) is not that of the "
                 f"features given ({matrix.n_terms} terms); a different corpus or min_df?"

@@ -31,7 +31,7 @@ import numpy as np
 from ..exceptions import ModelFormatError, errors_of, json_bytes, parse_json, read_input
 from ..features import COUNTS, TFIDF
 from ..lexicon import SentimentLabel
-from .base import Model, validate_hyperparameters
+from .base import Model, has_json_type, validate_hyperparameters
 from .linear import (
     MAXENT, NAIVE_BAYES, SVM, LinearModel, train_linear_svm, train_maxent, train_naive_bayes,
 )
@@ -56,18 +56,32 @@ def _encode_tree(tree: Tree) -> dict:
     return {f.name: getattr(tree, f.name).ravel().tolist() for f in fields(Tree)}
 
 
-def _int_array(values, name: str) -> np.ndarray:
+def _json_numbers(values, kinds: str) -> np.ndarray | None:
+    """``values`` as an array if each is a JSON number of a numpy kind in
+    ``kinds``, else None.  As in ``has_json_type``, a bool is no number,
+    though numpy reads ``true`` as 1, and a float is no integer; nor is a
+    string such as ``"NaN"``, which numpy would parse."""
     array = np.asarray(values)
-    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+    if not array.size:
+        return array
+    rows = values if array.ndim == 2 else (values,) if array.ndim else ()
+    if array.dtype.kind not in kinds or any(bool in map(type, row) for row in rows):
+        return None
+    return array
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    array = _json_numbers(values, "iu")
+    if array is None or array.ndim != 1:
         raise ValueError(f"tree field {name!r} must be a list of integers")
     return array.astype(np.int64)
 
 
 def _float_array(values, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """A parameter array of exactly ``shape`` holding finite JSON numbers
-    (no strings such as ``"NaN"``, which numpy would parse, no broadcasting)."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iuf":
+    (see ``_json_numbers``; no broadcasting)."""
+    array = _json_numbers(values, "iuf")
+    if array is None:
         raise ValueError(f"{name} must hold numbers")
     array = array.astype(np.float64)
     if array.shape != shape:
@@ -154,7 +168,7 @@ def load_model(path: str | Path) -> Model:
 
 def _decode_model(document: dict) -> Model:
     version = document["format_version"]
-    if version != FORMAT_VERSION:
+    if not has_json_type(version, (int,)) or version != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {version!r} "
             f"(this build reads version {FORMAT_VERSION}); retrain with 'tweetsent train'"

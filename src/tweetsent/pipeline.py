@@ -21,13 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .corpus import (
-    CleanDocument,
-    clean_corpus,
-    hourly_histogram,
-    load_corpus,
-    load_stopwords,
-)
+from .corpus import RawTweet, clean_corpus, hourly_histogram, load_corpus, load_stopwords
 from .evaluation import CVResult, cross_validate
 from .exceptions import ConfigError, DataError, errors_of, json_bytes, parse_json, read_input
 from .features import (
@@ -288,7 +282,7 @@ class TopicData:
     """Everything derived from one topic's corpus before modelling."""
 
     topic: str
-    documents: tuple[CleanDocument, ...]
+    tweets: tuple[RawTweet, ...]
     labels: tuple
     scores: tuple[float, ...]
     distribution: dict
@@ -355,23 +349,22 @@ def _load_topic(
         if not kept:
             raise DataError(f"{path} contains no documents with topic {name!r}")
     with _stage("clean"):
-        documents = tuple(clean_corpus(kept, stopwords))
-    tokens = [doc.tokens for doc in documents]
+        tokens = clean_corpus(kept, stopwords)
     with _stage("label"), errors_of(path):
         labels, scores = label_corpus(lexicon, tokens)
         distribution = {label.tag: labels.count(label) for label in CANONICAL_LABELS}
     with _stage("featurize"):
-        vocab = build_vocabulary(tokens, min_df=min_df)
-        if not vocab.terms:
+        terms = build_vocabulary(tokens, min_df=min_df)
+        if not terms:
             raise DataError(
                 f"{path}: topic {name!r} has no term in at least 'min_df' = {min_df} "
                 "documents, so no model has a feature to train on"
             )
-        count_matrix = build_count_matrix(vocab, tokens)
+        count_matrix = build_count_matrix(terms, tokens)
         matrices = {COUNTS: count_matrix, TFIDF: tfidf_transform(count_matrix)}
     return TopicData(
         topic=name,
-        documents=documents,
+        tweets=tuple(kept),
         labels=labels,
         scores=scores,
         distribution=distribution,
@@ -388,9 +381,9 @@ def load_topic_data(config: RunConfig) -> list[TopicData]:
     topics = []
     for name, path in config.topics:
         data = _load_topic(name, path, lexicon, stopwords, config.min_df)
-        if len(data.documents) < config.folds:
+        if len(data.tweets) < config.folds:
             raise DataError(
-                f"{path}: topic {name!r} has {len(data.documents)} documents, "
+                f"{path}: topic {name!r} has {len(data.tweets)} documents, "
                 f"too few for 'folds' = {config.folds}"
             )
         topics.append(data)
@@ -432,9 +425,9 @@ def evaluate_topic(config: RunConfig, data: TopicData) -> TopicReport:
             warnings.extend(f"{key}: {w}" for w in cv.warnings)
         return TopicReport(
             topic=data.topic,
-            documents=len(data.documents),
+            documents=len(data.tweets),
             distribution=data.distribution,
-            hourly=hourly_histogram(data.documents),
+            hourly=hourly_histogram(data.tweets),
             models=tuple(rows),
             warnings=tuple(warnings),
         )

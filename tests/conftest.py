@@ -10,7 +10,7 @@ import pytest
 
 from tweetsent.corpus import RawTweet, save_corpus
 from tweetsent.datagen import make_toy_training_set
-from tweetsent.features import DocTermMatrix, build_vocabulary
+from tweetsent.features import DocTermMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = REPO_ROOT / "data" / "demo"
@@ -26,7 +26,7 @@ def one_row(model, cols, weights) -> DocTermMatrix:
     ``terms`` and of its ``weighting`` holding ``weights`` at the increasing
     columns ``cols``."""
     return DocTermMatrix(
-        vocab=build_vocabulary([list(model.terms)]),
+        terms=model.terms,
         indptr=np.array([0, len(cols)], dtype=np.int64),
         indices=np.array(cols, dtype=np.int64),
         data=np.array(weights, dtype=np.float64),

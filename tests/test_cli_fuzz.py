@@ -50,12 +50,13 @@ LONG = "@long@"
 LONG_JSON = "9" * ((getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) + 1)
 
 # JSON values a mutation puts in place of a config, record or model field:
-# among them a path no file can have, and a valid local time whose UTC
-# instant falls in year 10000.
+# among them a path no file can have, a valid local time whose UTC instant
+# falls in year 10000, and a string holding half a surrogate pair, which
+# json.dumps writes as a \u escape.
 VALUES = [
     None, True, False, -1, 0, 1, 3, 2.5, float("nan"), float("inf"), -float("inf"),
     sys.float_info.max, -sys.float_info.max,
-    "", "abc", "positive", "2024-13-45T99:00:00Z", "9999-12-31T23:30:00-01:00", "a\0b",
+    "", "abc", "positive", "2024-13-45T99:00:00Z", "9999-12-31T23:30:00-01:00", "a\0b", "t\ud83d",
     [], [1], ["all"], ["abc", 1], {}, {"a": 1}, [[0.5]], DEEP, LONG,
 ]
 # Config integers may also be huge; they size no loop.

@@ -7,7 +7,6 @@ from datetime import datetime, timezone
 import pytest
 
 from tweetsent.corpus import (
-    CleanDocument,
     RawTweet,
     clean_corpus,
     clean_text,
@@ -213,22 +212,19 @@ class TestStopwords:
 
 
 class TestCleanCorpus:
-    def test_preserves_ids_and_order(self, tmp_path):
+    def test_gives_each_tweet_s_tokens_in_order(self, tmp_path):
         tweets = [_tweet(1, "First! #one"), _tweet(2, "second @user")]
-        docs = clean_corpus(tweets, frozenset())
-        assert [d.id for d in docs] == ["t-001", "t-002"]
-        assert docs[0].tokens == ("first", "one")
-        assert docs[1].tokens == ("second",)
+        assert clean_corpus(tweets, frozenset()) == [("first", "one"), ("second",)]
 
 
 class TestHourlyHistogram:
     def test_counts_by_utc_hour(self):
-        docs = [
-            CleanDocument(id=str(i), tokens=(), topic="t",
-                          created_at=datetime(2024, 5, 1, h, 0, tzinfo=timezone.utc))
+        tweets = [
+            RawTweet(id=str(i), text="", topic="t",
+                     created_at=datetime(2024, 5, 1, h, 0, tzinfo=timezone.utc))
             for i, h in enumerate([0, 0, 13, 23])
         ]
-        hist = hourly_histogram(docs)
+        hist = hourly_histogram(tweets)
         assert len(hist) == 24
         assert hist[0] == 2 and hist[13] == 1 and hist[23] == 1
         assert sum(hist) == 4

@@ -23,12 +23,12 @@ DOCS = [
 ]
 
 
-def reference_vectorize(vocab, tokens):
+def reference_vectorize(terms, tokens):
     """The per-document vectorizer ``build_count_matrix`` replaced, kept
     as its reference; it returns a document's (columns, weights)."""
     counts: dict[int, int] = {}
     for tok in tokens:
-        col = vocab.index.get(tok)
+        col = terms.index(tok) if tok in terms else None
         if col is not None:
             counts[col] = counts.get(col, 0) + 1
     cols = np.array(sorted(counts), dtype=np.int64)
@@ -36,14 +36,14 @@ def reference_vectorize(vocab, tokens):
     return cols, weights
 
 
-def reference_count_arrays(vocab, docs):
+def reference_count_arrays(terms, docs):
     """``indptr``, ``indices`` and ``data`` as the concatenation of
     :func:`reference_vectorize`'s per-document arrays."""
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)
     all_cols = []
     all_weights = []
     for i, tokens in enumerate(docs):
-        cols, weights = reference_vectorize(vocab, tokens)
+        cols, weights = reference_vectorize(terms, tokens)
         all_cols.append(cols)
         all_weights.append(weights)
         indptr[i + 1] = indptr[i] + len(cols)
@@ -54,16 +54,16 @@ def reference_count_arrays(vocab, docs):
 
 class TestVocabulary:
     def test_terms_in_first_appearance_order(self):
-        vocab = build_vocabulary(DOCS)
-        assert vocab.terms == ("apple", "banana", "cherry", "date")
+        assert build_vocabulary(DOCS) == ("apple", "banana", "cherry", "date")
 
-    def test_document_frequencies_count_documents_not_occurrences(self):
-        vocab = build_vocabulary(DOCS)
-        assert vocab.doc_freq.tolist() == [1, 2, 2, 1]
+    def test_min_df_counts_documents_not_occurrences(self):
+        """"a" occurs three times, but in one document; "cherry" three
+        times, in two."""
+        assert build_vocabulary([["a", "a", "a"], ["b"], ["b"]], min_df=2) == ("b",)
+        assert build_vocabulary(DOCS, min_df=3) == ()
 
     def test_min_df_prunes_rare_terms(self):
-        vocab = build_vocabulary(DOCS, min_df=2)
-        assert vocab.terms == ("banana", "cherry")
+        assert build_vocabulary(DOCS, min_df=2) == ("banana", "cherry")
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
@@ -125,7 +125,7 @@ class TestCountMatrix:
         for m in (counts, tfidf_transform(counts)):
             row = m.row(2)
             assert row.n_docs == 1 and row.indptr.tolist() == [0, row.nnz]
-            assert row.vocab is m.vocab and row.weighting == m.weighting
+            assert row.terms is m.terms and row.weighting == m.weighting
             np.testing.assert_array_equal(row.toarray(), m.toarray()[[2]])
         row = counts.row(0)
         assert row.indices.tolist() == [0, 1]
@@ -251,14 +251,22 @@ class TestTfidf:
         assert weighted.indptr.tolist() == [0, 0, 0]
         assert weighted.data.dtype == np.float64 and weighted.indices.dtype == np.int64
 
+    def test_document_frequencies_are_the_rows_own(self):
+        """Rows 0 and 3 hold every term, each in one of them, so each idf
+        there is ln(2/1). By its df over all four rows, 3, "b" would get
+        ln(2/3) < 0."""
+        docs = [["a", "b", "b"], ["b"], ["b"], ["c"]]
+        rows = build_count_matrix(build_vocabulary(docs), docs).take([0, 3])
+        weighted = tfidf_transform(rows)
+        assert weighted.toarray().tolist() == (rows.toarray() * idf(2, 1)).tolist()
+        assert (weighted.data > 0).all()
+
     @pytest.mark.parametrize("rows", [[0], []])
-    def test_refuses_rows_of_another_corpus(self, rows):
-        """ln(n_docs / doc_freq) over rows that are not the vocabulary's
-        fit corpus would weigh a term by two corpora: over the first row,
-        "banana" (in two of the three documents) would get ln(1/2) < 0,
-        and over none, log(0)."""
+    def test_refuses_rows_in_which_a_term_has_no_document(self, rows):
+        """Over the first row alone "cherry" and "date" occur in no row, and
+        over no rows every term: ln(n_docs / 0) has no value."""
         counts = build_count_matrix(build_vocabulary(DOCS), DOCS)
-        with pytest.raises(ValueError, match="not its vocabulary's fit corpus"):
+        with pytest.raises(ValueError, match=f"df must be in 1..{len(rows)}, got"):
             tfidf_transform(counts.take(rows))
 
     def test_requires_count_input(self):

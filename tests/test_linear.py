@@ -481,7 +481,7 @@ class TestSvmMarginProduct:
         c, x = 1.597, 1.461
         return TrainingSet(
             matrix=DocTermMatrix(
-                vocab=build_vocabulary([["a", "b"]]),
+                terms=("a", "b"),
                 indptr=np.array([0, 1, 2, 4]),
                 indices=np.array([0, 1, 0, 1]),
                 data=np.array([a, c, x0, x]),
@@ -636,7 +636,7 @@ class TestLinearModelContract:
         """Batch margins equal W @ x + b on the dense rows."""
         model = self._model("svm")
         matrix = DocTermMatrix(
-            vocab=build_vocabulary([list(model.terms)]),
+            terms=model.terms,
             indptr=np.array([0, 2, 2, 3]),
             indices=np.array([1, 3, 0]),
             data=np.array([2.0, -1.5, 0.5]),

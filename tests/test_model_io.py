@@ -67,6 +67,25 @@ class TestRoundTrip:
             assert after.label is before.label
             assert after.scores == before.scores
 
+    @pytest.mark.parametrize("kind", sorted(TRAINERS))
+    def test_a_loaded_model_s_terms_vectorise_a_document(self, kind, tmp_path):
+        """``build_count_matrix(model.terms, [tokens])`` is a row the loaded
+        model scores: a toy document's tokens, plus an unseen one, which
+        is dropped, score as its training row does, byte for byte."""
+        training = make_toy_training_set()
+        path, _ = saved_document(TRAINERS[kind](training), tmp_path)
+        model = load_model(path)
+        row = training.matrix.row(3)
+        tokens = ["unseen"] + [
+            model.terms[column] for column, count in zip(row.indices, row.data)
+            for _ in range(int(count))
+        ]
+        matrix = build_count_matrix(model.terms, [tokens])
+        assert matrix.terms == model.terms
+        assert matrix.toarray().tobytes() == row.toarray().tobytes()
+        for got, want in zip(model.predict_batch(matrix), model.predict_batch(row)):
+            assert got.tobytes() == want.tobytes()
+
     def test_naive_bayes_parameters_survive_bit_for_bit(self, tmp_path):
         model = TRAINERS["naive_bayes"](make_toy_training_set())
         path = tmp_path / "nb.json"
@@ -145,7 +164,7 @@ class TestRoundTrip:
             )
         model = TRAINERS[kind](training)
         assert model.classes == training.classes
-        assert model.terms == training.matrix.vocab.terms
+        assert model.terms == training.matrix.terms
         assert model.weighting == weighting
         path, document = saved_document(model, tmp_path)
         assert document["weighting"] == weighting
@@ -192,6 +211,32 @@ class TestFormatValidation:
         document["format_version"] = 99
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [4.0, True, "4"], ids=repr)
+    def test_a_version_is_an_integer(self, version, tmp_path):
+        """``4.0 == 4`` in Python, but a JSON float is no integer, as in a
+        config's integer fields."""
+        path, document = self._valid_document(tmp_path)
+        document["format_version"] = version
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError, match=re.escape(f"unsupported model format version {version!r}")
+        ):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["weights", "bias"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_boolean_is_no_parameter(self, field, value, tmp_path):
+        """numpy reads ``true`` as 1.0 and ``false`` as 0.0 in a list of
+        numbers, but a JSON bool is no number."""
+        path, document = self._valid_document(tmp_path)
+        row = document["params"][field]
+        if field == "weights":
+            row = row[0]
+        row[-1] = value
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"malformed model file: {field} must hold numbers"):
             load_model(path)
 
     @pytest.mark.parametrize("version", [1, 2, 3])
@@ -294,6 +339,7 @@ class TestFormatValidation:
             ([[1.0], [0.5]], "loss_trace has shape (2, 1)"),
             (1.0, "loss_trace has shape (), expected (1,)"),
             ("1.0", "loss_trace must hold numbers"),
+            ([1.0, True], "loss_trace must hold numbers"),
         ],
     )
     def test_loss_trace_must_be_null_or_finite_numbers(self, trace, message, tmp_path):
@@ -393,6 +439,13 @@ def corrupt_tree(tree: dict, defect: str) -> None:
         tree["counts"][0] = -tree["counts"][0] - 1.0
     elif defect == "non-integer-column":
         tree["column"][0] = 0.5
+    elif defect == "boolean-column":
+        # Column 1 to numpy, so the tree would split on another term.
+        tree["column"][0] = True
+    elif defect == "boolean-threshold":
+        tree["threshold"][0] = True
+    elif defect == "boolean-count":
+        tree["counts"][0] = True
     elif defect == "no-nodes":
         for name in ("column", "threshold", "right", "counts"):
             tree[name] = []
@@ -416,6 +469,9 @@ TREE_DEFECTS = [
     "overflowing-counts",
     "negative-count",
     "non-integer-column",
+    "boolean-column",
+    "boolean-threshold",
+    "boolean-count",
     "no-nodes",
 ]
 

@@ -210,7 +210,7 @@ def test_predict_is_a_one_row_batch(kind):
     for rows in ([], [0, 1]):
         with pytest.raises(ValueError, match=f"one-row matrix, got {len(rows)} rows"):
             model.predict(training.matrix.take(rows))
-    narrow = build_count_matrix(build_vocabulary([model.terms[:2]]), [[model.terms[1]]])
+    narrow = build_count_matrix(model.terms[:2], [[model.terms[1]]])
     wording = rf"\({len(model.terms)} terms\) is not that of the features given \(2 terms\)"
     with pytest.raises(DataError, match=wording):
         model.predict(narrow)
@@ -221,10 +221,10 @@ def test_a_same_width_matrix_over_other_terms_is_refused(kind):
     """The width is not enough: a matrix over the model's terms in another
     order has the model's width, but its columns name other terms."""
     model, training = small_fit(kind)
-    vocab = build_vocabulary([list(reversed(model.terms))])
-    assert len(vocab) == len(model.terms) and vocab.terms != model.terms
+    terms = tuple(reversed(model.terms))
+    assert terms != model.terms
     with pytest.raises(DataError, match="model vocabulary .* is not that of the features given"):
-        model.predict_batch(replace(training.matrix, vocab=vocab))
+        model.predict_batch(replace(training.matrix, terms=terms))
 
 
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
@@ -244,7 +244,7 @@ def wide_matrix(rng, n_docs, n_terms, per_row):
         axis=1,
     )
     return DocTermMatrix(
-        vocab=build_vocabulary([[f"t{j}" for j in range(n_terms)]]),
+        terms=tuple(f"t{j}" for j in range(n_terms)),
         indptr=np.arange(n_docs + 1, dtype=np.int64) * per_row,
         indices=columns.ravel(),
         data=rng.integers(1, 4, size=n_docs * per_row).astype(np.float64),

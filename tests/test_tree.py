@@ -137,7 +137,7 @@ def binned_rows(x, y, n_classes):
     indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
     matrix = DocTermMatrix(
-        vocab=build_vocabulary([[f"t{j}" for j in range(x.shape[1])]]),
+        terms=tuple(f"t{j}" for j in range(x.shape[1])),
         indptr=indptr,
         indices=cols.astype(np.int64),
         data=x[rows, cols].astype(np.float64),

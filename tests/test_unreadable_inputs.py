@@ -4,8 +4,9 @@ One function reads every input file, so a missing path and a directory fail
 alike in each loader: with the loader's own error class, which the CLI maps
 to exit 1 (config) or 2 (data), and a message that names the path.  One
 function parses every JSON input, so a value nested too deeply for the
-parser, or an integer of more digits than Python converts, fails alike in
-the config, corpus and model loaders.
+parser, an integer of more digits than Python converts, or a string that
+escapes a lone surrogate, fails alike in the config, corpus and model
+loaders.
 """
 
 import json
@@ -17,7 +18,14 @@ import pytest
 from tweetsent.cli import main
 from tweetsent.corpus import load_corpus, load_stopwords
 from tweetsent.datagen import TOPICS, write_demo_data
-from tweetsent.exceptions import ConfigError, CorpusError, LexiconError, ModelFormatError
+from tweetsent.exceptions import (
+    ConfigError,
+    CorpusError,
+    DataError,
+    LexiconError,
+    ModelFormatError,
+    parse_json,
+)
 from tweetsent.lexicon import load_lexicon
 from tweetsent.models import load_model
 from tweetsent.pipeline import load_config
@@ -105,9 +113,14 @@ def _refused(name, workspace, capsys, raw, keys, reason):
     its own error, naming the file (and the line of a corpus) and
     ``reason``, and the CLI exits 1 for a config or 2 for a data file, not
     3 ("internal error")."""
-    files, out, args = workspace
-    write, load, error, line, command, code = INPUTS[name]
-    path = write(files, out, raw, *keys)
+    files, out, _ = workspace
+    _refused_at(name, workspace, capsys, INPUTS[name][0](files, out, raw, *keys), reason)
+
+
+def _refused_at(name, workspace, capsys, path, reason):
+    """:func:`_refused`'s checks of the ``name`` input ``path``, once written."""
+    _, _, args = workspace
+    _, load, error, line, command, code = INPUTS[name]
     message = f"{path}{line}: not valid JSON ({reason})"
     with pytest.raises(error) as raised:
         load(path)
@@ -146,3 +159,58 @@ def test_an_integer_too_long_for_python_is_the_loaders_error(name, workspace, ca
         f"conversion: value has {digits} digits"
     )
     _refused(name, workspace, capsys, "9" * digits, LONG_KEYS[name], reason)
+
+
+# Where each input takes a string that escapes a lone surrogate: a topic
+# name (an object key), a tweet id, a term.
+SURROGATE_FIELDS = {
+    "config": (("topics",), '{"t\\ud83d": "corpus.jsonl"}'),
+    "corpus": (("id",), '"x\\ud83d"'),
+    "model": (("vocabulary", 0), '"x\\ud83d"'),
+}
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_a_lone_surrogate_is_the_loaders_error(name, workspace, capsys):
+    """Half a UTF-16 surrogate pair, escaped, is no valid JSON (RFC 7493
+    forbids it, and UTF-8 cannot write it): once loaded, such a topic name
+    or tweet id stopped ``ingest`` or ``label --out`` with exit 3 where
+    it was written out."""
+    keys, raw = SURROGATE_FIELDS[name]
+    files, out, _ = workspace
+    path = INPUTS[name][0](files, out, raw, *keys)
+    text = path.read_text(encoding="utf-8")
+    if name == "corpus":
+        text = text.splitlines()[1]
+    reason = f"unpaired surrogate '\\ud83d' at char {text.index(chr(92) + 'ud83d')}"
+    _refused_at(name, workspace, capsys, path, reason)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ('["\\ud83d\\ude00"]', ["\U0001f600"]),
+        ('{"\\uD83D\\uDE00": "\\u00e9"}', {"\U0001f600": "\u00e9"}),
+        ('["\\\\ud83d"]', ["\\ud83d"]),
+    ],
+    ids=["pair", "pair-in-key", "escaped-backslash"],
+)
+def test_a_surrogate_pair_and_an_escaped_backslash_parse(text, value):
+    assert parse_json(text, DataError) == value
+
+
+@pytest.mark.parametrize(
+    "text, char",
+    [
+        ('["\\ud83d"]', 2),
+        ('{"k\\udc00": 1}', 3),
+        ('["\\ude00\\ud83d"]', 2),
+        ('["\\ud83d\\ud83d\\ude00"]', 2),
+        ('["\\\\\\ud83d"]', 4),
+    ],
+    ids=["high", "low-in-key", "reversed-pair", "high-before-pair", "after-escaped-backslash"],
+)
+def test_a_lone_surrogate_is_no_valid_json(text, char):
+    reason = rf"unpaired surrogate '\\u[dD][0-9a-f]{{3}}' at char {char}"
+    with pytest.raises(DataError, match=rf"^not valid JSON \({reason}\)$"):
+        parse_json(text, DataError)
